@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
+    return x.bit_count() & 1
 
 
 def vector_from_bits(bits: Sequence[int]) -> int:
@@ -60,12 +60,6 @@ class BitMatrix:
         return cls([1 << i for i in range(n)], n)
 
     @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[int]], ncols: Optional[int] = None) -> "BitMatrix":
-        if ncols is None:
-            ncols = len(entries[0]) if entries else 0
-        return cls([vector_from_bits(row) for row in entries], ncols)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[int], nrows: int) -> "BitMatrix":
         rows = []
         for i in range(nrows):
@@ -93,9 +87,6 @@ class BitMatrix:
 
     def columns(self) -> List[int]:
         return [self.column(j) for j in range(self.ncols)]
-
-    def to_entries(self) -> List[List[int]]:
-        return [list(vector_to_bits(r, self.ncols)) for r in self.rows]
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
@@ -145,22 +136,6 @@ class BitMatrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in add")
         return BitMatrix([a ^ b for a, b in zip(self.rows, other.rows)], self.ncols)
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix([self.column(j) for j in range(self.ncols)], self.nrows)
-
-    def hstack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch in hstack")
-        return BitMatrix(
-            [a | (b << self.ncols) for a, b in zip(self.rows, other.rows)],
-            self.ncols + other.ncols,
-        )
-
-    def vstack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch in vstack")
-        return BitMatrix(self.rows + other.rows, self.ncols)
 
     # -- elimination ----------------------------------------------------
 
@@ -225,9 +200,6 @@ class BitMatrix:
             if (red.rows[i] >> self.ncols) & 1:
                 x |= 1 << p
         return x
-
-    def image_contains(self, b: int) -> bool:
-        return self.solve(b) is not None
 
 
 class ColumnSolver:

@@ -302,14 +302,29 @@ class GradedA1Module:
 
         Raises ModuleError if the span is not closed under the action.
         Returns the module plus the degreewise inclusion matrices.
+
+        A degree whose vectors are exactly the standard basis of ``M_d``
+        (``vecs[j] == 1 << j`` for every ``j < dim(d)``) is left as it is:
+        its inclusion is the identity, its labels are M's, and an action
+        between two such degrees is M's own matrix.  Only the other
+        degrees are rebuilt, so a caller that changes a few degrees (as
+        ``split_free`` changes ``g … g+6``) pays only for those.
         """
         basis = {d: list(v) for d, v in vectors.items() if v}
+        whole = {d for d, vecs in basis.items()
+                 if len(vecs) == self.dim(d) and all(v == 1 << j for j, v in enumerate(vecs))}
         incl: Dict[int, BitMatrix] = {}
         for d, vecs in basis.items():
-            incl[d] = BitMatrix.from_columns(vecs, self.dim(d))
+            if d in whole:
+                incl[d] = BitMatrix.identity(len(vecs))
+            else:
+                incl[d] = BitMatrix.from_columns(vecs, self.dim(d))
         dims = {d: len(v) for d, v in basis.items()}
         labels = {}
         for d, vecs in basis.items():
+            if d in whole:
+                labels[d] = self.labels[d]
+                continue
             lab = []
             for i, v in enumerate(vecs):
                 if v and (v & (v - 1)) == 0:
@@ -319,14 +334,19 @@ class GradedA1Module:
             labels[d] = tuple(lab)
         sq1: Dict[int, BitMatrix] = {}
         sq2: Dict[int, BitMatrix] = {}
-        solvers: Dict[int, ColumnSolver] = {d: ColumnSolver(v) for d, v in basis.items()}
+        solvers: Dict[int, ColumnSolver] = {}
         for shift, store in ((1, sq1), (2, sq2)):
             for d, vecs in basis.items():
                 if not (self.complete or d + shift <= self.hi):
                     continue
                 tgt = basis.get(d + shift, [])
                 act = self.sq2_map(d) if shift == 2 else self.sq1_map(d)
+                if d in whole and d + shift in whole:
+                    store[d] = act
+                    continue
                 cols = []
+                if tgt and d + shift not in solvers:
+                    solvers[d + shift] = ColumnSolver(tgt)
                 solver = solvers.get(d + shift)
                 for v in vecs:
                     w = act.matvec(v)
@@ -530,6 +550,12 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
     f dual to a coordinate of top·x is an A(1)-submodule complementary to
     A(1)·x.  The remainder has no further free summands generated in
     degrees ≤ hi - 6 (or ≤ max_gen_degree when that bound is given).
+
+    Each split changes only the degrees g … g+6 of A(1)·x: elsewhere the
+    complement is all of the current module, so ``submodule`` keeps those
+    degrees as they are and the accumulated witness is updated only in
+    the window.  The search for the next x resumes at g, since top acts
+    as zero below g on the current module and hence on its summand.
     """
     current = M
     gen_top = M.hi - 6 if max_gen_degree is None else min(max_gen_degree, M.hi - 6)
@@ -541,9 +567,10 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
     free_cols: Dict[int, List[int]] = {d: [] for d in M.degrees()}
     frees: List[Tuple[int, str]] = []
     top_word = "1212"
+    start = current.lo
     while True:
         found = None
-        for g in range(current.lo, gen_top + 1):
+        for g in range(start, gen_top + 1):
             if current.dim(g) == 0:
                 continue
             topm = current.act_word(top_word, g)
@@ -589,18 +616,19 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
             old = incl[d]
             free_cols.setdefault(d, [])
             free_cols[d].extend(old.matvec(vec) for vec in vecs)
-        new_incl: Dict[int, BitMatrix] = {}
-        for d in M.degrees():
+        for d in range(g, g + 7):
+            if d not in incl:
+                continue
             old = incl[d]
             if remainder.dim(d) == 0:
-                new_incl[d] = BitMatrix.zeros(M.dim(d), 0)
+                incl[d] = BitMatrix.zeros(M.dim(d), 0)
                 continue
             emb = sub_incl[d]
             cols = [old.matvec(emb.column(j)) for j in range(remainder.dim(d))]
-            new_incl[d] = BitMatrix.from_columns(cols, M.dim(d))
-        incl = new_incl
+            incl[d] = BitMatrix.from_columns(cols, M.dim(d))
         frees.append((g, label))
         current = remainder
+        start = g
     valid_through = M.hi if M.complete else M.hi - 6
     if max_gen_degree is not None:
         valid_through = min(valid_through, max_gen_degree)

@@ -181,13 +181,15 @@ class SpacePresentation:
     # -- Steenrod action ---------------------------------------------------
 
     def total_sq_mono(self, m: Monomial) -> Poly:
+        """Total Sq of a monomial: Sq(m) = Sq(m / g) · Sq(g), g its last generator."""
         if m in self._sq_mono_cache:
             return self._sq_mono_cache[m]
-        acc: Poly = frozenset([self.unit()])
-        for e, g in zip(m, self.gens):
-            sq_g = self.total_sq[g.label]
-            for _ in range(e):
-                acc = self.poly_mul(acc, sq_g)
+        last = max((i for i, e in enumerate(m) if e), default=None)
+        if last is None:
+            acc: Poly = frozenset([self.unit()])
+        else:
+            prefix = m[:last] + (m[last] - 1,) + m[last + 1:]
+            acc = self.poly_mul(self.total_sq_mono(prefix), self.total_sq[self.gens[last].label])
         self._sq_mono_cache[m] = acc
         return acc
 

@@ -1,7 +1,7 @@
 """Acceptance suite: one test (or test group) per criterion, each printing
 a PASS/FAIL line (run with -s to see them).
 
-Four sub-assertions are marked xfail(strict=True): the engine's exact
+Five sub-assertions are marked xfail(strict=True): the engine's exact
 computation, cross-checked by independent routes inside this repository,
 disagrees with the published value there.  Each case is documented in the
 test docstring; the engine result is asserted positively in the regular

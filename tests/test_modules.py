@@ -8,6 +8,7 @@ from a1bordism.gf2 import BitMatrix
 from a1bordism import modules as md
 from a1bordism.modules import (GradedA1Module, ModuleError, catalog, free_module,
                                iso_up_to_degree, split_free)
+from a1bordism.spaces import named_structure
 from oracles import quotient_dims_by_left_ideal
 
 
@@ -219,6 +220,26 @@ def test_split_free_witness_and_validity():
     for d in big.degrees():
         w = dec.witness[d]
         assert w.ncols == big.dim(d) and w.rank() == big.dim(d)
+
+
+def test_split_free_witness_is_a1_map():
+    # nine free summands in degrees 0, 2, 4, 5, 6 with overlapping windows
+    M = named_structure("KTminus", 12)
+    dec = split_free(M)
+    assert len({g for g, _ in dec.free_summands}) >= 3
+    src = free_module().suspend(dec.free_summands[0][0])
+    for g, _ in dec.free_summands[1:]:
+        src = src.direct_sum(free_module().suspend(g))
+    src = src.direct_sum(dec.remainder)
+
+    def w(d):
+        return dec.witness.get(d, BitMatrix.zeros(M.dim(d), src.dim(d)))
+
+    for d in range(M.lo, M.hi + 1):
+        assert (w(d).nrows, w(d).ncols) == (M.dim(d), src.dim(d))
+        for shift, src_map, tgt_map in ((1, src.sq1_map, M.sq1_map), (2, src.sq2_map, M.sq2_map)):
+            if src.known_through(d + shift) and M.known_through(d + shift):
+                assert w(d + shift) @ src_map(d) == tgt_map(d) @ w(d), (d, shift)
 
 
 def test_split_free_joker_tensor_pin_cell():
