@@ -48,7 +48,6 @@ from .ext import (
     minimal_resolution,
 )
 from .pipelines import (
-    GroupDescriptor,
     PipelineReport,
     decompose_structure,
     run_pipeline,
@@ -68,7 +67,6 @@ __all__ = [
     "BitMatrix",
     "ExtChart",
     "GradedA1Module",
-    "GroupDescriptor",
     "LESProblem",
     "ModuleDecomposition",
     "PartialGroup",

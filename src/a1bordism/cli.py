@@ -2,7 +2,8 @@
 
 Exit status: 0 on fully certified results, 1 on argument errors, 2 when a
 mathematical result is uncertified or undecided (partial output is still
-printed).  Output is deterministic and identical for every --jobs value.
+printed).  Output is deterministic; --jobs is accepted for compatibility
+and changes nothing, because the engine runs single-threaded.
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ def cmd_ext(args) -> Tuple[str, int]:
     max_t = args.max_n + args.max_s
     m = _structure_module(args.name, max_t + 6)
     res = ext_mod.minimal_resolution(m, max_s=args.max_s,
-                                     max_t=min(max_t, m.hi if not m.complete else max_t),
-                                     jobs=args.jobs)
+                                     max_t=min(max_t, m.hi if not m.complete else max_t))
     chart = ext_mod.ext_chart(res)
     if args.format == "tsv":
         return ext_mod.chart_tsv(chart, args.max_n, args.max_s), EXIT_OK
@@ -70,7 +70,7 @@ def cmd_ext(args) -> Tuple[str, int]:
 
 
 def cmd_bordism(args) -> Tuple[str, int]:
-    report = pl.run_pipeline(args.name, args.through, max_s=args.max_s, jobs=args.jobs)
+    report = pl.run_pipeline(args.name, args.through, max_s=args.max_s)
     lines = []
     certified = True
     if args.format == "tsv":
@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
                "'|' marks an h0-multiplication into the dot above.",
     )
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker count for resolution columns (output is identical)")
+                   help="accepted for compatibility; the engine runs single-threaded, "
+                        "so output is identical for every value")
     sub = p.add_subparsers(dest="verb", required=True)
 
     sub.add_parser("list", help="list pipelines, catalog modules, spaces, figures")
@@ -211,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--through", type=int, default=4)
     q.add_argument("--max-s", type=int, default=pl.DEFAULT_MAX_S)
     q.add_argument("--format", choices=("ascii", "tsv"), default="ascii")
-    q.add_argument("--strict", action="store_true",
-                   help="nonzero exit when any row is uncertified")
 
     q = sub.add_parser("decompose", help="split a structure module into catalog pieces")
     q.add_argument("name")

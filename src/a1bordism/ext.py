@@ -2,10 +2,10 @@
 
 The E2 page of the (Baker-Lazarev form) Adams spectral sequence for a
 ko-module is Ext over A(1) of its ko-linear cohomology; we compute it from
-a minimal resolution, read h0 (and h1) off the Sq1 (Sq2) coefficients of
-the boundary matrices, certify collapse where the standard arguments
-apply, and assemble 2-complete abelian groups from h0-towers.  Anything
-the window cannot justify is reported uncertified, never guessed.
+a minimal resolution, read h0 off the Sq1 coefficients of the boundary
+matrices, certify collapse where the standard arguments apply, and
+assemble 2-complete abelian groups from h0-towers.  Anything the window
+cannot justify is reported uncertified, never guessed.
 """
 
 from __future__ import annotations
@@ -54,12 +54,11 @@ def _free_basis(gen_degrees: Sequence[int], d: int) -> List[Tuple[int, int]]:
     return out
 
 
-def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int, jobs: int = 1) -> Resolution:
+def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
     """Stages 0..max_s of the minimal free resolution, exact for t <= max_t.
 
-    ``jobs`` parallelizes the independent per-degree kernel computations
-    inside a stage; results are assembled in degree order, so the output
-    is identical for every worker count.
+    Each stage is built degree by degree in increasing order, in a single
+    thread, so the result depends only on the module and the window.
     """
     if not M.complete and M.hi < max_t:
         raise ResolutionError(
@@ -101,30 +100,19 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int, jobs: int = 1)
 
         # kernel of F_s -> K, degreewise
         fbasis: Dict[int, List[Tuple[int, int]]] = {}
+        ker_vecs: Dict[int, List[int]] = {}
         for d in range(lo, max_t + 1):
             fb = _free_basis(gen_degrees, d)
-            if fb:
-                fbasis[d] = fb
-        def kernel_at(d: int) -> Tuple[int, List[int]]:
-            fb = fbasis[d]
+            if not fb:
+                continue
+            fbasis[d] = fb
             cols = []
             for i, widx in fb:
                 t_i, j_i = gens[i]
                 cols.append(K.act_word(WORDS[widx], t_i).matvec(1 << j_i))
-            mat = BitMatrix.from_columns(cols, K.dim(d))
-            return d, list(mat.kernel_basis())
-
-        ker_vecs: Dict[int, List[int]] = {}
-        if jobs > 1 and len(fbasis) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(kernel_at, sorted(fbasis)))
-        else:
-            results = [kernel_at(d) for d in sorted(fbasis)]
-        for d, kb in results:
+            kb = BitMatrix.from_columns(cols, K.dim(d)).kernel_basis()
             if kb:
-                ker_vecs[d] = kb
+                ker_vecs[d] = list(kb)
 
         dims = {d: len(v) for d, v in ker_vecs.items()}
         ker_solvers = {d: ColumnSolver(v) for d, v in ker_vecs.items()}
@@ -202,7 +190,6 @@ class ExtChart:
     max_t: int
     dims: Dict[Tuple[int, int], int]
     h0: Dict[Tuple[int, int], BitMatrix]
-    h1: Dict[Tuple[int, int], BitMatrix]
 
     def dim(self, s: int, n: int) -> int:
         return self.dims.get((s, n), 0)
@@ -225,37 +212,6 @@ class ExtChart:
     def columns(self) -> List[int]:
         return sorted({n for (_, n) in self.dims})
 
-    def add(self, other: "ExtChart") -> "ExtChart":
-        max_s = min(self.max_s, other.max_s)
-        max_t = min(self.max_t, other.max_t)
-        dims: Dict[Tuple[int, int], int] = {}
-        h0: Dict[Tuple[int, int], BitMatrix] = {}
-        h1: Dict[Tuple[int, int], BitMatrix] = {}
-        keys = {k for k in self.dims if k[0] <= max_s} | {k for k in other.dims if k[0] <= max_s}
-        for s, n in keys:
-            dims[(s, n)] = self.dim(s, n) + other.dim(s, n)
-
-        def block(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-            rows = list(a.rows) + [r << a.ncols for r in b.rows]
-            return BitMatrix(rows, a.ncols + b.ncols)
-
-        for s, n in keys:
-            if dims.get((s + 1, n)):
-                h0[(s, n)] = block(self.h0_map(s, n), other.h0_map(s, n))
-            if dims.get((s + 1, n + 1)):
-                a = self.h1.get((s, n), BitMatrix.zeros(self.dim(s + 1, n + 1), self.dim(s, n)))
-                b = other.h1.get((s, n), BitMatrix.zeros(other.dim(s + 1, n + 1), other.dim(s, n)))
-                h1[(s, n)] = block(a, b)
-        return ExtChart(max_s, max_t, dims, h0, h1)
-
-    def suspend(self, k: int) -> "ExtChart":
-        return ExtChart(
-            self.max_s, self.max_t + k,
-            {(s, n + k): v for (s, n), v in self.dims.items()},
-            {(s, n + k): v for (s, n), v in self.h0.items()},
-            {(s, n + k): v for (s, n), v in self.h1.items()},
-        )
-
 
 def ext_chart(res: Resolution) -> ExtChart:
     dims: Dict[Tuple[int, int], int] = {}
@@ -266,29 +222,27 @@ def ext_chart(res: Resolution) -> ExtChart:
             dims[key] = dims.get(key, 0) + 1
             index.setdefault(key, []).append(i)
     h0: Dict[Tuple[int, int], BitMatrix] = {}
-    h1: Dict[Tuple[int, int], BitMatrix] = {}
     for s in range(1, len(res.stages)):
         stage = res.stages[s]
         prev = res.stages[s - 1]
-        # h0 = Sq1 coefficient: (s-1, n) -> (s, n); h1 = Sq2: (s-1, n) -> (s, n+1)
-        for word, store, dshift in (("1", h0, 1), ("2", h1, 2)):
-            for tprime in sorted(set(prev.gen_degrees)):
-                src_key = (s - 1, tprime - (s - 1))
-                src = index.get(src_key, [])
-                tgt = index.get((s, tprime + dshift - s), [])
-                if not src or not tgt:
-                    continue
-                rows = []
-                for ti in tgt:
-                    r = 0
-                    entries = dict(stage.boundary[ti])
-                    for cpos, si in enumerate(src):
-                        elt = entries.get(si)
-                        if elt is not None and elt.coefficient(word):
-                            r |= 1 << cpos
-                    rows.append(r)
-                store[src_key] = BitMatrix(rows, len(src))
-    return ExtChart(res.max_s, res.max_t, dims, h0, h1)
+        # h0 = Sq1 coefficient: (s-1, n) -> (s, n)
+        for tprime in sorted(set(prev.gen_degrees)):
+            src_key = (s - 1, tprime - (s - 1))
+            src = index.get(src_key, [])
+            tgt = index.get((s, tprime + 1 - s), [])
+            if not src or not tgt:
+                continue
+            rows = []
+            for ti in tgt:
+                r = 0
+                entries = dict(stage.boundary[ti])
+                for cpos, si in enumerate(src):
+                    elt = entries.get(si)
+                    if elt is not None and elt.coefficient("1"):
+                        r |= 1 << cpos
+                rows.append(r)
+            h0[src_key] = BitMatrix(rows, len(src))
+    return ExtChart(res.max_s, res.max_t, dims, h0)
 
 
 # -- collapse certification ----------------------------------------------------
@@ -308,8 +262,7 @@ class Certificate:
         )
 
 
-def collapse_certificate(chart: ExtChart, report_max_s: int,
-                         columns: Optional[Sequence[int]] = None) -> Certificate:
+def collapse_certificate(chart: ExtChart, report_max_s: int) -> Certificate:
     """Certify permanence of chart classes within the reported window.
 
     A differential d_r moves (s, n) -> (s+r, n-1), so all differentials
@@ -319,7 +272,6 @@ def collapse_certificate(chart: ExtChart, report_max_s: int,
     h0-nilpotent sources cannot hit a zone where a power of h0 is
     injective.  Everything else is reported uncertified, never assumed.
     """
-    cols = sorted(columns if columns is not None else chart.columns())
     certified: Dict[Tuple[int, int], bool] = {}
     threats: List[str] = []
 
@@ -369,7 +321,7 @@ def collapse_certificate(chart: ExtChart, report_max_s: int,
             pair_cache[n_src] = pair_excluded(n_src)
         return pair_cache[n_src]
 
-    for n in cols:
+    for n in chart.columns():
         for s in range(report_max_s + 1):
             if chart.dim(s, n) == 0:
                 continue
@@ -400,6 +352,7 @@ class DegreeReport:
     torsion: Tuple[int, ...]  # 2-power orders, descending
     certified: bool
     warnings: Tuple[str, ...] = ()
+    odd_part: str = "assumed trivial"  # documented, never computed
 
     def group_str(self) -> str:
         parts = []
@@ -410,7 +363,7 @@ class DegreeReport:
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
 
-    def same_group(self, free_rank: int, torsion: Sequence[int]) -> bool:
+    def matches(self, free_rank: int, torsion: Sequence[int]) -> bool:
         return self.free_rank == free_rank and tuple(sorted(torsion, reverse=True)) == self.torsion
 
 

@@ -235,9 +235,6 @@ class ColumnSolver:
             m ^= hit[1]
         return m
 
-    def contains(self, b: int) -> bool:
-        return self.solve(b) is not None
-
 
 def span_rref(vectors: Iterable[int], ncols: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Canonical (rref) basis of the span of the given vectors, with pivots."""

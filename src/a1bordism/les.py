@@ -18,10 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 INF = None  # open upper bound
 
 
-def _iv(lo: int, hi: Optional[int]) -> Tuple[int, Optional[int]]:
-    return (lo, hi)
-
-
 def _iv_meet(a, b):
     lo = max(a[0], b[0])
     if a[1] is None:

@@ -433,6 +433,7 @@ class ModuleDecomposition:
     valid_through: int
     source: Optional[GradedA1Module] = None
     notes: List[str] = field(default_factory=list)
+    witness_iso: Optional[Dict[int, BitMatrix]] = None
 
 
 def _solve_module_map(
@@ -966,7 +967,10 @@ def parse_a1mod(text: str) -> GradedA1Module:
             targets = [p for p in parts[3:] if p != "+"]
             actions.append((ln, parts[0], src, targets))
         elif parts[0] == "TRUNCATE":
-            hi = int(parts[1])
+            try:
+                hi = int(parts[1])
+            except (ValueError, IndexError):
+                raise ModuleError(f"line {ln}: TRUNCATE <degree>")
         else:
             raise ModuleError(f"line {ln}: unknown directive {parts[0]!r}")
     if hi is None:

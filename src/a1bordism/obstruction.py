@@ -37,12 +37,6 @@ class ThomClassModel:
             [self.base.unit()] + [self.base.gen_mono(g.label) for g in self.base.gens]
         )
 
-    def u_degree(self, p: Poly) -> int:
-        degs = {self.base.mono_degree(m) for m in p}
-        if len(degs) != 1:
-            raise ObstructionError("inhomogeneous Thom coefficient")
-        return degs.pop() + self.n
-
     def sq(self, k: int, p: Poly) -> Poly:
         """Coefficient of Sq^k(pU) = (...)U via the Cartan formula and Sq^i U = w_i U."""
         acc: set = set()
@@ -73,12 +67,6 @@ class ThomClassModel:
 
     def vector(self, p: Poly, d: int) -> int:
         return self.base.poly_vector(p, d - self.n)
-
-    def basis_labels(self, d: int) -> Tuple[str, ...]:
-        return tuple(
-            ("U" if self.base.mono_label(m) == "1" else self.base.mono_label(m) + "*U")
-            for m in self.base.basis(d - self.n)
-        )
 
     def format(self, p: Poly) -> str:
         if not p:

@@ -11,7 +11,7 @@ complete.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import ext as ext_mod
 from . import modules as md
@@ -27,43 +27,16 @@ class PipelineError(ValueError):
 
 
 @dataclass
-class GroupDescriptor:
-    degree: int
-    free_rank: int
-    torsion: Tuple[int, ...]  # descending 2-power orders
-    certified: bool
-    warnings: Tuple[str, ...] = ()
-    odd_part: str = "assumed trivial"
-
-    def group_str(self) -> str:
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
-        return " + ".join(parts) if parts else "0"
-
-    def matches(self, free_rank: int, torsion: Sequence[int]) -> bool:
-        return (self.free_rank == free_rank
-                and tuple(sorted(torsion, reverse=True)) == tuple(self.torsion))
-
-
-@dataclass
 class PipelineReport:
     name: str
     through_degree: int
-    rows: List[GroupDescriptor]
+    rows: List[ext_mod.DegreeReport]
     provenance: List[str]
     max_s: int
 
     @property
     def certified(self) -> bool:
         return all(r.certified for r in self.rows)
-
-    def table(self) -> List[Tuple[int, str, str]]:
-        return [(r.degree, r.group_str(), "certified" if r.certified else "uncertified")
-                for r in self.rows]
 
 
 # odd-primary parts are configuration with provenance, not computation
@@ -101,7 +74,7 @@ def required_cutoff(through_degree: int, max_s: int = DEFAULT_MAX_S) -> int:
 
 
 def _assemble_piece(piece: GradedA1Module, through: int, max_s: int,
-                    s_resolve: int, max_t: int, jobs: int,
+                    s_resolve: int, max_t: int,
                     provenance: List[str]) -> List[ext_mod.DegreeReport]:
     """Split off frees, resolve the remainder, certify, and assemble groups."""
     dec = split_free(piece, max_gen_degree=through + 1)
@@ -119,7 +92,7 @@ def _assemble_piece(piece: GradedA1Module, through: int, max_s: int,
     remainder = dec.remainder
     if remainder.total_dim():
         res = ext_mod.minimal_resolution(remainder, max_s=s_resolve,
-                                         max_t=min(max_t, remainder.hi), jobs=jobs)
+                                         max_t=min(max_t, remainder.hi))
         chart = ext_mod.ext_chart(res)
         cert = ext_mod.collapse_certificate(chart, report_max_s=max_s)
         assembled = ext_mod.assemble_groups(chart, cert, max_n=through)
@@ -133,8 +106,7 @@ def _assemble_piece(piece: GradedA1Module, through: int, max_s: int,
     return out
 
 
-def run_pipeline(name: str, through_degree: int, max_s: int = DEFAULT_MAX_S,
-                 jobs: int = 1) -> PipelineReport:
+def run_pipeline(name: str, through_degree: int, max_s: int = DEFAULT_MAX_S) -> PipelineReport:
     """2-complete bordism groups of a named structure through the given degree."""
     if through_degree > CONNECTIVITY_BOUND:
         raise PipelineError(
@@ -157,8 +129,7 @@ def run_pipeline(name: str, through_degree: int, max_s: int = DEFAULT_MAX_S,
         provenance.append(f"{name}: resolved as a wedge of two pieces ({note})")
     totals: Dict[int, List] = {n: [0, [], True, []] for n in range(through_degree + 1)}
     for piece in pieces:
-        for r in _assemble_piece(piece, through_degree, max_s, s_resolve, max_t,
-                                 jobs, provenance):
+        for r in _assemble_piece(piece, through_degree, max_s, s_resolve, max_t, provenance):
             slot = totals[r.degree]
             slot[0] += r.free_rank
             slot[1].extend(r.torsion)
@@ -168,8 +139,8 @@ def run_pipeline(name: str, through_degree: int, max_s: int = DEFAULT_MAX_S,
     rows = []
     for n in range(through_degree + 1):
         fr, tors, cert, warns = totals[n]
-        rows.append(GroupDescriptor(n, fr, tuple(sorted(tors, reverse=True)), cert,
-                                    tuple(dict.fromkeys(warns)), odd))
+        rows.append(ext_mod.DegreeReport(n, fr, tuple(sorted(tors, reverse=True)), cert,
+                                         tuple(dict.fromkeys(warns)), odd))
     return PipelineReport(name, through_degree, rows, provenance, max_s)
 
 
@@ -185,6 +156,7 @@ def a0_pair_module() -> GradedA1Module:
 
 
 MATCH_PIECES = ("M1", "R2", "R3", "J", "Q", "M0", "A0", "F2")
+COVER_BUDGET = 4000  # candidate covers tried before the search reports "undecided"
 
 
 def _match_piece(name: str, cutoff: int) -> GradedA1Module:
@@ -193,12 +165,14 @@ def _match_piece(name: str, cutoff: int) -> GradedA1Module:
     return md.catalog(name, cutoff)
 
 
-def decompose_structure(name: str, n: int, budget: int = 4000) -> ModuleDecomposition:
+def decompose_structure(name: str, n: int) -> ModuleDecomposition:
     """split_free then catalog matching through degree n, with witnesses.
 
     The matcher tries direct sums of suspended catalog modules (plus the
     two-class Sq1-pair "A0") whose graded dimensions cover the remainder;
-    an unmatched remainder is returned explicitly, never forced.
+    an unmatched remainder is returned explicitly, never forced.  When
+    the cover search stops at COVER_BUDGET or an isomorphism search is
+    undecided, the note says "undecided" with the reason, not "no match".
     """
     cutoff = n + 6
     module = sp.named_structure(name, cutoff)
@@ -220,6 +194,7 @@ def decompose_structure(name: str, n: int, budget: int = 4000) -> ModuleDecompos
         return piece_cache[key]
 
     candidates: List[List[Tuple[str, int]]] = []
+    budget_spent = False
 
     def ordered_pieces(d0: int) -> List[str]:
         # prefer pieces that fit the window with the least truncation,
@@ -233,7 +208,9 @@ def decompose_structure(name: str, n: int, budget: int = 4000) -> ModuleDecompos
         return [name for _, _, name in sorted(scored)]
 
     def cover(remaining: Dict[int, int], acc: List[Tuple[str, int]]):
-        if len(candidates) >= budget:
+        nonlocal budget_spent
+        if len(candidates) >= COVER_BUDGET:
+            budget_spent = True
             return
         if all(v == 0 for v in remaining.values()):
             candidates.append(list(acc))
@@ -252,20 +229,35 @@ def decompose_structure(name: str, n: int, budget: int = 4000) -> ModuleDecompos
             cover(nxt, acc + [(pname, d0)])
 
     cover(dims, [])
+    iso_undecided = []
     for cand in candidates:
         total: Optional[GradedA1Module] = None
         for pname, susp in cand:
             pm = piece(pname, susp)
             total = pm if total is None else total.direct_sum(pm)
         iso = iso_up_to_degree(remainder, total, n)
+        if iso.status == "undecided":
+            iso_undecided.append((cand, iso.reason))
         if iso.status == "iso":
             dec.catalog_summands = [(pname, susp) for pname, susp in cand]
             dec.remainder = remainder
             dec.notes.append(
                 "catalog match certified by an explicit degree-preserving isomorphism")
-            dec.witness_iso = iso.maps  # type: ignore[attr-defined]
+            dec.witness_iso = iso.maps
             return dec
     dec.remainder = remainder
-    dec.notes.append("no catalog match found through degree "
-                     f"{n}; remainder returned unidentified")
+    undecided = []
+    if budget_spent:
+        undecided.append(f"cover search stopped at its budget of {COVER_BUDGET} candidates")
+    if iso_undecided:
+        cand, reason = iso_undecided[0]
+        undecided.append(
+            f"{len(iso_undecided)} candidate(s) not settled by the isomorphism search, "
+            f"first {' + '.join(f'{p}@{k}' for p, k in cand)}: {reason}")
+    if undecided:
+        dec.notes.append(f"undecided: {'; '.join(undecided)}; "
+                         "remainder returned unidentified")
+    else:
+        dec.notes.append("no catalog match found through degree "
+                         f"{n}; remainder returned unidentified")
     return dec

@@ -639,7 +639,7 @@ def parse_space(text: str):
     """Parse the .space format; returns (presentation, a, b, shift)."""
     name = "anonymous"
     gens: List[Generator] = []
-    sq_lines: List[Tuple[str, str]] = []
+    sq_lines: List[Tuple[int, str, str]] = []
     cutoff: Optional[int] = None
     twist_a = "0"
     twist_b = "0"
@@ -652,37 +652,49 @@ def parse_space(text: str):
         if parts[0] == "SPACE":
             name = " ".join(parts[1:])
         elif parts[0] == "GEN":
+            usage = f"line {ln}: GEN <label> DEG <d> [NILPOTENT <e>]"
             if len(parts) < 4 or parts[2] != "DEG":
-                raise ValueError(f"line {ln}: GEN <label> DEG <d> [NILPOTENT <e>]")
-            nil = None
-            if "NILPOTENT" in parts:
-                nil = int(parts[parts.index("NILPOTENT") + 1])
-            gens.append(Generator(parts[1], int(parts[3]), nil))
+                raise ValueError(usage)
+            try:
+                deg = int(parts[3])
+                nil = int(parts[parts.index("NILPOTENT") + 1]) if "NILPOTENT" in parts else None
+            except (ValueError, IndexError):
+                raise ValueError(usage)
+            gens.append(Generator(parts[1], deg, nil))
         elif parts[0] == "SQ":
             body = line[2:].strip()
             if "=" not in body:
                 raise ValueError(f"line {ln}: SQ <label> = <polynomial>")
             lab, poly = body.split("=", 1)
-            sq_lines.append((lab.strip(), poly.strip()))
+            sq_lines.append((ln, lab.strip(), poly.strip()))
         elif parts[0] == "CUTOFF":
-            cutoff = int(parts[1])
+            try:
+                cutoff = int(parts[1])
+            except (ValueError, IndexError):
+                raise ValueError(f"line {ln}: CUTOFF <degree>")
         elif parts[0] == "TWIST":
+            if len(parts) < 2 or parts[1] not in ("A", "B") or "=" not in line:
+                raise ValueError(f"line {ln}: TWIST A = <class> or TWIST B = <class>")
             if parts[1] == "A":
                 twist_a = line.split("=", 1)[1].strip()
-            elif parts[1] == "B":
-                twist_b = line.split("=", 1)[1].strip()
             else:
-                raise ValueError(f"line {ln}: TWIST A or TWIST B")
+                twist_b = line.split("=", 1)[1].strip()
         elif parts[0] == "SHIFT":
-            shift = int(parts[1])
+            try:
+                shift = int(parts[1])
+            except (ValueError, IndexError):
+                raise ValueError(f"line {ln}: SHIFT <degree>")
         else:
             raise ValueError(f"line {ln}: unknown directive {parts[0]!r}")
     if cutoff is None:
         raise ValueError("missing CUTOFF")
     pres = SpacePresentation(name, gens, cutoff, {g.label: frozenset() for g in gens})
     total = {}
-    for lab, poly in sq_lines:
-        total[lab] = pres.parse_poly(poly)
+    for ln, lab, poly in sq_lines:
+        try:
+            total[lab] = pres.parse_poly(poly)
+        except ValueError as e:
+            raise ValueError(f"line {ln}: {e}")
     for g in gens:
         if g.label not in total:
             raise ValueError(f"missing SQ line for generator {g.label!r}")

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import shlex
+from pathlib import Path
+
 from a1bordism import cli
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv):
@@ -132,3 +137,24 @@ def test_repeated_runs_byte_identical():
     a, _ = run(["bordism", "FK", "--through", "4", "--max-s", "8", "--format", "tsv"])
     b, _ = run(["bordism", "FK", "--through", "4", "--max-s", "8", "--format", "tsv"])
     assert a == b
+
+
+def readme_command_lines():
+    """The ``a1bordism ...`` lines of README's "Command line" code block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+            if line.strip().startswith("a1bordism ")]
+
+
+def test_readme_command_lines_parse():
+    # a documented flag the parser no longer knows fails here
+    lines = readme_command_lines()
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"README command does not parse: {line}")

@@ -161,7 +161,7 @@ def test_certificate_flags_synthetic_dense_chart():
     from a1bordism.gf2 import BitMatrix
 
     dims = {(0, 5): 1, (2, 4): 1}
-    chart = ex.ExtChart(max_s=12, max_t=30, dims=dims, h0={}, h1={})
+    chart = ex.ExtChart(max_s=12, max_t=30, dims=dims, h0={})
     cert = collapse_certificate(chart, report_max_s=10)
     assert not cert.certified[(0, 5)]
     assert not cert.certified[(2, 4)]
@@ -174,7 +174,7 @@ def test_certificate_h0_tower_targets_are_excluded():
 
     dims = {(s, 0): 1 for s in range(13)} | {(0, 1): 1}
     h0 = {(s, 0): BitMatrix([1], 1) for s in range(12)}
-    chart = ex.ExtChart(max_s=12, max_t=30, dims=dims, h0=h0, h1={})
+    chart = ex.ExtChart(max_s=12, max_t=30, dims=dims, h0=h0)
     cert = collapse_certificate(chart, report_max_s=8)
     assert cert.certified[(0, 1)]
     assert all(cert.certified[(s, 0)] for s in range(9))
@@ -190,10 +190,11 @@ def test_chart_exports():
 
 
 def test_jobs_do_not_change_resolution():
-    m = sp.named_structure("SpinO2", 16)
-    r1 = minimal_resolution(m, max_s=8, max_t=12, jobs=1)
-    r8 = minimal_resolution(m, max_s=8, max_t=12, jobs=8)
+    # --jobs is a no-op; the resolution depends only on the module and the
+    # window, so a freshly built copy of the module resolves identically
+    r1 = minimal_resolution(sp.named_structure("SpinO2", 16), max_s=8, max_t=12)
+    r2 = minimal_resolution(sp.named_structure("SpinO2", 16), max_s=8, max_t=12)
     for s in range(9):
-        assert r1.gens(s) == r8.gens(s)
-    c1, c8 = ext_chart(r1), ext_chart(r8)
-    assert c1.dims == c8.dims and c1.h0 == c8.h0
+        assert r1.gens(s) == r2.gens(s)
+    c1, c2 = ext_chart(r1), ext_chart(r2)
+    assert c1.dims == c2.dims and c1.h0 == c2.h0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from a1bordism import cli
 from a1bordism import modules as md
 from a1bordism import spaces as sp
 from a1bordism.modules import ModuleError, format_a1mod, parse_a1mod
@@ -99,3 +100,28 @@ def test_space_format_requires_cutoff_and_sq():
         parse_space("SPACE x\nGEN t DEG 1\nSQ t = t + t^2")
     with pytest.raises(ValueError, match="missing SQ"):
         parse_space("SPACE x\nGEN t DEG 1\nCUTOFF 4")
+
+
+SPACE_OK = "SPACE s\nGEN t DEG 1\nSQ t = t + t^2\nCUTOFF 8\n"
+
+
+@pytest.mark.parametrize("suffix, text, line", [
+    (".a1mod", "MODULE m\nDEG 0: a\nTRUNCATE\n", 3),
+    (".a1mod", "MODULE m\nDEG 0: a\nTRUNCATE x\n", 3),
+    (".space", "SPACE s\nGEN t DEG x\nSQ t = t + t^2\nCUTOFF 8\n", 2),
+    (".space", "SPACE s\nGEN t DEG 1 NILPOTENT x\nSQ t = t + t^2\nCUTOFF 8\n", 2),
+    (".space", "SPACE s\nGEN t DEG 1 NILPOTENT\nSQ t = t + t^2\nCUTOFF 8\n", 2),
+    (".space", "SPACE s\nGEN t DEG 1\nSQ t = t + t^2\nCUTOFF\n", 4),
+    (".space", "SPACE s\nGEN t DEG 1\nSQ t = t + t^2\nCUTOFF x\n", 4),
+    (".space", SPACE_OK + "SHIFT x\n", 5),
+    (".space", SPACE_OK + "TWIST A\n", 5),
+    (".space", SPACE_OK + "TWIST\n", 5),
+    (".space", "SPACE s\nGEN t DEG 1\nSQ t = t + u^2\nCUTOFF 8\n", 3),
+    (".space", "SPACE s\nGEN t DEG 1\nSQ t = t + t^x\nCUTOFF 8\n", 3),
+])
+def test_malformed_file_gets_line_numbered_error(tmp_path, suffix, text, line):
+    path = tmp_path / f"bad{suffix}"
+    path.write_text(text)
+    out, code = cli.run(["module", str(path)])
+    assert code == 1
+    assert out.startswith(f"error: line {line}: "), out

@@ -45,13 +45,6 @@ def test_pipeline_stable_under_larger_window():
     assert groups(a) == groups(b)
 
 
-def test_jobs_do_not_change_pipeline():
-    a = run_pipeline("SpinO2", 3, max_s=8)
-    b = run_pipeline("SpinO2", 3, max_s=8, jobs=8)
-    assert groups(a) == groups(b)
-    assert [r.certified for r in a.rows] == [r.certified for r in b.rows]
-
-
 def test_wedge_split_provenance_recorded():
     rep = run_pipeline("SigmaBO2", 2, max_s=8)
     assert any("wedge" in p for p in rep.provenance)
@@ -99,3 +92,30 @@ def test_decompose_kt_minus_through_four():
     dec = decompose_structure("KTminus", 4)
     assert sorted(g for g, _ in dec.free_summands) == [0, 2, 4, 4, 4]
     assert dec.remainder.total_dim() == 0
+
+
+def test_decompose_spent_cover_budget_is_undecided(monkeypatch):
+    from a1bordism import cli
+
+    monkeypatch.setattr(pl, "COVER_BUDGET", 0)
+    dec = decompose_structure("SpinO2", 6)
+    assert dec.catalog_summands == [] and dec.witness_iso is None
+    assert dec.notes == ["undecided: cover search stopped at its budget of 0 candidates; "
+                         "remainder returned unidentified"]
+    text, code = cli.run(["decompose", "SpinO2", "--through", "6"])
+    assert code == 2
+    assert "note: undecided: cover search stopped" in text
+    assert "no catalog match" not in text
+
+
+def test_decompose_undecided_iso_search_is_reported(monkeypatch):
+    from a1bordism.modules import IsoResult
+
+    monkeypatch.setattr(pl, "iso_up_to_degree",
+                        lambda M, N, n: IsoResult("undecided", reason="search budget exceeded"))
+    dec = decompose_structure("FK", 0)
+    assert dec.catalog_summands == [] and dec.witness_iso is None
+    (note,) = dec.notes
+    assert note.startswith("undecided: ")
+    assert "candidate(s) not settled by the isomorphism search" in note
+    assert note.endswith("first F2@0: search budget exceeded; remainder returned unidentified")
