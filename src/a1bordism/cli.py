@@ -1,8 +1,9 @@
 """Command-line surface: pipelines, charts, decompositions, LES, obstructions.
 
-Exit status: 0 on fully certified results, 1 on argument errors, 2 when a
-mathematical result is uncertified or undecided (partial output is still
-printed).  Output is deterministic; --jobs is accepted for compatibility
+Exit status: 0 on fully certified results, 1 on argument and input-file
+errors, 2 when a mathematical result is uncertified or undecided (partial
+output is still printed), including when an internal invariant check
+fails.  Output is deterministic; --jobs is accepted for compatibility
 and changes nothing, because the engine runs single-threaded.
 """
 
@@ -249,6 +250,8 @@ def run(argv: Optional[List[str]] = None) -> Tuple[str, int]:
         return "", EXIT_USAGE if e.code else EXIT_OK
     try:
         return COMMANDS[args.verb](args)
+    except md.InvariantError as e:
+        return f"error: undecided: internal invariant failed: {e}\n", EXIT_UNCERTIFIED
     except (ValueError, OSError) as e:
         return f"error: {e}\n", EXIT_USAGE
 

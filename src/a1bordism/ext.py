@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gf2 import BitMatrix, ColumnSolver
 from . import steenrod
-from .modules import GradedA1Module
+from .modules import GradedA1Module, InvariantError
 from .steenrod import A1Element, WORDS, WORD_INDEX
 
 
@@ -139,7 +139,7 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
                             w_img ^= 1 << tgt_index[(gi, prod)]
                     x = solver.solve(w_img)
                     if x is None:
-                        raise ResolutionError("kernel not closed under the action")
+                        raise InvariantError("kernel not closed under the action")
                     cols.append(x)
                 store[d] = BitMatrix.from_columns(cols, dims[d + shift])
         K = GradedA1Module(dims, sq1, sq2, max_t, None, complete=False,
@@ -156,7 +156,7 @@ def verify_resolution(res: Resolution) -> None:
         for i, entries in enumerate(stage.boundary):
             for gi, elt in entries:
                 if elt.coefficient(""):
-                    raise ResolutionError(f"non-minimal boundary at stage {s}")
+                    raise InvariantError(f"non-minimal boundary at stage {s}")
         if s < 1:
             continue
         prev = res.stages[s - 1]
@@ -170,7 +170,7 @@ def verify_resolution(res: Resolution) -> None:
                     if d is not None and (res.module.complete or d <= res.module.hi):
                         acc[d] = acc.get(d, 0) ^ img
                 if any(v for v in acc.values()):
-                    raise ResolutionError(f"d∘d ≠ 0 at stage 1, generator {i}")
+                    raise InvariantError(f"d∘d ≠ 0 at stage 1, generator {i}")
             else:
                 acc2: Dict[int, A1Element] = {}
                 for gi, elt in entries:
@@ -178,7 +178,7 @@ def verify_resolution(res: Resolution) -> None:
                         prodelt = elt * elt2
                         acc2[gj] = acc2.get(gj, A1Element(0)) + prodelt
                 if any(not v.is_zero() for v in acc2.values()):
-                    raise ResolutionError(f"d∘d ≠ 0 at stage {s}, generator {i}")
+                    raise InvariantError(f"d∘d ≠ 0 at stage {s}, generator {i}")
 
 
 # -- charts -------------------------------------------------------------------

@@ -9,8 +9,10 @@ zeros.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gf2 import (BitMatrix, ColumnSolver, complement_coords, in_span,
                   solve_linear_system, span_rref)
@@ -29,6 +31,10 @@ class ModuleError(ValueError):
     pass
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: the result is undecided, not the input wrong."""
+
+
 @dataclass(frozen=True)
 class Violation:
     degree: int
@@ -41,31 +47,52 @@ class Violation:
 
 
 class GradedA1Module:
-    """Graded GF(2) module with Sq1 (degree +1) and Sq2 (degree +2) actions."""
+    """Graded GF(2) module with Sq1 (degree +1) and Sq2 (degree +2) actions.
+
+    Immutable: every field is set here, ``dims``, ``sq1``, ``sq2`` and
+    ``labels`` are read-only mappings, and assigning an attribute raises
+    AttributeError.  A module can therefore be shared and cached; the
+    word-action and Margolis caches live on the instance.
+    """
+
+    __slots__ = ("dims", "lo", "hi", "sq1", "sq2", "complete", "name", "labels",
+                 "_act_cache", "_margolis_cache")
 
     def __init__(
         self,
-        dims: Dict[int, int],
-        sq1: Dict[int, BitMatrix],
-        sq2: Dict[int, BitMatrix],
+        dims: Mapping[int, int],
+        sq1: Mapping[int, BitMatrix],
+        sq2: Mapping[int, BitMatrix],
         hi: int,
-        labels: Optional[Dict[int, Tuple[str, ...]]] = None,
+        labels: Optional[Mapping[int, Sequence[str]]] = None,
         complete: bool = False,
         name: str = "",
     ):
-        self.dims = {d: n for d, n in dims.items() if n > 0}
-        self.lo = min(self.dims) if self.dims else 0
-        self.hi = hi
-        self.sq1 = dict(sq1)
-        self.sq2 = dict(sq2)
-        self.complete = complete
-        self.name = name
-        self.labels: Dict[int, Tuple[str, ...]] = {}
-        for d, n in self.dims.items():
+        dims = {d: n for d, n in dims.items() if n > 0}
+        labs: Dict[int, Tuple[str, ...]] = {}
+        for d, n in dims.items():
             lab = tuple(labels.get(d, ())) if labels else ()
             if len(lab) != n:
                 lab = tuple(f"x{d}_{i}" for i in range(n))
-            self.labels[d] = lab
+            labs[d] = lab
+        object.__setattr__(self, "dims", MappingProxyType(dims))
+        object.__setattr__(self, "lo", min(dims) if dims else 0)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "sq1", MappingProxyType(dict(sq1)))
+        object.__setattr__(self, "sq2", MappingProxyType(dict(sq2)))
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "labels", MappingProxyType(labs))
+        object.__setattr__(self, "_act_cache", {})
+        object.__setattr__(self, "_margolis_cache", {})
+
+    def __setattr__(self, *a):
+        raise AttributeError("GradedA1Module is immutable")
+
+    def renamed(self, name: str) -> "GradedA1Module":
+        """The same module under another name."""
+        return GradedA1Module(self.dims, self.sq1, self.sq2, self.hi, self.labels,
+                              self.complete, name)
 
     # -- structure access ---------------------------------------------
 
@@ -101,7 +128,7 @@ class GradedA1Module:
         nf = reduce_word(word)
         if nf is None:
             return BitMatrix.zeros(self.dim(d + steenrod.word_degree(word)), self.dim(d))
-        cache = self.__dict__.setdefault("_act_cache", {})
+        cache = self._act_cache
         key = (nf, d)
         hit = cache.get(key)
         if hit is not None:
@@ -395,9 +422,18 @@ class GradedA1Module:
         return gens
 
     def margolis_homology(self, i: int) -> Tuple[Dict[int, int], int]:
-        """Margolis homology dims of Q_i and the last reliable degree."""
+        """Margolis homology dims of Q_i and the last reliable degree.
+
+        Computed once per module and i; each call returns a fresh dict.
+        """
         if i not in (0, 1):
             raise ValueError("margolis_homology expects i in {0,1}")
+        if i not in self._margolis_cache:
+            self._margolis_cache[i] = self._margolis(i)
+        dims, reliable = self._margolis_cache[i]
+        return dict(dims), reliable
+
+    def _margolis(self, i: int) -> Tuple[Dict[int, int], int]:
         q = 1 if i == 0 else 3
 
         def qmap(d: int) -> BitMatrix:
@@ -508,8 +544,9 @@ def _solve_module_map(
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def free_module(cutoff: Optional[int] = None) -> GradedA1Module:
-    """A(1) itself as a left module over itself."""
+    """A(1) itself as a left module over itself (built once per cutoff)."""
     by_deg: Dict[int, List[int]] = {}
     for idx, d in enumerate(DEGREES):
         by_deg.setdefault(d, []).append(idx)
@@ -594,7 +631,7 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
             fvecs.setdefault(d, []).append(vec)
         for d, vecs in fvecs.items():
             if len(span_rref(vecs, current.dim(d))[0]) != len(vecs):
-                raise ModuleError("top class nonzero but cyclic module not free")
+                raise InvariantError("top class nonzero but cyclic module not free")
         # the functional: a coordinate of top·x (nonzero by choice of x)
         top_vec = current.act_word(top_word, g).matvec(x)
         kcoord = (top_vec & -top_vec).bit_length() - 1
@@ -607,7 +644,7 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
                     rows.append(act.row(kcoord))
                 kers = list(BitMatrix(rows, current.dim(d)).kernel_basis())
                 if len(kers) + len(fvecs.get(d, [])) != current.dim(d):
-                    raise ModuleError("free splitting functional is degenerate")
+                    raise InvariantError("free splitting functional is degenerate")
             else:
                 kers = [1 << j for j in range(current.dim(d))]
             kernels[d] = kers
@@ -641,7 +678,7 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
             cols.extend(rem.column(j) for j in range(rem.ncols))
         witness[d] = BitMatrix.from_columns(cols, M.dim(d))
         if len(span_rref([witness[d].column(j) for j in range(witness[d].ncols)], M.dim(d))[0]) != M.dim(d):
-            raise ModuleError(f"free splitting witness is not an isomorphism at degree {d}")
+            raise InvariantError(f"free splitting witness is not an isomorphism at degree {d}")
     return ModuleDecomposition(frees, [], current, witness, valid_through, source=M)
 
 
@@ -836,8 +873,7 @@ def r2_module() -> GradedA1Module:
     """R2 = ker(Σ^{-1}A(1) → Σ^{-1}F2), the augmentation ideal shifted down."""
     amod = free_module().suspend(-1)
     vecs = {d: [1 << j for j in range(amod.dim(d))] for d in amod.degrees() if d >= 0}
-    sub, _ = amod.submodule(vecs, name="R2")
-    sub.complete = True
+    sub, _ = amod.submodule(vecs, name="R2")  # complete, as amod is
     return sub.assert_valid()
 
 
@@ -867,22 +903,22 @@ def r3_module(cutoff: int) -> GradedA1Module:
     """
     big = joker_module().tensor(pin_minus_cell(cutoff + 6))
     dec = split_free(big)
-    out = dec.remainder.truncate(cutoff)
-    out.name = "R3"
+    out = dec.remainder.truncate(cutoff).renamed("R3")
     h0, rel0 = out.margolis_homology(0)
     h1, rel1 = out.margolis_homology(1)
     if any(d <= rel0 for d in h0):
-        raise ModuleError("R3 construction failed: nonzero Q0-homology")
+        raise InvariantError("R3 construction failed: nonzero Q0-homology")
     if [d for d in sorted(h1) if d <= rel1] != ([3] if rel1 >= 3 else []):
-        raise ModuleError("R3 construction failed: Q1-homology not one class in degree 3")
+        raise InvariantError("R3 construction failed: Q1-homology not one class in degree 3")
     return out.assert_valid()
 
 
 CATALOG_NAMES = ("F2", "A1free", "M0", "M1", "J", "Q", "R2", "R3")
 
 
+@functools.lru_cache(maxsize=None)
 def catalog(name: str, cutoff: Optional[int] = None) -> GradedA1Module:
-    """Construct a named small A(1)-module, truncated at ``cutoff`` if given."""
+    """A named small A(1)-module, truncated at ``cutoff`` if given (built once per argument)."""
     builders = {
         "F2": f2_module,
         "A1free": free_module,
@@ -934,6 +970,7 @@ def parse_a1mod(text: str) -> GradedA1Module:
     name = ""
     deg_of: Dict[str, Tuple[int, int]] = {}
     labels: Dict[int, List[str]] = {}
+    deg_lines: Dict[int, int] = {}  # degree -> the DEG line of its first label
     actions: List[Tuple[int, str, str, List[str]]] = []
     hi: Optional[int] = None
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -957,6 +994,7 @@ def parse_a1mod(text: str) -> GradedA1Module:
                     raise ModuleError(f"line {ln}: duplicate label {lab!r}")
                 deg_of[lab] = (d, len(labels.setdefault(d, [])))
                 labels[d].append(lab)
+                deg_lines.setdefault(d, ln)
         elif parts[0] in ("SQ1", "SQ2"):
             if "->" not in parts:
                 raise ModuleError(f"line {ln}: {parts[0]} line needs '->'")
@@ -1005,6 +1043,6 @@ def parse_a1mod(text: str) -> GradedA1Module:
                          complete=False, name=name)
     v = mod.validate()
     if v is not None:
-        ln = touch_lines.get(v.degree, 0)
+        ln = touch_lines.get(v.degree, deg_lines.get(v.degree))
         raise ModuleError(f"line {ln}: module violates A(1) relations: {v}")
     return mod

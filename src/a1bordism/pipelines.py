@@ -229,8 +229,26 @@ def decompose_structure(name: str, n: int) -> ModuleDecomposition:
             cover(nxt, acc + [(pname, d0)])
 
     cover(dims, [])
+    # Margolis homology adds up over direct sums, and the cover already
+    # matches graded dimensions, so a candidate whose summed Q0/Q1
+    # homology differs from the remainder's is one iso_up_to_degree
+    # would reject at its own Margolis check: skip it unbuilt.
+    target = [remainder.margolis_homology(i)[0] for i in (0, 1)]
+
+    def margolis_matches(cand: List[Tuple[str, int]]) -> bool:
+        for i, want in enumerate(target):
+            got: Dict[int, int] = {}
+            for pname, susp in cand:
+                for d, h in piece(pname, susp).margolis_homology(i)[0].items():
+                    got[d] = got.get(d, 0) + h
+            if got != want:
+                return False
+        return True
+
     iso_undecided = []
     for cand in candidates:
+        if not margolis_matches(cand):
+            continue
         total: Optional[GradedA1Module] = None
         for pname, susp in cand:
             pm = piece(pname, susp)

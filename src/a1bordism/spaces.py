@@ -155,6 +155,8 @@ class SpacePresentation:
                 if "^" in factor:
                     lab, e = factor.split("^")
                     e = int(e)
+                    if e < 0:
+                        raise ValueError(f"negative exponent in {factor!r}")
                 else:
                     lab, e = factor, 1
                 base = self.gen_mono(lab.strip())
@@ -593,8 +595,7 @@ def named_structure(name: str, cutoff: int) -> GradedA1Module:
         m = twist(space("BO1xBO1", cutoff), "a", "a*b", generator_label="U")
     else:
         raise ValueError(f"unknown structure {name!r}; choose from {STRUCTURE_NAMES}")
-    m.name = name
-    return m
+    return m.renamed(name)
 
 
 # documented wedge splittings used when a pipeline resolves a structure
@@ -636,15 +637,22 @@ def split_by_variable(m: GradedA1Module, var: str) -> Tuple[GradedA1Module, Grad
 
 
 def parse_space(text: str):
-    """Parse the .space format; returns (presentation, a, b, shift)."""
+    """Parse the .space format; returns (presentation, a, b, shift).
+
+    Every error names a line: the offending one, the GEN line of a
+    generator without an SQ line, the SQ line of a generator whose data
+    break the A(1) relations, or the last line when CUTOFF is missing.
+    """
     name = "anonymous"
     gens: List[Generator] = []
+    gen_lines: Dict[str, int] = {}
     sq_lines: List[Tuple[int, str, str]] = []
     cutoff: Optional[int] = None
-    twist_a = "0"
-    twist_b = "0"
+    twists = {"A": (0, "0"), "B": (0, "0")}  # slot -> (line, class)
     shift = 0
+    last = 0
     for ln, raw in enumerate(text.splitlines(), start=1):
+        last = ln
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -660,7 +668,14 @@ def parse_space(text: str):
                 nil = int(parts[parts.index("NILPOTENT") + 1]) if "NILPOTENT" in parts else None
             except (ValueError, IndexError):
                 raise ValueError(usage)
+            if not parts[1].isidentifier():
+                raise ValueError(f"line {ln}: generator label {parts[1]!r} is not a name")
+            if parts[1] in gen_lines:
+                raise ValueError(f"line {ln}: duplicate generator {parts[1]!r}")
+            if deg < 1 or (nil is not None and nil < 1):
+                raise ValueError(f"line {ln}: generator degree and nilpotence must be positive")
             gens.append(Generator(parts[1], deg, nil))
+            gen_lines[parts[1]] = ln
         elif parts[0] == "SQ":
             body = line[2:].strip()
             if "=" not in body:
@@ -672,13 +687,12 @@ def parse_space(text: str):
                 cutoff = int(parts[1])
             except (ValueError, IndexError):
                 raise ValueError(f"line {ln}: CUTOFF <degree>")
+            if cutoff < 0:
+                raise ValueError(f"line {ln}: cutoff must be nonnegative")
         elif parts[0] == "TWIST":
             if len(parts) < 2 or parts[1] not in ("A", "B") or "=" not in line:
                 raise ValueError(f"line {ln}: TWIST A = <class> or TWIST B = <class>")
-            if parts[1] == "A":
-                twist_a = line.split("=", 1)[1].strip()
-            else:
-                twist_b = line.split("=", 1)[1].strip()
+            twists[parts[1]] = (ln, line.split("=", 1)[1].strip())
         elif parts[0] == "SHIFT":
             try:
                 shift = int(parts[1])
@@ -687,20 +701,43 @@ def parse_space(text: str):
         else:
             raise ValueError(f"line {ln}: unknown directive {parts[0]!r}")
     if cutoff is None:
-        raise ValueError("missing CUTOFF")
+        raise ValueError(f"line {max(last, 1)}: missing CUTOFF")
     pres = SpacePresentation(name, gens, cutoff, {g.label: frozenset() for g in gens})
     total = {}
+    sq_line_of: Dict[str, int] = {}
     for ln, lab, poly in sq_lines:
+        if lab not in gen_lines:
+            raise ValueError(f"line {ln}: SQ line for unknown generator {lab!r}")
         try:
             total[lab] = pres.parse_poly(poly)
         except ValueError as e:
             raise ValueError(f"line {ln}: {e}")
+        # unstable: Sq^0 x = x, Sq^|x| x = x^2 and Sq^i x = 0 for i > |x|
+        gen = pres.gen_mono(lab)
+        deg = pres.mono_degree(gen)
+        ends = {m for m in (gen, tuple(2 * e for e in gen)) if pres.reduce_mono(m) is not None}
+        if {m for m in total[lab] if not deg < pres.mono_degree(m) < 2 * deg} != ends:
+            raise ValueError(f"line {ln}: SQ {lab} violates the relations of an unstable "
+                             f"algebra: it must be {lab} + (terms of degree {deg + 1} to "
+                             f"{2 * deg - 1}) + {lab}^2")
+        sq_line_of[lab] = ln
     for g in gens:
         if g.label not in total:
-            raise ValueError(f"missing SQ line for generator {g.label!r}")
+            raise ValueError(f"line {gen_lines[g.label]}: missing SQ line for generator {g.label!r}")
     pres.total_sq = total
-    # the derived Sq1/Sq2 matrices must satisfy the A(1) relations
+    # the derived Sq1/Sq2 matrices must satisfy the A(1) relations; blame
+    # the SQ line of the highest generator at or below the failing degree
     v = pres.cohomology_module().validate()
     if v is not None:
-        raise ValueError(f"space presentation violates A(1) relations: {v}")
-    return pres, twist_a, twist_b, shift
+        culprit = max((g for g in gens if g.degree <= v.degree), key=lambda g: g.degree)
+        raise ValueError(f"line {sq_line_of[culprit.label]}: "
+                         f"space presentation violates A(1) relations: {v}")
+    for slot, want in (("A", 1), ("B", 2)):
+        ln, cls = twists[slot]
+        try:
+            p = pres.parse_poly(cls)
+        except ValueError as e:
+            raise ValueError(f"line {ln}: {e}")
+        if {pres.mono_degree(m) for m in p} - {want}:
+            raise ValueError(f"line {ln}: TWIST {slot} must be a class of degree {want}")
+    return pres, twists["A"][1], twists["B"][1], shift

@@ -158,3 +158,26 @@ def test_readme_command_lines_parse():
             parser.parse_args(argv)
         except SystemExit:
             raise AssertionError(f"README command does not parse: {line}")
+
+
+def test_failed_internal_invariant_is_undecided_not_usage(monkeypatch):
+    # a broken invariant is exit 2 ("undecided"), never exit 1 ("argument error")
+    from a1bordism import ext as ext_mod
+    from a1bordism import modules as md
+
+    class NeverSolves(ext_mod.ColumnSolver):
+        def solve(self, w):
+            return None
+
+    monkeypatch.setattr(ext_mod, "ColumnSolver", NeverSolves)
+    text, code = run(["ext", "F2", "--max-n", "2", "--max-s", "2"])
+    assert code == 2
+    assert text == "error: undecided: internal invariant failed: kernel not closed under the action\n"
+    monkeypatch.undo()
+
+    # split_free's freeness check, reached before any catalog module is built
+    monkeypatch.setattr(md, "span_rref", lambda vecs, n: ((), ()))
+    text, code = run(["decompose", "SpinO2", "--through", "6"])
+    assert code == 2
+    assert text.startswith("error: undecided: internal invariant failed: "
+                           "top class nonzero but cyclic module not free")

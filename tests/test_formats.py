@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import random
+import re
+from pathlib import Path
+
 import pytest
 
 from a1bordism import cli
@@ -118,6 +122,25 @@ SPACE_OK = "SPACE s\nGEN t DEG 1\nSQ t = t + t^2\nCUTOFF 8\n"
     (".space", SPACE_OK + "TWIST\n", 5),
     (".space", "SPACE s\nGEN t DEG 1\nSQ t = t + u^2\nCUTOFF 8\n", 3),
     (".space", "SPACE s\nGEN t DEG 1\nSQ t = t + t^x\nCUTOFF 8\n", 3),
+    # a degree no SQ line touches is blamed on the DEG line that introduced it
+    (".a1mod", "MODULE m\nDEG 0: a\nDEG 3: b\nTRUNCATE 1\n", 3),
+    (".a1mod", "MODULE m\nDEG 0: a\nDEG 1: b\nSQ1 a -> b\nTRUNCATE 0\n", 3),
+    # twist classes are checked at parse time, on their TWIST line
+    (".space", SPACE_OK + "TWIST A = q\n", 5),
+    (".space", SPACE_OK + "TWIST B = t\n", 5),
+    (".space", SPACE_OK + "TWIST A = t + t^2\n", 5),
+    # a missing SQ line is blamed on the GEN line, a missing CUTOFF on the last line
+    (".space", "SPACE s\nGEN t DEG 1\nCUTOFF 8\n", 2),
+    (".space", "SPACE s\nGEN t DEG 1\nSQ t = t + t^2\n", 3),
+    (".space", "SPACE s\nGEN t DEG 1\nSQ t = t + t^3\nCUTOFF 6\n", 3),
+    (".space", "SPACE s\nGEN t DEG 1\nGEN t DEG 2\nSQ t = t + t^2\nCUTOFF 8\n", 3),
+    (".space", "SPACE s\nGEN t DEG 0\nSQ t = t\nCUTOFF 8\n", 2),
+    (".space", "SPACE s\nGEN t^2 DEG 1\nSQ t = t\nCUTOFF 8\n", 2),
+    (".space", SPACE_OK + "SQ u = t\n", 5),
+    (".space", "SPACE s\nGEN t DEG 1\nSQ t = t + t^-1\nCUTOFF 8\n", 3),
+    (".space", "SPACE s\nGEN t DEG 1\nSQ t = t + 1\nCUTOFF 8\n", 3),
+    (".space", "SPACE s\nGEN t DEG 1\nSQ t = t^2\nCUTOFF 8\n", 3),
+    (".space", "SPACE s\nGEN t DEG 1\nSQ t = t + t^2\nCUTOFF -1\n", 4),
 ])
 def test_malformed_file_gets_line_numbered_error(tmp_path, suffix, text, line):
     path = tmp_path / f"bad{suffix}"
@@ -125,3 +148,63 @@ def test_malformed_file_gets_line_numbered_error(tmp_path, suffix, text, line):
     out, code = cli.run(["module", str(path)])
     assert code == 1
     assert out.startswith(f"error: line {line}: "), out
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_example(keyword: str) -> str:
+    """The code block of README's "File formats" section starting with ``keyword``."""
+    section = README.read_text().split("## File formats", 1)[1]
+    for block in section.split("```")[1::2]:
+        if block.strip().startswith(keyword):
+            return block.strip() + "\n"
+    raise AssertionError(f"README has no {keyword} example")
+
+
+JUNK = ["", "x", "0", "1", "-1", "2", "7", "30", "#", ":", "->", "+", "=", "^", "*",
+        "t^2", "t^-1", "a", "b", "DEG", "SQ1", "SQ2", "NILPOTENT", "TWIST", "A", "U"]
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """Delete, duplicate or swap lines, or corrupt one token, one to three times."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("delete", "duplicate", "swap", "token", "token"))
+        i = rng.randrange(len(lines)) if lines else 0
+        if op == "delete" and lines:
+            del lines[i]
+        elif op == "duplicate" and lines:
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        elif op == "swap" and len(lines) > 1:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif lines:
+            tokens = lines[i].split()
+            if tokens:
+                k = rng.randrange(len(tokens))
+                pool = JUNK + [t for line in lines for t in line.split()]
+                tokens[k] = rng.choice(pool)
+                lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("suffix, keyword", [(".a1mod", "MODULE"), (".space", "SPACE")])
+def test_fuzzed_readme_examples_are_rejected_with_a_line_or_valid(tmp_path, suffix, keyword):
+    original = readme_example(keyword)
+    rng = random.Random(f"fuzz{suffix}")
+    path = tmp_path / f"fuzz{suffix}"
+    outcomes = {"accepted": 0, "rejected": 0}
+    for _ in range(300):
+        text = mutate(original, rng)
+        path.write_text(text)
+        out, code = cli.run(["module", str(path)])
+        if code == 0:
+            outcomes["accepted"] += 1
+            assert cli._structure_module(str(path), 12).validate() is None, text
+        else:
+            outcomes["rejected"] += 1
+            assert code == 1, (text, out)
+            assert re.match(r"error: line [1-9][0-9]*: ", out), (text, out)
+    # both branches are exercised
+    assert min(outcomes.values()) >= 30, outcomes

@@ -89,6 +89,27 @@ def test_catalog_unknown_name():
         catalog("nope")
 
 
+def test_modules_are_frozen():
+    m = catalog("J")
+    with pytest.raises(AttributeError):
+        m.name = "other"
+    with pytest.raises(AttributeError):
+        m.complete = False
+    with pytest.raises(TypeError):
+        m.sq1[0] = BitMatrix.zeros(1, 1)
+    with pytest.raises(TypeError):
+        m.dims[9] = 1
+    assert m.name == "J" and m.renamed("J2").name == "J2" and m.name == "J"
+
+
+def test_catalog_constructors_are_memoized():
+    assert catalog("R3", 6) is catalog("R3", 6)
+    assert catalog("J") is catalog("J")
+    assert free_module() is free_module()
+    assert free_module(3) is free_module(3)
+    assert free_module(3) is not free_module()
+
+
 # -- suspend / sum / tensor --------------------------------------------------
 
 
@@ -194,6 +215,33 @@ def test_margolis_kunneth_convolution():
             for d in range(t.hi + 1):
                 conv = sum(ha.get(x, 0) * hb.get(d - x, 0) for x in range(d + 1))
                 assert ht.get(d, 0) == conv, (a.name, b.name, i, d)
+
+
+def test_margolis_adds_over_direct_sums_of_match_pieces():
+    # decompose_structure skips a cover whose summed Margolis homology
+    # differs from the remainder's; that is sound only if it adds up
+    from itertools import combinations_with_replacement
+
+    from a1bordism import pipelines as pl
+
+    n = 6
+    pieces = {(name, k): pl._match_piece(name, n).suspend(k).quotient_above(n)
+              for name in pl.MATCH_PIECES for k in range(4)}
+    for a, b in combinations_with_replacement(sorted(pieces), 2):
+        total = pieces[a].direct_sum(pieces[b])
+        for i in (0, 1):
+            want: dict = {}
+            for key in (a, b):
+                for d, h in pieces[key].margolis_homology(i)[0].items():
+                    want[d] = want.get(d, 0) + h
+            assert total.margolis_homology(i)[0] == want, (a, b, i)
+
+
+def test_margolis_cache_returns_fresh_dicts():
+    J = catalog("J")
+    h1, _ = J.margolis_homology(1)
+    h1[7] = 5
+    assert J.margolis_homology(1)[0] == {2: 1}
 
 
 # -- split_free ------------------------------------------------------------------
