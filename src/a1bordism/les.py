@@ -56,6 +56,9 @@ class LESError(ValueError):
     pass
 
 
+ANNOTATIONS = ("zero", "injective", "surjective", "iso")
+
+
 @dataclass
 class PartialGroup:
     """Finitely generated abelian group knowledge: rank and 2-torsion intervals."""
@@ -94,7 +97,9 @@ class PartialGroup:
             return cls.unknown(finite=True)
         if text.startswith("?exp"):
             e = int(text[4:])
-            return cls.unknown(exp_log=e.bit_length() - 1 if e > 1 else 0, finite=True)
+            if e < 1 or e & (e - 1):
+                raise LESError(f"the exponent of ?exp must be a 2-power, got {e}")
+            return cls.unknown(exp_log=e.bit_length() - 1, finite=True)
         if text == "0":
             return cls.zero()
         rank = 0
@@ -107,8 +112,9 @@ class PartialGroup:
                 term = base.strip("() ")
                 mult = int(mult_s)
             elif term.startswith("Z^"):
-                rank += int(term[2:])
-                continue
+                term, mult = "Z", int(term[2:])
+            if mult < 0:
+                raise LESError(f"negative multiplicity in {text!r}")
             for _ in range(mult):
                 if term == "Z":
                     rank += 1
@@ -160,7 +166,7 @@ class LESProblem:
         for i, a in self.annotations.items():
             if not 0 <= i < len(self.groups) - 1:
                 raise LESError(f"annotation on missing map {i}")
-            if a not in ("zero", "injective", "surjective", "iso"):
+            if a not in ANNOTATIONS:
                 raise LESError(f"unknown annotation {a!r}")
 
 
@@ -422,45 +428,63 @@ FIGURES = {
 
 
 def parse_les(text: str) -> LESProblem:
-    """Parse the LES text format.
+    """Parse the LES text format; every error names a line.
 
     LES <name>
     SLOT <index> <label> = <group|?|?fin|?exp2>
-    MAP <i> -> <j> = zero|injective|surjective|iso
+    MAP <i> -> <i+1> = zero|injective|surjective|iso
+
+    Too few or no SLOT lines are blamed on the last line, a gap in the slot
+    indices on the SLOT line just after it.
     """
     name = "les"
-    slots: Dict[int, Tuple[str, PartialGroup]] = {}
-    annotations: Dict[int, str] = {}
+    slots: Dict[int, Tuple[int, str, PartialGroup]] = {}  # index -> (line, label, group)
+    maps: Dict[int, Tuple[int, str]] = {}  # source index -> (line, annotation)
+    last = 0
     for ln, raw in enumerate(text.splitlines(), start=1):
+        last = ln
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "LES":
-            name = " ".join(parts[1:])
-        elif parts[0] == "SLOT":
-            if "=" not in line:
-                raise LESError(f"line {ln}: SLOT <index> <label> = <group>")
-            head, body = line.split("=", 1)
-            hparts = head.split()
-            idx = int(hparts[1])
-            label = hparts[2] if len(hparts) > 2 else f"slot{idx}"
-            slots[idx] = (label, PartialGroup.parse(body.strip()))
-        elif parts[0] == "MAP":
-            head, body = line.split("=", 1)
-            hparts = head.replace("->", " ").split()
-            i, j = int(hparts[1]), int(hparts[2])
-            if j != i + 1:
-                raise LESError(f"line {ln}: annotations reference adjacent slots only")
-            annotations[i] = body.strip()
-        else:
-            raise LESError(f"line {ln}: unknown directive {parts[0]!r}")
+        head, eq, body = line.partition("=")
+        hparts = head.replace("->", " ").split()
+        try:
+            if parts[0] == "LES":
+                name = " ".join(parts[1:])
+            elif parts[0] == "SLOT" and eq and len(hparts) in (2, 3):
+                idx = int(hparts[1])
+                if idx in slots:
+                    raise LESError(f"duplicate SLOT {idx} (first on line {slots[idx][0]})")
+                label = hparts[2] if len(hparts) > 2 else f"slot{idx}"
+                slots[idx] = (ln, label, PartialGroup.parse(body))
+            elif parts[0] == "MAP" and eq and len(hparts) == 3:
+                i, j = int(hparts[1]), int(hparts[2])
+                if j != i + 1:
+                    raise LESError("annotations reference adjacent slots only")
+                if i in maps:
+                    raise LESError(f"duplicate MAP {i} -> {j} (first on line {maps[i][0]})")
+                if body.strip() not in ANNOTATIONS:
+                    raise LESError(f"unknown annotation {body.strip()!r}")
+                maps[i] = (ln, body.strip())
+            else:
+                raise LESError("expected LES <name>, SLOT <index> <label> = <group> "
+                               "or MAP <i> -> <i+1> = " + "|".join(ANNOTATIONS))
+        except ValueError as e:
+            raise LESError(f"line {ln}: {e}") from None
     if not slots:
-        raise LESError("no SLOT lines")
+        raise LESError(f"line {max(last, 1)}: no SLOT lines")
     idxs = sorted(slots)
-    if idxs != list(range(idxs[0], idxs[-1] + 1)):
-        raise LESError("slot indices must be consecutive")
-    labels = [slots[i][0] for i in idxs]
-    groups = [slots[i][1] for i in idxs]
-    anns = {i - idxs[0]: a for i, a in annotations.items()}
+    for prev, idx in zip(idxs, idxs[1:]):
+        if idx != prev + 1:
+            raise LESError(f"line {slots[idx][0]}: slot indices must be consecutive "
+                           f"(no SLOT {prev + 1})")
+    if len(idxs) < 3:
+        raise LESError(f"line {last}: an exact-sequence window needs at least 3 slots")
+    for i, (ln, _) in maps.items():
+        if not idxs[0] <= i < idxs[-1]:
+            raise LESError(f"line {ln}: annotation on missing map {i} -> {i + 1}")
+    labels = [slots[i][1] for i in idxs]
+    groups = [slots[i][2] for i in idxs]
+    anns = {i - idxs[0]: a for i, (_, a) in maps.items()}
     return LESProblem(name, labels, groups, anns)

@@ -477,13 +477,11 @@ def _solve_module_map(
     tgt: GradedA1Module,
     degrees: Sequence[int],
     points: Sequence[Tuple[int, int, int]],
-    zero_below: Optional[int] = None,
 ) -> Optional[Dict[int, BitMatrix]]:
     """Solve for an A(1)-map src→tgt on the given degrees.
 
     ``points`` are (degree, src_vector, tgt_vector) constraints.  Degrees
-    outside the list are treated as zero maps; ``zero_below`` additionally
-    forces commutation constraints from just below the range.
+    outside the list are treated as zero maps.
     """
     degrees = sorted(degrees)
     var_of: Dict[Tuple[int, int, int], int] = {}
@@ -499,10 +497,8 @@ def _solve_module_map(
         v = var_of.get((d, a, b))
         return 0 if v is None else (1 << v)
 
-    lo_checks = degrees + ([zero_below, zero_below + 1] if zero_below is not None else [])
-    check_degrees = sorted(set(d for d in lo_checks if d is not None))
     for shift in (1, 2):
-        for d in check_degrees:
+        for d in degrees:
             if not (src.known_through(d + shift) and tgt.known_through(d + shift)):
                 continue
             sm = src.sq2_map(d) if shift == 2 else src.sq1_map(d)

@@ -25,60 +25,16 @@ class ObstructionError(ValueError):
 # -- the MO_n side ------------------------------------------------------------
 
 
-class ThomClassModel:
-    """H^*(MO_n) as U·H^*(BO_n) with the Wu-formula Steenrod action."""
-
-    def __init__(self, n: int, cutoff_above: int = 3):
-        self.n = n
-        self.base = sp.space(f"BO{n}", cutoff_above + 1)
-        self.max_degree = n + cutoff_above + 1
-        self._euler = frozenset([self.base.gen_mono(self.base.gens[n - 1].label)])
-        self._sq_u_total = frozenset(
-            [self.base.unit()] + [self.base.gen_mono(g.label) for g in self.base.gens]
-        )
-
-    def sq(self, k: int, p: Poly) -> Poly:
-        """Coefficient of Sq^k(pU) = (...)U via the Cartan formula and Sq^i U = w_i U."""
-        acc: set = set()
-        for m in p:
-            prod = self.base.poly_mul(self.base.total_sq_mono(m), self._sq_u_total)
-            d = self.base.mono_degree(m) + k
-            for x in prod:
-                if self.base.mono_degree(x) == d:
-                    if x in acc:
-                        acc.discard(x)
-                    else:
-                        acc.add(x)
-        return frozenset(acc)
-
-    def apply_word(self, word: str, p: Poly) -> Poly:
-        """Apply a word in Sq1/Sq2/Sq3 letters (left letter outermost)."""
-        for letter in reversed(word):
-            k = int(letter)
-            if k == 3:
-                p = self.sq(1, self.sq(2, p))
-            else:
-                p = self.sq(k, p)
-        return p
-
-    def multiply(self, p: Poly, q: Poly) -> Poly:
-        """(pU)(qU) = (p q e)U with e the mod-2 Euler class w_n."""
-        return self.base.poly_mul(self.base.poly_mul(p, q), self._euler)
-
-    def vector(self, p: Poly, d: int) -> int:
-        return self.base.poly_vector(p, d - self.n)
-
-    def format(self, p: Poly) -> str:
-        if not p:
-            return "0"
-        return "(" + self.base.format_poly(p) + ")*U"
+def _thom_model(n: int) -> sp.ThomSpace:
+    """H^*(MO_n) = U·H^*(BO_n) through degree n + 4, past the n + 3 window."""
+    return sp.ThomSpace(sp.space(f"BO{n}", 4), n)
 
 
 @dataclass
 class PullbackMap:
     n: int
     kmodel: SpacePresentation
-    thom: ThomClassModel
+    thom: sp.ThomSpace
     matrices: Dict[int, BitMatrix]
     images: Dict[str, Poly]
 
@@ -98,7 +54,7 @@ def pullback_along_thom_class(n: int) -> PullbackMap:
     if n not in (2, 3):
         raise ObstructionError("the K(Z/2,n) model covers n in {2, 3}")
     kmodel = sp.space(f"KZ2_{n}", n + 3)
-    thom = ThomClassModel(n, cutoff_above=3)
+    thom = _thom_model(n)
     unit_u: Poly = frozenset([thom.base.unit()])
     images: Dict[str, Poly] = {}
     for g in kmodel.gens:
@@ -251,22 +207,11 @@ def twoform_degree6_injectivity(corrupt_sq1_u: bool = False) -> TwoFormVerdict:
     ``corrupt_sq1_u`` switch deliberately zeroes Sq1 U to demonstrate that
     the verdict is sensitive to the Wu formula (for negative controls).
     """
-    thom = ThomClassModel(3, cutoff_above=3)
+    thom = _thom_model(3)
     unit_u: Poly = frozenset([thom.base.unit()])
     if corrupt_sq1_u:
-        orig_sq = thom.sq
-
-        def sq(k: int, p: Poly, _orig=orig_sq) -> Poly:
-            if k == 1:
-                # drop the w1·U Wu term, keep only Sq1 of the coefficient
-                acc: set = set()
-                for m in p:
-                    for x in thom.base.sq_k_mono(m, 1):
-                        acc.symmetric_difference_update([x])
-                return frozenset(acc)
-            return _orig(k, p)
-
-        thom.sq = sq  # type: ignore[assignment]
+        # drop the w1 term of Sq(U)/U, so Sq1(pU) = Sq1(p)·U
+        thom._sq_u = thom._sq_u - {thom.base.gen_mono("w1")}
     img_sq2sq1 = thom.apply_word("21", unit_u)
     img_csq = thom.apply_word("3", unit_u)  # C^2 = Sq3 C pulls back to Sq3 U = w3 U
     cols = [thom.vector(img_sq2sq1, 6), thom.vector(img_csq, 6)]
@@ -286,8 +231,8 @@ def verdict_records() -> List[Dict[str, str]]:
     wu = evaluate_obstruction_on("WuManifold", "21", "z2")
     spin = evaluate_obstruction_on("SpinPlaceholder")
     two = twoform_degree6_injectivity()
-    pb2 = pullback_along_thom_class(2)
-    rep_img = pb2.thom.format(pb2.thom.apply_word("21", frozenset([pb2.thom.base.unit()])))
+    mo2 = _thom_model(2)
+    rep_img = mo2.format(mo2.apply_word("21", frozenset([mo2.base.unit()])))
     return [
         {"degree": "5", "class": one.expression, "pullback": rep_img,
          "verdict": f"nonzero on WuManifold: {wu.nonzero_mod_sq1}; zero on spin: "

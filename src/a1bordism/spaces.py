@@ -8,8 +8,11 @@ realizes the spin-twist action
 
     Sq1(Q x) = Q(a x + Sq1 x),   Sq2(Q x) = Q(b x + a Sq1 x + Sq2 x)
 
-as pure matrix algebra over any ring model (a space presentation or a
-Thom-space model).
+as pure matrix algebra over any ring model.  A ring model is a space
+presentation or a Thom-space model; both offer the same interface:
+``dim(d)``, ``element_labels(d)``, ``sq_matrix(k, d)``,
+``mult_matrix(cls, degree, d)`` and ``parse_class(text, degree)``.
+Twist classes are given as text and parsed by the model.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ def _poly(monos: Sequence[Monomial]) -> Poly:
         else:
             out.add(m)
     return frozenset(out)
+
+
+def _check_homogeneous(text: str, degrees: Sequence[int], degree: int) -> None:
+    for d in degrees:
+        if d != degree:
+            raise ValueError(f"class {text!r} has a term of degree {d}, expected {degree}")
 
 
 @dataclass(frozen=True)
@@ -141,11 +150,12 @@ class SpacePresentation:
                 v ^= 1 << idx[m]
         return v
 
-    def parse_poly(self, text: str) -> Poly:
+    def terms(self, text: str) -> List[Monomial]:
+        """The monomials of a polynomial string, one per term, before truncation."""
         text = text.strip()
         if text in ("0", ""):
-            return frozenset()
-        acc: set = set()
+            return []
+        out: List[Monomial] = []
         for term in text.split("+"):
             mono = self.unit()
             for factor in term.strip().split("*"):
@@ -160,20 +170,17 @@ class SpacePresentation:
                 else:
                     lab, e = factor, 1
                 base = self.gen_mono(lab.strip())
-                for _ in range(e):
-                    nxt = self.mono_mul(mono, base)
-                    if nxt is None:
-                        mono = None
-                        break
-                    mono = nxt
-                if mono is None:
-                    break
-            if mono is not None:
-                if mono in acc:
-                    acc.discard(mono)
-                else:
-                    acc.add(mono)
-        return frozenset(acc)
+                mono = tuple(a + e * b for a, b in zip(mono, base))
+            out.append(mono)
+        return out
+
+    def parse_poly(self, text: str) -> Poly:
+        return _poly([m for m in self.terms(text) if self.reduce_mono(m) is not None])
+
+    def parse_class(self, text: str, degree: int) -> Poly:
+        """A homogeneous class of the given degree; any other term is an error."""
+        _check_homogeneous(text, [self.mono_degree(m) for m in self.terms(text)], degree)
+        return self.parse_poly(text)
 
     def format_poly(self, p: Poly) -> str:
         if not p:
@@ -199,21 +206,24 @@ class SpacePresentation:
         d = self.mono_degree(m) + k
         return frozenset(x for x in self.total_sq_mono(m) if self.mono_degree(x) == d)
 
+    def dim(self, d: int) -> int:
+        return len(self.basis(d))
+
     def sq_matrix(self, k: int, d: int) -> BitMatrix:
         src = self.basis(d)
         cols = [self.poly_vector(self.sq_k_mono(m, k), d + k) for m in src]
-        return BitMatrix.from_columns(cols, len(self.basis(d + k)))
+        return BitMatrix.from_columns(cols, self.dim(d + k))
 
     def mult_matrix(self, p: Poly, pdeg: int, d: int) -> BitMatrix:
         src = self.basis(d)
         cols = [self.poly_vector(self.poly_mul(p, frozenset([m])), d + pdeg) for m in src]
-        return BitMatrix.from_columns(cols, len(self.basis(d + pdeg)))
+        return BitMatrix.from_columns(cols, self.dim(d + pdeg))
 
     def element_labels(self, d: int) -> Tuple[str, ...]:
         return tuple(self.mono_label(m) for m in self.basis(d))
 
     def cohomology_module(self) -> GradedA1Module:
-        dims = {d: len(self.basis(d)) for d in range(self.cutoff + 1) if self.basis(d)}
+        dims = {d: self.dim(d) for d in range(self.cutoff + 1) if self.dim(d)}
         labels = {d: self.element_labels(d) for d in dims}
         sq1 = {d: self.sq_matrix(1, d) for d in dims if dims.get(d + 1)}
         sq2 = {d: self.sq_matrix(2, d) for d in dims if dims.get(d + 2)}
@@ -236,10 +246,7 @@ class SpacePresentation:
         labels = {g.label for g in gens}
         if len(labels) != len(gens):
             raise ValueError("generator label clash in product")
-        out = SpacePresentation(name or f"{self.name}x{other.name}", gens, cutoff, total)
-        out.total_sq = {k: frozenset(out.reduce_mono(m) for m in v if out.reduce_mono(m) is not None)
-                        for k, v in out.total_sq.items()}
-        return out
+        return SpacePresentation(name or f"{self.name}x{other.name}", gens, cutoff, total)
 
 
 # -- Wu formula --------------------------------------------------------------
@@ -286,10 +293,7 @@ def bo_presentation(n: int, cutoff: int, labels: Optional[Sequence[str]] = None,
     for j in range(1, n + 1):
         # the i = 0 term of the Wu sum is already Sq^0 w_j = w_j
         total[labels[j - 1]] = _poly([tuple(m) for m in wu_total_sq(j, n, gens)])
-    pres = SpacePresentation(name or f"BO{n}", gens, cutoff, total)
-    pres.total_sq = {k: frozenset(m for m in v if pres.reduce_mono(m) is not None)
-                     for k, v in pres.total_sq.items()}
-    return pres
+    return SpacePresentation(name or f"BO{n}", gens, cutoff, total)
 
 
 SPACE_NAMES = ("BO1", "BO2", "BO3", "BSO2", "BO1xBO1", "BO1xBO2",
@@ -344,21 +348,17 @@ def space(name: str, cutoff: int) -> SpacePresentation:
                 "S21B": _poly([(0, 0, 1), (0, 2, 0), (0, 0, 2)]),
             }
             words = {"B": "", "SB": "1", "S21B": "21"}
-            pres = SpacePresentation("KZ2_2", gens, cutoff, total, sq_words=words)
-        else:
-            gens = [Generator("C", 3), Generator("S1C", 4), Generator("S2C", 5),
-                    Generator("S21C", 6)]
-            total = {
-                "C": _poly([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (2, 0, 0, 0)]),
-                "S1C": _poly([(0, 1, 0, 0), (0, 0, 0, 1)]),
-                "S2C": _poly([(0, 0, 1, 0), (2, 0, 0, 0)]),  # Sq1 Sq2 C = Sq3 C = C^2
-                "S21C": _poly([(0, 0, 0, 1)]),
-            }
-            words = {"C": "", "S1C": "1", "S2C": "2", "S21C": "21"}
-            pres = SpacePresentation("KZ2_3", gens, cutoff, total, sq_words=words)
-        pres.total_sq = {k: frozenset(m for m in v if pres.reduce_mono(m) is not None)
-                         for k, v in pres.total_sq.items()}
-        return pres
+            return SpacePresentation("KZ2_2", gens, cutoff, total, sq_words=words)
+        gens = [Generator("C", 3), Generator("S1C", 4), Generator("S2C", 5),
+                Generator("S21C", 6)]
+        total = {
+            "C": _poly([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (2, 0, 0, 0)]),
+            "S1C": _poly([(0, 1, 0, 0), (0, 0, 0, 1)]),
+            "S2C": _poly([(0, 0, 1, 0), (2, 0, 0, 0)]),  # Sq1 Sq2 C = Sq3 C = C^2
+            "S21C": _poly([(0, 0, 0, 1)]),
+        }
+        words = {"C": "", "S1C": "1", "S2C": "2", "S21C": "21"}
+        return SpacePresentation("KZ2_3", gens, cutoff, total, sq_words=words)
     raise ValueError(f"unknown space {name!r}; choose from {SPACE_NAMES}")
 
 
@@ -369,8 +369,10 @@ class ThomSpace:
     """Unreduced cohomology of the Thom space of the rank-n tautological bundle.
 
     Elements are c·1 + p·U with p a polynomial over the base; U has degree
-    n, Sq^i U = w_i U (Wu) and U·U = w_n·U.  Exposes the same matrix
-    interface as SpacePresentation so the twist constructor can run over it.
+    n, Sq^i U = w_i U (Wu) and U·U = w_n·U.  A U-multiple p·U is handled
+    through its coefficient p (``sq``, ``apply_word``, ``multiply``,
+    ``vector``, ``format``); the matrices of the ring-model interface are
+    written through those operations.
     """
 
     def __init__(self, base: SpacePresentation, rank: int, name: str = ""):
@@ -385,13 +387,49 @@ class ThomSpace:
         # total Sq(U)/U = 1 + w_1 + ... + w_n
         self._sq_u = _poly([base.unit()] + [base.gen_mono(w) for w in wlabels[:rank]])
 
+    # -- coefficients of U-multiples -----------------------------------------
+
+    def sq(self, k: int, p: Poly) -> Poly:
+        """Coefficient of Sq^k(pU) = (...)U via the Cartan formula and Sq^i U = w_i U."""
+        acc: set = set()
+        for m in p:
+            prod = self.base.poly_mul(self.base.total_sq_mono(m), self._sq_u)
+            d = self.base.mono_degree(m) + k
+            acc.symmetric_difference_update(x for x in prod if self.base.mono_degree(x) == d)
+        return frozenset(acc)
+
+    def apply_word(self, word: str, p: Poly) -> Poly:
+        """Apply a word in Sq1/Sq2/Sq3 letters (left letter outermost)."""
+        for letter in reversed(word):
+            k = int(letter)
+            if k == 3:
+                p = self.sq(1, self.sq(2, p))
+            else:
+                p = self.sq(k, p)
+        return p
+
+    def multiply(self, p: Poly, q: Poly) -> Poly:
+        """(pU)(qU) = (p q e)U with e the mod-2 Euler class w_n."""
+        return self.base.poly_mul(self.base.poly_mul(p, q), self._euler)
+
+    def vector(self, p: Poly, d: int) -> int:
+        """Vector of pU in the degree-d basis."""
+        return self.base.poly_vector(p, d - self.rank)
+
+    def format(self, p: Poly) -> str:
+        if not p:
+            return "0"
+        return "(" + self.base.format_poly(p) + ")*U"
+
+    # -- the ring-model interface ----------------------------------------------
+
     # basis: degree 0 is the unit; degree d >= rank is U * base-basis(d - rank)
-    def basis_size(self, d: int) -> int:
+    def dim(self, d: int) -> int:
         if d == 0:
             return 1
         if d < self.rank or d > self.cutoff:
             return 0
-        return len(self.base.basis(d - self.rank))
+        return self.base.dim(d - self.rank)
 
     def element_labels(self, d: int) -> Tuple[str, ...]:
         if d == 0:
@@ -401,73 +439,47 @@ class ThomSpace:
             for m in self.base.basis(d - self.rank)
         )
 
-    def _u_poly_vector(self, p: Poly, d: int) -> int:
-        """Vector of p·U in the degree-(d) Thom basis."""
-        return self.base.poly_vector(p, d - self.rank)
-
     def sq_matrix(self, k: int, d: int) -> BitMatrix:
-        nrows = self.basis_size(d + k)
         if d == 0:
             # Sq^k(1) = 0 for k > 0
-            return BitMatrix.zeros(nrows, self.basis_size(0))
-        cols = []
-        for m in self.base.basis(d - self.rank):
-            total = self.base.poly_mul(self.base.total_sq_mono(m), self._sq_u)
-            part = frozenset(x for x in total
-                             if self.base.mono_degree(x) == d - self.rank + k)
-            cols.append(self._u_poly_vector(part, d + k))
-        return BitMatrix.from_columns(cols, nrows)
+            return BitMatrix.zeros(self.dim(k), 1)
+        cols = [self.vector(self.sq(k, frozenset([m])), d + k)
+                for m in self.base.basis(d - self.rank)]
+        return BitMatrix.from_columns(cols, self.dim(d + k))
 
-    def mult_matrix(self, cls: "ThomClass", d: int) -> BitMatrix:
-        nrows = self.basis_size(d + cls.degree)
+    def mult_matrix(self, cls: "ThomClass", degree: int, d: int) -> BitMatrix:
         if d == 0:
             # image of the unit is the class itself
-            v = 0
-            if cls.unit and cls.degree == 0:
-                v ^= 1
-            if cls.u_part:
-                v ^= self._u_poly_vector(cls.u_part, cls.degree)
-            return BitMatrix.from_columns([v], nrows)
-        cols = []
-        for m in self.base.basis(d - self.rank):
-            acc = 0
-            if cls.unit:
-                acc ^= self._u_poly_vector(frozenset([m]), d + cls.degree)
-            if cls.u_part:
-                prod = self.base.poly_mul(cls.u_part, frozenset([m]))
-                prod = self.base.poly_mul(prod, self._euler)
-                acc ^= self._u_poly_vector(prod, d + cls.degree)
-            cols.append(acc)
-        return BitMatrix.from_columns(cols, nrows)
+            cols = [int(cls.unit) ^ self.vector(cls.u_part, degree)]
+        else:
+            cols = [(self.vector(frozenset([m]), d + degree) if cls.unit else 0)
+                    ^ self.vector(self.multiply(cls.u_part, frozenset([m])), d + degree)
+                    for m in self.base.basis(d - self.rank)]
+        return BitMatrix.from_columns(cols, self.dim(d + degree))
 
-    def parse_class(self, text: str) -> "ThomClass":
-        """Classes of the Thom space: the unit and U-multiples only."""
-        text = text.strip()
-        if text == "0":
-            return ThomClass(0, False, frozenset())
+    def parse_class(self, text: str, degree: int) -> "ThomClass":
+        """A class of the given degree: the unit and U-multiples only."""
         unit = False
         u_terms: List[str] = []
-        for term in text.split("+"):
-            term = term.strip()
-            factors = [f.strip() for f in term.split("*")]
-            if factors == ["1"]:
-                unit = not unit
-            elif "U" in factors:
-                rest = [f for f in factors if f != "U"]
-                u_terms.append("*".join(rest) if rest else "1")
-            else:
-                raise ValueError(
-                    f"{term!r} is not a Thom-space class (only 1 and U-multiples exist)")
-        u_part = self.base.parse_poly("+".join(u_terms)) if u_terms else frozenset()
-        degs = set()
-        if unit:
-            degs.add(0)
-        for m in u_part:
-            degs.add(self.base.mono_degree(m) + self.rank)
-        if len(degs) > 1:
-            raise ValueError(f"class {text!r} is not homogeneous")
-        degree = degs.pop() if degs else 0
-        return ThomClass(degree, unit, u_part)
+        degrees: List[int] = []
+        if text.strip() != "0":
+            for term in text.split("+"):
+                factors = [f.strip() for f in term.split("*")]
+                if factors == ["1"]:
+                    unit = not unit
+                    degrees.append(0)
+                elif "U" in factors:
+                    # U·U = w_n·U: each further U is one more Euler class
+                    euler = [self.base.gens[self.rank - 1].label] * (factors.count("U") - 1)
+                    rest = "*".join([f for f in factors if f != "U"] + euler) or "1"
+                    u_terms.append(rest)
+                    degrees += [self.base.mono_degree(m) + self.rank
+                                for m in self.base.terms(rest)]
+                else:
+                    raise ValueError(f"{term.strip()!r} is not a Thom-space class "
+                                     f"(only 1 and U-multiples exist)")
+        _check_homogeneous(text, degrees, degree)
+        return ThomClass(degree, unit, self.base.parse_poly("+".join(u_terms)))
 
 
 @dataclass(frozen=True)
@@ -480,71 +492,30 @@ class ThomClass:
 # -- the twisted-module constructor -------------------------------------------
 
 
-def twist(model, a, b, shift: int = 0, generator_label: str = "Q") -> GradedA1Module:
+def twist(model, a: str, b: str, shift: int = 0, generator_label: str = "Q") -> GradedA1Module:
     """Module of an (X, a, b)-twisted spin structure over the given ring model.
 
     The generator sits in degree ``shift`` (the virtual-rank normalization
     is already folded in: every named structure below has its bottom class
-    in degree 0).  ``a`` and ``b`` may be polynomial strings or parsed
-    classes of degrees 1 and 2.
+    in degree 0).  ``a`` and ``b`` are class strings of degrees 1 and 2,
+    parsed by the model; a term of another degree is a ``ValueError``.
     """
-    is_thom = isinstance(model, ThomSpace)
-    parse = model.parse_class if is_thom else model.parse_poly
-
-    def dim(d: int) -> int:
-        return model.basis_size(d) if is_thom else len(model.basis(d))
-
-    def labels(d: int) -> Tuple[str, ...]:
-        return model.element_labels(d)
-
-    a_cls = parse(a) if isinstance(a, str) else a
-    b_cls = parse(b) if isinstance(b, str) else b
-
-    def cls_degree(c) -> Optional[int]:
-        if is_thom:
-            return None if (not c.unit and not c.u_part) else c.degree
-        return None if not c else {model.mono_degree(m) for m in c}.pop()
-
-    def is_zero_cls(c) -> bool:
-        if is_thom:
-            return not c.unit and not c.u_part
-        return not c
-
-    for cls, want in ((a_cls, 1), (b_cls, 2)):
-        if not is_zero_cls(cls):
-            deg = cls_degree(cls)
-            if deg != want:
-                raise ValueError(f"twist class has degree {deg}, expected {want}")
-
-    def mult(cls, d: int) -> BitMatrix:
-        if is_zero_cls(cls):
-            shift_by = 1 if cls is a_cls else 2
-            return BitMatrix.zeros(dim(d + shift_by), dim(d))
-        if is_thom:
-            return model.mult_matrix(cls, d)
-        pdeg = cls_degree(cls)
-        return model.mult_matrix(cls, pdeg, d)
-
-    cutoff = model.cutoff
-    dims = {}
-    labs = {}
-    for d in range(0, cutoff + 1):
-        n = dim(d)
-        if n:
-            dims[d + shift] = n
-            labs[d + shift] = tuple(f"{generator_label}*{s}" for s in labels(d))
-    sq1 = {}
-    sq2 = {}
-    for d in range(0, cutoff + 1):
-        if dim(d) == 0:
+    a_cls = model.parse_class(a, 1)
+    b_cls = model.parse_class(b, 2)
+    dims, labs, sq1, sq2 = {}, {}, {}, {}
+    for d in range(model.cutoff + 1):
+        if not model.dim(d):
             continue
-        if d + 1 <= cutoff and dim(d + 1):
-            sq1[d + shift] = mult(a_cls, d).add(model.sq_matrix(1, d))
-        if d + 2 <= cutoff and dim(d + 2):
-            m = mult(b_cls, d).add(model.sq_matrix(2, d))
-            m = m.add(mult(a_cls, d + 1) @ model.sq_matrix(1, d))
+        dims[d + shift] = model.dim(d)
+        labs[d + shift] = tuple(f"{generator_label}*{s}" for s in model.element_labels(d))
+        # dim is 0 above the cutoff
+        if model.dim(d + 1):
+            sq1[d + shift] = model.mult_matrix(a_cls, 1, d).add(model.sq_matrix(1, d))
+        if model.dim(d + 2):
+            m = model.mult_matrix(b_cls, 2, d).add(model.sq_matrix(2, d))
+            m = m.add(model.mult_matrix(a_cls, 1, d + 1) @ model.sq_matrix(1, d))
             sq2[d + shift] = m
-    out = GradedA1Module(dims, sq1, sq2, cutoff + shift, labs, complete=False,
+    out = GradedA1Module(dims, sq1, sq2, model.cutoff + shift, labs, complete=False,
                          name=f"V({model.name})")
     return out.assert_valid()
 
@@ -702,21 +673,21 @@ def parse_space(text: str):
             raise ValueError(f"line {ln}: unknown directive {parts[0]!r}")
     if cutoff is None:
         raise ValueError(f"line {max(last, 1)}: missing CUTOFF")
-    pres = SpacePresentation(name, gens, cutoff, {g.label: frozenset() for g in gens})
+    ring = SpacePresentation(name, gens, cutoff, {})  # parses the SQ polynomials
     total = {}
     sq_line_of: Dict[str, int] = {}
     for ln, lab, poly in sq_lines:
         if lab not in gen_lines:
             raise ValueError(f"line {ln}: SQ line for unknown generator {lab!r}")
         try:
-            total[lab] = pres.parse_poly(poly)
+            total[lab] = ring.parse_poly(poly)
         except ValueError as e:
             raise ValueError(f"line {ln}: {e}")
         # unstable: Sq^0 x = x, Sq^|x| x = x^2 and Sq^i x = 0 for i > |x|
-        gen = pres.gen_mono(lab)
-        deg = pres.mono_degree(gen)
-        ends = {m for m in (gen, tuple(2 * e for e in gen)) if pres.reduce_mono(m) is not None}
-        if {m for m in total[lab] if not deg < pres.mono_degree(m) < 2 * deg} != ends:
+        gen = ring.gen_mono(lab)
+        deg = ring.mono_degree(gen)
+        ends = {m for m in (gen, tuple(2 * e for e in gen)) if ring.reduce_mono(m) is not None}
+        if {m for m in total[lab] if not deg < ring.mono_degree(m) < 2 * deg} != ends:
             raise ValueError(f"line {ln}: SQ {lab} violates the relations of an unstable "
                              f"algebra: it must be {lab} + (terms of degree {deg + 1} to "
                              f"{2 * deg - 1}) + {lab}^2")
@@ -724,7 +695,7 @@ def parse_space(text: str):
     for g in gens:
         if g.label not in total:
             raise ValueError(f"line {gen_lines[g.label]}: missing SQ line for generator {g.label!r}")
-    pres.total_sq = total
+    pres = SpacePresentation(name, gens, cutoff, total)
     # the derived Sq1/Sq2 matrices must satisfy the A(1) relations; blame
     # the SQ line of the highest generator at or below the failing degree
     v = pres.cohomology_module().validate()
@@ -735,9 +706,7 @@ def parse_space(text: str):
     for slot, want in (("A", 1), ("B", 2)):
         ln, cls = twists[slot]
         try:
-            p = pres.parse_poly(cls)
+            pres.parse_class(cls, want)
         except ValueError as e:
-            raise ValueError(f"line {ln}: {e}")
-        if {pres.mono_degree(m) for m in p} - {want}:
-            raise ValueError(f"line {ln}: TWIST {slot} must be a class of degree {want}")
+            raise ValueError(f"line {ln}: TWIST {slot}: {e}")
     return pres, twists["A"][1], twists["B"][1], shift

@@ -76,7 +76,6 @@ def test_corrupted_thom_sq1_breaks_two_form_sensitivity():
 def test_corrupted_pin_cell_changes_golden_groups():
     # flip the Sq1 parity of the pin- cell: Z/8 in degree 2 degenerates
     P = md.pin_minus_cell(24)
-    sq1 = {k: md.BitMatrix if False else P.sq1_map(k) for k in range(24)}
     from a1bordism.gf2 import BitMatrix
 
     flipped = {k: BitMatrix([1 - P.sq1_map(k).rows[0] if P.sq1_map(k).rows else 0], 1)

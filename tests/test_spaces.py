@@ -56,8 +56,8 @@ def test_wu_formula_matches_classical_values():
     w3 = bo3.gen_mono("w3")
     assert bo3.format_poly(bo3.sq_k_mono(w2, 1)) == "w3 + w1*w2"
     assert bo3.format_poly(bo3.sq_k_mono(w3, 1)) == "w1*w3"
-    assert bo3.format_poly(bo3.sq_k_mono(w3, 2)) == "w2*w3 + w1*w3^2".replace("w1*w3^2", "w1*w3^2") or True
-    # Sq2 w3 = w2 w3 + w1 w4 + w5 with w4 = w5 = 0 in BO3... includes w1*w3^2? no:
+    # Sq2 w3 = w2 w3 + w1 w4 + w5 with w4 = w5 = 0 in BO3
+    assert bo3.format_poly(bo3.sq_k_mono(w3, 2)) == "w2*w3"
     assert bo3.sq_k_mono(w3, 2) == bo3.parse_poly("w2*w3")
 
 
@@ -135,6 +135,13 @@ def test_twist_degree_mismatch():
         sp.twist(X, "w2", "0")
     with pytest.raises(ValueError):
         sp.twist(X, "0", "w1")
+    # a class with a term of another degree is refused, not truncated to
+    # its right-degree part, whatever the cutoff
+    for Y, a, b in ((sp.space("BO1", 8), "t + t^2", "0"), (sp.space("BO1", 1), "t + t^2", "0"),
+                    (X, "w1 + w2", "0"), (X, "0", "w1 + w2"),
+                    (sp.ThomSpace(sp.space("BO2", 4), 2), "0", "U + w1*U")):
+        with pytest.raises(ValueError, match="has a term of degree"):
+            sp.twist(Y, a, b)
 
 
 def test_pin_minus_twist_vs_thom_construction():
@@ -170,12 +177,15 @@ def test_gm_twist_matches_figure_actions():
 
 def test_thom_space_class_parsing():
     th = sp.ThomSpace(sp.space("BO2", 6), 2, name="MO2")
-    u = th.parse_class("U")
+    u = th.parse_class("U", 2)
     assert u.degree == 2 and not u.unit
     with pytest.raises(ValueError):
-        th.parse_class("w1")  # base-only classes do not live in the Thom space
+        th.parse_class("w1", 1)  # base-only classes do not live in the Thom space
     with pytest.raises(ValueError):
-        th.parse_class("1 + U")  # inhomogeneous
+        th.parse_class("1 + U", 2)  # inhomogeneous
+    assert th.parse_class("U*U", 4).u_part == th.base.parse_poly("w2")  # U·U = w2·U
+    with pytest.raises(ValueError):
+        th.parse_class("U*U", 2)
 
 
 # -- named structures --------------------------------------------------------------
