@@ -115,17 +115,13 @@ def run_pipeline(name: str, through_degree: int, max_s: int = DEFAULT_MAX_S) -> 
     if name not in sp.STRUCTURE_NAMES:
         raise PipelineError(f"unknown pipeline {name!r}; choose from {sp.STRUCTURE_NAMES}")
     s_resolve, max_t, cutoff = window_parameters(through_degree, max_s)
-    module = sp.named_structure(name, cutoff)
+    pieces = sp.structure_pieces(name, cutoff)
     provenance: List[str] = [
         f"module cutoff {cutoff}, resolved to s <= {s_resolve}, t <= {max_t}; "
         f"groups reported for filtration window s <= {max_s}",
     ]
-    pieces: List[GradedA1Module] = [module]
-    split = sp.SPECTRUM_SPLITS.get(name)
-    if split is not None:
-        var, note = split
-        a, b = sp.split_by_variable(module, var)
-        pieces = [a, b]
+    if len(pieces) > 1:
+        note = sp.SPECTRUM_SPLITS[name][1]
         provenance.append(f"{name}: resolved as a wedge of two pieces ({note})")
     totals: Dict[int, List] = {n: [0, [], True, []] for n in range(through_degree + 1)}
     for piece in pieces:
@@ -196,16 +192,20 @@ def decompose_structure(name: str, n: int) -> ModuleDecomposition:
     candidates: List[List[Tuple[str, int]]] = []
     budget_spent = False
 
+    order_cache: Dict[int, List[str]] = {}
+
     def ordered_pieces(d0: int) -> List[str]:
         # prefer pieces that fit the window with the least truncation,
         # then the smaller ones; keeps the reported presentation canonical
-        scored = []
-        for pname in MATCH_PIECES:
-            full = _match_piece(pname, n)
-            overhang = max(0, d0 + full.hi - n)
-            pm = piece(pname, d0)
-            scored.append((overhang, pm.total_dim(), pname))
-        return [name for _, _, name in sorted(scored)]
+        if d0 not in order_cache:
+            scored = []
+            for pname in MATCH_PIECES:
+                full = _match_piece(pname, n)
+                overhang = max(0, d0 + full.hi - n)
+                pm = piece(pname, d0)
+                scored.append((overhang, pm.total_dim(), pname))
+            order_cache[d0] = [name for _, _, name in sorted(scored)]
+        return order_cache[d0]
 
     def cover(remaining: Dict[int, int], acc: List[Tuple[str, int]]):
         nonlocal budget_spent

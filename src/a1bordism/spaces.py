@@ -13,10 +13,22 @@ presentation or a Thom-space model; both offer the same interface:
 ``dim(d)``, ``element_labels(d)``, ``sq_matrix(k, d)``,
 ``mult_matrix(cls, degree, d)`` and ``parse_class(text, degree)``.
 Twist classes are given as text and parsed by the model.
+
+A Thom space of a sum of bundles is the smash of the Thom spaces,
+Th(V⊕W) = Th(V) ∧ Th(W); in cohomology that is the Cartan formula, so
+
+    V(X×Y, a1 + a2, b1 + a1 a2 + b2) = V(X, a1, b1) ⊗ V(Y, a2, b2).
+
+KT±, PinMinusO2 and Tau± are built that way: TauMinus = PinPlus ⊗
+V(BO2, w1, w1²) and TauPlus = PinMinus ⊗ V(BO2, w1, w1²), relabeled into
+the BO1×BO2 monomials ``U*a^i*b^j*c^k``, whose order the tensor basis
+already has.  Their wedge pieces split the small BO2 factor by w2 before
+tensoring; ``space("BO1xBO2")`` stays as the oracle the tests compare with.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -62,6 +74,9 @@ class SpacePresentation:
         self.cutoff = cutoff
         self.total_sq = dict(total_sq)
         self.sq_words = dict(sq_words or {})
+        self._degrees = tuple(g.degree for g in self.gens)
+        self._nilpotent = tuple((i, g.nilpotence) for i, g in enumerate(self.gens)
+                                if g.nilpotence is not None)
         self._basis_cache: Dict[int, Tuple[Monomial, ...]] = {}
         self._sq_mono_cache: Dict[Monomial, Poly] = {}
         self._index_cache: Dict[int, Dict[Monomial, int]] = {}
@@ -69,11 +84,11 @@ class SpacePresentation:
     # -- monomials -------------------------------------------------------
 
     def mono_degree(self, m: Monomial) -> int:
-        return sum(e * g.degree for e, g in zip(m, self.gens))
+        return sum(e * g for e, g in zip(m, self._degrees))
 
     def reduce_mono(self, m: Monomial) -> Optional[Monomial]:
-        for e, g in zip(m, self.gens):
-            if g.nilpotence is not None and e >= g.nilpotence:
+        for i, nil in self._nilpotent:
+            if m[i] >= nil:
                 return None
         if self.mono_degree(m) > self.cutoff:
             return None
@@ -83,15 +98,22 @@ class SpacePresentation:
         return self.reduce_mono(tuple(a + b for a, b in zip(m1, m2)))
 
     def poly_mul(self, p: Poly, q: Poly) -> Poly:
+        # the products of mono_mul, with each factor's degree derived once
+        cutoff, nilpotent = self.cutoff, self._nilpotent
+        q_degrees = [(m2, self.mono_degree(m2)) for m2 in q]
         acc: set = set()
         for m1 in p:
-            for m2 in q:
-                m = self.mono_mul(m1, m2)
-                if m is not None:
-                    if m in acc:
-                        acc.discard(m)
-                    else:
-                        acc.add(m)
+            d1 = self.mono_degree(m1)
+            for m2, d2 in q_degrees:
+                if d1 + d2 > cutoff:
+                    continue
+                m = tuple(a + b for a, b in zip(m1, m2))
+                if any(m[i] >= nil for i, nil in nilpotent):
+                    continue
+                if m in acc:
+                    acc.discard(m)
+                else:
+                    acc.add(m)
         return frozenset(acc)
 
     def unit(self) -> Monomial:
@@ -143,11 +165,13 @@ class SpacePresentation:
         return self._index_cache[d]
 
     def poly_vector(self, p: Poly, d: int) -> int:
+        # every reduced monomial of degree d is in the index, no other is
         idx = self.index(d)
         v = 0
         for m in p:
-            if self.mono_degree(m) == d:
-                v ^= 1 << idx[m]
+            i = idx.get(m)
+            if i is not None:
+                v ^= 1 << i
         return v
 
     def terms(self, text: str) -> List[Monomial]:
@@ -210,8 +234,9 @@ class SpacePresentation:
         return len(self.basis(d))
 
     def sq_matrix(self, k: int, d: int) -> BitMatrix:
+        # poly_vector keeps exactly the degree d + k terms, which are Sq^k m
         src = self.basis(d)
-        cols = [self.poly_vector(self.sq_k_mono(m, k), d + k) for m in src]
+        cols = [self.poly_vector(self.total_sq_mono(m), d + k) for m in src]
         return BitMatrix.from_columns(cols, self.dim(d + k))
 
     def mult_matrix(self, p: Poly, pdeg: int, d: int) -> BitMatrix:
@@ -464,7 +489,7 @@ class ThomSpace:
         degrees: List[int] = []
         if text.strip() != "0":
             for term in text.split("+"):
-                factors = [f.strip() for f in term.split("*")]
+                factors = [g for f in term.split("*") for g in _u_factors(f.strip())]
                 if factors == ["1"]:
                     unit = not unit
                     degrees.append(0)
@@ -480,6 +505,17 @@ class ThomSpace:
                                      f"(only 1 and U-multiples exist)")
         _check_homogeneous(text, degrees, degree)
         return ThomClass(degree, unit, self.base.parse_poly("+".join(u_terms)))
+
+
+def _u_factors(factor: str) -> List[str]:
+    """A factor ``U^k`` (k >= 1) as k factors ``U``; any other factor as it is."""
+    lab, caret, e = factor.partition("^")
+    if not caret or lab.strip() != "U":
+        return [factor]
+    k = int(e)
+    if k < 1:
+        raise ValueError(f"exponent of U must be positive in {factor!r}")
+    return ["U"] * k
 
 
 @dataclass(frozen=True)
@@ -502,6 +538,10 @@ def twist(model, a: str, b: str, shift: int = 0, generator_label: str = "Q") -> 
     """
     a_cls = model.parse_class(a, 1)
     b_cls = model.parse_class(b, 2)
+    # built once per degree: Sq1 on degree d enters sq1[d] and the a·Sq1 term
+    # of sq2[d]; multiplication by a on degree d enters sq1[d] and sq2[d - 1]
+    sq1_of = functools.lru_cache(maxsize=None)(lambda d: model.sq_matrix(1, d))
+    a_times = functools.lru_cache(maxsize=None)(lambda d: model.mult_matrix(a_cls, 1, d))
     dims, labs, sq1, sq2 = {}, {}, {}, {}
     for d in range(model.cutoff + 1):
         if not model.dim(d):
@@ -510,10 +550,10 @@ def twist(model, a: str, b: str, shift: int = 0, generator_label: str = "Q") -> 
         labs[d + shift] = tuple(f"{generator_label}*{s}" for s in model.element_labels(d))
         # dim is 0 above the cutoff
         if model.dim(d + 1):
-            sq1[d + shift] = model.mult_matrix(a_cls, 1, d).add(model.sq_matrix(1, d))
+            sq1[d + shift] = a_times(d).add(sq1_of(d))
         if model.dim(d + 2):
             m = model.mult_matrix(b_cls, 2, d).add(model.sq_matrix(2, d))
-            m = m.add(model.mult_matrix(a_cls, 1, d + 1) @ model.sq_matrix(1, d))
+            m = m.add(a_times(d + 1) @ sq1_of(d))
             sq2[d + shift] = m
     out = GradedA1Module(dims, sq1, sq2, model.cutoff + shift, labs, complete=False,
                          name=f"V({model.name})")
@@ -558,15 +598,44 @@ def named_structure(name: str, cutoff: int) -> GradedA1Module:
     elif name == "PinMinusO2":
         vm2 = twist(space("BO2", cutoff), "w1", "w2", generator_label="U")
         m = vm2.tensor(named_structure("PinMinus", cutoff))
-    elif name == "TauMinus":
-        m = twist(space("BO1xBO2", cutoff), "a+b", "a^2+a*b+b^2", generator_label="U")
-    elif name == "TauPlus":
-        m = twist(space("BO1xBO2", cutoff), "a+b", "a*b+b^2", generator_label="U")
+    elif name in _CARTAN_PIN_TWIST:
+        pin, bo2 = _cartan_factors(name, cutoff)
+        m = _product_labels(pin.tensor(bo2), name)
     elif name == "MV_a_ab":
         m = twist(space("BO1xBO1", cutoff), "a", "a*b", generator_label="U")
     else:
         raise ValueError(f"unknown structure {name!r}; choose from {STRUCTURE_NAMES}")
     return m.renamed(name)
+
+
+# Tau± by the Cartan formula, with BO1 = <a> and BO2 = <b, c>:
+# V(BO1xBO2, a + b, b1 + ab + b^2) = V(BO1, a, b1) ⊗ V(BO2, b, b^2).  The pin
+# factor's b1 is a^2 (PinPlus) for TauMinus and 0 (PinMinus) for TauPlus.
+_CARTAN_PIN_TWIST: Dict[str, str] = {"TauMinus": "a^2", "TauPlus": "0"}
+
+
+def _cartan_factors(name: str, cutoff: int) -> Tuple[GradedA1Module, GradedA1Module]:
+    """The pin factor V(BO1, a, b1) and the BO2 factor V(BO2, b, b^2) of a Tau± module."""
+    pin = twist(bo_presentation(1, cutoff, labels=["a"], name="BO1"), "a",
+                _CARTAN_PIN_TWIST[name], generator_label="U")
+    bo2 = twist(bo_presentation(2, cutoff, labels=["b", "c"], name="BO2"), "b", "b^2",
+                generator_label="U")
+    return pin, bo2
+
+
+def _product_labels(m: GradedA1Module, name: str) -> GradedA1Module:
+    """A pin-factor tensor product under the BO1xBO2 monomial labels.
+
+    The tensor basis (pin degree, then the BO2 factor's basis) already runs
+    in the product's monomial order, so only the labels change:
+    ``U*a^2(x)U*b*c`` becomes ``U*a^2*b*c`` and ``U*1(x)U*1`` becomes ``U*1``.
+    """
+    def merge(label: str) -> str:
+        parts = [f for side in label.split("(x)") for f in side.split("*")[1:] if f != "1"]
+        return "U*" + ("*".join(parts) or "1")
+
+    labels = {d: tuple(merge(s) for s in labs) for d, labs in m.labels.items()}
+    return GradedA1Module(m.dims, m.sq1, m.sq2, m.hi, labels, m.complete, name)
 
 
 # documented wedge splittings used when a pipeline resolves a structure
@@ -602,6 +671,24 @@ def split_by_variable(m: GradedA1Module, var: str) -> Tuple[GradedA1Module, Grad
     a, _ = m.submodule(part_a, name=f"{m.name}[no {var}]")
     b, _ = m.submodule(part_b, name=f"{m.name}[{var}·]")
     return a, b
+
+
+def structure_pieces(name: str, cutoff: int) -> List[GradedA1Module]:
+    """The wedge pieces a pipeline resolves for ``name``.
+
+    A structure with a ``SPECTRUM_SPLITS`` entry gives its two halves,
+    ``name[no v]`` and ``name[v·]``; any other gives its module alone.
+    Tau± split the BO2 factor by w2 (``c``) and tensor each half with the
+    pin factor, so the 1,925-class product (at cutoff 26) is never built.
+    """
+    if name in _CARTAN_PIN_TWIST:
+        pin, bo2 = _cartan_factors(name, cutoff)
+        halves = split_by_variable(bo2.renamed(name), SPECTRUM_SPLITS[name][0])
+        return [_product_labels(pin.tensor(half), half.name) for half in halves]
+    m = named_structure(name, cutoff)
+    if name in SPECTRUM_SPLITS:
+        return list(split_by_variable(m, SPECTRUM_SPLITS[name][0]))
+    return [m]
 
 
 # -- text format (.space) -------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -188,6 +189,16 @@ def test_thom_space_class_parsing():
         th.parse_class("U*U", 2)
 
 
+def test_thom_parse_class_reads_powers_of_u():
+    th = sp.ThomSpace(sp.space("BO2", 6), 2, name="MO2")
+    assert th.parse_class("U^2", 4) == th.parse_class("U*U", 4) == th.parse_class("w2*U", 4)
+    assert th.parse_class("w1*U^1", 3) == th.parse_class("w1*U", 3)
+    assert th.parse_class("U^3", 6) == th.parse_class("w2^2*U", 6)
+    for bad, degree in (("U^2", 2), ("U^0", 0), ("U^-1", 0)):
+        with pytest.raises(ValueError):
+            th.parse_class(bad, degree)
+
+
 # -- named structures --------------------------------------------------------------
 
 
@@ -252,6 +263,70 @@ def test_sigma_bo2_wedge_split_pieces():
     assert sorted(g for g, _ in dec.free_summands if g <= 5) == [3]
     rem = dec.remainder.quotient_above(5)
     assert iso_up_to_degree(rem, catalog("Q").suspend(2).quotient_above(5), 5).status == "iso"
+
+
+# Tau± are built as pin ⊗ V(BO2, w1, w1^2) (the Cartan formula); twisting
+# the product ring BO1xBO2 directly is the oracle they must equal exactly
+TAU_TWISTS = {"TauMinus": ("a+b", "a^2+a*b+b^2"), "TauPlus": ("a+b", "a*b+b^2")}
+TAU_PINS = {"TauMinus": "PinPlus", "TauPlus": "PinMinus"}
+
+
+@functools.lru_cache(maxsize=None)
+def tau_oracle(name: str, cutoff: int) -> md.GradedA1Module:
+    a, b = TAU_TWISTS[name]
+    return sp.twist(sp.space("BO1xBO2", cutoff), a, b, generator_label="U").renamed(name)
+
+
+def assert_same_module(m: md.GradedA1Module, want: md.GradedA1Module) -> None:
+    assert (m.name, m.lo, m.hi, m.complete) == (want.name, want.lo, want.hi, want.complete)
+    assert dict(m.dims) == dict(want.dims)
+    assert dict(m.labels) == dict(want.labels)
+    assert dict(m.sq1) == dict(want.sq1)
+    assert dict(m.sq2) == dict(want.sq2)
+
+
+@pytest.mark.parametrize("cutoff", [0, 3, 12, 19, 29])
+@pytest.mark.parametrize("name", sorted(TAU_TWISTS))
+def test_tau_structure_equals_the_product_ring_oracle(name, cutoff):
+    assert_same_module(sp.named_structure(name, cutoff), tau_oracle(name, cutoff))
+
+
+@pytest.mark.parametrize("cutoff", [0, 3, 12, 19, 29])
+@pytest.mark.parametrize("name", sorted(TAU_TWISTS))
+def test_tau_pieces_equal_the_split_oracle(name, cutoff):
+    pieces = sp.structure_pieces(name, cutoff)
+    want = sp.split_by_variable(tau_oracle(name, cutoff), "c")
+    assert [p.name for p in pieces] == [f"{name}[no c]", f"{name}[c·]"]
+    assert len(pieces) == len(want)
+    for piece, w in zip(pieces, want):
+        assert_same_module(piece, w)
+
+
+@pytest.mark.parametrize("name", sorted(TAU_TWISTS))
+def test_tau_oracle_rejects_a_wrong_bo2_twist(name):
+    """Negative control: the BO2 factor twisted by (w1, 0) is not Tau±."""
+    cutoff = 12
+    pin = sp.named_structure(TAU_PINS[name], cutoff)
+
+    def sq2_ranks(m):
+        return [m.sq2_map(d).rank() for d in range(cutoff - 1)]
+
+    def with_bo2_twist(b):
+        return pin.tensor(sp.twist(sp.space("BO2", cutoff), "w1", b, generator_label="U"))
+
+    want = sq2_ranks(tau_oracle(name, cutoff))
+    assert sq2_ranks(with_bo2_twist("w1^2")) == want
+    assert sq2_ranks(with_bo2_twist("0")) != want
+
+
+def test_structure_pieces_of_unsplit_and_split_structures():
+    gm = sp.structure_pieces("GM", 8)
+    assert [p.name for p in gm] == ["GM"]
+    assert_same_module(gm[0], sp.named_structure("GM", 8))
+    sigma = sp.structure_pieces("SigmaBO2", 8)
+    for piece, want in zip(sigma, sp.split_by_variable(sp.named_structure("SigmaBO2", 8), "w2")):
+        assert_same_module(piece, want)
+    assert [p.name for p in sigma] == ["SigmaBO2[no w2]", "SigmaBO2[w2·]"]
 
 
 def test_structure_unknown_name():
