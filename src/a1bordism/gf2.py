@@ -5,6 +5,10 @@ operations are single XORs and everything stays exact.  Matrices act on
 column vectors, which are also ints: ``(M @ x)_i = parity(rows[i] & x)``.
 All operations are deterministic: pivots are chosen leftmost-column,
 lowest-row-index.
+
+The row/column layout is converted only here, by ``from_columns`` and
+``columns``; callers that think in images of basis vectors use those two
+and never walk a matrix bit by bit.
 """
 
 from __future__ import annotations
@@ -16,16 +20,22 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-def vector_from_bits(bits: Sequence[int]) -> int:
-    v = 0
-    for j, b in enumerate(bits):
-        if b & 1:
-            v |= 1 << j
-    return v
+def _transpose(vectors: Sequence[int], n: int) -> List[int]:
+    """The n vectors whose bit j is bit i of ``vectors[j]``, for i < n.
 
-
-def vector_to_bits(v: int, n: int) -> Tuple[int, ...]:
-    return tuple((v >> j) & 1 for j in range(n))
+    Steps over set bits only, so the cost is O(nonzeros); raises
+    ValueError on a bit at or beyond n.
+    """
+    out = [0] * n
+    for j, v in enumerate(vectors):
+        if v >> n:
+            raise ValueError(f"vector {j} has bits outside [0, {n})")
+        bit = 1 << j
+        while v:
+            low = v & -v
+            out[low.bit_length() - 1] |= bit
+            v ^= low
+    return out
 
 
 class BitMatrix:
@@ -61,32 +71,13 @@ class BitMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[int], nrows: int) -> "BitMatrix":
-        rows = []
-        for i in range(nrows):
-            r = 0
-            for j, c in enumerate(columns):
-                if (c >> i) & 1:
-                    r |= 1 << j
-            rows.append(r)
-        return cls(rows, len(columns))
+        return cls(_transpose(columns, nrows), len(columns))
 
     # -- basic access --------------------------------------------------
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def row(self, i: int) -> int:
-        return self.rows[i]
-
-    def column(self, j: int) -> int:
-        c = 0
-        for i, r in enumerate(self.rows):
-            if (r >> j) & 1:
-                c |= 1 << i
-        return c
-
     def columns(self) -> List[int]:
-        return [self.column(j) for j in range(self.ncols)]
+        """Column j as a bit vector (bit i = row i), for every j."""
+        return _transpose(self.rows, self.ncols)
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
@@ -102,7 +93,7 @@ class BitMatrix:
         return hash((self.rows, self.ncols))
 
     def __repr__(self) -> str:
-        body = ";".join("".join(str(b) for b in vector_to_bits(r, self.ncols)) for r in self.rows)
+        body = ";".join("".join(str((r >> j) & 1) for j in range(self.ncols)) for r in self.rows)
         return f"BitMatrix({self.nrows}x{self.ncols}:{body})"
 
     # -- algebra -------------------------------------------------------
@@ -253,9 +244,3 @@ def complement_coords(vectors: Sequence[int], ncols: int) -> Tuple[int, ...]:
     pivot_set = set(pivots)
     return tuple(j for j in range(ncols) if j not in pivot_set)
 
-
-def solve_linear_system(rows: Sequence[int], rhs: Sequence[int], nvars: int) -> Optional[int]:
-    """Solve a stacked GF(2) system (one row per equation) for an assignment."""
-    mat = BitMatrix(rows, nvars)
-    b = vector_from_bits(rhs)
-    return mat.solve(b)

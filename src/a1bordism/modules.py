@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .gf2 import (BitMatrix, ColumnSolver, complement_coords, in_span,
-                  solve_linear_system, span_rref)
+from .gf2 import BitMatrix, ColumnSolver, complement_coords, in_span, span_rref
 from . import steenrod
 from .steenrod import A1Element, DEGREES, WORDS, reduce_word
 
@@ -244,59 +243,51 @@ class GradedA1Module:
             hi, complete = min(bounds), False
         else:
             hi, complete = self.hi + other.hi, True
-        index: Dict[int, Dict[Tuple[int, int, int], int]] = {}
+        # degree d's basis is the blocks x_i(x)y_j, i outer, one block per
+        # left degree d1 (ascending) at offsets[d][d1]
+        offsets: Dict[int, Dict[int, int]] = {}
         dims: Dict[int, int] = {}
         labels: Dict[int, Tuple[str, ...]] = {}
         for d in range(min(self.lo + other.lo, hi), hi + 1):
-            entries = []
+            blocks: Dict[int, int] = {}
+            labs: List[str] = []
             for d1 in self.degrees():
-                d2 = d - d1
-                if other.dim(d2) == 0:
+                if other.dim(d - d1) == 0:
                     continue
-                for i in range(self.dim(d1)):
-                    for j in range(other.dim(d2)):
-                        entries.append((d1, i, j))
-            if entries:
-                index[d] = {e: k for k, e in enumerate(entries)}
-                dims[d] = len(entries)
-                labels[d] = tuple(
-                    f"{self.label(d1, i)}(x){other.label(d - d1, j)}" for d1, i, j in entries
-                )
+                blocks[d1] = len(labs)
+                labs += [f"{x}(x){y}" for x in self.labels[d1] for y in other.labels[d - d1]]
+            if labs:
+                offsets[d] = blocks
+                dims[d] = len(labs)
+                labels[d] = tuple(labs)
+
+        def images(m: "GradedA1Module", k: int, d: int) -> List[int]:
+            if k == 0:
+                return [1 << i for i in range(m.dim(d))]
+            return (m.sq1_map(d) if k == 1 else m.sq2_map(d)).columns()
 
         def build(op_pairs: Sequence[Tuple[int, int]], d: int) -> BitMatrix:
             # op_pairs lists (k1, k2) with Sq^{k1} on the left factor, Sq^{k2} on the right
             shift = sum(op_pairs[0])
-            tgt = index.get(d + shift, {})
-            rows = [0] * len(tgt)
-            cols = index.get(d, {})
-            col_list = sorted(cols.items(), key=lambda kv: kv[1])
-            mats = {}
-            for (d1, i, j), c in col_list:
+            tgt = offsets[d + shift]
+            cols = []
+            for d1 in offsets[d]:
                 d2 = d - d1
-                for k1, k2 in op_pairs:
-                    key1 = ("L", k1, d1)
-                    if key1 not in mats:
-                        mats[key1] = self.sq1_map(d1) if k1 == 1 else (
-                            self.sq2_map(d1) if k1 == 2 else BitMatrix.identity(self.dim(d1)))
-                    key2 = ("R", k2, d2)
-                    if key2 not in mats:
-                        mats[key2] = other.sq1_map(d2) if k2 == 1 else (
-                            other.sq2_map(d2) if k2 == 2 else BitMatrix.identity(other.dim(d2)))
-                    m1, m2 = mats[key1], mats[key2]
-                    for a in range(m1.nrows):
-                        if k1 and not m1.entry(a, i):
-                            continue
-                        if not k1 and a != i:
-                            continue
-                        for b in range(m2.nrows):
-                            if k2 and not m2.entry(b, j):
-                                continue
-                            if not k2 and b != j:
-                                continue
-                            t = tgt.get((d1 + k1, a, b))
-                            if t is not None:
-                                rows[t] ^= 1 << c
-            return BitMatrix(rows, len(cols))
+                terms = [(images(self, k1, d1), images(other, k2, d2), tgt[d1 + k1],
+                          other.dim(d2 + k2))
+                         for k1, k2 in op_pairs if d1 + k1 in tgt]
+                for i in range(self.dim(d1)):
+                    for j in range(other.dim(d2)):
+                        # Kronecker product of the left and right images
+                        c = 0
+                        for left, right, off, width in terms:
+                            u, w = left[i], right[j]
+                            while u and w:
+                                low = u & -u
+                                c ^= w << (off + (low.bit_length() - 1) * width)
+                                u ^= low
+                        cols.append(c)
+            return BitMatrix.from_columns(cols, dims[d + shift])
 
         sq1 = {}
         sq2 = {}
@@ -327,8 +318,9 @@ class GradedA1Module:
     def submodule(self, vectors: Dict[int, Sequence[int]], name: str = "") -> Tuple["GradedA1Module", Dict[int, BitMatrix]]:
         """Module structure on the span of the given degreewise vectors.
 
-        Raises ModuleError if the span is not closed under the action.
-        Returns the module plus the degreewise inclusion matrices.
+        Raises ModuleError if a vector has a bit beyond its degree's
+        dimension or the span is not closed under the action.  Returns
+        the module plus the degreewise inclusion matrices.
 
         A degree whose vectors are exactly the standard basis of ``M_d``
         (``vecs[j] == 1 << j`` for every ``j < dim(d)``) is left as it is:
@@ -338,6 +330,9 @@ class GradedA1Module:
         ``split_free`` changes ``g … g+6``) pays only for those.
         """
         basis = {d: list(v) for d, v in vectors.items() if v}
+        for d, vecs in basis.items():
+            if any(v >> self.dim(d) for v in vecs):  # also catches v < 0
+                raise ModuleError(f"vector outside degree {d} (dimension {self.dim(d)})")
         whole = {d for d, vecs in basis.items()
                  if len(vecs) == self.dim(d) and all(v == 1 << j for j, v in enumerate(vecs))}
         incl: Dict[int, BitMatrix] = {}
@@ -395,15 +390,7 @@ class GradedA1Module:
 
     def decomposables(self, d: int) -> Tuple[int, ...]:
         """Canonical basis of the degree-d part of the augmentation-ideal image."""
-        vecs: List[int] = []
-        if self.dim(d) == 0:
-            return ()
-        m1 = self.sq1_map(d - 1)
-        for j in range(m1.ncols):
-            vecs.append(m1.column(j))
-        m2 = self.sq2_map(d - 2)
-        for j in range(m2.ncols):
-            vecs.append(m2.column(j))
+        vecs = self.sq1_map(d - 1).columns() + self.sq2_map(d - 2).columns()
         return span_rref(vecs, self.dim(d))[0]
 
     def generator_coords(self, d: int) -> Tuple[int, ...]:
@@ -484,59 +471,48 @@ def _solve_module_map(
     outside the list are treated as zero maps.
     """
     degrees = sorted(degrees)
-    var_of: Dict[Tuple[int, int, int], int] = {}
+    # entry (a, b) of phi_d is variable base[d] + a * src.dim(d) + b
+    base: Dict[int, int] = {}
+    nvars = 0
     for d in degrees:
-        for a in range(tgt.dim(d)):
-            for b in range(src.dim(d)):
-                var_of[(d, a, b)] = len(var_of)
-    nvars = len(var_of)
+        base[d] = nvars
+        nvars += tgt.dim(d) * src.dim(d)
     rows: List[int] = []
-    rhs: List[int] = []
-
-    def phi_entry_mask(d: int, a: int, b: int) -> int:
-        v = var_of.get((d, a, b))
-        return 0 if v is None else (1 << v)
-
+    rhs = 0
     for shift in (1, 2):
         for d in degrees:
             if not (src.known_through(d + shift) and tgt.known_through(d + shift)):
                 continue
-            sm = src.sq2_map(d) if shift == 2 else src.sq1_map(d)
-            tm = tgt.sq2_map(d) if shift == 2 else tgt.sq1_map(d)
-            # equation: phi_{d+shift} ∘ sm  ==  tm ∘ phi_d   entrywise (a, b)
-            for a in range(tgt.dim(d + shift)):
-                for b in range(src.dim(d)):
-                    mask = 0
-                    for k in range(src.dim(d + shift)):
-                        if sm.entry(k, b):
-                            mask ^= phi_entry_mask(d + shift, a, k)
-                    for k in range(tgt.dim(d)):
-                        if tm.entry(a, k):
-                            mask ^= phi_entry_mask(d, k, b)
+            sm = (src.sq2_map(d) if shift == 2 else src.sq1_map(d)).columns()
+            tm = (tgt.sq2_map(d) if shift == 2 else tgt.sq1_map(d)).rows
+            n, up = src.dim(d), base.get(d + shift)
+            # equation: phi_{d+shift} ∘ sm  ==  tm ∘ phi_d   entrywise (a, b),
+            # i.e. row a of phi_{d+shift} against column b of sm plus
+            # column b of phi_d against row a of tm
+            for a, trow in enumerate(tm):
+                spread = 0
+                while trow:
+                    low = trow & -trow
+                    spread |= 1 << ((low.bit_length() - 1) * n)
+                    trow ^= low
+                for b, scol in enumerate(sm):
+                    mask = spread << (base[d] + b)
+                    if up is not None:
+                        mask ^= scol << (up + a * src.dim(d + shift))
                     if mask:
                         rows.append(mask)
-                        rhs.append(0)
     for d, v, w in points:
         for a in range(tgt.dim(d)):
-            mask = 0
-            for b in range(src.dim(d)):
-                if (v >> b) & 1:
-                    mask ^= phi_entry_mask(d, a, b)
-            rows.append(mask)
-            rhs.append((w >> a) & 1)
-    sol = solve_linear_system(rows, rhs, nvars)
+            rhs |= ((w >> a) & 1) << len(rows)
+            rows.append(v << (base[d] + a * src.dim(d)) if d in base else 0)
+    sol = BitMatrix(rows, nvars).solve(rhs)
     if sol is None:
         return None
     out: Dict[int, BitMatrix] = {}
     for d in degrees:
-        mat_rows = []
-        for a in range(tgt.dim(d)):
-            r = 0
-            for b in range(src.dim(d)):
-                if (sol >> var_of[(d, a, b)]) & 1:
-                    r |= 1 << b
-            mat_rows.append(r)
-        out[d] = BitMatrix(mat_rows, src.dim(d))
+        n = src.dim(d)
+        out[d] = BitMatrix([(sol >> (base[d] + a * n)) & ((1 << n) - 1)
+                            for a in range(tgt.dim(d))], n)
     return out
 
 
@@ -607,12 +583,11 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
         for g in range(start, gen_top + 1):
             if current.dim(g) == 0:
                 continue
-            topm = current.act_word(top_word, g)
-            for i in range(current.dim(g)):
-                if topm.column(i):
-                    found = (g, i)
-                    break
-            if found:
+            hit = 0
+            for r in current.act_word(top_word, g).rows:
+                hit |= r
+            if hit:
+                found = (g, (hit & -hit).bit_length() - 1)
                 break
         if found is None:
             break
@@ -637,29 +612,22 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
                 rows = []
                 for widx in steenrod.words_of_degree(g + 6 - d):
                     act = current.act_word(WORDS[widx], d)
-                    rows.append(act.row(kcoord))
+                    rows.append(act.rows[kcoord])
                 kers = list(BitMatrix(rows, current.dim(d)).kernel_basis())
                 if len(kers) + len(fvecs.get(d, [])) != current.dim(d):
                     raise InvariantError("free splitting functional is degenerate")
             else:
                 kers = [1 << j for j in range(current.dim(d))]
             kernels[d] = kers
-        remainder, sub_incl = current.submodule(kernels, name=current.name)
+        remainder, _ = current.submodule(kernels, name=current.name)
         # update the global witness: free columns (in M coordinates) first
         for d, vecs in fvecs.items():
-            old = incl[d]
-            free_cols.setdefault(d, [])
-            free_cols[d].extend(old.matvec(vec) for vec in vecs)
+            free_cols[d].extend(incl[d].matvec(vec) for vec in vecs)
+        # the remainder's inclusion has the columns kernels[d]
         for d in range(g, g + 7):
-            if d not in incl:
-                continue
-            old = incl[d]
-            if remainder.dim(d) == 0:
-                incl[d] = BitMatrix.zeros(M.dim(d), 0)
-                continue
-            emb = sub_incl[d]
-            cols = [old.matvec(emb.column(j)) for j in range(remainder.dim(d))]
-            incl[d] = BitMatrix.from_columns(cols, M.dim(d))
+            if d in incl:
+                cols = [incl[d].matvec(v) for v in kernels.get(d, [])]
+                incl[d] = BitMatrix.from_columns(cols, M.dim(d))
         frees.append((g, label))
         current = remainder
         start = g
@@ -668,12 +636,8 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
         valid_through = min(valid_through, max_gen_degree)
     witness: Dict[int, BitMatrix] = {}
     for d in M.degrees():
-        cols = list(free_cols.get(d, []))
-        rem = incl.get(d)
-        if rem is not None:
-            cols.extend(rem.column(j) for j in range(rem.ncols))
-        witness[d] = BitMatrix.from_columns(cols, M.dim(d))
-        if len(span_rref([witness[d].column(j) for j in range(witness[d].ncols)], M.dim(d))[0]) != M.dim(d):
+        witness[d] = BitMatrix.from_columns(free_cols[d] + incl[d].columns(), M.dim(d))
+        if witness[d].rank() != M.dim(d):
             raise InvariantError(f"free splitting witness is not an isomorphism at degree {d}")
     return ModuleDecomposition(frees, [], current, witness, valid_through, source=M)
 
@@ -951,8 +915,7 @@ def format_a1mod(m: GradedA1Module) -> str:
             if not (m.complete or d + shift <= m.hi):
                 continue
             mat = getter(d)
-            for j in range(mat.ncols):
-                col = mat.column(j)
+            for j, col in enumerate(mat.columns()):
                 if col == 0:
                     continue
                 targets = [m.labels[d + shift][i] for i in range(mat.nrows) if (col >> i) & 1]

@@ -79,6 +79,14 @@ def pullback_along_thom_class(n: int) -> PullbackMap:
 # -- one-form symmetry ---------------------------------------------------------
 
 
+def _mod_sq1_image(model: SpacePresentation, d: int,
+                   vectors: List[int]) -> Tuple[int, Tuple[bool, ...]]:
+    """dim Im(Sq1: H^{d-1} -> H^d), and whether each degree-d vector lies in it."""
+    n = len(model.basis(d))
+    image, _ = span_rref(model.sq_matrix(1, d - 1).columns(), n)
+    return len(image), tuple(in_span(v, image, n) for v in vectors)
+
+
 @dataclass
 class OneFormObstruction:
     expression: str                  # the conventional representative, mod Im Sq1
@@ -101,16 +109,10 @@ def primary_obstruction_oneform() -> OneFormObstruction:
     is surfaced, not patched.
     """
     K = sp.space("KZ2_2", 6)
-    sq1_5 = K.sq_matrix(1, 5)
-    kernel = sq1_5.kernel_basis()
-    im_sq1 = [K.sq_matrix(1, 4).column(j) for j in range(len(K.basis(4)))]
-    im_basis, _ = span_rref(im_sq1, len(K.basis(5)))
+    kernel = K.sq_matrix(1, 5).kernel_basis()
     rep_mono = K.gen_mono("S21B")
     rep_vec = K.poly_vector(frozenset([rep_mono]), 5)
-    matches = any(
-        (rep_vec ^ v) == 0 or in_span(rep_vec ^ v, list(im_basis), len(K.basis(5)))
-        for v in kernel
-    )
+    im_dim, in_image = _mod_sq1_image(K, 5, [rep_vec ^ v for v in kernel])
     note = (
         "conventional representative Sq2Sq1B; the Sq1-closed line in H^5 is spanned by "
         "Sq2Sq1B + B*Sq1B (they differ by the decomposable B*Sq1B); "
@@ -121,9 +123,9 @@ def primary_obstruction_oneform() -> OneFormObstruction:
         class_vector=rep_vec,
         degree=5,
         kernel_vectors=kernel,
-        sq1_image_dim=len(im_basis),
-        quotient_dim=len(K.basis(5)) - len(im_basis),
-        kernel_matches_representative=matches,
+        sq1_image_dim=im_dim,
+        quotient_dim=len(K.basis(5)) - im_dim,
+        kernel_matches_representative=any(in_image),
         note=note,
     )
 
@@ -177,13 +179,10 @@ def evaluate_obstruction_on(space_name: str, word: str = "21",
         deg += k
     if deg > wu.cutoff:
         raise ObstructionError(f"degree {deg} exceeds the Wu-manifold window")
-    vec = wu.poly_vector(p, deg)
-    im = [wu.sq_matrix(1, deg - 1).column(j) for j in range(len(wu.basis(deg - 1)))]
-    im_basis, _ = span_rref(im, len(wu.basis(deg)))
-    nonzero = vec != 0 and not in_span(vec, list(im_basis), len(wu.basis(deg)))
+    im_dim, (in_image,) = _mod_sq1_image(wu, deg, [wu.poly_vector(p, deg)])
     return EvaluationVerdict(
-        space_name, expr, wu.format_poly(p), nonzero,
-        f"value {wu.format_poly(p)} in H^{deg}; Im(Sq1) there has dimension {len(im_basis)}")
+        space_name, expr, wu.format_poly(p), not in_image,
+        f"value {wu.format_poly(p)} in H^{deg}; Im(Sq1) there has dimension {im_dim}")
 
 
 # -- two-form symmetry -----------------------------------------------------------

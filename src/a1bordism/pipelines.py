@@ -189,6 +189,14 @@ def decompose_structure(name: str, n: int) -> ModuleDecomposition:
             piece_cache[key] = m.suspend(susp).quotient_above(n)
         return piece_cache[key]
 
+    margolis_cache: Dict[Tuple[str, int, int], Dict[int, int]] = {}
+
+    def piece_margolis(pname: str, susp: int, i: int) -> Dict[int, int]:
+        key = (pname, susp, i)
+        if key not in margolis_cache:
+            margolis_cache[key] = piece(pname, susp).margolis_homology(i)[0]
+        return margolis_cache[key]
+
     candidates: List[List[Tuple[str, int]]] = []
     budget_spent = False
 
@@ -239,7 +247,7 @@ def decompose_structure(name: str, n: int) -> ModuleDecomposition:
         for i, want in enumerate(target):
             got: Dict[int, int] = {}
             for pname, susp in cand:
-                for d, h in piece(pname, susp).margolis_homology(i)[0].items():
+                for d, h in piece_margolis(pname, susp, i).items():
                     got[d] = got.get(d, 0) + h
             if got != want:
                 return False

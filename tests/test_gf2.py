@@ -148,3 +148,28 @@ def test_immutability_and_bounds():
         BitMatrix([0b100], 2)  # bit outside [0, ncols)
     with pytest.raises(ValueError):
         m.solve(0b100)  # rhs bit beyond nrows
+
+
+def test_columns_and_from_columns_match_per_bit_reference():
+    rng = random.Random(17)
+    shapes = [(0, 0), (0, 5), (5, 0)] + [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(100)]
+    for r, c in shapes:
+        m = BitMatrix([rng.getrandbits(c) for _ in range(r)], c)
+        ref_cols = [sum(((row >> j) & 1) << i for i, row in enumerate(m.rows)) for j in range(c)]
+        assert m.columns() == ref_cols
+        cols = [rng.getrandbits(r) for _ in range(c)]
+        ref_rows = tuple(sum(((col >> i) & 1) << j for j, col in enumerate(cols)) for i in range(r))
+        built = BitMatrix.from_columns(cols, r)
+        assert (built.nrows, built.ncols, built.rows) == (r, c, ref_rows)
+
+
+def test_from_columns_rejects_bits_beyond_nrows():
+    with pytest.raises(ValueError):
+        BitMatrix.from_columns([0b100], 2)
+
+
+def test_bitmatrix_keeps_the_kernels_the_benchmark_counts():
+    # perfbench's counting pass wraps exactly these entries of BitMatrix.__dict__
+    for name in ("matvec", "matmul", "kernel_basis", "rref", "from_columns"):
+        assert name in BitMatrix.__dict__, name
+    assert isinstance(BitMatrix.__dict__["from_columns"], classmethod)

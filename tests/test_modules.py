@@ -152,6 +152,43 @@ def test_tensor_truncation_bound():
     assert not t.complete and t.hi == 9  # J complete, P truncated at 9
 
 
+def _cartan_reference(a, b, k, d):
+    """Rows of Sq^k on degree d of a ⊗ b, entry by entry from the Cartan formula."""
+    def basis(deg):
+        return [(d1, i, j) for d1 in a.degrees()
+                for i in range(a.dim(d1)) for j in range(b.dim(deg - d1))]
+
+    def act(m, kk, deg, i):
+        if kk == 0:
+            return 1 << i
+        mat = m.sq1_map(deg) if kk == 1 else m.sq2_map(deg)
+        return sum(((row >> i) & 1) << r for r, row in enumerate(mat.rows))
+
+    src, tgt = basis(d), basis(d + k)
+    rows = [0] * len(tgt)
+    for c, (d1, i, j) in enumerate(src):
+        for k1 in range(k + 1):
+            u, w = act(a, k1, d1, i), act(b, k - k1, d - d1, j)
+            for r, (e1, x, y) in enumerate(tgt):
+                if e1 == d1 + k1 and (u >> x) & 1 and (w >> y) & 1:
+                    rows[r] ^= 1 << c
+    return tuple(rows)
+
+
+def test_tensor_matches_entrywise_cartan_reference():
+    for a, b in ((catalog("J"), md.pin_minus_cell(9)),
+                 (catalog("M1"), catalog("Q").suspend(2))):
+        t = a.tensor(b)
+        nonzero = 0
+        for d in t.degrees():
+            for k, getter in ((1, t.sq1_map), (2, t.sq2_map)):
+                if t.known_through(d + k):
+                    ref = _cartan_reference(a, b, k, d)
+                    assert getter(d).rows == ref, (a.name, b.name, d, k)
+                    nonzero += any(ref)
+        assert nonzero > 5
+
+
 # -- margolis homology ---------------------------------------------------------
 
 
@@ -242,6 +279,17 @@ def test_margolis_cache_returns_fresh_dicts():
     h1, _ = J.margolis_homology(1)
     h1[7] = 5
     assert J.margolis_homology(1)[0] == {2: 1}
+
+
+# -- submodule -------------------------------------------------------------------
+
+
+def test_submodule_rejects_vectors_outside_their_degree():
+    J = catalog("J")  # one class in each degree 0..4
+    with pytest.raises(ModuleError, match="degree 0"):
+        J.submodule({0: [0b11]})
+    with pytest.raises(ModuleError, match="degree 2"):
+        J.submodule({2: [1 << 3]})
 
 
 # -- split_free ------------------------------------------------------------------
