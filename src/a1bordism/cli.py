@@ -60,6 +60,9 @@ def cmd_module(args) -> Tuple[str, int]:
 
 
 def cmd_ext(args) -> Tuple[str, int]:
+    for flag, value in (("--max-n", args.max_n), ("--max-s", args.max_s)):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     max_t = args.max_n + args.max_s
     m = _structure_module(args.name, max_t + 6)
     res = ext_mod.minimal_resolution(m, max_s=args.max_s,

@@ -11,7 +11,8 @@ cannot justify is reported uncertified, never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gf2 import BitMatrix, ColumnSolver
 from . import steenrod
@@ -184,12 +185,34 @@ def verify_resolution(res: Resolution) -> None:
 # -- charts -------------------------------------------------------------------
 
 
-@dataclass
 class ExtChart:
-    max_s: int
-    max_t: int
-    dims: Dict[Tuple[int, int], int]
-    h0: Dict[Tuple[int, int], BitMatrix]
+    """The E2 page in the window s <= max_s, t <= max_t, with its h0 maps.
+
+    ``dims[(s, n)]`` is the dimension at filtration s and stem n = t - s;
+    ``h0[(s, n)]`` is multiplication by h0 from (s, n) to (s + 1, n),
+    absent where it is zero.
+
+    Immutable: every field is set here, ``dims`` and ``h0`` are read-only
+    mappings, and assigning an attribute raises AttributeError.  So the
+    h0 powers can be cached on the instance: ``h0_power(s, n, k)`` is
+    built once, as ``h0_map(s + k - 1, n) @ h0_power(s, n, k - 1)``, and
+    the same matrix (with the row reduction it has cached) comes back on
+    every later call.
+    """
+
+    __slots__ = ("max_s", "max_t", "dims", "h0", "_zeros", "_powers")
+
+    def __init__(self, max_s: int, max_t: int, dims: Mapping[Tuple[int, int], int],
+                 h0: Mapping[Tuple[int, int], BitMatrix]):
+        object.__setattr__(self, "max_s", max_s)
+        object.__setattr__(self, "max_t", max_t)
+        object.__setattr__(self, "dims", MappingProxyType(dict(dims)))
+        object.__setattr__(self, "h0", MappingProxyType(dict(h0)))
+        object.__setattr__(self, "_zeros", {})
+        object.__setattr__(self, "_powers", {})
+
+    def __setattr__(self, *a):
+        raise AttributeError("ExtChart is immutable")
 
     def dim(self, s: int, n: int) -> int:
         return self.dims.get((s, n), 0)
@@ -200,13 +223,22 @@ class ExtChart:
     def h0_map(self, s: int, n: int) -> BitMatrix:
         m = self.h0.get((s, n))
         if m is None:
-            return BitMatrix.zeros(self.dim(s + 1, n), self.dim(s, n))
+            shape = (self.dim(s + 1, n), self.dim(s, n))
+            m = self._zeros.get(shape)
+            if m is None:
+                m = self._zeros[shape] = BitMatrix.zeros(*shape)
         return m
 
     def h0_power(self, s: int, n: int, k: int) -> BitMatrix:
-        out = BitMatrix.identity(self.dim(s, n))
-        for j in range(k):
-            out = self.h0_map(s + j, n) @ out
+        """h0^k from (s, n) to (s + k, n); the identity for k <= 0."""
+        key = (s, n, k)
+        out = self._powers.get(key)
+        if out is None:
+            if k <= 0:
+                out = BitMatrix.identity(self.dim(s, n))
+            else:
+                out = self.h0_map(s + k - 1, n) @ self.h0_power(s, n, k - 1)
+            self._powers[key] = out
         return out
 
     def columns(self) -> List[int]:
@@ -278,11 +310,15 @@ def collapse_certificate(chart: ExtChart, report_max_s: int) -> Certificate:
     def col_top(n: int) -> int:
         return min(chart.max_s, chart.max_t - n)
 
+    nilpotence_cache: Dict[Tuple[int, int], Optional[int]] = {}
+
     def nilpotence(s: int, n: int) -> Optional[int]:
-        for k in range(1, col_top(n) - s + 1):
-            if chart.h0_power(s, n, k).is_zero():
-                return k
-        return None
+        # the same for every r, so found once, at the source's first reliable target
+        if (s, n) not in nilpotence_cache:
+            nilpotence_cache[(s, n)] = next(
+                (k for k in range(1, col_top(n) - s + 1) if chart.h0_power(s, n, k).is_zero()),
+                None)
+        return nilpotence_cache[(s, n)]
 
     def pair_excluded(n_src: int) -> Tuple[bool, List[str]]:
         """No differentials (any page) from column n_src to n_src - 1, in-window."""

@@ -9,6 +9,14 @@ lowest-row-index.
 The row/column layout is converted only here, by ``from_columns`` and
 ``columns``; callers that think in images of basis vectors use those two
 and never walk a matrix bit by bit.
+
+``BitMatrix(rows, ncols)`` checks every row against the column count.
+Results that are in range by construction skip that check through the
+private ``BitMatrix._trusted``: ``matmul`` and ``add`` (XORs of in-range
+rows), ``rref`` (row operations on in-range rows), ``zeros``,
+``identity``, ``from_columns`` (whose transpose raises on a bit at or
+beyond ``nrows``) and the augmented matrix in ``solve`` (whose extra
+column is the one bit it adds).  Nothing outside this module calls it.
 """
 
 from __future__ import annotations
@@ -38,6 +46,13 @@ def _transpose(vectors: Sequence[int], n: int) -> List[int]:
     return out
 
 
+def _fill(m: "BitMatrix", rows: Tuple[int, ...], ncols: int) -> None:
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "nrows", len(rows))
+    object.__setattr__(m, "ncols", ncols)
+    object.__setattr__(m, "_rref", None)
+
+
 class BitMatrix:
     """Immutable GF(2) matrix with bit-packed rows."""
 
@@ -51,10 +66,7 @@ class BitMatrix:
         for r in rows:
             if r & ~mask:
                 raise ValueError("row has bits outside [0, ncols)")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "_rref", None)
+        _fill(self, rows, ncols)
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("BitMatrix is immutable")
@@ -62,16 +74,27 @@ class BitMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _trusted(cls, rows: Tuple[int, ...], ncols: int) -> "BitMatrix":
+        """A matrix on a tuple of rows known to lie in [0, 2**ncols); no check."""
+        m = object.__new__(cls)
+        _fill(m, rows, ncols)
+        return m
+
+    @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls([0] * nrows, ncols)
+        if ncols < 0:
+            raise ValueError("ncols must be nonnegative")
+        return cls._trusted((0,) * nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls([1 << i for i in range(n)], n)
+        if n < 0:
+            raise ValueError("ncols must be nonnegative")
+        return cls._trusted(tuple(1 << i for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[int], nrows: int) -> "BitMatrix":
-        return cls(_transpose(columns, nrows), len(columns))
+        return cls._trusted(tuple(_transpose(columns, nrows)), len(columns))
 
     # -- basic access --------------------------------------------------
 
@@ -118,7 +141,7 @@ class BitMatrix:
                 acc ^= other.rows[k]
                 rr &= rr - 1
             rows.append(acc)
-        return BitMatrix(rows, other.ncols)
+        return BitMatrix._trusted(tuple(rows), other.ncols)
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         return self.matmul(other)
@@ -126,7 +149,7 @@ class BitMatrix:
     def add(self, other: "BitMatrix") -> "BitMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in add")
-        return BitMatrix([a ^ b for a, b in zip(self.rows, other.rows)], self.ncols)
+        return BitMatrix._trusted(tuple(a ^ b for a, b in zip(self.rows, other.rows)), self.ncols)
 
     # -- elimination ----------------------------------------------------
 
@@ -154,7 +177,7 @@ class BitMatrix:
             r += 1
             if r == len(work):
                 break
-        result = (BitMatrix(work, self.ncols), tuple(pivots))
+        result = (BitMatrix._trusted(tuple(work), self.ncols), tuple(pivots))
         object.__setattr__(self, "_rref", result)
         return result
 
@@ -179,8 +202,8 @@ class BitMatrix:
         """Some x with M·x = b, or None when inconsistent (free vars set to 0)."""
         if b >> self.nrows:
             raise ValueError("rhs has bits beyond nrows")
-        aug = BitMatrix(
-            [r | (((b >> i) & 1) << self.ncols) for i, r in enumerate(self.rows)],
+        aug = BitMatrix._trusted(
+            tuple(r | (((b >> i) & 1) << self.ncols) for i, r in enumerate(self.rows)),
             self.ncols + 1,
         )
         red, pivots = aug.rref()

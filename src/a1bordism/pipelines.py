@@ -106,8 +106,15 @@ def _assemble_piece(piece: GradedA1Module, through: int, max_s: int,
     return out
 
 
+def _require_nonnegative(**window: int) -> None:
+    for arg, value in window.items():
+        if value < 0:
+            raise PipelineError(f"{arg} must be nonnegative, got {value}")
+
+
 def run_pipeline(name: str, through_degree: int, max_s: int = DEFAULT_MAX_S) -> PipelineReport:
     """2-complete bordism groups of a named structure through the given degree."""
+    _require_nonnegative(through_degree=through_degree, max_s=max_s)
     if through_degree > CONNECTIVITY_BOUND:
         raise PipelineError(
             f"through_degree {through_degree} exceeds the connectivity bound "
@@ -170,6 +177,7 @@ def decompose_structure(name: str, n: int) -> ModuleDecomposition:
     the cover search stops at COVER_BUDGET or an isomorphism search is
     undecided, the note says "undecided" with the reason, not "no match".
     """
+    _require_nonnegative(through_degree=n)
     cutoff = n + 6
     module = sp.named_structure(name, cutoff)
     dec = split_free(module, max_gen_degree=n)
@@ -197,6 +205,13 @@ def decompose_structure(name: str, n: int) -> ModuleDecomposition:
             margolis_cache[key] = piece(pname, susp).margolis_homology(i)[0]
         return margolis_cache[key]
 
+    # Margolis homology adds up over direct sums, and a cover already
+    # matches graded dimensions, so a candidate whose summed Q0/Q1
+    # homology differs from the remainder's is one iso_up_to_degree
+    # would reject at its own Margolis check: it is counted against the
+    # budget but never built.  The sums are carried down the search.
+    target = tuple(remainder.margolis_homology(i)[0] for i in (0, 1))
+    tried = 0
     candidates: List[List[Tuple[str, int]]] = []
     budget_spent = False
 
@@ -215,13 +230,25 @@ def decompose_structure(name: str, n: int) -> ModuleDecomposition:
             order_cache[d0] = [name for _, _, name in sorted(scored)]
         return order_cache[d0]
 
-    def cover(remaining: Dict[int, int], acc: List[Tuple[str, int]]):
-        nonlocal budget_spent
-        if len(candidates) >= COVER_BUDGET:
+    def add_margolis(sums: Tuple[Dict[int, int], ...], pname: str, susp: int):
+        out = []
+        for i, got in enumerate(sums):
+            got = dict(got)
+            for d, h in piece_margolis(pname, susp, i).items():
+                got[d] = got.get(d, 0) + h
+            out.append(got)
+        return tuple(out)
+
+    def cover(remaining: Dict[int, int], acc: List[Tuple[str, int]],
+              sums: Tuple[Dict[int, int], ...]):
+        nonlocal budget_spent, tried
+        if tried >= COVER_BUDGET:
             budget_spent = True
             return
         if all(v == 0 for v in remaining.values()):
-            candidates.append(list(acc))
+            tried += 1
+            if sums == target:
+                candidates.append(list(acc))
             return
         d0 = min(d for d, v in remaining.items() if v > 0)
         for pname in ordered_pieces(d0):
@@ -234,29 +261,12 @@ def decompose_structure(name: str, n: int) -> ModuleDecomposition:
             nxt = dict(remaining)
             for d, v in pdims.items():
                 nxt[d] = nxt.get(d, 0) - v
-            cover(nxt, acc + [(pname, d0)])
+            cover(nxt, acc + [(pname, d0)], add_margolis(sums, pname, d0))
 
-    cover(dims, [])
-    # Margolis homology adds up over direct sums, and the cover already
-    # matches graded dimensions, so a candidate whose summed Q0/Q1
-    # homology differs from the remainder's is one iso_up_to_degree
-    # would reject at its own Margolis check: skip it unbuilt.
-    target = [remainder.margolis_homology(i)[0] for i in (0, 1)]
-
-    def margolis_matches(cand: List[Tuple[str, int]]) -> bool:
-        for i, want in enumerate(target):
-            got: Dict[int, int] = {}
-            for pname, susp in cand:
-                for d, h in piece_margolis(pname, susp, i).items():
-                    got[d] = got.get(d, 0) + h
-            if got != want:
-                return False
-        return True
+    cover(dims, [], ({}, {}))
 
     iso_undecided = []
     for cand in candidates:
-        if not margolis_matches(cand):
-            continue
         total: Optional[GradedA1Module] = None
         for pname, susp in cand:
             pm = piece(pname, susp)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import shlex
 from pathlib import Path
 
+import pytest
+
 from a1bordism import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -181,3 +183,16 @@ def test_failed_internal_invariant_is_undecided_not_usage(monkeypatch):
     assert code == 2
     assert text.startswith("error: undecided: internal invariant failed: "
                            "top class nonzero but cyclic module not free")
+
+
+@pytest.mark.parametrize("argv, arg, value", [
+    (["bordism", "SpinO2", "--through", "-1"], "through_degree", "-1"),
+    (["bordism", "SpinO2", "--max-s", "-1"], "max_s", "-1"),
+    (["ext", "SpinO2", "--max-s", "-1"], "--max-s", "-1"),
+    (["ext", "SpinO2", "--max-n", "-2"], "--max-n", "-2"),
+    (["decompose", "SpinO2", "--through", "-1"], "through_degree", "-1"),
+])
+def test_negative_window_argument_is_a_usage_error(argv, arg, value):
+    text, code = run(argv)
+    assert code == 1
+    assert text == f"error: {arg} must be nonnegative, got {value}\n"

@@ -198,3 +198,54 @@ def test_jobs_do_not_change_resolution():
         assert r1.gens(s) == r2.gens(s)
     c1, c2 = ext_chart(r1), ext_chart(r2)
     assert c1.dims == c2.dims and c1.h0 == c2.h0
+
+
+def pipeline_charts(name, through=7):
+    # the charts run_pipeline reads at this window, one per wedge piece
+    from a1bordism import pipelines as pl
+
+    s_resolve, max_t, cutoff = pl.window_parameters(through, pl.DEFAULT_MAX_S)
+    for piece in sp.structure_pieces(name, cutoff):
+        rem = md.split_free(piece, max_gen_degree=through + 1).remainder
+        if rem.total_dim():
+            yield ext_chart(minimal_resolution(rem, max_s=s_resolve,
+                                               max_t=min(max_t, rem.hi)))
+
+
+@pytest.mark.parametrize("name", ["SpinO2", "PinPlus"])
+def test_cached_h0_powers_equal_products_from_the_identity(name):
+    from a1bordism.gf2 import BitMatrix
+
+    for chart in pipeline_charts(name):
+        for (s, n), d in sorted(chart.dims.items()):
+            top = min(chart.max_s, chart.max_t - n)
+            # the highest power first, so the lower ones come from the cache
+            ks = range(max(top - s, 0) + 1)
+            got = {k: chart.h0_power(s, n, k) for k in reversed(ks)}
+            ref = BitMatrix.identity(d)
+            for k in ks:
+                assert got[k] == ref, (name, s, n, k)
+                assert chart.h0_power(s, n, k) is got[k]
+                h0 = chart.h0.get((s + k, n))
+                if h0 is None:
+                    h0 = BitMatrix.zeros(chart.dim(s + k + 1, n), chart.dim(s + k, n))
+                ref = h0 @ ref
+
+
+def test_chart_is_immutable():
+    from a1bordism.gf2 import BitMatrix
+
+    dims = {(0, 0): 1, (1, 0): 1}
+    h0 = {(0, 0): BitMatrix([1], 1)}
+    chart = ex.ExtChart(max_s=4, max_t=4, dims=dims, h0=h0)
+    with pytest.raises(AttributeError):
+        chart.max_s = 8
+    with pytest.raises(AttributeError):
+        chart.dims = {}
+    with pytest.raises(TypeError):
+        chart.h0[(1, 0)] = BitMatrix([1], 1)
+    with pytest.raises(TypeError):
+        chart.dims[(2, 0)] = 1
+    dims[(2, 0)] = 1  # the chart keeps its own copy of the mappings
+    del h0[(0, 0)]
+    assert chart.dim(2, 0) == 0 and chart.h0_power(0, 0, 1).rows == (1,)

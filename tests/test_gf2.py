@@ -147,6 +147,12 @@ def test_immutability_and_bounds():
     with pytest.raises(ValueError):
         BitMatrix([0b100], 2)  # bit outside [0, ncols)
     with pytest.raises(ValueError):
+        BitMatrix([0b10], 1)
+    with pytest.raises(ValueError):
+        BitMatrix.zeros(1, -1)
+    with pytest.raises(ValueError):
+        BitMatrix.identity(-1)
+    with pytest.raises(ValueError):
         m.solve(0b100)  # rhs bit beyond nrows
 
 
@@ -173,3 +179,27 @@ def test_bitmatrix_keeps_the_kernels_the_benchmark_counts():
     for name in ("matvec", "matmul", "kernel_basis", "rref", "from_columns"):
         assert name in BitMatrix.__dict__, name
     assert isinstance(BitMatrix.__dict__["from_columns"], classmethod)
+
+
+def test_unchecked_results_equal_checked_construction():
+    # matmul, add and rref build their results without the row check; each
+    # must equal the checked constructor applied to a per-bit reference
+    rng = random.Random(29)
+    shapes = [(0, 0), (0, 4), (4, 0)] + [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(80)]
+    for r, c in shapes:
+        k = rng.choice([0, rng.randint(1, 8)])
+        a = BitMatrix([rng.getrandbits(c) for _ in range(r)], c)
+        b = BitMatrix([rng.getrandbits(c) for _ in range(r)], c)
+        m = BitMatrix([rng.getrandbits(k) for _ in range(c)], k)
+        ref_prod = [sum((bin(row & m.columns()[j]).count("1") & 1) << j for j in range(k))
+                    for row in a.rows]
+        assert a @ m == BitMatrix(ref_prod, k)
+        assert (a @ m).nrows == r
+        assert a.add(b) == BitMatrix([x ^ y for x, y in zip(a.rows, b.rows)], c)
+        red, pivots = a.rref()
+        assert red == BitMatrix(list(red.rows), c)
+        assert brute_rowspace(red.rows) == brute_rowspace(a.rows)
+        assert [(red.rows[i] & -red.rows[i]).bit_length() - 1 for i in range(len(pivots))] \
+            == list(pivots)
+        for made in (a @ m, a.add(b), red, BitMatrix.zeros(r, c), BitMatrix.identity(c)):
+            assert type(made.rows) is tuple
