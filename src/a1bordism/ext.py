@@ -107,10 +107,16 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
             if not fb:
                 continue
             fbasis[d] = fb
+            # images of the generators under each word, read as columns
+            # once per (word, t); every key lies in this degree alone
+            word_cols: Dict[Tuple[int, int], List[int]] = {}
             cols = []
             for i, widx in fb:
                 t_i, j_i = gens[i]
-                cols.append(K.act_word(WORDS[widx], t_i).matvec(1 << j_i))
+                key = (widx, t_i)
+                if key not in word_cols:
+                    word_cols[key] = K.act_word(WORDS[widx], t_i).columns()
+                cols.append(word_cols[key][j_i])
             kb = BitMatrix.from_columns(cols, K.dim(d)).kernel_basis()
             if kb:
                 ker_vecs[d] = list(kb)

@@ -6,9 +6,23 @@ column vectors, which are also ints: ``(M @ x)_i = parity(rows[i] & x)``.
 All operations are deterministic: pivots are chosen leftmost-column,
 lowest-row-index.
 
-The row/column layout is converted only here, by ``from_columns`` and
-``columns``; callers that think in images of basis vectors use those two
-and never walk a matrix bit by bit.
+Elimination is by pivot table, the packed-row method of M4RI (Albrecht,
+Bard & Hart, ACM TOMS 37(1), 2010): each row is reduced against the
+pivot rows found so far, keyed by their lowest set bit, and either
+becomes a new pivot row or vanishes; back-substitution in descending
+pivot order then clears the other pivot columns.  The reduced row-echelon
+form is unique, so the result does not depend on the order of the rows.
+``ColumnSolver`` keeps the same kind of table to solve many right-hand
+sides against fixed columns, or to test many vectors for membership in
+their span (``v in solver``), reducing the columns only once.
+
+The row/column layout is converted only here, by ``from_columns``,
+``columns`` and ``images``; callers that think in images of basis
+vectors use those and never walk a matrix bit by bit.  A caller that
+wants M·v for many v reads the columns once (``images``, or ``columns``
+kept for as long as it needs them) rather than calling ``matvec`` per
+vector.  A matrix does not cache its columns: most matrices are read
+column-wise once or never, and a per-matrix cache would only add memory.
 
 ``BitMatrix(rows, ncols)`` checks every row against the column count.
 Results that are in range by construction skip that check through the
@@ -82,8 +96,8 @@ class BitMatrix:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        if ncols < 0:
-            raise ValueError("ncols must be nonnegative")
+        if nrows < 0 or ncols < 0:
+            raise ValueError("nrows and ncols must be nonnegative")
         return cls._trusted((0,) * nrows, ncols)
 
     @classmethod
@@ -94,6 +108,8 @@ class BitMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[int], nrows: int) -> "BitMatrix":
+        if nrows < 0:
+            raise ValueError("nrows must be nonnegative")
         return cls._trusted(tuple(_transpose(columns, nrows)), len(columns))
 
     # -- basic access --------------------------------------------------
@@ -101,6 +117,25 @@ class BitMatrix:
     def columns(self) -> List[int]:
         """Column j as a bit vector (bit i = row i), for every j."""
         return _transpose(self.rows, self.ncols)
+
+    def images(self, vectors: Iterable[int]) -> List[int]:
+        """M·v for each v, as XORs of the columns over the set bits of v.
+
+        Equal to ``[self.matvec(v) for v in vectors]`` but transposes once;
+        raises ValueError on a bit at or beyond ``ncols``.
+        """
+        cols = self.columns()
+        out = []
+        for v in vectors:
+            if v >> self.ncols:
+                raise ValueError("vector has bits beyond ncols")
+            acc = 0
+            while v:
+                low = v & -v
+                acc ^= cols[low.bit_length() - 1]
+                v ^= low
+            out.append(acc)
+        return out
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
@@ -154,30 +189,45 @@ class BitMatrix:
     # -- elimination ----------------------------------------------------
 
     def rref(self) -> Tuple["BitMatrix", Tuple[int, ...]]:
-        """Reduced row-echelon form and the strictly increasing pivot columns."""
+        """Reduced row-echelon form and the strictly increasing pivot columns.
+
+        The rows of the result are the reduced basis in pivot order, then
+        ``nrows - rank`` zero rows.
+        """
         cached = object.__getattribute__(self, "_rref")
         if cached is not None:
             return cached
-        work = list(self.rows)
+        # table[p]: the pivot row whose lowest set bit is p, or 0
+        table = [0] * self.ncols
         pivots: List[int] = []
-        r = 0
-        for col in range(self.ncols):
-            sel = None
-            for i in range(r, len(work)):
-                if (work[i] >> col) & 1:
-                    sel = i
+        pivot_mask = 0
+        for r in self.rows:
+            while r:
+                low = r & -r
+                p = low.bit_length() - 1
+                t = table[p]
+                if not t:
+                    table[p] = r
+                    pivots.append(p)
+                    pivot_mask |= low
                     break
-            if sel is None:
-                continue
-            work[r], work[sel] = work[sel], work[r]
-            for i in range(len(work)):
-                if i != r and ((work[i] >> col) & 1):
-                    work[i] ^= work[r]
-            pivots.append(col)
-            r += 1
-            if r == len(work):
-                break
-        result = (BitMatrix._trusted(tuple(work), self.ncols), tuple(pivots))
+                r ^= t
+        pivots.sort()
+        # back-substitute: a pivot row above p is already reduced, so
+        # XORing it clears its own pivot bit and sets no other pivot bit
+        basis = []
+        for p in reversed(pivots):
+            r = table[p]
+            above = (r & pivot_mask) ^ (1 << p)
+            while above:
+                low = above & -above
+                r ^= table[low.bit_length() - 1]
+                above ^= low
+            table[p] = r
+            basis.append(r)
+        basis.reverse()
+        rows = tuple(basis) + (0,) * (self.nrows - len(pivots))
+        result = (BitMatrix._trusted(rows, self.ncols), tuple(pivots))
         object.__setattr__(self, "_rref", result)
         return result
 
@@ -187,10 +237,8 @@ class BitMatrix:
     def kernel_basis(self) -> Tuple[int, ...]:
         """Deterministic basis of {v : M·v = 0}, one vector per free column."""
         red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free_cols = [j for j in range(self.ncols) if j not in pivot_set]
         basis = []
-        for f in free_cols:
+        for f in free_coords(pivots, self.ncols):
             v = 1 << f
             for i, p in enumerate(pivots):
                 if (red.rows[i] >> f) & 1:
@@ -221,7 +269,8 @@ class ColumnSolver:
 
     Builds a Gaussian basis keyed by lowest set bit once; each solve is a
     single reduction pass.  solve(b) returns a combination mask m with
-    XOR_{j in m} columns[j] = b, or None when b is outside the span.
+    XOR_{j in m} columns[j] = b, or None when b is outside the span;
+    ``b in solver`` asks only whether b is in the span.
     """
 
     __slots__ = ("table",)
@@ -249,6 +298,16 @@ class ColumnSolver:
             m ^= hit[1]
         return m
 
+    def __contains__(self, b: int) -> bool:
+        """Whether b lies in the span of the columns."""
+        table = self.table
+        while b:
+            hit = table.get(b & -b)
+            if hit is None:
+                return False
+            b ^= hit[0]
+        return True
+
 
 def span_rref(vectors: Iterable[int], ncols: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Canonical (rref) basis of the span of the given vectors, with pivots."""
@@ -256,14 +315,11 @@ def span_rref(vectors: Iterable[int], ncols: int) -> Tuple[Tuple[int, ...], Tupl
     return tuple(r for r in m.rows if r), pivots
 
 
-def in_span(v: int, vectors: Sequence[int], ncols: int) -> bool:
-    basis, _ = span_rref(vectors, ncols)
-    return len(span_rref(list(basis) + [v], ncols)[0]) == len(basis)
+def free_coords(pivots: Iterable[int], ncols: int) -> Tuple[int, ...]:
+    """The coordinates j < ncols that are not pivots, ascending.
 
-
-def complement_coords(vectors: Sequence[int], ncols: int) -> Tuple[int, ...]:
-    """Coordinates j such that {e_j} extends a basis of span(vectors) to F2^ncols."""
-    _, pivots = span_rref(vectors, ncols)
+    For the pivots of a span, {e_j : j free} extends a basis of the span
+    to a basis of F2^ncols.
+    """
     pivot_set = set(pivots)
     return tuple(j for j in range(ncols) if j not in pivot_set)
-

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .gf2 import BitMatrix, ColumnSolver, complement_coords, in_span, span_rref
+from .gf2 import BitMatrix, ColumnSolver, free_coords, span_rref
 from . import steenrod
 from .steenrod import A1Element, DEGREES, WORDS, reduce_word
 
@@ -261,10 +261,18 @@ class GradedA1Module:
                 dims[d] = len(labs)
                 labels[d] = tuple(labs)
 
+        # each factor's Sq^k columns in degree d are read once, not once
+        # per target degree
+        read: Dict[Tuple[int, int, int], List[int]] = {}
+
         def images(m: "GradedA1Module", k: int, d: int) -> List[int]:
-            if k == 0:
-                return [1 << i for i in range(m.dim(d))]
-            return (m.sq1_map(d) if k == 1 else m.sq2_map(d)).columns()
+            key = (m is other, k, d)
+            if key not in read:
+                if k == 0:
+                    read[key] = [1 << i for i in range(m.dim(d))]
+                else:
+                    read[key] = (m.sq1_map(d) if k == 1 else m.sq2_map(d)).columns()
+            return read[key]
 
         def build(op_pairs: Sequence[Tuple[int, int]], d: int) -> BitMatrix:
             # op_pairs lists (k1, k2) with Sq^{k1} on the left factor, Sq^{k2} on the right
@@ -370,8 +378,7 @@ class GradedA1Module:
                 if tgt and d + shift not in solvers:
                     solvers[d + shift] = ColumnSolver(tgt)
                 solver = solvers.get(d + shift)
-                for v in vecs:
-                    w = act.matvec(v)
+                for w in act.images(vecs):
                     if w == 0:
                         cols.append(0)
                         continue
@@ -388,14 +395,17 @@ class GradedA1Module:
 
     # -- generators and homology ------------------------------------------
 
+    def _decomposables_rref(self, d: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        vecs = self.sq1_map(d - 1).columns() + self.sq2_map(d - 2).columns()
+        return span_rref(vecs, self.dim(d))
+
     def decomposables(self, d: int) -> Tuple[int, ...]:
         """Canonical basis of the degree-d part of the augmentation-ideal image."""
-        vecs = self.sq1_map(d - 1).columns() + self.sq2_map(d - 2).columns()
-        return span_rref(vecs, self.dim(d))[0]
+        return self._decomposables_rref(d)[0]
 
     def generator_coords(self, d: int) -> Tuple[int, ...]:
         """Coordinates of a deterministic complement to the decomposables."""
-        return complement_coords(self.decomposables(d), self.dim(d))
+        return free_coords(self._decomposables_rref(d)[1], self.dim(d))
 
     def minimal_generators(self, through: Optional[int] = None) -> List[Tuple[int, int]]:
         """(degree, coordinate vector) pairs generating the module minimally."""
@@ -622,12 +632,11 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
         remainder, _ = current.submodule(kernels, name=current.name)
         # update the global witness: free columns (in M coordinates) first
         for d, vecs in fvecs.items():
-            free_cols[d].extend(incl[d].matvec(vec) for vec in vecs)
+            free_cols[d].extend(incl[d].images(vecs))
         # the remainder's inclusion has the columns kernels[d]
         for d in range(g, g + 7):
             if d in incl:
-                cols = [incl[d].matvec(v) for v in kernels.get(d, [])]
-                incl[d] = BitMatrix.from_columns(cols, M.dim(d))
+                incl[d] = incl[d] @ BitMatrix.from_columns(kernels.get(d, []), current.dim(d))
         frees.append((g, label))
         current = remainder
         start = g
@@ -695,9 +704,9 @@ def iso_up_to_degree(M: GradedA1Module, N: GradedA1Module, n: int, budget: int =
             if len(chosen) == count:
                 out.append(tuple(chosen))
                 return
-            base = dec + chosen
+            base = ColumnSolver(dec + chosen)
             for v in range(1, 1 << dim):
-                if not in_span(v, base, dim):
+                if v not in base:
                     extend(chosen + [v])
 
         extend([])
@@ -765,7 +774,7 @@ def _quotient_by_ideal(generators: Sequence[A1Element], name: str) -> GradedA1Mo
     for d in amod.degrees():
         basis, pivots = span_rref(ideal.get(d, []), amod.dim(d))
         reducers[d] = (basis, pivots)
-        keep[d] = complement_coords(basis, amod.dim(d))
+        keep[d] = free_coords(pivots, amod.dim(d))
 
     def project(v: int, d: int) -> int:
         basis, pivots = reducers[d]
@@ -786,10 +795,8 @@ def _quotient_by_ideal(generators: Sequence[A1Element], name: str) -> GradedA1Mo
         for d in dims:
             if d + shift not in dims:
                 continue
-            act = amod.sq2_map(d) if shift == 2 else amod.sq1_map(d)
-            cols = []
-            for j in keep[d]:
-                cols.append(project(act.matvec(1 << j), d + shift))
+            act = (amod.sq2_map(d) if shift == 2 else amod.sq1_map(d)).columns()
+            cols = [project(act[j], d + shift) for j in keep[d]]
             store[d] = BitMatrix.from_columns(cols, dims[d + shift])
     hi = max(dims) if dims else 0
     return GradedA1Module(dims, sq1, sq2, hi, labels, complete=True, name=name)

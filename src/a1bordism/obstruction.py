@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .gf2 import BitMatrix, in_span, span_rref
+from .gf2 import BitMatrix, ColumnSolver, span_rref
 from . import spaces as sp
 from .spaces import Poly, SpacePresentation
 
@@ -84,7 +84,8 @@ def _mod_sq1_image(model: SpacePresentation, d: int,
     """dim Im(Sq1: H^{d-1} -> H^d), and whether each degree-d vector lies in it."""
     n = len(model.basis(d))
     image, _ = span_rref(model.sq_matrix(1, d - 1).columns(), n)
-    return len(image), tuple(in_span(v, image, n) for v in vectors)
+    span = ColumnSolver(image)
+    return len(image), tuple(v in span for v in vectors)
 
 
 @dataclass

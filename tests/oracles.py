@@ -49,6 +49,63 @@ def brute_solutions(rows: Sequence[int], b: int, ncols: int) -> Set[int]:
     return out
 
 
+def column_scan_rref(rows: Sequence[int], ncols: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Reduced row-echelon form by scanning columns left to right.
+
+    For each column, the first row at or below the current rank with that
+    bit becomes the pivot row and is XORed into every other row with the
+    bit.  This is the engine's former ``BitMatrix.rref``, kept as a
+    reference: (reduced rows, strictly increasing pivot columns).
+    """
+    work = list(rows)
+    pivots: List[int] = []
+    r = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(r, len(work)):
+            if (work[i] >> col) & 1:
+                sel = i
+                break
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        for i in range(len(work)):
+            if i != r and ((work[i] >> col) & 1):
+                work[i] ^= work[r]
+        pivots.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(work), tuple(pivots)
+
+
+def column_scan_kernel_basis(rows: Sequence[int], ncols: int) -> Tuple[int, ...]:
+    """Kernel basis read off ``column_scan_rref``, one vector per free column."""
+    red, pivots = column_scan_rref(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivot_set):
+        v = 1 << f
+        for i, p in enumerate(pivots):
+            if (red[i] >> f) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return tuple(basis)
+
+
+def column_scan_solve(rows: Sequence[int], ncols: int, b: int) -> Optional[int]:
+    """Some x with M·x = b (free variables 0) by ``column_scan_rref``, or None."""
+    aug = [r | (((b >> i) & 1) << ncols) for i, r in enumerate(rows)]
+    red, pivots = column_scan_rref(aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = 0
+    for i, p in enumerate(pivots):
+        if (red[i] >> ncols) & 1:
+            x |= 1 << p
+    return x
+
+
 # -- word-level A(1) helpers ----------------------------------------------------
 
 
@@ -205,7 +262,7 @@ class BarExt:
         h0 is concatenation by [Sq1] on the bar complex, a chain map; its
         induced action on homology is computed on a cycle representative.
         """
-        from a1bordism.gf2 import span_rref
+        from a1bordism.gf2 import ColumnSolver, span_rref
 
         sq1 = WORDS.index("1")
         t = n + s
@@ -219,10 +276,10 @@ class BarExt:
         _, up_bnd = self._homology[(s + 1, t + 1)]
         up_n = len(self._basis[(s + 1, t + 1)])
         up_bnd_basis = list(span_rref(up_bnd, up_n)[0])
+        boundaries = ColumnSolver(bnd_basis)
+        up_boundaries = ColumnSolver(up_bnd_basis)
         for v in cyc:
-            from a1bordism.gf2 import in_span
-
-            if in_span(v, bnd_basis, nn):
+            if v in boundaries:
                 continue
             img = 0
             vv = v
@@ -230,7 +287,7 @@ class BarExt:
                 j = (vv & -vv).bit_length() - 1
                 vv &= vv - 1
                 img ^= 1 << tgt_index[(sq1,) + src[j]]
-            if not in_span(img, up_bnd_basis, up_n):
+            if img not in up_boundaries:
                 return True
         return False
 

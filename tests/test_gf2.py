@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from a1bordism.gf2 import BitMatrix, ColumnSolver, complement_coords, in_span
-from oracles import brute_kernel, brute_rowspace, brute_solutions
+from a1bordism.gf2 import BitMatrix, ColumnSolver, free_coords, span_rref
+from oracles import (brute_kernel, brute_rowspace, brute_solutions, column_scan_kernel_basis,
+                     column_scan_rref, column_scan_solve)
 
 
 def test_rref_empty_matrix():
@@ -135,9 +136,9 @@ def test_column_solver_matches_solve():
 
 def test_span_helpers():
     vecs = [0b011, 0b110]
-    assert in_span(0b101, vecs, 3)
-    assert not in_span(0b001, vecs, 3)
-    assert complement_coords(vecs, 3) == (2,)
+    assert 0b101 in ColumnSolver(vecs)
+    assert 0b001 not in ColumnSolver(vecs)
+    assert free_coords(span_rref(vecs, 3)[1], 3) == (2,)
 
 
 def test_immutability_and_bounds():
@@ -152,6 +153,10 @@ def test_immutability_and_bounds():
         BitMatrix.zeros(1, -1)
     with pytest.raises(ValueError):
         BitMatrix.identity(-1)
+    with pytest.raises(ValueError):
+        BitMatrix.zeros(-1, 2)
+    with pytest.raises(ValueError):
+        BitMatrix.from_columns([], -1)
     with pytest.raises(ValueError):
         m.solve(0b100)  # rhs bit beyond nrows
 
@@ -203,3 +208,63 @@ def test_unchecked_results_equal_checked_construction():
             == list(pivots)
         for made in (a @ m, a.add(b), red, BitMatrix.zeros(r, c), BitMatrix.identity(c)):
             assert type(made.rows) is tuple
+
+
+def _random_matrix(rng: random.Random, r: int, c: int, density: float) -> BitMatrix:
+    rows = []
+    for _ in range(r):
+        row = 0
+        for j in range(c):
+            if rng.random() < density:
+                row |= 1 << j
+        rows.append(row)
+    return BitMatrix(rows, c)
+
+
+def _reference_shapes(rng: random.Random):
+    """(nrows, ncols, density) covering empty, tiny, wide, tall, dense and sparse."""
+    shapes = [(0, 0, 0.5), (0, 7, 0.5), (7, 0, 0.5), (1, 1, 0.5), (1, 1, 1.0),
+              (40, 200, 0.5), (40, 200, 0.02), (200, 40, 0.5), (200, 40, 0.02)]
+    shapes += [(rng.randint(1, 12), rng.randint(1, 12), rng.choice([0.05, 0.3, 0.5, 0.9]))
+               for _ in range(300)]
+    return shapes
+
+
+def test_rref_equals_column_scan_reference():
+    rng = random.Random(41)
+    for r, c, density in _reference_shapes(rng):
+        m = _random_matrix(rng, r, c, density)
+        if r >= 3:  # duplicate and zero rows
+            rows = list(m.rows)
+            rows[rng.randrange(r)] = rows[rng.randrange(r)]
+            rows[rng.randrange(r)] = 0
+            m = BitMatrix(rows, c)
+        ref_rows, ref_pivots = column_scan_rref(m.rows, c)
+        red, pivots = m.rref()
+        assert (red.rows, pivots) == (ref_rows, ref_pivots)
+        assert red.nrows == r and red.ncols == c
+        assert m.rank() == len(ref_pivots)
+        assert m.kernel_basis() == column_scan_kernel_basis(m.rows, c)
+        for b in (0, rng.getrandbits(r), m.matvec(rng.getrandbits(c))):
+            assert m.solve(b) == column_scan_solve(m.rows, c, b)
+
+
+def test_images_equal_per_vector_matvec():
+    rng = random.Random(47)
+    for r, c, density in _reference_shapes(rng):
+        m = _random_matrix(rng, r, c, density)
+        vectors = [0] + [1 << j for j in range(c)] + [rng.getrandbits(c) for _ in range(5)]
+        assert m.images(vectors) == [m.matvec(v) for v in vectors]
+    with pytest.raises(ValueError):
+        BitMatrix.identity(2).images([0b100])
+
+
+def test_column_solver_membership_matches_bruteforce_span():
+    rng = random.Random(53)
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        base = [rng.getrandbits(n) for _ in range(rng.randint(0, 5))]
+        solver = ColumnSolver(base)
+        span = brute_rowspace(base)
+        for v in range(1 << n):
+            assert (v in solver) == (v in span)

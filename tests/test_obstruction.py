@@ -78,12 +78,12 @@ def test_sq1_of_representative_lands_in_im_sq1():
     rep = K.gen_mono("S21B")
     sq1_rep = K.sq_k_mono(rep, 1)
     assert sq1_rep == K.parse_poly("SB^2")
-    from a1bordism.gf2 import in_span, span_rref
+    from a1bordism.gf2 import ColumnSolver, span_rref
 
     vec = K.poly_vector(sq1_rep, 6)
     im = [K.sq_matrix(1, 5).columns()[j] for j in range(len(K.basis(5)))]
     basis, _ = span_rref(im, len(K.basis(6)))
-    assert in_span(vec, list(basis), len(K.basis(6)))
+    assert vec in ColumnSolver(basis)
 
 
 def test_wu_manifold_evaluation_nonzero():
