@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .gf2 import BitMatrix, ColumnSolver
 from . import steenrod
 from .modules import GradedA1Module, InvariantError
-from .steenrod import A1Element, WORDS, WORD_INDEX
+from .steenrod import A1Element, WORD_INDEX
 
 
 class ResolutionError(ValueError):
@@ -46,7 +46,12 @@ class Resolution:
 
 
 def _free_basis(gen_degrees: Sequence[int], d: int) -> List[Tuple[int, int]]:
-    """Basis of the degree-d part of the free module on the given generators."""
+    """Basis of the degree-d part of the free module on the given generators.
+
+    Pairs (generator index, word index), generator by generator and within
+    a generator in WORDS order: the column order of
+    ``GradedA1Module.word_images``, which must stay the same.
+    """
     out = []
     for i, t in enumerate(gen_degrees):
         if 0 <= d - t <= steenrod.TOP_DEGREE:
@@ -81,9 +86,10 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
             for j in K.generator_coords(d):
                 gens.append((d, j))
         gen_degrees = [t for t, _ in gens]
+        gen_vecs = [(t, 1 << j) for t, j in gens]
         stage = ResolutionStage(s, gen_degrees, [])
         if s == 0:
-            stage.augmentation = [(t, 1 << j) for t, j in gens]
+            stage.augmentation = gen_vecs
         else:
             for t, j in gens:
                 vec = emb[t][j] if emb is not None else (1 << j)
@@ -107,17 +113,8 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
             if not fb:
                 continue
             fbasis[d] = fb
-            # images of the generators under each word, read as columns
-            # once per (word, t); every key lies in this degree alone
-            word_cols: Dict[Tuple[int, int], List[int]] = {}
-            cols = []
-            for i, widx in fb:
-                t_i, j_i = gens[i]
-                key = (widx, t_i)
-                if key not in word_cols:
-                    word_cols[key] = K.act_word(WORDS[widx], t_i).columns()
-                cols.append(word_cols[key][j_i])
-            kb = BitMatrix.from_columns(cols, K.dim(d)).kernel_basis()
+            # the map F_s -> K in degree d, its columns in fb's order
+            kb = BitMatrix.from_columns(K.word_images(gen_vecs, d), K.dim(d)).kernel_basis()
             if kb:
                 ker_vecs[d] = list(kb)
 

@@ -28,9 +28,8 @@ column-wise once or never, and a per-matrix cache would only add memory.
 Results that are in range by construction skip that check through the
 private ``BitMatrix._trusted``: ``matmul`` and ``add`` (XORs of in-range
 rows), ``rref`` (row operations on in-range rows), ``zeros``,
-``identity``, ``from_columns`` (whose transpose raises on a bit at or
-beyond ``nrows``) and the augmented matrix in ``solve`` (whose extra
-column is the one bit it adds).  Nothing outside this module calls it.
+``identity`` and ``from_columns`` (whose transpose raises on a bit at
+or beyond ``nrows``).  Nothing outside this module calls it.
 """
 
 from __future__ import annotations
@@ -245,23 +244,6 @@ class BitMatrix:
                     v |= 1 << p
             basis.append(v)
         return tuple(basis)
-
-    def solve(self, b: int) -> Optional[int]:
-        """Some x with M·x = b, or None when inconsistent (free vars set to 0)."""
-        if b >> self.nrows:
-            raise ValueError("rhs has bits beyond nrows")
-        aug = BitMatrix._trusted(
-            tuple(r | (((b >> i) & 1) << self.ncols) for i, r in enumerate(self.rows)),
-            self.ncols + 1,
-        )
-        red, pivots = aug.rref()
-        if pivots and pivots[-1] == self.ncols:
-            return None
-        x = 0
-        for i, p in enumerate(pivots):
-            if (red.rows[i] >> self.ncols) & 1:
-                x |= 1 << p
-        return x
 
 
 class ColumnSolver:

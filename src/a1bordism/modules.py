@@ -10,6 +10,7 @@ zeros.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -146,6 +147,34 @@ class GradedA1Module:
         out = BitMatrix.zeros(self.dim(d + deg), self.dim(d))
         for w in a.words():
             out = out.add(self.act_word(w, d))
+        return out
+
+    def word_images(self, gens: Sequence[Tuple[int, int]], d: int) -> List[int]:
+        """Degree-d columns of the A(1)-map from a free module into M.
+
+        The free module has one generator per ``(t, v)`` in ``gens``, in
+        degree t, sent to the vector v of M_t.  Column order is the free
+        basis order of ``ext._free_basis``: generator by generator, and
+        within a generator the words of degree d - t in ``WORDS`` order
+        (none when d - t is outside 0..6).  A map out of a free module is
+        fixed by these images; each word's columns are read once per
+        ``(word, t)`` in the call.
+        """
+        read: Dict[Tuple[int, int], List[int]] = {}
+        out = []
+        for t, v in gens:
+            if not 0 <= d - t <= steenrod.TOP_DEGREE:
+                continue  # no words; skipped before the call, as this loop is hot
+            for widx in steenrod.words_of_degree(d - t):
+                cols = read.get((widx, t))
+                if cols is None:
+                    cols = read[(widx, t)] = self.act_word(WORDS[widx], t).columns()
+                acc, rest = 0, v
+                while rest:
+                    low = rest & -rest
+                    acc ^= cols[low.bit_length() - 1]
+                    rest ^= low
+                out.append(acc)
         return out
 
     def known_through(self, d: int) -> bool:
@@ -310,7 +339,13 @@ class GradedA1Module:
                               name=f"{self.name}(x){other.name}")
 
     def truncate(self, n: int, complete: bool = False) -> "GradedA1Module":
-        """Quotient away degrees above n (complete=True means 'genuinely zero there')."""
+        """Quotient away degrees above n (complete=True means 'genuinely zero there').
+
+        A complete module already truncated at n is returned as it is, so
+        its word-action and Margolis caches carry over.
+        """
+        if complete and self.complete and n == self.hi:
+            return self
         if not self.complete and n > self.hi:
             raise ModuleError(f"cannot extend truncation {self.hi} to {n}")
         dims = {d: v for d, v in self.dims.items() if d <= n}
@@ -338,11 +373,12 @@ class GradedA1Module:
         ``split_free`` changes ``g … g+6``) pays only for those.
         """
         basis = {d: list(v) for d, v in vectors.items() if v}
-        for d, vecs in basis.items():
-            if any(v >> self.dim(d) for v in vecs):  # also catches v < 0
-                raise ModuleError(f"vector outside degree {d} (dimension {self.dim(d)})")
         whole = {d for d, vecs in basis.items()
                  if len(vecs) == self.dim(d) and all(v == 1 << j for j, v in enumerate(vecs))}
+        for d, vecs in basis.items():
+            # a whole degree is in range by definition
+            if d not in whole and any(v >> self.dim(d) for v in vecs):  # also catches v < 0
+                raise ModuleError(f"vector outside degree {d} (dimension {self.dim(d)})")
         incl: Dict[int, BitMatrix] = {}
         for d, vecs in basis.items():
             if d in whole:
@@ -469,63 +505,6 @@ class ModuleDecomposition:
     witness_iso: Optional[Dict[int, BitMatrix]] = None
 
 
-def _solve_module_map(
-    src: GradedA1Module,
-    tgt: GradedA1Module,
-    degrees: Sequence[int],
-    points: Sequence[Tuple[int, int, int]],
-) -> Optional[Dict[int, BitMatrix]]:
-    """Solve for an A(1)-map src→tgt on the given degrees.
-
-    ``points`` are (degree, src_vector, tgt_vector) constraints.  Degrees
-    outside the list are treated as zero maps.
-    """
-    degrees = sorted(degrees)
-    # entry (a, b) of phi_d is variable base[d] + a * src.dim(d) + b
-    base: Dict[int, int] = {}
-    nvars = 0
-    for d in degrees:
-        base[d] = nvars
-        nvars += tgt.dim(d) * src.dim(d)
-    rows: List[int] = []
-    rhs = 0
-    for shift in (1, 2):
-        for d in degrees:
-            if not (src.known_through(d + shift) and tgt.known_through(d + shift)):
-                continue
-            sm = (src.sq2_map(d) if shift == 2 else src.sq1_map(d)).columns()
-            tm = (tgt.sq2_map(d) if shift == 2 else tgt.sq1_map(d)).rows
-            n, up = src.dim(d), base.get(d + shift)
-            # equation: phi_{d+shift} ∘ sm  ==  tm ∘ phi_d   entrywise (a, b),
-            # i.e. row a of phi_{d+shift} against column b of sm plus
-            # column b of phi_d against row a of tm
-            for a, trow in enumerate(tm):
-                spread = 0
-                while trow:
-                    low = trow & -trow
-                    spread |= 1 << ((low.bit_length() - 1) * n)
-                    trow ^= low
-                for b, scol in enumerate(sm):
-                    mask = spread << (base[d] + b)
-                    if up is not None:
-                        mask ^= scol << (up + a * src.dim(d + shift))
-                    if mask:
-                        rows.append(mask)
-    for d, v, w in points:
-        for a in range(tgt.dim(d)):
-            rhs |= ((w >> a) & 1) << len(rows)
-            rows.append(v << (base[d] + a * src.dim(d)) if d in base else 0)
-    sol = BitMatrix(rows, nvars).solve(rhs)
-    if sol is None:
-        return None
-    out: Dict[int, BitMatrix] = {}
-    for d in degrees:
-        n = src.dim(d)
-        out[d] = BitMatrix([(sol >> (base[d] + a * n)) & ((1 << n) - 1)
-                            for a in range(tgt.dim(d))], n)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def free_module(cutoff: Optional[int] = None) -> GradedA1Module:
     """A(1) itself as a left module over itself (built once per cutoff)."""
@@ -605,11 +584,7 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
         label = current.label(g, i)
         x = 1 << i
         # images of the 8 basis words on x
-        fvecs: Dict[int, List[int]] = {}
-        for idx, w in enumerate(WORDS):
-            d = g + DEGREES[idx]
-            vec = current.act_word(w, g).matvec(x)
-            fvecs.setdefault(d, []).append(vec)
+        fvecs = {d: current.word_images([(g, x)], d) for d in range(g, g + 7)}
         for d, vecs in fvecs.items():
             if len(span_rref(vecs, current.dim(d))[0]) != len(vecs):
                 raise InvariantError("top class nonzero but cyclic module not free")
@@ -664,9 +639,10 @@ class IsoResult:
 def iso_up_to_degree(M: GradedA1Module, N: GradedA1Module, n: int, budget: int = 20000) -> IsoResult:
     """Search for an A(1)-isomorphism M/M_{>n} ≅ N/N_{>n}.
 
-    Exhaustive (backtracking over generator images, pruned by graded and
-    Margolis dimensions); returns 'undecided' only on budget exhaustion,
-    never a wrong answer.
+    Exhaustive (over the images of M's minimal generators, pruned by
+    graded and Margolis dimensions; the images fix the map, if there is
+    one); returns 'undecided' only on budget exhaustion or a target space
+    too large to enumerate, never a wrong answer.
     """
     for X in (M, N):
         if not X.complete and X.hi < n:
@@ -712,27 +688,39 @@ def iso_up_to_degree(M: GradedA1Module, N: GradedA1Module, n: int, budget: int =
         extend([])
         return out
 
-    degree_list = sorted(by_degree)
-    options = [candidate_tuples(d, len(by_degree[d])) for d in degree_list]
-    attempts = 0
+    # A is generated by gens, so a map out of A is fixed by the generators'
+    # images: with src[d] the words on the generators in A_d and combos[d]
+    # each basis vector of A_d as a combination of them, phi_d sends that
+    # basis vector to the same combination of the words on the images
+    degs = range(min(A.lo, B.lo), n + 1)
+    src: Dict[int, BitMatrix] = {}
+    combos: Dict[int, BitMatrix] = {}
+    for d in degs:
+        cols = A.word_images(gens, d)
+        solver = ColumnSolver(cols)
+        coords = [solver.solve(1 << k) for k in range(A.dim(d))]
+        if None in coords:
+            raise InvariantError(f"minimal generators do not span degree {d}")
+        src[d] = BitMatrix.from_columns(cols, A.dim(d))
+        combos[d] = BitMatrix.from_columns(coords, len(cols))
 
-    def assignments(idx: int, acc: List[Tuple[int, int, int]]):
-        nonlocal attempts
-        if idx == len(degree_list):
-            yield list(acc)
-            return
-        d = degree_list[idx]
-        for tup in options[idx]:
-            yield from assignments(
-                idx + 1, acc + [(d, v, w) for v, w in zip(by_degree[d], tup)]
-            )
+    def module_map(images: Sequence[int]) -> Optional[Dict[int, BitMatrix]]:
+        """The A(1)-map A -> B sending gens to images, or None if there is none."""
+        tgt_gens = [(t, w) for (t, _), w in zip(gens, images)]
+        out: Dict[int, BitMatrix] = {}
+        for d in degs:
+            tgt = BitMatrix.from_columns(B.word_images(tgt_gens, d), B.dim(d))
+            phi = tgt @ combos[d]
+            if phi @ src[d] != tgt:
+                return None  # the images break a relation of A
+            out[d] = phi
+        return out
 
-    degs = list(range(min(A.lo, B.lo), n + 1))
-    for points in assignments(0, []):
-        attempts += 1
+    options = [candidate_tuples(d, len(by_degree[d])) for d in sorted(by_degree)]
+    for attempts, choice in enumerate(itertools.product(*options), start=1):
         if attempts > budget:
             return IsoResult("undecided", reason="search budget exceeded")
-        sol = _solve_module_map(A, B, degs, points)
+        sol = module_map([w for tup in choice for w in tup])
         if sol is None:
             continue
         if all(sol[d].rank() == A.dim(d) for d in degs if A.dim(d)):
@@ -746,24 +734,14 @@ def iso_up_to_degree(M: GradedA1Module, N: GradedA1Module, n: int, budget: int =
 def _left_ideal(generators: Sequence[A1Element]) -> Dict[int, List[int]]:
     """Degreewise span (in A(1)-module coordinates) of A(1)·generators."""
     amod = free_module()
-    vecs: Dict[int, List[int]] = {}
+    gens = []
     for gen in generators:
-        gdeg = gen.degree()
-        gvec = 0
-        by_deg: Dict[int, List[int]] = {}
-        for idx, d in enumerate(DEGREES):
-            by_deg.setdefault(d, []).append(idx)
-        for w in gen.words():
-            idx = steenrod.WORD_INDEX[w]
-            gvec |= 1 << by_deg[gdeg].index(idx)
-        for widx, word in enumerate(WORDS):
-            d = gdeg + DEGREES[widx]
-            if d > steenrod.TOP_DEGREE:
-                continue
-            v = amod.act_word(word, gdeg).matvec(gvec)
-            if v:
-                vecs.setdefault(d, []).append(v)
-    return {d: list(span_rref(v, free_module().dim(d))[0]) for d, v in vecs.items()}
+        # A(1)'s degree-t basis is the words of degree t in WORDS order
+        t = gen.degree()
+        basis = steenrod.words_of_degree(t)
+        gens.append((t, sum(1 << basis.index(steenrod.WORD_INDEX[w]) for w in gen.words())))
+    spans = {d: span_rref(amod.word_images(gens, d), amod.dim(d))[0] for d in amod.degrees()}
+    return {d: list(vecs) for d, vecs in spans.items() if vecs}
 
 
 def _quotient_by_ideal(generators: Sequence[A1Element], name: str) -> GradedA1Module:

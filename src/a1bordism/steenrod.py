@@ -204,5 +204,10 @@ def top_class() -> A1Element:
     return A1Element.from_word("222")
 
 
+_WORDS_BY_DEGREE: Tuple[Tuple[int, ...], ...] = tuple(
+    tuple(i for i in range(DIM) if DEGREES[i] == d) for d in range(TOP_DEGREE + 1))
+
+
 def words_of_degree(d: int) -> Tuple[int, ...]:
-    return tuple(i for i in range(DIM) if DEGREES[i] == d)
+    """Indices into WORDS of the basis words of degree d, ascending; () outside 0..6."""
+    return _WORDS_BY_DEGREE[d] if 0 <= d <= TOP_DEGREE else ()

@@ -67,25 +67,6 @@ def test_kernel_single_row_vs_bruteforce():
     assert spanned == brute_kernel([0b011], 3)
 
 
-def test_solve_identity():
-    m = BitMatrix.identity(3)
-    assert m.solve(0b101) == 0b101
-
-
-def test_solve_zero_matrix_nonzero_rhs_absent():
-    assert BitMatrix.zeros(2, 2).solve(0b01) is None
-
-
-def test_solve_small_example_vs_enumeration():
-    # rows {11, 01}: M = [[1,1],[0,1]] acting on columns; b = (1,1)
-    m = BitMatrix([0b11, 0b10], 2)
-    b = 0b11
-    x = m.solve(b)
-    assert x is not None and m.matvec(x) == b
-    assert x in brute_solutions(m.rows, b, 2)
-    assert x == 0b10  # x = (0, 1)
-
-
 def test_rank_nullity_random_bruteforce():
     rng = random.Random(7)
     for _ in range(200):
@@ -97,17 +78,6 @@ def test_rank_nullity_random_bruteforce():
         assert len(brute_kernel(m.rows, c)) == 1 << len(ker)
         for v in ker:
             assert m.matvec(v) == 0
-
-
-def test_solve_consistency_random():
-    rng = random.Random(13)
-    for _ in range(200):
-        r, c = rng.randint(1, 6), rng.randint(1, 6)
-        m = BitMatrix([rng.getrandbits(c) for _ in range(r)], c)
-        x0 = rng.getrandbits(c)
-        b = m.matvec(x0)
-        x = m.solve(b)
-        assert x is not None and m.matvec(x) == b
 
 
 def test_matmul_associative_with_vectors():
@@ -128,8 +98,8 @@ def test_column_solver_matches_solve():
         solver = ColumnSolver(cols)
         b = rng.getrandbits(r)
         got = solver.solve(b)
-        ref = m.solve(b)
-        assert (got is None) == (ref is None)
+        ref = column_scan_solve(m.rows, c, b)
+        assert (got is None) == (ref is None) == (not brute_solutions(m.rows, b, c))
         if got is not None:
             assert m.matvec(got) == b
 
@@ -157,8 +127,6 @@ def test_immutability_and_bounds():
         BitMatrix.zeros(-1, 2)
     with pytest.raises(ValueError):
         BitMatrix.from_columns([], -1)
-    with pytest.raises(ValueError):
-        m.solve(0b100)  # rhs bit beyond nrows
 
 
 def test_columns_and_from_columns_match_per_bit_reference():
@@ -245,8 +213,6 @@ def test_rref_equals_column_scan_reference():
         assert red.nrows == r and red.ncols == c
         assert m.rank() == len(ref_pivots)
         assert m.kernel_basis() == column_scan_kernel_basis(m.rows, c)
-        for b in (0, rng.getrandbits(r), m.matvec(rng.getrandbits(c))):
-            assert m.solve(b) == column_scan_solve(m.rows, c, b)
 
 
 def test_images_equal_per_vector_matvec():

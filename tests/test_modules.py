@@ -372,17 +372,85 @@ def test_iso_detects_twist():
     assert iso_up_to_degree(pair, split, 1).status == "none"
 
 
+def _assert_isomorphism(A, B, maps):
+    """maps is an A(1)-isomorphism A -> B on its degrees, which cover A's."""
+    assert set(A.degrees()) <= set(maps)
+    for d, phi in maps.items():
+        assert (phi.nrows, phi.ncols) == (B.dim(d), A.dim(d))
+        assert phi.rank() == A.dim(d) == B.dim(d)
+        for k, a_map, b_map in ((1, A.sq1_map, B.sq1_map), (2, A.sq2_map, B.sq2_map)):
+            if d + k in maps:
+                assert maps[d + k] @ a_map(d) == b_map(d) @ phi, (d, k)
+
+
 def test_iso_witness_commutes():
     M0 = catalog("M0")
     M1 = catalog("M1")
     res = iso_up_to_degree(M0, M1, 3)
     assert res.status == "iso" and res.maps is not None
-    A = M0.quotient_above(3)
-    B = M1.quotient_above(3)
-    for d in range(3):
-        lhs = res.maps[d + 1] @ A.sq1_map(d)
-        rhs = B.sq1_map(d) @ res.maps[d]
-        assert lhs == rhs
+    _assert_isomorphism(M0.quotient_above(3), M1.quotient_above(3), res.maps)
+
+
+@pytest.mark.parametrize("name", ["SpinO2", "GM"])
+def test_decompose_witness_iso_commutes(name):
+    from a1bordism import pipelines as pl
+
+    dec = pl.decompose_structure(name, 6)
+    assert dec.catalog_summands and dec.witness_iso
+    total = None
+    for pname, susp in dec.catalog_summands:
+        pm = pl._match_piece(pname, 6).suspend(susp).quotient_above(6)
+        total = pm if total is None else total.direct_sum(pm)
+    _assert_isomorphism(dec.remainder, total, dec.witness_iso)
+
+
+def test_iso_generator_images_that_break_a_relation_are_rejected():
+    # same graded dims, Margolis homology and generator counts in A's
+    # generator degrees (0 and 4) as GM's remainder M1 + Q@4, but every
+    # choice of generator images breaks a relation or is not invertible
+    from a1bordism import pipelines as pl
+
+    rem = pl.decompose_structure("GM", 6).remainder
+    cand = catalog("M1").direct_sum(catalog("F2").suspend(4)).direct_sum(catalog("F2").suspend(6))
+    res = iso_up_to_degree(rem, cand, 6)
+    assert (res.status, res.reason) == ("none", "exhausted generator images")
+
+
+def test_quotient_above_own_top_is_the_module_itself():
+    J = catalog("J")
+    assert J.quotient_above(J.hi) is J
+    above = J.quotient_above(J.hi + 1)
+    assert above is not J and above.dims == J.dims and above.hi == J.hi + 1
+    cell = md.pin_minus_cell(5)  # incomplete: the quotient is a new, complete module
+    top = cell.quotient_above(cell.hi)
+    assert top is not cell and top.complete and not cell.complete
+
+
+# -- maps out of free modules -----------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [lambda: catalog("A1free"), lambda: catalog("J"),
+                                   lambda: named_structure("SpinO2", 12),
+                                   lambda: named_structure("KTminus", 12)],
+                         ids=["A1free", "J", "SpinO2@12", "KTminus@12"])
+def test_word_images_equal_per_word_matvec_in_free_basis_order(build):
+    from a1bordism.ext import _free_basis
+    from a1bordism.steenrod import WORDS
+
+    m = build()
+    gens = []
+    for t in m.degrees()[:4]:
+        n = m.dim(t)
+        gens += [(t, 1 << (n - 1)), (t, (1 << n) - 1)]
+    gen_degrees = [t for t, _ in gens]
+    # below the lowest and above the highest generator by more than 6,
+    # so some generators have no word of degree d - t
+    for d in range(m.lo - 2, max(gen_degrees) + 9):
+        want = [m.act_word(WORDS[w], gen_degrees[i]).matvec(gens[i][1])
+                for i, w in _free_basis(gen_degrees, d)]
+        assert m.word_images(gens, d) == want, d
+    if m.name != "J":  # J has one class per degree
+        assert any(v & (v - 1) for _, v in gens)
 
 
 # -- validate-closure property suite ----------------------------------------------
