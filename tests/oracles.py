@@ -323,6 +323,82 @@ class BarExt:
         return out
 
 
+# -- exactness of a minimal resolution by rank counts ----------------------------
+
+
+def free_degree_basis(gen_degrees: Sequence[int], t: int) -> Dict[Tuple[int, int], int]:
+    """Position of each (generator, word) pair spanning degree t of a free module."""
+    pairs = [(i, w) for i, g in enumerate(gen_degrees)
+             for w in range(len(WORDS)) if DEGREES[w] == t - g]
+    return {pair: k for k, pair in enumerate(pairs)}
+
+
+def _act_by_letters(module, word: str, d: int, v: int) -> int:
+    """word·v for v in degree d of the module, one Sq1/Sq2 letter at a time."""
+    for letter in reversed(word):
+        v = (module.sq1_map(d) if letter == "1" else module.sq2_map(d)).matvec(v)
+        d += int(letter)
+    return v
+
+
+def boundary_rank(res, s: int, t: int) -> int:
+    """Rank of d_{s,t}: F_{s,t} -> F_{s-1,t}, with d_0 the augmentation onto M_t.
+
+    Built from the resolution's boundary entries and MUL_TABLE (and, for
+    d_0, the module's Sq1/Sq2 matrices); the rank comes from
+    ``column_scan_rref`` of the image vectors.
+    """
+    stages = res.stages
+    source = free_degree_basis(stages[s].gen_degrees, t)
+    images = []
+    if s == 0:
+        for gi, w in source:
+            g, v = stages[0].augmentation[gi]
+            images.append(_act_by_letters(res.module, WORDS[w], g, v))
+        width = res.module.dim(t)
+    else:
+        target = free_degree_basis(stages[s - 1].gen_degrees, t)
+        for gi, w in source:
+            img = 0
+            for gj, elt in stages[s].boundary[gi]:
+                bits = elt.bits
+                while bits:
+                    u = (bits & -bits).bit_length() - 1
+                    bits &= bits - 1
+                    p = MUL_TABLE[w][u]
+                    if p is not None:
+                        img ^= 1 << target[(gj, p)]
+            images.append(img)
+        width = len(target)
+    return len(column_scan_rref(images, width)[1])
+
+
+def check_exact(res) -> None:
+    """Raise AssertionError unless the resolution is exact in its window.
+
+    For s < max_s and t <= max_t, dim F_{s,t} = rank d_{s,t} + rank
+    d_{s+1,t}, and d_0 is onto M_t.  With d∘d = 0 (``verify_resolution``)
+    these rank counts prove exactness: the image of d_{s+1} lies in the
+    kernel of d_s and has the kernel's dimension.
+    """
+    lo = res.module.lo if res.module.dims else 0
+    ranks: Dict[Tuple[int, int], int] = {}
+
+    def rank(s: int, t: int) -> int:
+        if (s, t) not in ranks:
+            ranks[(s, t)] = boundary_rank(res, s, t)
+        return ranks[(s, t)]
+
+    for t in range(lo, res.max_t + 1):
+        if rank(0, t) != res.module.dim(t):
+            raise AssertionError(f"augmentation not onto M at t={t}")
+    for s in range(res.max_s):
+        for t in range(lo, res.max_t + 1):
+            dim = len(free_degree_basis(res.stages[s].gen_degrees, t))
+            if dim != rank(s, t) + rank(s + 1, t):
+                raise AssertionError(f"not exact at s={s}, t={t}")
+
+
 # -- Serre-basis dimensions for K(Z/2, n) ----------------------------------------
 
 

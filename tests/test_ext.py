@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -11,7 +13,7 @@ from a1bordism.ext import (assemble_groups, chart_ascii, chart_tsv,
                            collapse_certificate, ext_chart, minimal_resolution,
                            verify_resolution)
 from a1bordism.modules import catalog, free_module
-from oracles import BarExt
+from oracles import BarExt, check_exact
 
 
 # the hand-built minimal-resolution fixture for F2 over A(1): Ext is
@@ -249,3 +251,96 @@ def test_chart_is_immutable():
     dims[(2, 0)] = 1  # the chart keeps its own copy of the mappings
     del h0[(0, 0)]
     assert chart.dim(2, 0) == 0 and chart.h0_power(0, 0, 1).rows == (1,)
+
+
+@pytest.fixture(scope="module")
+def pipeline_resolutions():
+    """The resolution of every wedge piece run_pipeline resolves at --through 7."""
+    from a1bordism import pipelines as pl
+
+    s_resolve, max_t, cutoff = pl.window_parameters(7, pl.DEFAULT_MAX_S)
+    out = {}
+    for name in sp.STRUCTURE_NAMES:
+        for k, piece in enumerate(sp.structure_pieces(name, cutoff)):
+            rem = md.split_free(piece, max_gen_degree=8).remainder
+            if rem.total_dim():
+                out[f"{name}/{k}"] = minimal_resolution(rem, max_s=s_resolve,
+                                                        max_t=min(max_t, rem.hi))
+    return out
+
+
+def resolution_digest(res):
+    """SHA-256 of every stage's generator degrees, boundary and augmentation."""
+    data = [(tuple(st.gen_degrees),
+             tuple(tuple((gi, elt.bits) for gi, elt in entries) for entries in st.boundary),
+             tuple(st.augmentation))
+            for st in res.stages]
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+# recorded with the resolution that built a kernel module per stage; any
+# change to minimal_resolution must reproduce these bytes
+RESOLUTION_DIGESTS = {
+    "FK/0":
+        "3a1174fb6162ec50d68e74c0e10964152ebcfc93a371f0964fec9af35e9fe02a",
+    "FKO/0":
+        "2592d9b421e425fbb840aed03e21b6ae275cc3b65a6db24c7f13652bac5cb5d3",
+    "GM/0":
+        "57a276f206fd461679028becefec70ec94d81434ed1e3c8e05f00fa98f120d28",
+    "KTminus/0":
+        "0546bb27e583f2748d33e7544109129c7b4d2132007cd5d89b464c6ecc93f036",
+    "KTplus/0":
+        "e856ccbcb828e1f515646a1eec67eb1ee76441c1f4544576fe3206439946e293",
+    "SpinO2/0":
+        "034b5020977093f5abf4013b5b236290646ef3e2f9125d5cdea9c1b34135f0db",
+    "SigmaBO2/0":
+        "4b6154c785a85bb7e029282cd4bf788532d4f3fae22e1f3f51ad43148797111c",
+    "SigmaBO2/1":
+        "1140ac268bf14a44f2708abed58eaf9e1783584f3774667be0394751e090db0f",
+    "TauMinus/0":
+        "cfe95138f47fc8aad732282818eb142091b39f2bc5fb5d80a5d419b38d99da87",
+    "TauMinus/1":
+        "38b4d19e309e46fe70427d2af9cae03cf3c4965300197ca8712ab92ba7997ae3",
+    "TauPlus/0":
+        "f7e47e0d89ca0a1487bf3055cf67b3000d4698a1c38e5c522f3164e9bf25c559",
+    "TauPlus/1":
+        "d70f0945249d02db753138ace10a4e38b98a89f3d21b55a772430029af896120",
+    "PinMinusO2/0":
+        "6959f50f9c0b151598940b8ed9788a14cacad53e1699249ad6cc736fdc31019f",
+    "PinMinus/0":
+        "4b6154c785a85bb7e029282cd4bf788532d4f3fae22e1f3f51ad43148797111c",
+    "PinPlus/0":
+        "422f604377ebdc3cce45aff1e9b8508ec8867af3db2f5d4c54b61c68ad70a9ab",
+    "MV_a_ab/0":
+        "b9d1568439ec694740dd072e02496bcdb459a5c939e1c992e869962da84b40e0",
+    "F2(16,26)":
+        "a4141de4ffb952d678c8e2f5d8871108a1a742be50eeb40c93fc80e27ba04279",
+    "Q(4,12)":
+        "ef3ec34e1681bbc0ea934a20b91897cc73908168502005b7d81cafac895850c2",
+}
+
+
+def test_resolution_bytes_are_pinned(pipeline_resolutions):
+    got = {key: resolution_digest(res) for key, res in pipeline_resolutions.items()}
+    got["F2(16,26)"] = resolution_digest(minimal_resolution(md.f2_module(), 16, 26))
+    got["Q(4,12)"] = resolution_digest(minimal_resolution(catalog("Q"), 4, 12))
+    assert got == RESOLUTION_DIGESTS
+
+
+def test_pipeline_resolutions_are_exact_and_minimal(pipeline_resolutions):
+    assert len(pipeline_resolutions) == 16
+    for key, res in pipeline_resolutions.items():
+        verify_resolution(res)
+        check_exact(res)
+
+
+def test_exactness_check_catches_a_missing_generator(pipeline_resolutions):
+    # dropping GM's last stage-3 generator (t = 23) keeps d∘d = 0 and
+    # minimality, so only the rank counts see it
+    res = pipeline_resolutions["GM/0"]
+    st = res.stages[3]
+    cut = ex.ResolutionStage(3, st.gen_degrees[:-1], st.boundary[:-1])
+    broken = dataclasses.replace(res, stages=res.stages[:3] + [cut] + res.stages[4:])
+    verify_resolution(broken)
+    with pytest.raises(AssertionError, match="not exact at s=2, t=23"):
+        check_exact(broken)
