@@ -10,14 +10,15 @@ cannot justify is reported uncertified, never guessed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .gf2 import BitMatrix, ColumnSolver
+from .gf2 import BitMatrix, ColumnSolver, free_coords, span_rref
 from . import steenrod
-from .modules import GradedA1Module, InvariantError
-from .steenrod import A1Element, WORD_INDEX
+from .modules import GradedA1Module, InvariantError, images_from_words
+from .steenrod import A1Element
 
 
 class ResolutionError(ValueError):
@@ -45,110 +46,104 @@ class Resolution:
         return self.stages[s].gen_degrees if s < len(self.stages) else []
 
 
-def _free_basis(gen_degrees: Sequence[int], d: int) -> List[Tuple[int, int]]:
-    """Basis of the degree-d part of the free module on the given generators.
+def _free_bases(gen_degrees: Sequence[int], top: int) -> Dict[int, List[Tuple[int, int]]]:
+    """Bases of the degrees <= top of the free module on the given generators.
 
-    Pairs (generator index, word index), generator by generator and within
-    a generator in WORDS order: the column order of
-    ``GradedA1Module.word_images``, which must stay the same.
+    Degree d's basis is pairs (generator index, word index) in the column
+    order of ``modules.images_from_words``, which must stay the same.
     """
-    out = []
+    out: Dict[int, List[Tuple[int, int]]] = {}
     for i, t in enumerate(gen_degrees):
-        if 0 <= d - t <= steenrod.TOP_DEGREE:
-            for widx in steenrod.words_of_degree(d - t):
-                out.append((i, widx))
+        for widx, w in enumerate(steenrod.DEGREES):
+            if t + w <= top:
+                out.setdefault(t + w, []).append((i, widx))
     return out
+
+
+def _free_word_images(fbasis: Mapping[int, Sequence[Tuple[int, int]]],
+                      gens: Sequence[Tuple[int, int]], d: int) -> List[int]:
+    """``GradedA1Module.word_images`` into the free module with bases ``fbasis``.
+
+    A product of two basis words of A(1) is one basis word or 0, so a
+    word sends each basis vector to one basis vector or to 0.
+    """
+    target = {bw: 1 << p for p, bw in enumerate(fbasis.get(d, ()))}
+
+    def word_columns(widx: int, t: int) -> List[int]:
+        row = steenrod.MUL_TABLE[widx]
+        return [0 if row[u] is None else target[(gi, row[u])] for gi, u in fbasis[t]]
+
+    return images_from_words(gens, d, word_columns)
 
 
 def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
     """Stages 0..max_s of the minimal free resolution, exact for t <= max_t.
 
-    Each stage is built degree by degree in increasing order, in a single
-    thread, so the result depends only on the module and the window.
+    Computed in the free modules' own bases (Bruner, "Calculation of
+    large Ext modules", 1993).  The kernel K_s of F_s -> F_{s-1} (of
+    F_0 -> M) is kept as vectors of F_s, and the next boundary's columns
+    w·v are read off the A(1) multiplication table; no module is built
+    for K_s.  Its generators complement Sq1 K_s + Sq2 K_s, as
+    ``GradedA1Module.generator_coords`` would on K_s.  Degrees go in
+    increasing order in a single thread, so the result depends only on
+    the module and the window.
     """
     if not M.complete and M.hi < max_t:
         raise ResolutionError(
             f"module {M.name or '<anon>'} is truncated at {M.hi}; "
             f"resolving to internal degree {max_t} needs cutoff >= {max_t}")
-    lo = M.lo if M.dims else 0
-
-    # current kernel K, with deg -> list of vectors embedding K into the parent
-    K = M
-    emb: Optional[Dict[int, List[int]]] = None
+    # the current stage's generators as (t, v), and word images, in the
+    # coordinates of the boundary's target: M at stage 0, F_{s-1} after
+    gens = M.minimal_generators(max_t)
+    images = M.word_images
     prev_fbasis: Dict[int, List[Tuple[int, int]]] = {}
     stages: List[ResolutionStage] = []
 
     for s in range(max_s + 1):
-        gens: List[Tuple[int, int]] = []
-        for d in sorted(K.dims):
-            if d > max_t:
-                continue
-            for j in K.generator_coords(d):
-                gens.append((d, j))
         gen_degrees = [t for t, _ in gens]
-        gen_vecs = [(t, 1 << j) for t, j in gens]
         stage = ResolutionStage(s, gen_degrees, [])
         if s == 0:
-            stage.augmentation = gen_vecs
+            stage.augmentation = gens
         else:
-            for t, j in gens:
-                vec = emb[t][j] if emb is not None else (1 << j)
+            for t, v in gens:
                 entries: Dict[int, int] = {}
-                for p, (gi, widx) in enumerate(prev_fbasis.get(t, [])):
-                    if (vec >> p) & 1:
-                        entries[gi] = entries.get(gi, 0) ^ (1 << widx)
+                while v:
+                    low = v & -v
+                    gi, widx = prev_fbasis[t][low.bit_length() - 1]
+                    entries[gi] = entries.get(gi, 0) ^ (1 << widx)
+                    v ^= low
                 stage.boundary.append(
-                    sorted(((gi, A1Element(bits)) for gi, bits in entries.items()),
-                           key=lambda e: e[0])
-                )
+                    [(gi, A1Element(bits)) for gi, bits in sorted(entries.items())])
         stages.append(stage)
         if s == max_s:
             break
 
-        # kernel of F_s -> K, degreewise
-        fbasis: Dict[int, List[Tuple[int, int]]] = {}
+        # the kernel of F_s -> target: the inclusion of K_{s-1} into
+        # F_{s-1} is injective, so this is the kernel of F_s onto K_{s-1}
+        fbasis = _free_bases(gen_degrees, max_t)
         ker_vecs: Dict[int, List[int]] = {}
-        for d in range(lo, max_t + 1):
-            fb = _free_basis(gen_degrees, d)
-            if not fb:
-                continue
-            fbasis[d] = fb
-            # the map F_s -> K in degree d, its columns in fb's order
-            kb = BitMatrix.from_columns(K.word_images(gen_vecs, d), K.dim(d)).kernel_basis()
-            if kb:
-                ker_vecs[d] = list(kb)
+        for d in sorted(fbasis):
+            kernel = ColumnSolver(images(gens, d)).kernel
+            if kernel:
+                ker_vecs[d] = kernel
 
-        dims = {d: len(v) for d, v in ker_vecs.items()}
-        ker_solvers = {d: ColumnSolver(v) for d, v in ker_vecs.items()}
-        sq1: Dict[int, BitMatrix] = {}
-        sq2: Dict[int, BitMatrix] = {}
-        for shift, store, letter in ((1, sq1, 1), (2, sq2, 2)):
-            lw = WORD_INDEX[str(letter)]
+        # Sq1 and Sq2 of the kernel in kernel coordinates span the
+        # decomposables of K_s
+        images = functools.partial(_free_word_images, fbasis)
+        decomposables: Dict[int, List[int]] = {d: [] for d in ker_vecs}
+        solvers = {d: ColumnSolver(v) for d, v in ker_vecs.items()}
+        for shift in (1, 2):
             for d, vecs in ker_vecs.items():
-                if d + shift > max_t or (d + shift) not in ker_vecs:
+                solver = solvers.get(d + shift)
+                if solver is None:
                     continue
-                src_fb = fbasis[d]
-                tgt_index = {bw: p for p, bw in enumerate(fbasis[d + shift])}
-                solver = ker_solvers[d + shift]
-                cols = []
-                for v in vecs:
-                    w_img = 0
-                    vv = v
-                    while vv:
-                        p = (vv & -vv).bit_length() - 1
-                        vv &= vv - 1
-                        gi, widx = src_fb[p]
-                        prod = steenrod.MUL_TABLE[lw][widx]
-                        if prod is not None:
-                            w_img ^= 1 << tgt_index[(gi, prod)]
-                    x = solver.solve(w_img)
+                for img in images([(d, v) for v in vecs], d + shift):
+                    x = solver.solve(img)
                     if x is None:
                         raise InvariantError("kernel not closed under the action")
-                    cols.append(x)
-                store[d] = BitMatrix.from_columns(cols, dims[d + shift])
-        K = GradedA1Module(dims, sq1, sq2, max_t, None, complete=False,
-                           name=f"K{s}({M.name})")
-        emb = ker_vecs
+                    decomposables[d + shift].append(x)
+        gens = [(d, vecs[j]) for d, vecs in sorted(ker_vecs.items())
+                for j in free_coords(span_rref(decomposables[d], len(vecs))[1], len(vecs))]
         prev_fbasis = fbasis
 
     return Resolution(M, max_s, max_t, stages)

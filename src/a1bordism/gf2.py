@@ -253,12 +253,16 @@ class ColumnSolver:
     single reduction pass.  solve(b) returns a combination mask m with
     XOR_{j in m} columns[j] = b, or None when b is outside the span;
     ``b in solver`` asks only whether b is in the span.
+
+    ``kernel`` has the dependency mask of each column in the span of the
+    earlier ones, which is the vector ``kernel_basis`` gives for it.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "kernel")
 
     def __init__(self, columns: Sequence[int]):
         self.table = {}
+        self.kernel: List[int] = []
         for j, c in enumerate(columns):
             v, m = c, 1 << j
             while v:
@@ -269,6 +273,8 @@ class ColumnSolver:
                     break
                 v ^= hit[0]
                 m ^= hit[1]
+            else:
+                self.kernel.append(m)
 
     def solve(self, b: int) -> Optional[int]:
         v, m = b, 0

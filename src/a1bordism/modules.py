@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gf2 import BitMatrix, ColumnSolver, free_coords, span_rref
 from . import steenrod
@@ -44,6 +44,34 @@ class Violation:
     def __str__(self) -> str:
         msg = f"{self.relation} at degree {self.degree}"
         return msg + (f" ({self.detail})" if self.detail else "")
+
+
+def images_from_words(gens: Sequence[Tuple[int, int]], d: int,
+                      word_columns: Callable[[int, int], List[int]]) -> List[int]:
+    """Degree-d columns of the A(1)-map from a free module with these generators.
+
+    Generator i sits in degree t and goes to v, for ``gens[i] = (t, v)``.
+    Columns come in the basis order of ``ext._free_bases``: generator by
+    generator, and within one the words of degree d - t in ``WORDS``
+    order.  ``word_columns(widx, t)``, the columns of ``WORDS[widx]`` on
+    the target from degree t, is called once per ``(widx, t)``.
+    """
+    read: Dict[Tuple[int, int], List[int]] = {}
+    out = []
+    for t, v in gens:
+        if not 0 <= d - t <= steenrod.TOP_DEGREE:
+            continue  # no words; skipped before the call, as this loop is hot
+        for widx in steenrod.words_of_degree(d - t):
+            cols = read.get((widx, t))
+            if cols is None:
+                cols = read[(widx, t)] = word_columns(widx, t)
+            acc, rest = 0, v
+            while rest:
+                low = rest & -rest
+                acc ^= cols[low.bit_length() - 1]
+                rest ^= low
+            out.append(acc)
+    return out
 
 
 class GradedA1Module:
@@ -124,7 +152,9 @@ class GradedA1Module:
         return self.sq1_map(d) if letter == "1" else self.sq2_map(d)
 
     def act_word(self, word: str, d: int) -> BitMatrix:
-        """Matrix of the (possibly non-reduced) word acting from degree d."""
+        """Matrix of the (possibly non-reduced) word acting from degree d.
+
+        A suffix of a normal form is one too: one product on its cached matrix."""
         nf = reduce_word(word)
         if nf is None:
             return BitMatrix.zeros(self.dim(d + steenrod.word_degree(word)), self.dim(d))
@@ -133,12 +163,13 @@ class GradedA1Module:
         hit = cache.get(key)
         if hit is not None:
             return hit
-        cur = BitMatrix.identity(self.dim(d))
-        deg = d
-        for letter in reversed(nf):
-            step = self.act_letter(letter, deg)
-            cur = step @ cur
-            deg += int(letter)
+        if not nf:
+            cur = BitMatrix.identity(self.dim(d))
+        elif len(nf) == 1:
+            cur = self.act_letter(nf, d)
+        else:
+            rest = nf[1:]
+            cur = self.act_letter(nf[0], d + steenrod.word_degree(rest)) @ self.act_word(rest, d)
         cache[key] = cur
         return cur
 
@@ -150,32 +181,8 @@ class GradedA1Module:
         return out
 
     def word_images(self, gens: Sequence[Tuple[int, int]], d: int) -> List[int]:
-        """Degree-d columns of the A(1)-map from a free module into M.
-
-        The free module has one generator per ``(t, v)`` in ``gens``, in
-        degree t, sent to the vector v of M_t.  Column order is the free
-        basis order of ``ext._free_basis``: generator by generator, and
-        within a generator the words of degree d - t in ``WORDS`` order
-        (none when d - t is outside 0..6).  A map out of a free module is
-        fixed by these images; each word's columns are read once per
-        ``(word, t)`` in the call.
-        """
-        read: Dict[Tuple[int, int], List[int]] = {}
-        out = []
-        for t, v in gens:
-            if not 0 <= d - t <= steenrod.TOP_DEGREE:
-                continue  # no words; skipped before the call, as this loop is hot
-            for widx in steenrod.words_of_degree(d - t):
-                cols = read.get((widx, t))
-                if cols is None:
-                    cols = read[(widx, t)] = self.act_word(WORDS[widx], t).columns()
-                acc, rest = 0, v
-                while rest:
-                    low = rest & -rest
-                    acc ^= cols[low.bit_length() - 1]
-                    rest ^= low
-                out.append(acc)
-        return out
+        """``images_from_words`` into M: the columns of M's word matrices."""
+        return images_from_words(gens, d, lambda widx, t: self.act_word(WORDS[widx], t).columns())
 
     def known_through(self, d: int) -> bool:
         return self.complete or d <= self.hi
@@ -358,19 +365,19 @@ class GradedA1Module:
         """The quotient M/M_{>n}, a genuine complete module."""
         return self.truncate(n, complete=True)
 
-    def submodule(self, vectors: Dict[int, Sequence[int]], name: str = "") -> Tuple["GradedA1Module", Dict[int, BitMatrix]]:
+    def submodule(self, vectors: Dict[int, Sequence[int]], name: str = "") -> Tuple["GradedA1Module", Dict[int, List[int]]]:
         """Module structure on the span of the given degreewise vectors.
 
         Raises ModuleError if a vector has a bit beyond its degree's
         dimension or the span is not closed under the action.  Returns
-        the module plus the degreewise inclusion matrices.
+        the module plus the inclusion's columns, the nonempty degrees' vectors.
 
         A degree whose vectors are exactly the standard basis of ``M_d``
         (``vecs[j] == 1 << j`` for every ``j < dim(d)``) is left as it is:
-        its inclusion is the identity, its labels are M's, and an action
-        between two such degrees is M's own matrix.  Only the other
-        degrees are rebuilt, so a caller that changes a few degrees (as
-        ``split_free`` changes ``g … g+6``) pays only for those.
+        its labels are M's, and an action between two such degrees is
+        M's own matrix.  Only the other degrees are rebuilt, so a caller
+        that changes a few degrees (as ``split_free`` changes
+        ``g … g+6``) pays only for those.
         """
         basis = {d: list(v) for d, v in vectors.items() if v}
         whole = {d for d, vecs in basis.items()
@@ -379,12 +386,6 @@ class GradedA1Module:
             # a whole degree is in range by definition
             if d not in whole and any(v >> self.dim(d) for v in vecs):  # also catches v < 0
                 raise ModuleError(f"vector outside degree {d} (dimension {self.dim(d)})")
-        incl: Dict[int, BitMatrix] = {}
-        for d, vecs in basis.items():
-            if d in whole:
-                incl[d] = BitMatrix.identity(len(vecs))
-            else:
-                incl[d] = BitMatrix.from_columns(vecs, self.dim(d))
         dims = {d: len(v) for d, v in basis.items()}
         labels = {}
         for d, vecs in basis.items():
@@ -424,10 +425,7 @@ class GradedA1Module:
                     cols.append(x)
                 if tgt:
                     store[d] = BitMatrix.from_columns(cols, len(tgt))
-        return (
-            GradedA1Module(dims, sq1, sq2, self.hi, labels, self.complete, name=name),
-            incl,
-        )
+        return GradedA1Module(dims, sq1, sq2, self.hi, labels, self.complete, name=name), basis
 
     # -- generators and homology ------------------------------------------
 

@@ -215,6 +215,13 @@ def test_rref_equals_column_scan_reference():
         assert m.kernel_basis() == column_scan_kernel_basis(m.rows, c)
 
 
+def test_column_solver_kernel_equals_kernel_basis():
+    rng = random.Random(43)
+    for r, c, density in _reference_shapes(rng):
+        m = _random_matrix(rng, r, c, density)
+        assert ColumnSolver(m.columns()).kernel == list(m.kernel_basis())
+
+
 def test_images_equal_per_vector_matvec():
     rng = random.Random(47)
     for r, c, density in _reference_shapes(rng):

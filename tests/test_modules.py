@@ -434,7 +434,7 @@ def test_quotient_above_own_top_is_the_module_itself():
                                    lambda: named_structure("KTminus", 12)],
                          ids=["A1free", "J", "SpinO2@12", "KTminus@12"])
 def test_word_images_equal_per_word_matvec_in_free_basis_order(build):
-    from a1bordism.ext import _free_basis
+    from a1bordism.ext import _free_bases
     from a1bordism.steenrod import WORDS
 
     m = build()
@@ -447,7 +447,7 @@ def test_word_images_equal_per_word_matvec_in_free_basis_order(build):
     # so some generators have no word of degree d - t
     for d in range(m.lo - 2, max(gen_degrees) + 9):
         want = [m.act_word(WORDS[w], gen_degrees[i]).matvec(gens[i][1])
-                for i, w in _free_basis(gen_degrees, d)]
+                for i, w in _free_bases(gen_degrees, d).get(d, [])]
         assert m.word_images(gens, d) == want, d
     if m.name != "J":  # J has one class per degree
         assert any(v & (v - 1) for _, v in gens)
@@ -462,6 +462,24 @@ def _random_module(rng: random.Random) -> GradedA1Module:
     for _ in range(rng.randint(0, 2)):
         m = m.direct_sum(catalog(rng.choice(pieces)).suspend(rng.randint(0, 3)))
     return m
+
+
+@pytest.mark.parametrize("build", [lambda: catalog("J"), lambda: named_structure("SpinO2", 12),
+                                   lambda: named_structure("KTminus", 12)],
+                         ids=["J", "SpinO2@12", "KTminus@12"])
+def test_act_word_equals_letter_by_letter_product(build):
+    from a1bordism.gf2 import BitMatrix
+    from a1bordism.steenrod import WORDS
+
+    m = build()
+    for d in range(m.lo - 1, m.hi + 1):
+        for w in reversed(WORDS):  # longest first, so the suffixes are not cached yet
+            ref, deg = BitMatrix.identity(m.dim(d)), d
+            for letter in reversed(w):
+                ref = m.act_letter(letter, deg) @ ref
+                deg += int(letter)
+            assert m.act_word(w, d) == ref, (w, d)
+    assert m.act_word("22", m.lo) is m.act_word("121", m.lo)
 
 
 def test_validate_closure_of_constructions():
