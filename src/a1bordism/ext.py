@@ -1,11 +1,12 @@
 """Minimal free resolutions over A(1) and the resulting Ext charts.
 
 The E2 page of the (Baker-Lazarev form) Adams spectral sequence for a
-ko-module is Ext over A(1) of its ko-linear cohomology; we compute it from
-a minimal resolution, read h0 off the Sq1 coefficients of the boundary
-matrices, certify collapse where the standard arguments apply, and
-assemble 2-complete abelian groups from h0-towers.  Anything the window
-cannot justify is reported uncertified, never guessed.
+ko-module is Ext over A(1) of its ko-linear cohomology.  We compute it
+from a minimal resolution, built in the free modules' own bases with the
+A(1) multiplication table (Bruner 1993), read h0 off the Sq1
+coefficients of the boundaries, certify collapse where the standard
+arguments apply, and assemble 2-complete groups from h0-towers.
+Anything the window cannot justify is reported uncertified, never guessed.
 """
 
 from __future__ import annotations
