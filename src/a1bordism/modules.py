@@ -152,9 +152,7 @@ class GradedA1Module:
         return self.sq1_map(d) if letter == "1" else self.sq2_map(d)
 
     def act_word(self, word: str, d: int) -> BitMatrix:
-        """Matrix of the (possibly non-reduced) word acting from degree d.
-
-        A suffix of a normal form is one too: one product on its cached matrix."""
+        """Matrix of the word (maybe non-reduced) from degree d: first letter times suffix."""
         nf = reduce_word(word)
         if nf is None:
             return BitMatrix.zeros(self.dim(d + steenrod.word_degree(word)), self.dim(d))
