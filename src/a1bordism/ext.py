@@ -55,9 +55,9 @@ def _free_bases(gen_degrees: Sequence[int], top: int) -> Dict[int, List[Tuple[in
     """
     out: Dict[int, List[Tuple[int, int]]] = {}
     for i, t in enumerate(gen_degrees):
-        for widx, w in enumerate(steenrod.DEGREES):
-            if t + w <= top:
-                out.setdefault(t + w, []).append((i, widx))
+        for widx, dw in enumerate(steenrod.DEGREES):
+            if t + dw <= top:
+                out.setdefault(t + dw, []).append((i, widx))
     return out
 
 
