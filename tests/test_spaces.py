@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import random
 
 import pytest
 
 from a1bordism import modules as md
+from a1bordism import obstruction as ob
 from a1bordism import spaces as sp
 from a1bordism.modules import catalog, iso_up_to_degree, split_free
 from oracles import kzn_dims
@@ -332,3 +334,164 @@ def test_structure_pieces_of_unsplit_and_split_structures():
 def test_structure_unknown_name():
     with pytest.raises(ValueError):
         sp.named_structure("GMX", 8)
+
+
+# -- pinned construction bytes ----------------------------------------------------
+
+
+def construction_digest(modules):
+    """SHA-256 of the dims, labels and Sq1/Sq2 columns of each module."""
+    data = [(tuple(sorted(m.dims.items())),
+             tuple(sorted(m.labels.items())),
+             tuple((d, tuple(m.sq1[d].columns())) for d in sorted(m.sq1)),
+             tuple((d, tuple(m.sq2[d].columns())) for d in sorted(m.sq2)))
+            for m in modules]
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+# recorded with the total-square construction of the Steenrod action; any
+# change to how spaces build modules must reproduce these bytes.  "name@c"
+# covers named_structure(name, c) followed by structure_pieces(name, c) at
+# the small cutoffs 5 and 13 and the pipeline cutoffs 26 (through 4) and
+# 29 (through 7); "H*(X)" is the catalog space's cohomology module at
+# cutoff 20, or at its cap for K(Z/2, n)
+CONSTRUCTION_DIGESTS = {
+    "FK@5":
+        "5cc3fd13744477b9788bacba37c4291241ef8797914f2356329f9330326fd658",
+    "FKO@5":
+        "9d4ef17ce2329859017569d6fd35d79cbf14d1464de8c34a7860a47acc97c7ab",
+    "GM@5":
+        "cbb138df7f7d9b861b9f355b8cd516ef86838892c0a0862f7040529f257285a2",
+    "KTminus@5":
+        "a6b23c5a440570829a7ee807dbdc6984ce6ebc4373a4176d31f42cf8f28fc838",
+    "KTplus@5":
+        "c533ee76d91661b0ef00463648002234d1f2e699823cafadc1a4fd734e7b6bf1",
+    "SpinO2@5":
+        "4180ceba1a9530c556d25b1282bbd2bca80e4a63924e7480a070559edcf3a1e7",
+    "SigmaBO2@5":
+        "3a1c18a7692eaf2ad5bdfc3059477d0a7ab422b714c77869cd79c7b719f24cfc",
+    "TauMinus@5":
+        "37f3d33e02b303239c36bced48a85309c1b0dc2feac97e7d9d44bf99ca5a0a06",
+    "TauPlus@5":
+        "7e1cae9f115d4fd787965a2383cf35cf41b6dda0098e4ba4040eecd3ee47630f",
+    "PinMinusO2@5":
+        "bf1bf5dd9b962cd97f3f565e05278adc5a5af6e581be331e8bfc188c46297a8d",
+    "PinMinus@5":
+        "caa8a22deefdc239f77032e329e02641081140f9ccb604a7c1e345608d521b79",
+    "PinPlus@5":
+        "9f4bd1fc399559191f5b63cd906105492e5add078bdf9024cc6da2eb61a89f0b",
+    "MV_a_ab@5":
+        "612d76f0abc7975024fc4e4c3e343faab2a0637d4fab17765422f196feca313d",
+    "FK@13":
+        "592ae1f67ae71aa66d027ea33c913c07d369685421604c4383cc7c7268094630",
+    "FKO@13":
+        "9d2d57cc08938a2d1d4cea5ebe2ba4bacaa2b12cc259e0650cd5abf51c374f4c",
+    "GM@13":
+        "6d201ad243882731741e8754bdc3091d4c3fe7f7f9b952d68e7292dd798fed7d",
+    "KTminus@13":
+        "1725dc9dca4615a5481432d27fded6c68668150b88b85814ffcca9d411b357be",
+    "KTplus@13":
+        "2fe223d1d692a76e90416a8d9ae5b0a05ba919781e7df3b8b7cf9682e67a4c89",
+    "SpinO2@13":
+        "058412c6aa4bc316fc1983f15536e8d12d24ea6799ca0dbdb1d733e703f0cc95",
+    "SigmaBO2@13":
+        "bc879e7d8145b8616afc434b8cde271a0094c53a483a0052336acd5df6fc2659",
+    "TauMinus@13":
+        "689049cb283f68f534803019011907894f760530bf4244a0444b841502cbbf28",
+    "TauPlus@13":
+        "dfdb1931b0862d1875957dea31bc4b70663db3c1a1d6796b444619d2bf1894f0",
+    "PinMinusO2@13":
+        "0259e774e669c8d5ae916f3bb5c39ce82c1f5b42bd995d5e918113c929123dd4",
+    "PinMinus@13":
+        "3df4d2dcdb2f1ef16ffa56a9ed84d45c231275aa1dc3fdcaf3271af291b68cee",
+    "PinPlus@13":
+        "e86d79d0fe75c7ac8979f8a886ca18e861785811a0a0b7d5c4df193140243781",
+    "MV_a_ab@13":
+        "6e77f1b4208b8adf644bb6554f172e871d504fb866ab10f1decf22a9a9e5b46f",
+    "FK@26":
+        "dad8a7bc7170d5cc1dd340fcf868b5c1259ae652032efba5946a8d239576ca7d",
+    "FKO@26":
+        "8aabe12f93ae9c045b936cd511706299881c0520f78873e2708f7f459e133a78",
+    "GM@26":
+        "6deda3aea7110bde00261ebc3f02b168ae9bce655059d82f890d726d78edefc3",
+    "KTminus@26":
+        "f4bba7877aaa60fff55bcf725e835eadb38ebd70373c4da8cd09e271deecf53f",
+    "KTplus@26":
+        "e30cfbfc9a2f3ecec7ca7d7ce6087fdbcf7b2a98509c1d59fb9c7cde360a3b4a",
+    "SpinO2@26":
+        "4826da03426514aa00b178a283a7d88fd00c8594f7321f29fbfa35e257304755",
+    "SigmaBO2@26":
+        "4010f760ed5d7ece861c6d607bc49c90cd862d759930d944d19187a3f96e3d8f",
+    "TauMinus@26":
+        "a04d2689adc4858cba3d1672708ac56613e13e583ddf2b2f16d5aeee36a61c99",
+    "TauPlus@26":
+        "5a767d3cf7ebe992b36d2f5909e27f0839093f3c68be7e560e8f708d0a31fe13",
+    "PinMinusO2@26":
+        "0fff77b790d85a950b3ec44d282d437dd02363b2bd55b3304ae0d4c2aabe949a",
+    "PinMinus@26":
+        "07de08e695988c73eedf65739b7a20c3533956908badedaa2c2ba9ffe3f04645",
+    "PinPlus@26":
+        "d57822ad27e4593b2cac7c7ba5b09b1e669feafd80da6cc75b4d23cab855ac3c",
+    "MV_a_ab@26":
+        "6e498300ce3b75720c915975866bae54b14c3d6f4e8a3190a791a50d39e0176b",
+    "FK@29":
+        "b78930da0737cbf9c900e182813824e7a51bb8856d75cd760b9942ffeba3ce8e",
+    "FKO@29":
+        "fb96d246a78310414bf02e757d94d94283530a83e2913c1f4c9cd0120bc76955",
+    "GM@29":
+        "403a4f11038d01242cf8e8bd2dd655ec57df429a386a0d883c2b553dff84a66c",
+    "KTminus@29":
+        "59e92d4a19b83f61500cd10d45b26fa2f538d9bd1484367df39248603f648a1f",
+    "KTplus@29":
+        "13400c3061e4b8c2501ee8b3e9c230938201a365d0fd42ae097dcf8dd7653733",
+    "SpinO2@29":
+        "b3bf36f2a00e783db4112e9a000b96e36e31da92c6714420e3c16b2838bc0e4b",
+    "SigmaBO2@29":
+        "6f0062b48157b940bf436c451a4a1e39d907aee5c432b2f2be25c102997c3039",
+    "TauMinus@29":
+        "e3fc8ebc92e3f5816eb63b65430b8d53f6e9d0f909a85718afb934221faf6651",
+    "TauPlus@29":
+        "72c32bfa2f294cca2fa679b19573fd7a2fe51c5fa451b826aea1de4d9f70def7",
+    "PinMinusO2@29":
+        "c1aa1998b2180b21e67b2489e3e10dbda2674c2c18306b04cef03e0e6ccbb457",
+    "PinMinus@29":
+        "3600dcd4b910cf1ca0496b4cb85427046f18ced33a25bb614404e29b501841ee",
+    "PinPlus@29":
+        "54e5e0fce09686d8113edc29cf63fc75ef8696ce60de4f72cd46c8c223c10402",
+    "MV_a_ab@29":
+        "f093c01a69b041e49847f0d05b362e8613657ac2544f2ad1e8af93d4d1e0e979",
+    "H*(BO1)":
+        "803a8992b3977b909d6cc439deb03b9adc7b7d235f3b47c6b48c08e44b1a2760",
+    "H*(BO2)":
+        "7aa4bb274c6631f21692d59842cd4c7c0f5480b66f5ecb497819ebef905d93e6",
+    "H*(BO3)":
+        "8568f6152a1cc2372bc92af227d4eaf4bc6ec96760514edd54ceb7e0c274f3cf",
+    "H*(BSO2)":
+        "2f6662b5ffca319925a2ae36abe5799097527f80d5dc6f5990c635294174ac39",
+    "H*(BO1xBO1)":
+        "1595d4c40692677cb37b4b45c26d2e03d14dd62e3ad04ee06ba53f1a186f8e06",
+    "H*(BO1xBO2)":
+        "ce021d663665d4f713d5fcefcce5222a11892ab3c9dfea09c8653d139418c981",
+    "H*(WuManifold)":
+        "c43cf037ff5d0e3497401dca0612439a7f8b9efe11f08e98e77d0b0810331317",
+    "H*(KZ2_2)":
+        "51f50b96e6b4f178e82457bb58d384d7137f0770877ba4f1707af839973d490d",
+    "H*(KZ2_3)":
+        "6ab62288114ae1dd813bb314c98cf608380d4bfa755eaba2122a7f2c09d55581",
+}
+
+
+def test_module_construction_bytes_are_pinned():
+    got = {}
+    for cutoff in (5, 13, 26, 29):
+        for name in sp.STRUCTURE_NAMES:
+            modules = [sp.named_structure(name, cutoff)] + sp.structure_pieces(name, cutoff)
+            got[f"{name}@{cutoff}"] = construction_digest(modules)
+    for name in sp.SPACE_NAMES:
+        pres = sp.space(name, sp._KZ_MAX_CUTOFF.get(name, 20))
+        got[f"H*({name})"] = construction_digest([pres.cohomology_module()])
+    assert got == CONSTRUCTION_DIGESTS
+    assert ob.twoform_degree6_injectivity().conclusion == (
+        "injective: no degree-6 primary obstruction for 2-form Z/2 symmetries")
+    assert ob.twoform_degree6_injectivity(corrupt_sq1_u=True).conclusion == (
+        "not injective: a degree-6 obstruction class would be invisible")
