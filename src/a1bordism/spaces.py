@@ -1,8 +1,10 @@
 """Cohomology presentations of classifying spaces and their twisted modules.
 
 A presentation is a truncated polynomial ring with the total Steenrod
-operation recorded on each generator; the Cartan formula is then automatic
-because the total operation is a ring map.  Wu's formula for Sq^i(w_j) is
+operation recorded on each generator.  Sq^k of a monomial is built by the
+graded Cartan recursion Sq^k(m·g) = sum_j Sq^(k-j)(m) · Sq^j(g) from each
+generator's components Sq^j(g), so only the degrees asked for (k = 1, 2
+for the modules) are ever computed.  Wu's formula for Sq^i(w_j) is
 implemented once and used for every BO_n.  The twisted-module constructor
 realizes the spin-twist action
 
@@ -29,6 +31,7 @@ tensoring; ``space("BO1xBO2")`` stays as the oracle the tests compare with.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -78,7 +81,7 @@ class SpacePresentation:
         self._nilpotent = tuple((i, g.nilpotence) for i, g in enumerate(self.gens)
                                 if g.nilpotence is not None)
         self._basis_cache: Dict[int, Tuple[Monomial, ...]] = {}
-        self._sq_mono_cache: Dict[Monomial, Poly] = {}
+        self._sq_cache: Dict[Tuple[Monomial, int], Poly] = {}
         self._index_cache: Dict[int, Dict[Monomial, int]] = {}
 
     # -- monomials -------------------------------------------------------
@@ -115,6 +118,22 @@ class SpacePresentation:
                 else:
                     acc.add(m)
         return frozenset(acc)
+
+    def _mul_into(self, acc: set, xs, ys) -> None:
+        """XOR into ``acc`` every product x·y that survives nilpotence.
+
+        The caller checks the cutoff once: all the products share a degree.
+        """
+        nilpotent = self._nilpotent
+        for x in xs:
+            for y in ys:
+                m = tuple(map(operator.add, x, y))
+                if nilpotent and any(m[i] >= nil for i, nil in nilpotent):
+                    continue
+                if m in acc:
+                    acc.discard(m)
+                else:
+                    acc.add(m)
 
     def unit(self) -> Monomial:
         return tuple(0 for _ in self.gens)
@@ -213,35 +232,69 @@ class SpacePresentation:
 
     # -- Steenrod action ---------------------------------------------------
 
-    def total_sq_mono(self, m: Monomial) -> Poly:
-        """Total Sq of a monomial: Sq(m) = Sq(m / g) · Sq(g), g its last generator."""
-        if m in self._sq_mono_cache:
-            return self._sq_mono_cache[m]
-        last = max((i for i, e in enumerate(m) if e), default=None)
-        if last is None:
-            acc: Poly = frozenset([self.unit()])
-        else:
-            prefix = m[:last] + (m[last] - 1,) + m[last + 1:]
-            acc = self.poly_mul(self.total_sq_mono(prefix), self.total_sq[self.gens[last].label])
-        self._sq_mono_cache[m] = acc
-        return acc
+    @functools.cached_property
+    def _gen_components(self) -> Tuple[Tuple[Tuple[Monomial, ...], ...], ...]:
+        """Sq^0 g, Sq^1 g, ... of each generator g, sorted out of ``total_sq``.
+
+        Read on first use, not at construction: ``parse_space`` builds a
+        presentation without Steenrod data to parse its SQ lines.
+        """
+        out = []
+        for g in self.gens:
+            by_j: Dict[int, List[Monomial]] = {}
+            for t in self.total_sq[g.label]:
+                j = self.mono_degree(t) - g.degree
+                if j < 0:
+                    raise ValueError(f"Sq({g.label}) has the term {self.mono_label(t)} "
+                                     f"below degree {g.degree}")
+                by_j.setdefault(j, []).append(t)
+            out.append(tuple(tuple(by_j.get(j, ())) for j in range(max(by_j, default=-1) + 1)))
+        return tuple(out)
 
     def sq_k_mono(self, m: Monomial, k: int) -> Poly:
-        d = self.mono_degree(m) + k
-        return frozenset(x for x in self.total_sq_mono(m) if self.mono_degree(x) == d)
+        """Sq^k m by the graded Cartan recursion on m's last generator g.
+
+        Sq^k(m) = sum_j Sq^(k-j)(m / g) · Sq^j g, with Sq^j g read from the
+        generator's components; every term has degree |m| + k, so the
+        cutoff is checked once and no product's degree is summed.
+        """
+        key = (m, k)
+        hit = self._sq_cache.get(key)
+        if hit is not None:
+            return hit
+        last = max((i for i, e in enumerate(m) if e), default=None)
+        acc: set = set()
+        if last is None:
+            if k == 0:
+                acc.add(m)
+        elif self.mono_degree(m) + k <= self.cutoff:
+            prefix = m[:last] + (m[last] - 1,) + m[last + 1:]
+            comps = self._gen_components[last]
+            for j in range(min(k, len(comps) - 1) + 1):
+                if comps[j]:
+                    self._mul_into(acc, self.sq_k_mono(prefix, k - j), comps[j])
+        out = frozenset(acc)
+        self._sq_cache[key] = out
+        return out
 
     def dim(self, d: int) -> int:
         return len(self.basis(d))
 
     def sq_matrix(self, k: int, d: int) -> BitMatrix:
-        # poly_vector keeps exactly the degree d + k terms, which are Sq^k m
-        src = self.basis(d)
-        cols = [self.poly_vector(self.total_sq_mono(m), d + k) for m in src]
+        cols = [self.poly_vector(self.sq_k_mono(m, k), d + k) for m in self.basis(d)]
         return BitMatrix.from_columns(cols, self.dim(d + k))
 
     def mult_matrix(self, p: Poly, pdeg: int, d: int) -> BitMatrix:
-        src = self.basis(d)
-        cols = [self.poly_vector(self.poly_mul(p, frozenset([m])), d + pdeg) for m in src]
+        # a product is in the degree-(d + pdeg) index iff it is reduced and of that degree
+        idx = self.index(d + pdeg)
+        cols = []
+        for m in self.basis(d):
+            v = 0
+            for q in p:
+                i = idx.get(tuple(map(operator.add, m, q)))
+                if i is not None:
+                    v ^= 1 << i
+            cols.append(v)
         return BitMatrix.from_columns(cols, self.dim(d + pdeg))
 
     def element_labels(self, d: int) -> Tuple[str, ...]:
@@ -415,12 +468,21 @@ class ThomSpace:
     # -- coefficients of U-multiples -----------------------------------------
 
     def sq(self, k: int, p: Poly) -> Poly:
-        """Coefficient of Sq^k(pU) = (...)U via the Cartan formula and Sq^i U = w_i U."""
+        """Coefficient of Sq^k(pU) = sum_w Sq^(k-|w|)(p) · w · U by the Cartan formula.
+
+        w runs over the terms of Sq(U)/U = 1 + w_1 + ... + w_n (Wu) of degree
+        at most k, and Sq^(k-|w|) p comes from the base's graded Cartan
+        recursion (``sq_k_mono``).
+        """
+        base = self.base
         acc: set = set()
         for m in p:
-            prod = self.base.poly_mul(self.base.total_sq_mono(m), self._sq_u)
-            d = self.base.mono_degree(m) + k
-            acc.symmetric_difference_update(x for x in prod if self.base.mono_degree(x) == d)
+            if base.mono_degree(m) + k > base.cutoff:
+                continue
+            for w in self._sq_u:
+                j = k - base.mono_degree(w)
+                if j >= 0:
+                    base._mul_into(acc, base.sq_k_mono(m, j), (w,))
         return frozenset(acc)
 
     def apply_word(self, word: str, p: Poly) -> Poly:

@@ -8,9 +8,10 @@ brute-force GF(2) helpers enumerate vectors directly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from a1bordism.steenrod import DEGREES, MUL_TABLE, WORDS
+from a1bordism.pipelines import DEFAULT_MAX_S, window_parameters
+from a1bordism.steenrod import _RULES, DEGREES, MUL_TABLE, TOP_DEGREE, WORDS, word_degree
 
 NONUNIT = [i for i, w in enumerate(WORDS) if w]
 
@@ -104,6 +105,44 @@ def column_scan_solve(rows: Sequence[int], ncols: int, b: int) -> Optional[int]:
         if (red[i] >> ncols) & 1:
             x |= 1 << p
     return x
+
+
+# -- rewriting confluence ------------------------------------------------------
+
+
+def all_reductions(word: str) -> Set[Optional[str]]:
+    """Normal forms reachable by applying the A(1) rewriting rules at every position, any order."""
+    if word_degree(word) > TOP_DEGREE:
+        return {None}
+    redexes = []
+    for pat, rep in _RULES:
+        start = 0
+        while True:
+            pos = word.find(pat, start)
+            if pos < 0:
+                break
+            redexes.append((pos, pat, rep))
+            start = pos + 1
+    if not redexes:
+        return {word}
+    out: Set[Optional[str]] = set()
+    for pos, pat, rep in redexes:
+        if rep is None:
+            out.add(None)
+        else:
+            out |= all_reductions(word[:pos] + rep + word[pos + len(pat):])
+    return out
+
+
+def rewriting_is_confluent(max_len: int = 6) -> bool:
+    """Exhaustively check that every word of length <= max_len has one normal form."""
+    words = [""]
+    for _ in range(max_len):
+        words = [w + c for w in words for c in "12"] + words
+    for w in set(words):
+        if len(all_reductions(w)) != 1:
+            return False
+    return True
 
 
 # -- word-level A(1) helpers ----------------------------------------------------
@@ -397,6 +436,38 @@ def check_exact(res) -> None:
             dim = len(free_degree_basis(res.stages[s].gen_degrees, t))
             if dim != rank(s, t) + rank(s + 1, t):
                 raise AssertionError(f"not exact at s={s}, t={t}")
+
+
+# -- the pipeline window ----------------------------------------------------------
+
+
+def required_cutoff(through_degree: int, max_s: int = DEFAULT_MAX_S) -> int:
+    """Module cutoff a pipeline needs to report through ``through_degree``."""
+    return window_parameters(through_degree, max_s)[2]
+
+
+# -- whole total squares -----------------------------------------------------------
+
+
+def total_sq_reference(pres) -> Dict[Tuple[int, ...], FrozenSet[Tuple[int, ...]]]:
+    """The whole total square Sq(m) of every basis monomial m of a presentation.
+
+    Built as the engine once did: Sq(m) = Sq(m / g) · Sq(g) for g the last
+    generator of m, one ``poly_mul`` of whole total squares per step,
+    truncated at the cutoff.  Sq^k m is the part of degree |m| + k.
+    """
+    out: Dict[Tuple[int, ...], FrozenSet[Tuple[int, ...]]] = {pres.unit(): frozenset([pres.unit()])}
+    for d in range(1, pres.cutoff + 1):
+        for m in pres.basis(d):
+            last = max(i for i, e in enumerate(m) if e)
+            prefix = m[:last] + (m[last] - 1,) + m[last + 1:]
+            out[m] = pres.poly_mul(out[prefix], pres.total_sq[pres.gens[last].label])
+    return out
+
+
+def graded_part(pres, p, degree: int) -> FrozenSet[Tuple[int, ...]]:
+    """The terms of a polynomial of the given degree."""
+    return frozenset(x for x in p if pres.mono_degree(x) == degree)
 
 
 # -- Serre-basis dimensions for K(Z/2, n) ----------------------------------------

@@ -10,7 +10,7 @@ from a1bordism import modules as md
 from a1bordism import obstruction as ob
 from a1bordism import spaces as sp
 from a1bordism.modules import catalog, iso_up_to_degree, split_free
-from oracles import kzn_dims
+from oracles import graded_part, kzn_dims, total_sq_reference
 
 
 # -- space catalog --------------------------------------------------------------
@@ -69,9 +69,10 @@ def test_instability_on_generators():
              ("BO1xBO2", 8), ("WuManifold", 5), ("KZ2_2", 8), ("KZ2_3", 6)]
     for name, cutoff in cases:
         pres = sp.space(name, cutoff)
+        reference = total_sq_reference(pres)
         for g in pres.gens:
             mono = pres.gen_mono(g.label)
-            total = pres.total_sq_mono(mono)
+            total = reference[mono]
             for m in total:
                 assert pres.mono_degree(m) <= 2 * g.degree, (name, g.label)
             top = pres.sq_k_mono(mono, g.degree)
@@ -79,6 +80,42 @@ def test_instability_on_generators():
             expect = frozenset([sq]) if sq is not None else frozenset()
             assert top == expect, (name, g.label)
 
+
+
+def truncated_rp4_cp2() -> sp.SpacePresentation:
+    """H*(RP^4 x CP^2) = F2[t, x]/(t^5, x^3): nilpotence below the cutoff."""
+    gens = [sp.Generator("t", 1, nilpotence=5), sp.Generator("x", 2, nilpotence=3)]
+    total = {"t": frozenset([(1, 0), (2, 0)]), "x": frozenset([(0, 1), (0, 2)])}
+    return sp.SpacePresentation("RP4xCP2", gens, 8, total)
+
+
+GRADED_SQUARE_SPACES = [sp.space(name, sp._KZ_MAX_CUTOFF.get(name, 12))
+                        for name in sp.SPACE_NAMES] + [truncated_rp4_cp2()]
+
+
+@pytest.mark.parametrize("pres", GRADED_SQUARE_SPACES, ids=lambda p: p.name)
+def test_graded_squares_match_whole_total_squares(pres):
+    # Sq^k of every basis monomial against the degree-(|m| + k) part of the
+    # whole total square, built without the graded recursion
+    reference = total_sq_reference(pres)
+    for d in range(pres.cutoff + 1):
+        for m in pres.basis(d):
+            for k in range(d + 1):
+                assert pres.sq_k_mono(m, k) == graded_part(pres, reference[m], d + k), (m, k)
+
+
+@pytest.mark.parametrize("thom", [ob._thom_model(1), ob._thom_model(2), ob._thom_model(3),
+                                  sp.ThomSpace(sp.space("BO2", 11), 2, name="MO2")],
+                         ids=["MO1", "MO2", "MO3", "GM"])
+def test_thom_squares_match_whole_total_squares(thom):
+    # Sq^k(mU) = (Sq(m) · Sq(U)/U)_{|m| + k} U, from the whole total square of m
+    base = thom.base
+    reference = total_sq_reference(base)
+    for d in range(base.cutoff + 1):
+        for m in base.basis(d):
+            whole = base.poly_mul(reference[m], thom._sq_u)
+            for k in (1, 2):
+                assert thom.sq(k, frozenset([m])) == graded_part(base, whole, d + k), (m, k)
 
 def test_wu_manifold_actions():
     wu = sp.space("WuManifold", 5)
