@@ -11,6 +11,7 @@ Anything the window cannot justify is reported uncertified, never guessed.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -120,11 +121,15 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
             break
 
         # the kernel of F_s -> target: the inclusion of K_{s-1} into
-        # F_{s-1} is injective, so this is the kernel of F_s onto K_{s-1}
+        # F_{s-1} is injective, so this is the kernel of F_s onto K_{s-1};
+        # the generators come in degree order, so those with words in
+        # degree d (t in d - 6 .. d) are one slice
         fbasis = _free_bases(gen_degrees, max_t)
         ker_vecs: Dict[int, List[int]] = {}
         for d in sorted(fbasis):
-            kernel = ColumnSolver(images(gens, d)).kernel
+            near = gens[bisect.bisect_left(gen_degrees, d - steenrod.TOP_DEGREE):
+                        bisect.bisect_right(gen_degrees, d)]
+            kernel = ColumnSolver(images(near, d)).kernel
             if kernel:
                 ker_vecs[d] = kernel
 
