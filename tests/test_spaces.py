@@ -104,6 +104,15 @@ def test_graded_squares_match_whole_total_squares(pres):
                 assert pres.sq_k_mono(m, k) == graded_part(pres, reference[m], d + k), (m, k)
 
 
+
+def test_total_square_term_below_the_generator_is_refused():
+    # Sq^j g only exists for j >= 0; a presentation built through the library
+    # (parse_space already refuses it) with such a term is an error, not dropped
+    gens = [sp.Generator("x", 2)]
+    pres = sp.SpacePresentation("bad", gens, 6, {"x": frozenset([(0,), (1,), (2,)])})
+    with pytest.raises(ValueError, match="below degree 2"):
+        pres.sq_k_mono((1,), 1)
+
 @pytest.mark.parametrize("thom", [ob._thom_model(1), ob._thom_model(2), ob._thom_model(3),
                                   sp.ThomSpace(sp.space("BO2", 11), 2, name="MO2")],
                          ids=["MO1", "MO2", "MO3", "GM"])
