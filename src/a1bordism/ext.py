@@ -204,7 +204,7 @@ class ExtChart:
     every later call.
     """
 
-    __slots__ = ("max_s", "max_t", "dims", "h0", "_zeros", "_powers")
+    __slots__ = ("max_s", "max_t", "dims", "h0", "_powers")
 
     def __init__(self, max_s: int, max_t: int, dims: Mapping[Tuple[int, int], int],
                  h0: Mapping[Tuple[int, int], BitMatrix]):
@@ -212,7 +212,6 @@ class ExtChart:
         object.__setattr__(self, "max_t", max_t)
         object.__setattr__(self, "dims", MappingProxyType(dict(dims)))
         object.__setattr__(self, "h0", MappingProxyType(dict(h0)))
-        object.__setattr__(self, "_zeros", {})
         object.__setattr__(self, "_powers", {})
 
     def __setattr__(self, *a):
@@ -227,10 +226,7 @@ class ExtChart:
     def h0_map(self, s: int, n: int) -> BitMatrix:
         m = self.h0.get((s, n))
         if m is None:
-            shape = (self.dim(s + 1, n), self.dim(s, n))
-            m = self._zeros.get(shape)
-            if m is None:
-                m = self._zeros[shape] = BitMatrix.zeros(*shape)
+            return BitMatrix.zeros(self.dim(s + 1, n), self.dim(s, n))
         return m
 
     def h0_power(self, s: int, n: int, k: int) -> BitMatrix:
@@ -413,19 +409,28 @@ def assemble_column(chart: ExtChart, n: int, certified: bool,
     # only trust bidegrees with t = s + n inside the resolved range
     s_top = min(chart.max_s, chart.max_t - n)
 
+    # ranks[s][k] is the rank of h0^k from (s, n), for k up to the first
+    # zero rank: every higher power factors through that zero map
+    ranks: Dict[int, List[int]] = {}
+
     def rank_power(s: int, j: int) -> int:
-        if s < 0 or chart.dim(s, n) == 0:
+        if s < 0 or chart.dim(s, n) == 0 or s + j > s_top:
             return 0
-        if s + j > s_top:
-            return 0
-        return chart.h0_power(s, n, j).rank()
+        got = ranks.get(s)
+        if got is None:
+            got = ranks[s] = []
+            for k in range(s_top - s + 1):
+                got.append(chart.h0_power(s, n, k).rank())
+                if not got[-1]:
+                    break
+        return got[j] if j < len(got) else 0
 
     free_rank = 0
     torsion: List[int] = []
     warnings: List[str] = []
     high_starts = 0
     for s in range(0, s_top + 1):
-        if chart.dim(s, n) == 0 and rank_power(s, 0) == 0:
+        if chart.dim(s, n) == 0:
             continue
         lmax = s_top - s + 1
         reach_top = rank_power(s, lmax - 1) - rank_power(s - 1, lmax)

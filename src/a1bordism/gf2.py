@@ -30,10 +30,15 @@ private ``BitMatrix._trusted``: ``matmul`` and ``add`` (XORs of in-range
 rows), ``rref`` (row operations on in-range rows), ``zeros``,
 ``identity`` and ``from_columns`` (whose transpose raises on a bit at
 or beyond ``nrows``).  Nothing outside this module calls it.
+
+Matrices are immutable, the cached row reduction included, so
+``zeros(r, c)`` returns one shared instance per shape: the absent Sq and
+h0 maps that modules and charts ask for are built once per process.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 
@@ -94,7 +99,9 @@ class BitMatrix:
         return m
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
+        """The nrows x ncols zero matrix: one shared instance per shape."""
         if nrows < 0 or ncols < 0:
             raise ValueError("nrows and ncols must be nonnegative")
         return cls._trusted((0,) * nrows, ncols)

@@ -10,6 +10,8 @@ complete.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -164,6 +166,16 @@ def _match_piece(name: str, cutoff: int) -> GradedA1Module:
     return md.catalog(name, cutoff)
 
 
+@functools.lru_cache(maxsize=None)
+def _cover_piece(name: str, susp: int, n: int) -> GradedA1Module:
+    """Σ^susp of the match piece, cut above n (built once per argument).
+
+    The module is immutable, so its Margolis homology, cached on it, is
+    computed once per process too.
+    """
+    return _match_piece(name, n).suspend(susp).quotient_above(n)
+
+
 def decompose_structure(name: str, n: int) -> ModuleDecomposition:
     """split_free then catalog matching through degree n, with witnesses.
 
@@ -179,93 +191,72 @@ def decompose_structure(name: str, n: int) -> ModuleDecomposition:
     dec = split_free(module, max_gen_degree=n)
     remainder = dec.remainder.quotient_above(n)
     dec.valid_through = n
-    dims = {d: remainder.dim(d) for d in remainder.degrees()}
-    if not dims:
+    if not remainder.dims:
         dec.remainder = remainder
         return dec
+    lo = remainder.lo
 
-    piece_cache: Dict[Tuple[str, int], GradedA1Module] = {}
+    def graded(dims: Dict[int, int]) -> Tuple[int, ...]:
+        return tuple(dims.get(d, 0) for d in range(lo, n + 1))
 
-    def piece(pname: str, susp: int) -> GradedA1Module:
-        key = (pname, susp)
-        if key not in piece_cache:
-            m = _match_piece(pname, n)
-            piece_cache[key] = m.suspend(susp).quotient_above(n)
-        return piece_cache[key]
-
-    margolis_cache: Dict[Tuple[str, int, int], Dict[int, int]] = {}
-
-    def piece_margolis(pname: str, susp: int, i: int) -> Dict[int, int]:
-        key = (pname, susp, i)
-        if key not in margolis_cache:
-            margolis_cache[key] = piece(pname, susp).margolis_homology(i)[0]
-        return margolis_cache[key]
-
-    # Margolis homology adds up over direct sums, and a cover already
-    # matches graded dimensions, so a candidate whose summed Q0/Q1
-    # homology differs from the remainder's is one iso_up_to_degree
-    # would reject at its own Margolis check: it is counted against the
-    # budget but never built.  The sums are carried down the search.
-    target = tuple(remainder.margolis_homology(i)[0] for i in (0, 1))
+    # A cover matches graded dimensions, and Margolis homology adds up
+    # over direct sums, so a cover whose summed Q0/Q1 homology differs
+    # from the remainder's is one iso_up_to_degree would reject at its
+    # own Margolis check: it is counted against the budget but never
+    # built.  Dims and both sums are carried down the search as integer
+    # vectors over degrees lo..n; no partial cover is pruned.
+    target = tuple(graded(remainder.margolis_homology(i)[0]) for i in (0, 1))
     tried = 0
     candidates: List[List[Tuple[str, int]]] = []
     budget_spent = False
 
-    order_cache: Dict[int, List[str]] = {}
+    order_cache: Dict[int, list] = {}
 
-    def ordered_pieces(d0: int) -> List[str]:
+    def ordered_pieces(d0: int) -> list:
         # prefer pieces that fit the window with the least truncation,
-        # then the smaller ones; keeps the reported presentation canonical
+        # then the smaller ones; keeps the reported presentation canonical.
+        # Each entry is (name, dims, Q0 homology, Q1 homology), for the
+        # nonempty pieces whose bottom degree is d0.
         if d0 not in order_cache:
             scored = []
             for pname in MATCH_PIECES:
-                full = _match_piece(pname, n)
-                overhang = max(0, d0 + full.hi - n)
-                pm = piece(pname, d0)
-                scored.append((overhang, pm.total_dim(), pname))
-            order_cache[d0] = [name for _, _, name in sorted(scored)]
+                overhang = max(0, d0 + _match_piece(pname, n).hi - n)
+                pm = _cover_piece(pname, d0, n)
+                scored.append((overhang, pm.total_dim(), pname, pm))
+            order_cache[d0] = [
+                (pname, graded(pm.dims),
+                 *(graded(pm.margolis_homology(i)[0]) for i in (0, 1)))
+                for _, _, pname, pm in sorted(scored, key=lambda x: x[:3])
+                if pm.dims and pm.lo == d0]
         return order_cache[d0]
 
-    def add_margolis(sums: Tuple[Dict[int, int], ...], pname: str, susp: int):
-        out = []
-        for i, got in enumerate(sums):
-            got = dict(got)
-            for d, h in piece_margolis(pname, susp, i).items():
-                got[d] = got.get(d, 0) + h
-            out.append(got)
-        return tuple(out)
-
-    def cover(remaining: Dict[int, int], acc: List[Tuple[str, int]],
-              sums: Tuple[Dict[int, int], ...]):
+    def cover(remaining: Tuple[int, ...], acc: List[Tuple[str, int]],
+              h0: Tuple[int, ...], h1: Tuple[int, ...]):
         nonlocal budget_spent, tried
         if tried >= COVER_BUDGET:
             budget_spent = True
             return
-        if all(v == 0 for v in remaining.values()):
+        if not any(remaining):
             tried += 1
-            if sums == target:
+            if (h0, h1) == target:
                 candidates.append(list(acc))
             return
-        d0 = min(d for d, v in remaining.items() if v > 0)
-        for pname in ordered_pieces(d0):
-            pm = piece(pname, d0)
-            pdims = {d: pm.dim(d) for d in pm.degrees()}
-            if not pdims or min(pdims) != d0:
+        d0 = lo + next(i for i, v in enumerate(remaining) if v)
+        for pname, pdims, p0, p1 in ordered_pieces(d0):
+            nxt = tuple(map(operator.sub, remaining, pdims))
+            if min(nxt) < 0:
                 continue
-            if any(remaining.get(d, 0) < v for d, v in pdims.items()):
-                continue
-            nxt = dict(remaining)
-            for d, v in pdims.items():
-                nxt[d] = nxt.get(d, 0) - v
-            cover(nxt, acc + [(pname, d0)], add_margolis(sums, pname, d0))
+            cover(nxt, acc + [(pname, d0)],
+                  tuple(map(operator.add, h0, p0)), tuple(map(operator.add, h1, p1)))
 
-    cover(dims, [], ({}, {}))
+    zero = (0,) * (n + 1 - lo)
+    cover(graded(remainder.dims), [], zero, zero)
 
     iso_undecided = []
     for cand in candidates:
         total: Optional[GradedA1Module] = None
         for pname, susp in cand:
-            pm = piece(pname, susp)
+            pm = _cover_piece(pname, susp, n)
             total = pm if total is None else total.direct_sum(pm)
         iso = iso_up_to_degree(remainder, total, n)
         if iso.status == "undecided":

@@ -160,20 +160,30 @@ class SpacePresentation:
             out: Tuple[Monomial, ...] = ()
         else:
             monos: List[Monomial] = []
+            gens = self.gens
+            last = len(gens) - 1
+            # acc[:i] holds the exponents chosen so far; the last
+            # generator's exponent is whatever degree is left
+            acc = [0] * len(gens)
 
-            def rec(i: int, rem: int, acc: List[int]):
-                if i == len(self.gens):
-                    if rem == 0:
-                        monos.append(tuple(acc))
-                    return
-                g = self.gens[i]
+            def rec(i: int, rem: int):
+                g = gens[i]
                 emax = rem // g.degree if g.degree else 0
                 if g.nilpotence is not None:
                     emax = min(emax, g.nilpotence - 1)
+                if i == last:
+                    if emax * g.degree == rem:
+                        acc[i] = emax
+                        monos.append(tuple(acc))
+                    return
                 for e in range(emax + 1):
-                    rec(i + 1, rem - e * g.degree, acc + [e])
+                    acc[i] = e
+                    rec(i + 1, rem - e * g.degree)
 
-            rec(0, d, [])
+            if gens:
+                rec(0, d)
+            elif d == 0:
+                monos.append(())
             out = tuple(sorted(monos))
         self._basis_cache[d] = out
         return out

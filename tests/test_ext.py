@@ -231,6 +231,8 @@ def test_cached_h0_powers_equal_products_from_the_identity(name):
                 h0 = chart.h0.get((s + k, n))
                 if h0 is None:
                     h0 = BitMatrix.zeros(chart.dim(s + k + 1, n), chart.dim(s + k, n))
+                    # an absent h0 map is the shared zero of its shape
+                    assert chart.h0_map(s + k, n) is h0
                 ref = h0 @ ref
 
 

@@ -115,6 +115,11 @@ def test_immutability_and_bounds():
     m = BitMatrix.identity(2)
     with pytest.raises(AttributeError):
         m.rows = ()
+    # immutable, so one zero matrix is shared per shape
+    z = BitMatrix.zeros(3, 2)
+    assert z is BitMatrix.zeros(3, 2)
+    assert z.rows == (0, 0, 0) and z.ncols == 2 and z.is_zero()
+    assert BitMatrix.zeros(2, 3) is not z
     with pytest.raises(ValueError):
         BitMatrix([0b100], 2)  # bit outside [0, ncols)
     with pytest.raises(ValueError):

@@ -264,6 +264,14 @@ def test_margolis_adds_over_direct_sums_of_match_pieces():
     n = 6
     pieces = {(name, k): pl._match_piece(name, n).suspend(k).quotient_above(n)
               for name in pl.MATCH_PIECES for k in range(4)}
+    # the search reads the pieces built once per process: the same
+    # module, with the same Margolis homology, on every call
+    for (name, k), fresh in pieces.items():
+        shared = pl._cover_piece(name, k, n)
+        assert shared is pl._cover_piece(name, k, n)
+        assert (shared.dims, shared.sq1, shared.sq2) == (fresh.dims, fresh.sq1, fresh.sq2)
+        for i in (0, 1):
+            assert shared.margolis_homology(i) == fresh.margolis_homology(i), (name, k, i)
     for a, b in combinations_with_replacement(sorted(pieces), 2):
         total = pieces[a].direct_sum(pieces[b])
         for i in (0, 1):
