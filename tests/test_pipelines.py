@@ -201,3 +201,77 @@ def test_decompose_outputs_are_pinned():
     got = {f"{name}@{n}": decompose_digest(decompose_structure(name, n))
            for name in sp.STRUCTURE_NAMES for n in range(4, 8)}
     assert got == DECOMPOSE_DIGESTS
+
+
+# -- pinned pipeline windows ----------------------------------------------------
+
+
+def window_digest(name, through):
+    """SHA-256 of run_pipeline's rows and provenance at max_s 0..3.
+
+    Each row gives degree, group, certified, warnings and odd part.  The
+    provenance line that names the module cutoff is left out: it records
+    how far the module was built, not what was computed from it.
+    """
+    data = []
+    for max_s in range(4):
+        rep = run_pipeline(name, through, max_s=max_s)
+        rows = tuple((r.degree, r.group_str(), r.certified, tuple(r.warnings), r.odd_part)
+                     for r in rep.rows)
+        prov = tuple(p for p in rep.provenance if not p.startswith("module cutoff"))
+        data.append((max_s, rows, prov))
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+# recorded with every structure built to cutoff max_t + 6; "name@n" is
+# run_pipeline(name, n, max_s) for max_s = 0..3.  Small filtration
+# windows are where max_t - 6 falls below the highest free generator
+# split_free must find (n + 1), so a cutoff that drops the top class of
+# such a summand changes these rows.
+WINDOW_DIGESTS = {
+    "FK@0": "4a23ffd5937680361d279fa768f617d71027f9141a40f710df662fe67b652484",
+    "FK@4": "9cc7d737f3ea10a3cc4b05d4d2e394ae8c212f8d3b08a40af12f8d26587ea6da",
+    "FK@7": "cb124860caed157ee072d5e02e7f262eded0ba119865952db6f726b9b43cf2e4",
+    "FKO@0": "c15549ad47b872ce2fcc630288a0dc4e0e84e36e1709c7e020e17d67042f1a4a",
+    "FKO@4": "9a5238da53cc0f7758401aca95f3bae3344ec5d42e5f4518027b3c9caa3a6ce5",
+    "FKO@7": "0cef8e0913e2fe0e64eac319bfcae30cf2336bfdcb2148eb0d04f805b810596b",
+    "GM@0": "0a5d5c18e6166227f6f36c71f56f7898894b051e886b3630254d582b2362fb8c",
+    "GM@4": "9bc12c7794214593f76e7472371cb2518038486d3c8c74d87c1be41ba3bbf406",
+    "GM@7": "2eee1264490a7d05abed1f213d56845f70a7c5d2ad4c12e36b09c7de629fd263",
+    "KTminus@0": "f9459c2a7181d31d7fe7759984204de91ba9b53687dbc13c762fb2d92fbf76bf",
+    "KTminus@4": "71d324df4ca16015ce610a0bf0aac2128260b1f135c58acb8fdd9b5cd5a52a27",
+    "KTminus@7": "ea6308f9233d25ad7ed731271c97bf4ba58cd63c12563b0a9fec913417e73aff",
+    "KTplus@0": "3222b31b71ca27933202962e8ca573c84ab1e3d63764eb13b5f2da3999930048",
+    "KTplus@4": "ff814c97bb94af34f6d58909bb7400dabbfb03f80ba0c3f4ae20b0978df9cbd2",
+    "KTplus@7": "2224c5f8c722b715c4eef1f9911d4d896506def9f5fa076f90a6965268563b15",
+    "SpinO2@0": "21b6d4bcbebc8a1dbf94b2ccacb33d7820d06f5dc08a797066c1baaf73ccb013",
+    "SpinO2@4": "59042ccd58bdc14920d7ae0e048a3f1d0cc812c6237eadd6bbc7d7c6989c067c",
+    "SpinO2@7": "90b79ecb2fcc87e746bd8d266b524fb2fde16bd3e8c6a717fd82c52ee17607fe",
+    "SigmaBO2@0": "a8b0d19376c89dd7ad6a557e374bfe021342c958a560f7088bdfc7b74696698a",
+    "SigmaBO2@4": "b9dabef707033e89f0de7e8a97440a755645e740ac6b090dfee4e90527095189",
+    "SigmaBO2@7": "67df994193abc674a5dae08f5cb5386a09db4d4c589b2321f5e99f29c5e4094a",
+    "TauMinus@0": "39265a93cee29c1c83e87cfa5bd847ab86c39fd39e58793dd00015b64f64d848",
+    "TauMinus@4": "4ff4a51148cf20b18888b2ee70a854e5bb01648401e34e8a613de6eb0c1493ae",
+    "TauMinus@7": "600d6266f235d4fc72a163add3e36d3f0a25a9ed7d8a9acb70d3498842edba47",
+    "TauPlus@0": "5160fb6144e9d59829578257caca9c3bf9cc9344476d6030d4c57dba11b53f70",
+    "TauPlus@4": "291bb24be0be2c86b7873dcfd0d5d39a54c8815490f38efe531893793401622a",
+    "TauPlus@7": "c0ebc985f5d2369d3c1a2efd54b7e63018b2b3826a66939c184658e6ab8982e1",
+    "PinMinusO2@0": "89b276d360e5c2232776e1a354105443b75c88196e3295438d4aba5f05adacb2",
+    "PinMinusO2@4": "9c764a3af2c41eff24476d323c1c5ece2f49ac5eda03cf4effce61c4cd4ffb9e",
+    "PinMinusO2@7": "daa4d2e14a690cf5dc6de13fdef04d9eed336f209a6b2a87adfd9b7afaf32d16",
+    "PinMinus@0": "16c57f025dc91b2fc0c8cbbb0296a49fb5875c685b62e96c8a0db366171a89e4",
+    "PinMinus@4": "4999c5f9916dede24d450fa39f42c5d48efa2ba49d8c659911ac2b9e796e7f08",
+    "PinMinus@7": "f848f10a385bb747982d874566283060baaa613eb19a8961e33948a6fda2d5fd",
+    "PinPlus@0": "928f41f408204eeedf34f02b3eb6ba2ec0bada002d48bcb5f3b6f14af093a28b",
+    "PinPlus@4": "eb865544a8ce562b0e570e0583d5d5214994d397a53dd9c5781138cf19353107",
+    "PinPlus@7": "a05aa8a106f7a07dba900720fdfdf3dfdd0189dd50a254265427278719377e06",
+    "MV_a_ab@0": "becee12ca70ef5d072dbcbdfae20b1171af2a46ce639d7016e42277d8cfa7601",
+    "MV_a_ab@4": "e4d1a20edafa93332adce19a6510f0e89ea5645ba2f0269d8351d67fa3ef7499",
+    "MV_a_ab@7": "904782a6d30b0eeefee3e130957c8f14af3354f4dff14ba15781a6ec22c02b56",
+}
+
+
+def test_pipeline_windows_are_pinned():
+    got = {f"{name}@{n}": window_digest(name, n)
+           for name in sp.STRUCTURE_NAMES for n in (0, 4, 7)}
+    assert got == WINDOW_DIGESTS

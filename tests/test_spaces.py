@@ -382,6 +382,17 @@ def test_structure_unknown_name():
         sp.named_structure("GMX", 8)
 
 
+@pytest.mark.parametrize("cutoff, t", [(26, 20), (29, 23)])
+@pytest.mark.parametrize("name", sp.STRUCTURE_NAMES)
+def test_structure_pieces_commute_with_truncation(name, cutoff, t):
+    # a pipeline may build its pieces only through the degrees it reads
+    big = sp.structure_pieces(name, cutoff)
+    small = sp.structure_pieces(name, t)
+    assert len(big) == len(small)
+    for piece, want in zip(big, small):
+        assert_same_module(piece.truncate(t), want)
+
+
 # -- pinned construction bytes ----------------------------------------------------
 
 
