@@ -64,7 +64,7 @@ def cmd_ext(args) -> Tuple[str, int]:
         if value < 0:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
     max_t = args.max_n + args.max_s
-    m = _structure_module(args.name, max_t + 6)
+    m = _structure_module(args.name, max_t)
     res = ext_mod.minimal_resolution(m, max_s=args.max_s,
                                      max_t=min(max_t, m.hi if not m.complete else max_t))
     chart = ext_mod.ext_chart(res)

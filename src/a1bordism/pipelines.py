@@ -21,7 +21,8 @@ from . import spaces as sp
 from .modules import GradedA1Module, ModuleDecomposition, split_free, iso_up_to_degree
 
 DEFAULT_MAX_S = 12
-GUARD = 4  # extra resolved filtration so kernel checks near the window close
+GUARD = 4  # extra resolved filtration, and with it internal degree and module
+           # cutoff, so kernel checks near the window close
 
 
 class PipelineError(ValueError):
@@ -64,10 +65,16 @@ CONNECTIVITY_BOUND = 7  # the ko approximation of spin bordism is 7-connected
 
 
 def window_parameters(through_degree: int, max_s: int) -> Tuple[int, int, int]:
-    """(resolved filtration, resolved internal degree, required module cutoff)."""
+    """(resolved filtration, resolved internal degree, required module cutoff).
+
+    The resolution reads the module only in degrees t <= max_t, and
+    split_free looks for free generators up to through_degree + 1, whose
+    A(1) top class lies 6 degrees higher; the cutoff covers both and no
+    more, since construction commutes with truncation.
+    """
     s_resolve = max_s + GUARD
     max_t = through_degree + s_resolve
-    cutoff = max_t + 6
+    cutoff = max(max_t, through_degree + 7)
     return s_resolve, max_t, cutoff
 
 

@@ -25,7 +25,28 @@ def test_unknown_pipeline():
 
 
 def test_required_cutoff_formula():
-    assert required_cutoff(5, max_s=12) == 5 + 12 + pl.GUARD + 6
+    # max_t = n + max_s + GUARD, the top of the resolution, when that is
+    # the larger; otherwise n + 7, the top class of a free summand on a
+    # generator in degree n + 1
+    assert required_cutoff(5, max_s=12) == 21
+    assert required_cutoff(4, max_s=0) == 11
+
+
+def test_provenance_names_the_built_cutoff(monkeypatch):
+    built = []
+
+    def recording(name, cutoff):
+        pieces = real(name, cutoff)
+        built.append({p.hi for p in pieces})
+        return pieces
+
+    real = sp.structure_pieces
+    monkeypatch.setattr(sp, "structure_pieces", recording)
+    for through, max_s in ((5, 12), (4, 0)):
+        rep = run_pipeline("SigmaBO2", through, max_s=max_s)
+        (hi,) = built.pop()
+        assert rep.provenance[0].startswith(f"module cutoff {hi}, ")
+        assert hi == required_cutoff(through, max_s)
 
 
 def test_fk_small_window():
