@@ -168,7 +168,6 @@ def test_readme_command_lines_parse():
 def test_failed_internal_invariant_is_undecided_not_usage(monkeypatch):
     # a broken invariant is exit 2 ("undecided"), never exit 1 ("argument error")
     from a1bordism import ext as ext_mod
-    from a1bordism import modules as md
 
     class NeverSolves(ext_mod.ColumnSolver):
         def solve(self, w):

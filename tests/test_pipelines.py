@@ -34,13 +34,13 @@ def test_required_cutoff_formula():
 
 def test_provenance_names_the_built_cutoff(monkeypatch):
     built = []
+    real = sp.structure_pieces
 
     def recording(name, cutoff):
         pieces = real(name, cutoff)
         built.append({p.hi for p in pieces})
         return pieces
 
-    real = sp.structure_pieces
     monkeypatch.setattr(sp, "structure_pieces", recording)
     for through, max_s in ((5, 12), (4, 0)):
         rep = run_pipeline("SigmaBO2", through, max_s=max_s)
