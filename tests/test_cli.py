@@ -257,3 +257,77 @@ def test_ext_tsv_is_pinned():
                               "--format", "tsv"])
             got[f"{name}@{n}/{s}"] = hashlib.sha256(f"{code}\n{text}".encode()).hexdigest()
     assert got == EXT_TSV_DIGESTS
+
+
+def verb_argvs():
+    """The invocations whose exit code and stdout VERB_DIGESTS pins."""
+    yield ["list"]
+    yield ["module", "M1"]
+    for name in sp.STRUCTURE_NAMES:
+        for fmt in ("ascii", "tsv"):
+            yield ["bordism", name, "--through", "7", "--format", fmt]
+    yield ["bordism", "GM", "--through", "8"]  # past the connectivity bound: refused
+    for name in ("SpinO2", "GM", "FKO"):  # FKO's catalog search is undecided
+        yield ["decompose", name, "--through", "6"]
+    for figure in ("gm", "kt-minus", "kt-plus", "gm-nonexact"):
+        yield ["les", figure]
+    for which in ("one-form", "two-form"):
+        for fmt in ("ascii", "tsv"):
+            yield ["obstruction", which, "--format", fmt]
+    yield ["obstruction", "evaluate"]
+    yield ["obstruction", "evaluate", "--space", "SpinPlaceholder"]
+
+
+# the SHA-256 of the exit code and stdout of each invocation, keyed by its argv
+VERB_DIGESTS = {
+    "list": "27bbe806d48f12b7cde056bc3658032a92e546e1e096e37ce263be700fd6bd57",
+    "module M1": "e8fbddba57f3390fd5313bd82cdaf0571909ede326342533ae757d0a5daf255a",
+    "bordism FK --through 7 --format ascii": "3212237f60e21121bfeccbc5eff1e50de7c69807dcb3ea0f096d9ca5522257d2",
+    "bordism FK --through 7 --format tsv": "d4e5c5fae6ac2c793e5ee7656688cea6083605512457b9bacf33e3d7360cb8ca",
+    "bordism FKO --through 7 --format ascii": "6aaa401fbabeed1aaaa5eea66c996c840ae940ee1199a71e1e9c1fc1ec329ee6",
+    "bordism FKO --through 7 --format tsv": "c21aab38f548d6a8c211eb5c8c99cdcdc623966ecc0af755e529c56d681c0c38",
+    "bordism GM --through 7 --format ascii": "8e9b4d8835b589a31e18c53ac30739c0ac269eaf9f0d6add4cfa61e5f2910e48",
+    "bordism GM --through 7 --format tsv": "615d04a47300e3fff0ab0334d6887811f1663188b1a1b6071ee56d615b6af1fc",
+    "bordism KTminus --through 7 --format ascii": "e042d8bab21fabb5d71f4d8c336d10282a0260c11397a624985b802905afd83d",
+    "bordism KTminus --through 7 --format tsv": "eb833566093b4831a71b41e9f3f2f93dae19039e73802258f4df48a370494213",
+    "bordism KTplus --through 7 --format ascii": "6982feeae67dd73e15d187830398451640b2d36cb2b23d810036d9055c860eac",
+    "bordism KTplus --through 7 --format tsv": "eb833566093b4831a71b41e9f3f2f93dae19039e73802258f4df48a370494213",
+    "bordism SpinO2 --through 7 --format ascii": "5e12cfc7f9c48ccd81de4f6cf9882dd9a7aa1042893ad1006fc688f15bceb83e",
+    "bordism SpinO2 --through 7 --format tsv": "d480ace59935651950ce6855fb7defd2c9e20cafb567252c0182915bb30240bc",
+    "bordism SigmaBO2 --through 7 --format ascii": "78b57b792dbeba3baf9232a8b2e0c3d564adf1638bbc7db75f48dd4e44e32ab1",
+    "bordism SigmaBO2 --through 7 --format tsv": "4b233c1df493813b406efe87ccb44ddc9f0e05a2c8d2cfab35259036895f820e",
+    "bordism TauMinus --through 7 --format ascii": "25d74ad158b23521fa3116329f0953961f812641476cc0ff8d92e801fb8a5231",
+    "bordism TauMinus --through 7 --format tsv": "85134bc4a5bd1d96ff09a2f3077cd3f8e41489a6c585fac035fe437acee3e526",
+    "bordism TauPlus --through 7 --format ascii": "52aede5f6d751a6ae41cd105080821b3469d15eae6e8a5e07058ee18b0e0d8e9",
+    "bordism TauPlus --through 7 --format tsv": "f49d84babe61c083e0bb8d588c9fdc3a1476c5b180984b1ad51ca40f711fac8e",
+    "bordism PinMinusO2 --through 7 --format ascii": "9eb650e55adf94c72aeca2d6e0f062d3a9d27fa392fff872daadd9dd9242611a",
+    "bordism PinMinusO2 --through 7 --format tsv": "9aa040c2ba4185ad213040da9322843dc963a7e73e8f8ac6fca6c7f7419417ea",
+    "bordism PinMinus --through 7 --format ascii": "735f62a15c2788ef41d9d909baba88e85c3af7d6f767f450e5d1e4b0b2074423",
+    "bordism PinMinus --through 7 --format tsv": "f0d9fe8afe4f6dfcec88b996ffe24a2ac029bb9b52e460c0e6842c9762e5b15c",
+    "bordism PinPlus --through 7 --format ascii": "2f14c2ff5726ed8c092a3562885ed2738401890107a0eda2d0d8c4e759062a46",
+    "bordism PinPlus --through 7 --format tsv": "9afe745bb3b27431832a5a420a9faad8cfc1d4725df322a5872f3ea28c576420",
+    "bordism MV_a_ab --through 7 --format ascii": "8c357e0d080efaa7311ff03a3a6f39a8d4ade68e11a8172a28b4b425593384e1",
+    "bordism MV_a_ab --through 7 --format tsv": "ea5f1b49280124b238fe010c6f0c9f6c2fe8f3f94a5be9d8951c852e1ea931a5",
+    "bordism GM --through 8": "287e91a958b235f22d2ac046c52c82439df18630e6ab8c5b53e2cd67830e1c81",
+    "decompose SpinO2 --through 6": "c8c46de817f80d058fe6cdaf126ffab656ccc9802601260338b9f84a7a21ff4a",
+    "decompose GM --through 6": "b68d4908b1d418e51ef5e7e162766d57a5e5053adcfbd45f89505705fe26b4ab",
+    "decompose FKO --through 6": "ce2fe6265c9a48e6c254d1c3effdd84767cca2a26e0b8db16b8286aad860a030",
+    "les gm": "34fe8ce427e48356fef84a463b0b6d83d66a6ba883165ef678b74d038cb27ae5",
+    "les kt-minus": "ad681d2b7f6015101efb18b8cf6a70045023ae08121118c331cd41570dec120e",
+    "les kt-plus": "b03dd788e5ecd8ca4432577d8cc9490381c308bf2a0057bd80ac8d7d918be388",
+    "les gm-nonexact": "2d171ad62a13672279779d4f3a0c86136cba83a2af825ecfc8e2cdabeb022057",
+    "obstruction one-form --format ascii": "d7f0287877dba2e2cea1f460c1ce83ce95ed9f81bdfd55cc7a3c32f643968699",
+    "obstruction one-form --format tsv": "81a9633fcd1ebcbf3ff283ee70b7bec69dec93538047ab645e645e7e7b67d37b",
+    "obstruction two-form --format ascii": "aba9925580c20b5ef5537ed26c0c1e4615fc83c486e01de96161941bd94e9822",
+    "obstruction two-form --format tsv": "01cf4209f4c77d0dba59ec829baba612fb0d664aa73cff464014f01472ee8e0d",
+    "obstruction evaluate": "da2981c4eebf8df1e9bf98448657d54436e274548d8a3fc152bef395a5d25621",
+    "obstruction evaluate --space SpinPlaceholder": "4bbee43f4164c9568ecd0e99aa30520cf3172bc8758958c0dad2b534aacd7184",
+}
+
+
+def test_verb_outputs_are_pinned():
+    got = {}
+    for argv in verb_argvs():
+        text, code = run(argv)
+        got[" ".join(argv)] = hashlib.sha256(f"{code}\n{text}".encode()).hexdigest()
+    assert got == VERB_DIGESTS
