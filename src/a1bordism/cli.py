@@ -1,17 +1,24 @@
 """Command-line surface: pipelines, charts, decompositions, LES, obstructions.
 
+Each verb computes its result once (a pipeline report, a chart, a
+verdict) and renders it as ASCII or, where --format tsv is offered, as
+tab-separated rows; both renderers read the same result, and the exit
+status comes from the result, never from the format.
+
 Exit status: 0 on fully certified results, 1 on argument and input-file
-errors, 2 when a mathematical result is uncertified or undecided (partial
-output is still printed), including when an internal invariant check
-fails.  Output is deterministic; --jobs is accepted for compatibility
-and changes nothing, because the engine runs single-threaded.
+errors (including a window past a truncated module's cutoff), 2 when a
+mathematical result is uncertified or undecided (partial output is
+still printed), including a non-injective two-form pullback and a
+failed internal invariant check.  Output is deterministic; --jobs is
+accepted for compatibility and changes nothing, because the engine runs
+single-threaded.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import ext as ext_mod
 from . import les as les_mod
@@ -23,6 +30,14 @@ from . import spaces as sp
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNCERTIFIED = 2
+
+
+def _tsv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """A header line and one line per row, fields separated by tabs."""
+    return "".join("\t".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
+VERDICT_HEADER = ("degree", "class", "pullback", "verdict")
 
 
 def _structure_module(name: str, cutoff: int):
@@ -65,8 +80,7 @@ def cmd_ext(args) -> Tuple[str, int]:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
     max_t = args.max_n + args.max_s
     m = _structure_module(args.name, max_t)
-    res = ext_mod.minimal_resolution(m, max_s=args.max_s,
-                                     max_t=min(max_t, m.hi if not m.complete else max_t))
+    res = ext_mod.minimal_resolution(m, max_s=args.max_s, max_t=max_t)
     chart = ext_mod.ext_chart(res)
     if args.format == "tsv":
         return ext_mod.chart_tsv(chart, args.max_n, args.max_s), EXIT_OK
@@ -75,20 +89,15 @@ def cmd_ext(args) -> Tuple[str, int]:
 
 def cmd_bordism(args) -> Tuple[str, int]:
     report = pl.run_pipeline(args.name, args.through, max_s=args.max_s)
-    lines = []
-    certified = True
     if args.format == "tsv":
-        lines.append("degree\tgroup\tcertified\todd_part")
-        for r in report.rows:
-            lines.append(f"{r.degree}\t{r.group_str()}\t"
-                         f"{'yes' if r.certified else 'no'}\t{r.odd_part}")
-            certified = certified and r.certified
+        text = _tsv(("degree", "group", "certified", "odd_part"),
+                    [(r.degree, r.group_str(), "yes" if r.certified else "no", r.odd_part)
+                     for r in report.rows])
     else:
-        lines.append(f"2-complete {args.name} bordism through degree {args.through}")
+        lines = [f"2-complete {args.name} bordism through degree {args.through}"]
         for r in report.rows:
             mark = "" if r.certified else "   [UNCERTIFIED]"
             lines.append(f"  Omega_{r.degree} = {r.group_str()}{mark}")
-            certified = certified and r.certified
         lines.append("notes:")
         for r in report.rows:
             for w in r.warnings:
@@ -96,7 +105,8 @@ def cmd_bordism(args) -> Tuple[str, int]:
         lines.append(f"  odd-primary part: {report.rows[0].odd_part}")
         for p in report.provenance:
             lines.append(f"  {p}")
-    return "\n".join(lines) + "\n", EXIT_OK if certified else EXIT_UNCERTIFIED
+        text = "\n".join(lines) + "\n"
+    return text, EXIT_OK if report.certified else EXIT_UNCERTIFIED
 
 
 def cmd_decompose(args) -> Tuple[str, int]:
@@ -107,7 +117,6 @@ def cmd_decompose(args) -> Tuple[str, int]:
     for pname, susp in dec.catalog_summands:
         lines.append(f"  {pname} suspended by {susp}")
     rem = dec.remainder
-    unmatched = rem.total_dim() if not dec.catalog_summands else 0
     if dec.catalog_summands:
         lines.append("  match certified by explicit isomorphism witness")
         code = EXIT_OK
@@ -148,39 +157,44 @@ def cmd_les(args) -> Tuple[str, int]:
     return "\n".join(lines) + "\n", code
 
 
+def _mod_sq1(v: ob.EvaluationVerdict) -> str:
+    return "nonzero" if v.nonzero_mod_sq1 else "zero"
+
+
 def cmd_obstruction(args) -> Tuple[str, int]:
+    code = EXIT_OK
     if args.which == "one-form":
         one = ob.primary_obstruction_oneform()
         wu = ob.evaluate_obstruction_on("WuManifold", "21", "z2")
         spin = ob.evaluate_obstruction_on("SpinPlaceholder")
-        if args.format == "tsv":
-            lines = ["degree\tclass\tpullback\tverdict"]
-            for rec in ob.verdict_records()[:1]:
-                lines.append("\t".join(rec[k] for k in ("degree", "class", "pullback", "verdict")))
-            return "\n".join(lines) + "\n", EXIT_OK
+        header = VERDICT_HEADER
+        row = (one.degree, one.expression, one.pullback,
+               f"nonzero on WuManifold: {wu.nonzero_mod_sq1}; "
+               f"zero on spin: {not spin.nonzero_mod_sq1}")
         lines = [
             f"obstruction = {one.expression}",
-            f"  nonzero on: WuManifold (value {wu.value})",
-            f"  zero on: spin placeholder ({spin.detail})",
+            f"  {_mod_sq1(wu)} on: WuManifold (value {wu.value})",
+            f"  {_mod_sq1(spin)} on: spin placeholder ({spin.detail})",
             f"  derivation: {one.note}",
         ]
-        return "\n".join(lines) + "\n", EXIT_OK
-    if args.which == "two-form":
+    elif args.which == "two-form":
         two = ob.twoform_degree6_injectivity()
-        if args.format == "tsv":
-            lines = ["degree\tclass\tpullback\tverdict"]
-            for rec in ob.verdict_records()[1:]:
-                lines.append("\t".join(rec[k] for k in ("degree", "class", "pullback", "verdict")))
-            return "\n".join(lines) + "\n", EXIT_OK
+        header = VERDICT_HEADER
+        row = (6, ", ".join(two.basis), ", ".join(two.images),
+               "injective" if two.injective else "not injective")
         lines = [f"degree-6 pullback on {two.basis}: {two.images}", f"  {two.conclusion}"]
-        return "\n".join(lines) + "\n", EXIT_OK if two.injective else EXIT_UNCERTIFIED
-    if args.which == "evaluate":
+        code = EXIT_OK if two.injective else EXIT_UNCERTIFIED
+    elif args.which == "evaluate":
         v = ob.evaluate_obstruction_on(args.space, args.word, args.generator)
-        lines = [f"{v.expression} on {v.space}: {v.value} "
-                 f"({'nonzero' if v.nonzero_mod_sq1 else 'zero'} mod Im Sq1)",
-                 f"  {v.detail}"]
-        return "\n".join(lines) + "\n", EXIT_OK
-    raise ValueError(f"unknown obstruction command {args.which!r}")
+        verdict = f"{_mod_sq1(v)} mod Im Sq1"
+        header = ("space", "class", "value", "verdict")
+        row = (v.space, v.expression, v.value, verdict)
+        lines = [f"{v.expression} on {v.space}: {v.value} ({verdict})", f"  {v.detail}"]
+    else:
+        raise ValueError(f"unknown obstruction command {args.which!r}")
+    if args.format == "tsv":
+        return _tsv(header, [row]), code
+    return "\n".join(lines) + "\n", code
 
 
 def build_parser() -> argparse.ArgumentParser:

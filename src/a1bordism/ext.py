@@ -381,6 +381,17 @@ def collapse_certificate(chart: ExtChart, report_max_s: int) -> Certificate:
 # -- group assembly -------------------------------------------------------------
 
 
+def format_group(free_rank: int, torsion: Sequence[int]) -> str:
+    """Z^r + Z/t + ... in the given torsion order; "0" for the trivial group."""
+    parts = []
+    if free_rank == 1:
+        parts.append("Z")
+    elif free_rank > 1:
+        parts.append(f"Z^{free_rank}")
+    parts.extend(f"Z/{t}" for t in torsion)
+    return " + ".join(parts) if parts else "0"
+
+
 @dataclass
 class DegreeReport:
     degree: int
@@ -390,14 +401,15 @@ class DegreeReport:
     warnings: Tuple[str, ...] = ()
     odd_part: str = "assumed trivial"  # documented, never computed
 
+    def __add__(self, other: "DegreeReport") -> "DegreeReport":
+        """The direct sum of two rows of one degree; the left row's odd part is kept."""
+        return DegreeReport(self.degree, self.free_rank + other.free_rank,
+                            tuple(sorted(self.torsion + other.torsion, reverse=True)),
+                            self.certified and other.certified,
+                            tuple(dict.fromkeys(self.warnings + other.warnings)), self.odd_part)
+
     def group_str(self) -> str:
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
-        return " + ".join(parts) if parts else "0"
+        return format_group(self.free_rank, self.torsion)
 
     def matches(self, free_rank: int, torsion: Sequence[int]) -> bool:
         return self.free_rank == free_rank and tuple(sorted(torsion, reverse=True)) == self.torsion

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .ext import format_group
+
 INF = None  # open upper bound
 
 
@@ -138,14 +140,7 @@ class PartialGroup:
 
     def group_str(self) -> str:
         if self.factors is not None and _iv_exact(self.rank) is not None:
-            r = self.rank[0]
-            parts = []
-            if r == 1:
-                parts.append("Z")
-            elif r > 1:
-                parts.append(f"Z^{r}")
-            parts.extend(f"Z/{f}" for f in self.factors)
-            return " + ".join(parts) if parts else "0"
+            return format_group(self.rank[0], self.factors)
         return f"rank {self.rank}, |torsion| in 2^{self.torlog}"
 
 

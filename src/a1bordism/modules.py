@@ -496,7 +496,6 @@ class ModuleDecomposition:
     remainder: GradedA1Module
     witness: Dict[int, BitMatrix]
     valid_through: int
-    source: Optional[GradedA1Module] = None
     notes: List[str] = field(default_factory=list)
     witness_iso: Optional[Dict[int, BitMatrix]] = None
 
@@ -619,7 +618,7 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
         witness[d] = BitMatrix.from_columns(free_cols[d] + incl[d].columns(), M.dim(d))
         if witness[d].rank() != M.dim(d):
             raise InvariantError(f"free splitting witness is not an isomorphism at degree {d}")
-    return ModuleDecomposition(frees, [], current, witness, valid_through, source=M)
+    return ModuleDecomposition(frees, [], current, witness, valid_through)
 
 
 # -- isomorphism search ----------------------------------------------------

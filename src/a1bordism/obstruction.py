@@ -98,6 +98,7 @@ class OneFormObstruction:
     quotient_dim: int
     kernel_matches_representative: bool
     note: str
+    pullback: str                    # image of the representative in H^5(MO_2): Sq2Sq1 U
 
 
 def primary_obstruction_oneform() -> OneFormObstruction:
@@ -119,6 +120,7 @@ def primary_obstruction_oneform() -> OneFormObstruction:
         "Sq2Sq1B + B*Sq1B (they differ by the decomposable B*Sq1B); "
         "reported as found, not patched"
     )
+    mo2 = _thom_model(2)
     return OneFormObstruction(
         expression="Sq2Sq1 B (mod Im Sq1)",
         class_vector=rep_vec,
@@ -128,6 +130,7 @@ def primary_obstruction_oneform() -> OneFormObstruction:
         quotient_dim=len(K.basis(5)) - im_dim,
         kernel_matches_representative=any(in_image),
         note=note,
+        pullback=mo2.format(mo2.apply_word("21", frozenset([mo2.base.unit()]))),
     )
 
 
@@ -224,19 +227,3 @@ def twoform_degree6_injectivity(corrupt_sq1_u: bool = False) -> TwoFormVerdict:
                           (thom.format(img_sq2sq1), thom.format(img_csq)),
                           ("Sq2Sq1C", "C^2"), conclusion)
 
-
-def verdict_records() -> List[Dict[str, str]]:
-    """Machine-readable verdicts for the CLI (degree, class, pullback, verdict)."""
-    one = primary_obstruction_oneform()
-    wu = evaluate_obstruction_on("WuManifold", "21", "z2")
-    spin = evaluate_obstruction_on("SpinPlaceholder")
-    two = twoform_degree6_injectivity()
-    mo2 = _thom_model(2)
-    rep_img = mo2.format(mo2.apply_word("21", frozenset([mo2.base.unit()])))
-    return [
-        {"degree": "5", "class": one.expression, "pullback": rep_img,
-         "verdict": f"nonzero on WuManifold: {wu.nonzero_mod_sq1}; zero on spin: "
-                    f"{not spin.nonzero_mod_sq1}"},
-        {"degree": "6", "class": "Sq2Sq1C, C^2", "pullback": ", ".join(two.images),
-         "verdict": "injective" if two.injective else "not injective"},
-    ]

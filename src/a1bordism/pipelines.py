@@ -83,13 +83,10 @@ def _assemble_piece(piece: GradedA1Module, through: int, max_s: int,
                     provenance: List[str]) -> List[ext_mod.DegreeReport]:
     """Split off frees, resolve the remainder, certify, and assemble groups."""
     dec = split_free(piece, max_gen_degree=through + 1)
-    rows: Dict[int, ext_mod.DegreeReport] = {
-        n: ext_mod.DegreeReport(n, 0, (), True) for n in range(through + 1)
-    }
-    free_count: Dict[int, int] = {}
+    rows = [ext_mod.DegreeReport(n, 0, (), True) for n in range(through + 1)]
     for g, _label in dec.free_summands:
-        if g <= through:
-            free_count[g] = free_count.get(g, 0) + 1
+        if g <= through:  # a free A(1) summand contributes one Z/2 at its generator
+            rows[g] += ext_mod.DegreeReport(g, 0, (2,), True)
     if dec.free_summands:
         provenance.append(
             f"{piece.name}: {len(dec.free_summands)} free summand(s) split off; "
@@ -100,15 +97,9 @@ def _assemble_piece(piece: GradedA1Module, through: int, max_s: int,
                                          max_t=min(max_t, remainder.hi))
         chart = ext_mod.ext_chart(res)
         cert = ext_mod.collapse_certificate(chart, report_max_s=max_s)
-        assembled = ext_mod.assemble_groups(chart, cert, max_n=through)
-        for r in assembled:
-            rows[r.degree] = r
-    out = []
-    for n in range(through + 1):
-        r = rows[n]
-        tors = sorted(list(r.torsion) + [2] * free_count.get(n, 0), reverse=True)
-        out.append(ext_mod.DegreeReport(n, r.free_rank, tuple(tors), r.certified, r.warnings))
-    return out
+        for r in ext_mod.assemble_groups(chart, cert, max_n=through):
+            rows[r.degree] += r
+    return rows
 
 
 def _require_nonnegative(**window: int) -> None:
@@ -135,20 +126,11 @@ def run_pipeline(name: str, through_degree: int, max_s: int = DEFAULT_MAX_S) -> 
     if len(pieces) > 1:
         note = sp.SPECTRUM_SPLITS[name][1]
         provenance.append(f"{name}: resolved as a wedge of two pieces ({note})")
-    totals: Dict[int, List] = {n: [0, [], True, []] for n in range(through_degree + 1)}
-    for piece in pieces:
-        for r in _assemble_piece(piece, through_degree, max_s, s_resolve, max_t, provenance):
-            slot = totals[r.degree]
-            slot[0] += r.free_rank
-            slot[1].extend(r.torsion)
-            slot[2] = slot[2] and r.certified
-            slot[3].extend(r.warnings)
     odd = ODD_PARTS.get(name, "assumed trivial")
-    rows = []
-    for n in range(through_degree + 1):
-        fr, tors, cert, warns = totals[n]
-        rows.append(ext_mod.DegreeReport(n, fr, tuple(sorted(tors, reverse=True)), cert,
-                                         tuple(dict.fromkeys(warns)), odd))
+    rows = [ext_mod.DegreeReport(n, 0, (), True, (), odd) for n in range(through_degree + 1)]
+    for piece in pieces:
+        rows = list(map(operator.add, rows, _assemble_piece(
+            piece, through_degree, max_s, s_resolve, max_t, provenance)))
     return PipelineReport(name, through_degree, rows, provenance, max_s)
 
 

@@ -124,6 +124,62 @@ def test_obstruction_verbs():
     assert text.splitlines()[0] == "degree\tclass\tpullback\tverdict"
 
 
+
+def test_twoform_exit_code_does_not_depend_on_format(monkeypatch):
+    # a non-injective degree-6 pullback exits 2 in every format
+    from a1bordism import obstruction as ob
+
+    corrupt = ob.twoform_degree6_injectivity(corrupt_sq1_u=True)
+    monkeypatch.setattr(ob, "twoform_degree6_injectivity", lambda: corrupt)
+    text, code = run(["obstruction", "two-form"])
+    assert code == 2 and "not injective" in text
+    text, code = run(["obstruction", "two-form", "--format", "tsv"])
+    assert code == 2
+    assert text.splitlines()[1].endswith("\tnot injective")
+
+
+
+def test_oneform_ascii_reads_the_verdicts(monkeypatch):
+    # the "nonzero on"/"zero on" labels come from the evaluations, not fixed text
+    import dataclasses
+
+    from a1bordism import obstruction as ob
+
+    evaluate = ob.evaluate_obstruction_on
+
+    def flipped(*args):
+        v = evaluate(*args)
+        return dataclasses.replace(v, nonzero_mod_sq1=not v.nonzero_mod_sq1)
+
+    monkeypatch.setattr(ob, "evaluate_obstruction_on", flipped)
+    text, code = run(["obstruction", "one-form"])
+    assert code == 0
+    assert "\n  zero on: WuManifold (value z2*z3)\n" in text
+    assert "\n  nonzero on: spin placeholder (" in text
+    text, _ = run(["obstruction", "one-form", "--format", "tsv"])
+    assert text.endswith("\tnonzero on WuManifold: False; zero on spin: False\n")
+
+def test_obstruction_evaluate_tsv():
+    text, code = run(["obstruction", "evaluate", "--format", "tsv"])
+    assert code == 0
+    assert text == "space\tclass\tvalue\tverdict\nWuManifold\tSq2 Sq1 z2\tz2*z3\tnonzero mod Im Sq1\n"
+    text, code = run(["obstruction", "evaluate", "--space", "SpinPlaceholder", "--format", "tsv"])
+    assert code == 0
+    assert text.splitlines()[1] == "SpinPlaceholder\tSq2 Sq1 z2\t0\tzero mod Im Sq1"
+
+
+def test_ext_refuses_a_window_past_the_truncation(tmp_path):
+    # unknown degrees above the cutoff must not print as zeros
+    f = tmp_path / "pair.a1mod"
+    f.write_text("MODULE pair\nDEG 0: a\nDEG 1: b\nSQ1 a -> b\nTRUNCATE 3\n")
+    text, code = run(["ext", str(f), "--max-n", "4", "--max-s", "3", "--format", "tsv"])
+    assert code == 1
+    assert text == ("error: module pair is truncated at 3; "
+                    "resolving to internal degree 7 needs cutoff >= 7\n")
+    text, code = run(["ext", str(f), "--max-n", "1", "--max-s", "2", "--format", "tsv"])
+    assert code == 0
+    assert text.splitlines()[1:] == ["0\t0\t1\t0", "1\t1\t1\t0"]
+
 def test_byte_identical_across_jobs():
     # criterion: identical output for --jobs 1 and --jobs 8
     cases = [

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from a1bordism import cli
 from a1bordism import obstruction as ob
 from a1bordism import spaces as sp
 
@@ -121,8 +122,15 @@ def test_twoform_sensitive_to_wu_corruption():
 
 
 def test_verdict_records_shape():
-    recs = ob.verdict_records()
-    assert len(recs) == 2
-    for rec in recs:
-        assert set(rec) == {"degree", "class", "pullback", "verdict"}
-    assert recs[1]["verdict"] == "injective"
+    # one TSV row per subcommand under the four-column header
+    rows = {}
+    for which in ("one-form", "two-form"):
+        text, code = cli.run(["obstruction", which, "--format", "tsv"])
+        assert code == 0
+        header, *body = [line.split("\t") for line in text.splitlines()]
+        assert header == ["degree", "class", "pullback", "verdict"]
+        assert len(body) == 1 and len(body[0]) == 4
+        rows[which] = dict(zip(header, body[0]))
+    assert rows["one-form"]["pullback"] == "(w1*w2 + w1^3)*U"
+    assert rows["two-form"]["degree"] == "6"
+    assert rows["two-form"]["verdict"] == "injective"
