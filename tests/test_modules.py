@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -355,6 +356,109 @@ def test_split_free_joker_tensor_pin_cell():
     rem = dec.remainder.quotient_above(4)
     r3 = catalog("R3", 10).quotient_above(4)
     assert iso_up_to_degree(rem, r3, 4).status == "iso"
+
+
+def split_free_digest(M, max_gen_degree):
+    """SHA-256 of split_free(M, max_gen_degree): summands, validity, remainder, witness."""
+    dec = split_free(M, max_gen_degree=max_gen_degree)
+    rem = dec.remainder
+    data = (tuple(dec.free_summands), dec.valid_through,
+            tuple(sorted(rem.dims.items())), tuple(sorted(rem.labels.items())),
+            tuple((d, rem.sq1[d].rows) for d in sorted(rem.sq1)),
+            tuple((d, rem.sq2[d].rows) for d in sorted(rem.sq2)),
+            rem.hi, rem.complete, rem.name,
+            tuple((d, dec.witness[d].rows) for d in sorted(dec.witness)))
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+def split_free_pin_inputs():
+    """("key", (module, max_gen_degree)) for every pinned split.
+
+    The 16 pipeline pieces at the ``--through 7`` window, split as
+    ``run_pipeline`` splits them, and every structure at cutoff 12 with
+    generators through degree 6.
+    """
+    from a1bordism.pipelines import DEFAULT_MAX_S, window_parameters
+    from a1bordism.spaces import STRUCTURE_NAMES, structure_pieces
+
+    through = 7
+    cutoff = window_parameters(through, DEFAULT_MAX_S)[2]
+    for name in STRUCTURE_NAMES:
+        for piece in structure_pieces(name, cutoff):
+            yield f"{piece.name}@{cutoff}", (piece, through + 1)
+    for name in STRUCTURE_NAMES:
+        yield f"{name}@12", (named_structure(name, 12), 6)
+
+
+# recorded with the split that builds one module per free summand; any
+# change to split_free must reproduce the summands, the remainder under its
+# labels and the witness byte for byte
+SPLIT_FREE_DIGESTS = {
+    "FK@23":
+        "c74a60577ee87aff51202d29594ce7e94442315f2f8c7c9c84fe05ebf04a1e23",
+    "FKO@23":
+        "f629ac3e8e6d463009317eb1993f9d4e0abb0020f1bb4d3727093b1a5087ecf2",
+    "GM@23":
+        "2a3aa188e6dd009b9e6399d70e876baafd162335bb189d166b9040b622658acf",
+    "KTminus@23":
+        "04323a0f1e5b0e4f1abfbaa8d80b19a07b3a0a7b6496e7932963b97edcaca33f",
+    "KTplus@23":
+        "7cbec7227cb67290fb3b30e01ffc1c3eec15b1e19c5585247ac77928d51931e5",
+    "SpinO2@23":
+        "d1b26a3c326c3c7beff8e00434571fc38f307dd88b203534eca21656365d2fa0",
+    "SigmaBO2[no w2]@23":
+        "7cb2bd3a9e8fe37b09a657a6a9305978a482a958263201c9f4d4a8d90b92259d",
+    "SigmaBO2[w2·]@23":
+        "e9ffcadcdf1a57fa74d59b700697841228053a64b9ebb7b95a9263e26852b636",
+    "TauMinus[no c]@23":
+        "f07e55cc2404d8252604ec40fffe875f078374f50234cc4c3c984f8bfb8f63e2",
+    "TauMinus[c·]@23":
+        "64b4156abbf1de9f75e83199504cc38a455b959cfbbf7c8ae80a7d0ddb93353f",
+    "TauPlus[no c]@23":
+        "d75eac4a23d238ec957384a0ddfbcc0c04846ba8b8fa3a2f5617c2e9257dd898",
+    "TauPlus[c·]@23":
+        "3e96f98c1d9ed781e2c83d008998adf7ae96c995d00d38d6c7119a91b7adbad8",
+    "PinMinusO2@23":
+        "c1b8374eb00b226f67a473eae91f83642d6c8c3748bcea0c9587aff7d8cac020",
+    "PinMinus@23":
+        "fe04515640146f0f072b4e7113b96b30767af201029872f2ba87b84a69db9caa",
+    "PinPlus@23":
+        "67c6f3989734c9cd03ece9dd5501abd11ce2d4ec559b223748e8b06f5255fbc5",
+    "MV_a_ab@23":
+        "88f985f740cd1b1b77b41f2dec10beba0055f42861ab01763f0cc1eb0b526715",
+    "FK@12":
+        "f8ac00f8482b0a498c9d8cb06bd507341a2be206a96bf41aa54c48ac363282f4",
+    "FKO@12":
+        "f852f94cf9d816b69770dd047885eecf1fd76ad2efd46231331fcf25f2027075",
+    "GM@12":
+        "74ade23075f7e9c949415c3d92881ba49369d3ea9d1d08abdce15d75d3913bae",
+    "KTminus@12":
+        "84d401f1e3c952056d1763cf8621687b36fab4155dd8d934aad634fcf65222a6",
+    "KTplus@12":
+        "365c0ff04913c89850785a7c4588b80e28988d5d6ec71d53cb8b7d82aeba3896",
+    "SpinO2@12":
+        "1d063a460e13d10a0d642f05e3992de509a7c34868e873c8d31f17c0057caa50",
+    "SigmaBO2@12":
+        "5fc0bb44e7bf85b98199c22f3062211ee678460ab590b61a11373d009554b00c",
+    "TauMinus@12":
+        "825116b41cde744de29a432194f94c69263ce769cc8e1125c680d3e26d051b2c",
+    "TauPlus@12":
+        "41be0fdb137b73e0368dc3b02a9eb1c9c943170741d7be6fad9b01bef3e9e237",
+    "PinMinusO2@12":
+        "2c1629522a005ab61b2427d4d280a7c2439c6fa5fec6fdb68c059fffcdc56cc7",
+    "PinMinus@12":
+        "65efe8a13488419119e3d49f7dd18a1b0730c960b66b02c0b541e0aaea3532ac",
+    "PinPlus@12":
+        "c3012a65c024cb15355b2697a3f3a06d88829ff85a752b40eddab0d7d6ab15bf",
+    "MV_a_ab@12":
+        "54cd762b9d3ec4b79b5a83d06f2823611e5b2cca04f07d413f749a04c5f692b9",
+}
+
+
+def test_split_free_outputs_are_pinned():
+    got = {key: split_free_digest(*args) for key, args in split_free_pin_inputs()}
+    assert len(got) == 29
+    assert got == SPLIT_FREE_DIGESTS
 
 
 # -- iso search -------------------------------------------------------------------
