@@ -182,9 +182,6 @@ class GradedA1Module:
         """``images_from_words`` into M: the columns of M's word matrices."""
         return images_from_words(gens, d, lambda widx, t: self.act_word(WORDS[widx], t).columns())
 
-    def known_through(self, d: int) -> bool:
-        return self.complete or d <= self.hi
-
     # -- validation -----------------------------------------------------
 
     def validate(self) -> Optional[Violation]:
@@ -374,8 +371,9 @@ class GradedA1Module:
         (``vecs[j] == 1 << j`` for every ``j < dim(d)``) is left as it is:
         its labels are M's, and an action between two such degrees is
         M's own matrix.  Only the other degrees are rebuilt, so a caller
-        that changes a few degrees (as ``split_free`` changes
-        ``g … g+6``) pays only for those.
+        that changes a few degrees pays only for those: ``split_free``
+        builds its remainder once, whole wherever no free summand lies,
+        and ``r2_module`` keeps every degree it takes whole.
         """
         basis = {d: list(v) for d, v in vectors.items() if v}
         whole = {d for d, vecs in basis.items()
@@ -545,80 +543,69 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
     A(1)·x.  The remainder has no further free summands generated in
     degrees ≤ hi - 6 (or ≤ max_gen_degree when that bound is given).
 
-    Each split changes only the degrees g … g+6 of A(1)·x: elsewhere the
-    complement is all of the current module, so ``submodule`` keeps those
-    degrees as they are and the accumulated witness is updated only in
-    the window.  The search for the next x resumes at g, since top acts
-    as zero below g on the current module and hence on its summand.
+    The current complement is kept as vectors in M's coordinates,
+    ``basis[d]``, named as ``submodule`` would name them split by split
+    (a vector that is one basis vector of the previous complement keeps
+    its label, any other is ``s{d}_{k}``).  Each split changes only the
+    degrees g … g+6 of A(1)·x, and the remainder is built once at the
+    end, where ``submodule`` keeps every untouched degree as it is.  The
+    search for the next x resumes at g, since top acts as zero below g on
+    the current complement and hence on its summand.
     """
-    current = M
     gen_top = M.hi - 6 if max_gen_degree is None else min(max_gen_degree, M.hi - 6)
-    # witness: columns of each degreewise matrix map the accumulated
-    # (free ⊕ free ⊕ ... ⊕ remainder) coordinates into M's coordinates.
-    incl: Dict[int, BitMatrix] = {
-        d: BitMatrix.identity(M.dim(d)) for d in M.degrees()
-    }
+    basis: Dict[int, List[int]] = {d: [1 << j for j in range(M.dim(d))] for d in M.degrees()}
+    labels: Dict[int, Sequence[str]] = dict(M.labels)
+    # the free summands' columns in M's coordinates; the witness puts them
+    # before the remainder's basis
     free_cols: Dict[int, List[int]] = {d: [] for d in M.degrees()}
     frees: List[Tuple[int, str]] = []
-    top_word = "1212"
-    start = current.lo
+    start = M.lo
     while True:
-        found = None
-        for g in range(start, gen_top + 1):
-            if current.dim(g) == 0:
-                continue
-            hit = 0
-            for r in current.act_word(top_word, g).rows:
-                hit |= r
-            if hit:
-                found = (g, (hit & -hit).bit_length() - 1)
-                break
+        # x = basis[g][i], the first with top·x ≠ 0 ("1212" is the top class)
+        found = next(((g, i) for g in range(start, gen_top + 1)
+                      for i, b in enumerate(basis.get(g, ())) if M.act_word("1212", g).matvec(b)), None)
         if found is None:
             break
         g, i = found
-        label = current.label(g, i)
-        x = 1 << i
-        # images of the 8 basis words on x
-        fvecs = {d: current.word_images([(g, x)], d) for d in range(g, g + 7)}
+        frees.append((g, labels[g][i]))
+        # images of the 8 basis words on x, in M's coordinates
+        fvecs = {d: M.word_images([(g, basis[g][i])], d) for d in range(g, g + 7)}
         for d, vecs in fvecs.items():
-            if len(span_rref(vecs, current.dim(d))[0]) != len(vecs):
+            if len(span_rref(vecs, M.dim(d))[0]) != len(vecs):
                 raise InvariantError("top class nonzero but cyclic module not free")
-        # the functional: a coordinate of top·x (nonzero by choice of x)
-        top_vec = current.act_word(top_word, g).matvec(x)
-        kcoord = (top_vec & -top_vec).bit_length() - 1
-        kernels: Dict[int, List[int]] = {}
-        for d in current.degrees():
-            if g <= d <= g + 6:
-                rows = []
-                for widx in steenrod.words_of_degree(g + 6 - d):
-                    act = current.act_word(WORDS[widx], d)
-                    rows.append(act.rows[kcoord])
-                kers = list(BitMatrix(rows, current.dim(d)).kernel_basis())
-                if len(kers) + len(fvecs.get(d, [])) != current.dim(d):
-                    raise InvariantError("free splitting functional is degenerate")
-            else:
-                kers = [1 << j for j in range(current.dim(d))]
-            kernels[d] = kers
-        remainder, _ = current.submodule(kernels, name=current.name)
-        # update the global witness: free columns (in M coordinates) first
-        for d, vecs in fvecs.items():
-            free_cols[d].extend(incl[d].images(vecs))
-        # the remainder's inclusion has the columns kernels[d]
+            free_cols[d].extend(vecs)
+        # the functional: a coordinate of top·x in the current basis (nonzero by choice of x)
+        solver = ColumnSolver(basis[g + 6])
+        top_coords = solver.solve(fvecs[g + 6][0])
+        kcoord = (top_coords & -top_coords).bit_length() - 1
         for d in range(g, g + 7):
-            if d in incl:
-                incl[d] = incl[d] @ BitMatrix.from_columns(kernels.get(d, []), current.dim(d))
-        frees.append((g, label))
-        current = remainder
+            old = basis[d]
+            rows = []
+            for widx in steenrod.words_of_degree(g + 6 - d):
+                coords = [solver.solve(v) for v in M.act_word(WORDS[widx], d).images(old)]
+                if None in coords:
+                    raise InvariantError(f"free splitting complement not closed at degree {d}")
+                rows.append(sum(((c >> kcoord) & 1) << j for j, c in enumerate(coords)))
+            kers = BitMatrix(rows, len(old)).kernel_basis()
+            if len(kers) + len(fvecs[d]) != len(old):
+                raise InvariantError("free splitting functional is degenerate")
+            basis[d] = BitMatrix.from_columns(old, M.dim(d)).images(kers)
+            labels[d] = [labels[d][v.bit_length() - 1] if v & (v - 1) == 0 else f"s{d}_{k}"
+                         for k, v in enumerate(kers)]
         start = g
     valid_through = M.hi if M.complete else M.hi - 6
     if max_gen_degree is not None:
         valid_through = min(valid_through, max_gen_degree)
     witness: Dict[int, BitMatrix] = {}
     for d in M.degrees():
-        witness[d] = BitMatrix.from_columns(free_cols[d] + incl[d].columns(), M.dim(d))
+        witness[d] = BitMatrix.from_columns(free_cols[d] + basis[d], M.dim(d))
         if witness[d].rank() != M.dim(d):
             raise InvariantError(f"free splitting witness is not an isomorphism at degree {d}")
-    return ModuleDecomposition(frees, [], current, witness, valid_through)
+    remainder = M
+    if frees:
+        rem, _ = M.submodule(basis, name=M.name)
+        remainder = GradedA1Module(rem.dims, rem.sq1, rem.sq2, rem.hi, labels, rem.complete, rem.name)
+    return ModuleDecomposition(frees, [], remainder, witness, valid_through)
 
 
 # -- isomorphism search ----------------------------------------------------

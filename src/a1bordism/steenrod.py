@@ -116,10 +116,6 @@ class A1Element:
     def words(self) -> Tuple[str, ...]:
         return tuple(WORDS[i] for i in range(DIM) if (self.bits >> i) & 1)
 
-    def is_homogeneous(self) -> bool:
-        degs = {DEGREES[i] for i in range(DIM) if (self.bits >> i) & 1}
-        return len(degs) <= 1
-
     def degree(self) -> int:
         degs = sorted({DEGREES[i] for i in range(DIM) if (self.bits >> i) & 1})
         if len(degs) != 1:

@@ -298,35 +298,32 @@ class BarExt:
     def h0_nonzero(self, s: int, n: int) -> bool:
         """Whether h0: Ext^{s, n+s} -> Ext^{s+1, n+s+1} is nonzero.
 
-        h0 is concatenation by [Sq1] on the bar complex, a chain map; its
-        induced action on homology is computed on a cycle representative.
+        Ext is dual to the homology of the bar complex, and h0 is dual to
+        the chain map C_{s+1,t+1} -> C_{s,t} that strips a leading [Sq1]
+        (and sends every other tuple to 0): h0 is nonzero exactly when
+        some non-boundary cycle of C_{s+1,t+1} maps outside the boundaries
+        of C_{s,t}.  (Concatenating [Sq1] in front is not a chain map.)
         """
-        from a1bordism.gf2 import ColumnSolver, span_rref
+        from a1bordism.gf2 import ColumnSolver
 
         sq1 = WORDS.index("1")
         t = n + s
-        cyc = self.homology_basis(s, t)
-        _, bnd = self._homology[(s, t)]
-        nn = len(self._basis[(s, t)])
-        bnd_basis = list(span_rref(bnd, nn)[0])
-        src = self._basis[(s, t)]
-        tgt_index = self._index[(s + 1, t + 1)]
         up_cyc = self.homology_basis(s + 1, t + 1)
-        _, up_bnd = self._homology[(s + 1, t + 1)]
-        up_n = len(self._basis[(s + 1, t + 1)])
-        up_bnd_basis = list(span_rref(up_bnd, up_n)[0])
-        boundaries = ColumnSolver(bnd_basis)
-        up_boundaries = ColumnSolver(up_bnd_basis)
-        for v in cyc:
-            if v in boundaries:
+        up_boundaries = ColumnSolver(self._homology[(s + 1, t + 1)][1])
+        self.homology_basis(s, t)
+        boundaries = ColumnSolver(self._homology[(s, t)][1])
+        up_src = self._basis[(s + 1, t + 1)]
+        tgt_index = self._index[(s, t)]
+        for z in up_cyc:
+            if z in up_boundaries:
                 continue
             img = 0
-            vv = v
-            while vv:
-                j = (vv & -vv).bit_length() - 1
-                vv &= vv - 1
-                img ^= 1 << tgt_index[(sq1,) + src[j]]
-            if img not in up_boundaries:
+            while z:
+                tup = up_src[(z & -z).bit_length() - 1]
+                z &= z - 1
+                if tup[0] == sq1:
+                    img ^= 1 << tgt_index[tup[1:]]
+            if img not in boundaries:
                 return True
         return False
 

@@ -95,6 +95,20 @@ def test_f2_groups_match_bar_complex_oracle():
         assert list(rows[n].torsion) == torsion, n
 
 
+def test_bar_complex_h0_matches_chart():
+    # Ext_{A(1)}(F2): h1 and h1^2 are not h0-divisible or h0-multiples,
+    # while h0 acts on 1 and on the class at (3, 4)
+    bx = BarExt(max_s=4, max_t=10)
+    assert not bx.h0_nonzero(1, 1) and not bx.h0_nonzero(2, 2)
+    assert bx.h0_nonzero(0, 0) and bx.h0_nonzero(3, 4)
+    chart = f2_chart()
+    classes = [(s, n) for (s, n), v in chart.dims.items()
+               if v and s <= 4 and n >= 0 and s + n + 1 <= 11]
+    assert len(classes) == 9
+    for s, n in classes:
+        assert bx.h0_nonzero(s, n) == (chart.h0_map(s, n).rank() > 0), (s, n)
+
+
 def test_f2_groups_through_eight():
     chart = f2_chart()
     cert = collapse_certificate(chart, report_max_s=12)
@@ -168,6 +182,35 @@ def test_certificate_flags_synthetic_dense_chart():
     assert not cert.certified[(0, 5)]
     assert not cert.certified[(2, 4)]
     assert cert.threats
+
+
+@pytest.mark.parametrize("dims, h0, threat, certified", [
+    # the source column 13 lies past t <= max_t
+    ({(0, 13): 1, (2, 12): 1}, [], "d2: (0,13)→(2, 12) beyond reliable window",
+     {(0, 13): False, (2, 12): False}),
+    # h0 is injective all the way up the source column
+    ({(s, 5): 1 for s in range(7)} | {(2, 4): 1}, [(s, 5) for s in range(6)],
+     "d2: (0,5)→(2, 4) source not h0-nilpotent in window",
+     {(0, 5): False, (1, 5): True, (2, 5): True, (3, 5): True, (4, 5): True, (2, 4): False}),
+    # h0 kills the source, but column 10 ends at s = 2, below h0·(2, 10)
+    ({(0, 11): 1, (2, 10): 1}, [], "d2: (0,11)→(2, 10) h0-kernel check exceeds window",
+     {(0, 11): False, (2, 10): False}),
+    # h0 kills the source and the target, so a d2 is not ruled out
+    ({(0, 5): 1, (2, 4): 1}, [], "d2: (0,5)→(2, 4) not excluded (h0^1 has kernel)",
+     {(0, 5): False, (2, 4): False}),
+    # h0 kills the source but is injective on every target: no differential
+    ({(0, 5): 1} | {(s, 4): 1 for s in range(2, 6)}, [(2, 4), (3, 4), (4, 4)], None,
+     {(0, 5): True, (2, 4): True, (3, 4): True, (4, 4): True}),
+], ids=["unreliable", "not-nilpotent", "exceeds-window", "kernel", "excluded"])
+def test_certificate_threat_reasons(dims, h0, threat, certified):
+    # max_s 6, max_t 12: column n is read up to s = min(6, 12 - n); h0 is
+    # the identity on the listed one-dimensional bidegrees, zero elsewhere
+    from a1bordism.gf2 import BitMatrix
+
+    chart = ex.ExtChart(6, 12, dims, {k: BitMatrix.identity(1) for k in h0})
+    cert = collapse_certificate(chart, report_max_s=4)
+    assert cert.threats == ([] if threat is None else [threat])
+    assert cert.certified == certified
 
 
 def test_certificate_h0_tower_targets_are_excluded():

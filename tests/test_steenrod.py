@@ -70,7 +70,6 @@ def test_top_class_is_sq2_cubed():
 
 def test_degree_errors():
     mixed = st.SQ1 + st.SQ2
-    assert not mixed.is_homogeneous()
     with pytest.raises(ValueError):
         mixed.degree()
 
