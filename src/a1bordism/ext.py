@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gf2 import BitMatrix, ColumnSolver, free_coords, span_rref
 from . import steenrod
-from .modules import GradedA1Module, InvariantError, images_from_words
+from .modules import GradedA1Module, InvariantError
 from .steenrod import A1Element
 
 
@@ -52,7 +52,7 @@ def _free_bases(gen_degrees: Sequence[int], top: int) -> Dict[int, List[Tuple[in
     """Bases of the degrees <= top of the free module on the given generators.
 
     Degree d's basis is pairs (generator index, word index) in the column
-    order of ``modules.images_from_words``, which must stay the same.
+    order of ``GradedA1Module.word_images``, which must stay the same.
     """
     out: Dict[int, List[Tuple[int, int]]] = {}
     for i, t in enumerate(gen_degrees):
@@ -66,16 +66,22 @@ def _free_word_images(fbasis: Mapping[int, Sequence[Tuple[int, int]]],
                       gens: Sequence[Tuple[int, int]], d: int) -> List[int]:
     """``GradedA1Module.word_images`` into the free module with bases ``fbasis``.
 
-    A product of two basis words of A(1) is one basis word or 0, so a
-    word sends each basis vector to one basis vector or to 0.
+    A product of two basis words of A(1) is one basis word or 0, so the
+    word w sends each set bit (gi, u) of v to (gi, MUL_TABLE[w][u]) or to 0.
     """
     target = {bw: 1 << p for p, bw in enumerate(fbasis.get(d, ()))}
-
-    def word_columns(widx: int, t: int) -> List[int]:
-        row = steenrod.MUL_TABLE[widx]
-        return [0 if row[u] is None else target[(gi, row[u])] for gi, u in fbasis[t]]
-
-    return images_from_words(gens, d, word_columns)
+    out = []
+    for t, v in gens:
+        for widx in steenrod.words_of_degree(d - t):
+            row, basis, acc, rest = steenrod.MUL_TABLE[widx], fbasis[t], 0, v
+            while rest:
+                low = rest & -rest
+                gi, u = basis[low.bit_length() - 1]
+                if row[u] is not None:
+                    acc ^= target[(gi, row[u])]
+                rest ^= low
+            out.append(acc)
+    return out
 
 
 def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:

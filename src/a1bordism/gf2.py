@@ -23,6 +23,8 @@ wants M·v for many v reads the columns once (``images``, or ``columns``
 kept for as long as it needs them) rather than calling ``matvec`` per
 vector.  A matrix does not cache its columns: most matrices are read
 column-wise once or never, and a per-matrix cache would only add memory.
+The exception is a module's own Sq1 and Sq2, read column-wise again and
+again: ``GradedA1Module`` keeps their columns itself.
 
 ``BitMatrix(rows, ncols)`` checks every row against the column count.
 Results that are in range by construction skip that check through the

@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gf2 import BitMatrix, ColumnSolver, free_coords, span_rref
 from . import steenrod
@@ -46,45 +46,17 @@ class Violation:
         return msg + (f" ({self.detail})" if self.detail else "")
 
 
-def images_from_words(gens: Sequence[Tuple[int, int]], d: int,
-                      word_columns: Callable[[int, int], List[int]]) -> List[int]:
-    """Degree-d columns of the A(1)-map from a free module with these generators.
-
-    Generator i sits in degree t and goes to v, for ``gens[i] = (t, v)``.
-    Columns come in the basis order of ``ext._free_bases``: generator by
-    generator, and within one the words of degree d - t in ``WORDS``
-    order.  ``word_columns(widx, t)``, the columns of ``WORDS[widx]`` on
-    the target from degree t, is called once per ``(widx, t)``.
-    """
-    read: Dict[Tuple[int, int], List[int]] = {}
-    out = []
-    for t, v in gens:
-        if not 0 <= d - t <= steenrod.TOP_DEGREE:
-            continue  # no words; skipped before the call, as this loop is hot
-        for widx in steenrod.words_of_degree(d - t):
-            cols = read.get((widx, t))
-            if cols is None:
-                cols = read[(widx, t)] = word_columns(widx, t)
-            acc, rest = 0, v
-            while rest:
-                low = rest & -rest
-                acc ^= cols[low.bit_length() - 1]
-                rest ^= low
-            out.append(acc)
-    return out
-
-
 class GradedA1Module:
     """Graded GF(2) module with Sq1 (degree +1) and Sq2 (degree +2) actions.
 
     Immutable: every field is set here, ``dims``, ``sq1``, ``sq2`` and
     ``labels`` are read-only mappings, and assigning an attribute raises
     AttributeError.  A module can therefore be shared and cached; the
-    word-action and Margolis caches live on the instance.
+    word-action, Sq-column and Margolis caches live on the instance.
     """
 
     __slots__ = ("dims", "lo", "hi", "sq1", "sq2", "complete", "name", "labels",
-                 "_act_cache", "_margolis_cache")
+                 "_act_cache", "_columns", "_margolis_cache")
 
     def __init__(
         self,
@@ -112,6 +84,7 @@ class GradedA1Module:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "labels", MappingProxyType(labs))
         object.__setattr__(self, "_act_cache", {})
+        object.__setattr__(self, "_columns", {})
         object.__setattr__(self, "_margolis_cache", {})
 
     def __setattr__(self, *a):
@@ -151,25 +124,44 @@ class GradedA1Module:
     def act_letter(self, letter: str, d: int) -> BitMatrix:
         return self.sq1_map(d) if letter == "1" else self.sq2_map(d)
 
+    def _letter_columns(self, letter: str, d: int) -> Tuple[int, ...]:
+        """Columns of Sq1 (letter "1") or Sq2 (letter "2") from degree d, read once."""
+        cols = self._columns.get((letter, d))
+        if cols is None:
+            cols = self._columns[(letter, d)] = tuple(self.act_letter(letter, d).columns())
+        return cols
+
+    def apply_word(self, nf: str, d: int, vecs: Sequence[int]) -> List[int]:
+        """``act_word(nf, d).images(vecs)`` for a normal-form word, one letter at a time.
+
+        The letters act right to left through ``_letter_columns``; no word
+        matrix is built.
+        """
+        out = list(vecs)
+        for letter in reversed(nf):
+            cols, nxt = self._letter_columns(letter, d), []
+            for v in out:
+                acc = 0
+                while v:
+                    low = v & -v
+                    acc ^= cols[low.bit_length() - 1]
+                    v ^= low
+                nxt.append(acc)
+            out = nxt
+            d += int(letter)
+        return out
+
     def act_word(self, word: str, d: int) -> BitMatrix:
-        """Matrix of the word (maybe non-reduced) from degree d: first letter times suffix."""
+        """Matrix of the word (maybe non-reduced) from degree d, built once per normal form."""
         nf = reduce_word(word)
+        rows = self.dim(d + steenrod.word_degree(word))
         if nf is None:
-            return BitMatrix.zeros(self.dim(d + steenrod.word_degree(word)), self.dim(d))
-        cache = self._act_cache
-        key = (nf, d)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if not nf:
-            cur = BitMatrix.identity(self.dim(d))
-        elif len(nf) == 1:
-            cur = self.act_letter(nf, d)
-        else:
-            rest = nf[1:]
-            cur = self.act_letter(nf[0], d + steenrod.word_degree(rest)) @ self.act_word(rest, d)
-        cache[key] = cur
-        return cur
+            return BitMatrix.zeros(rows, self.dim(d))
+        hit = self._act_cache.get((nf, d))
+        if hit is None:
+            cols = self.apply_word(nf, d, [1 << j for j in range(self.dim(d))])
+            hit = self._act_cache[(nf, d)] = BitMatrix.from_columns(cols, rows)
+        return hit
 
     def act_element(self, a: A1Element, d: int) -> BitMatrix:
         deg = a.degree()
@@ -179,8 +171,20 @@ class GradedA1Module:
         return out
 
     def word_images(self, gens: Sequence[Tuple[int, int]], d: int) -> List[int]:
-        """``images_from_words`` into M: the columns of M's word matrices."""
-        return images_from_words(gens, d, lambda widx, t: self.act_word(WORDS[widx], t).columns())
+        """Degree-d columns of the A(1)-map to M from a free module with these generators.
+
+        Generator i sits in degree t and goes to v, for ``gens[i] = (t, v)``.
+        Columns come in the basis order of ``ext._free_bases``: generator by
+        generator, and within one the words of degree d - t in ``WORDS``
+        order.
+        """
+        by_t: Dict[int, List[int]] = {}
+        for t, v in gens:
+            by_t.setdefault(t, []).append(v)
+        # one apply_word per (word, t) on all the generators in degree t
+        imgs = {(widx, t): iter(self.apply_word(WORDS[widx], t, vs))
+                for t, vs in by_t.items() for widx in steenrod.words_of_degree(d - t)}
+        return [next(imgs[(widx, t)]) for t, _ in gens for widx in steenrod.words_of_degree(d - t)]
 
     # -- validation -----------------------------------------------------
 
@@ -403,15 +407,14 @@ class GradedA1Module:
                 if not (self.complete or d + shift <= self.hi):
                     continue
                 tgt = basis.get(d + shift, [])
-                act = self.sq2_map(d) if shift == 2 else self.sq1_map(d)
                 if d in whole and d + shift in whole:
-                    store[d] = act
+                    store[d] = self.act_letter(str(shift), d)
                     continue
                 cols = []
                 if tgt and d + shift not in solvers:
                     solvers[d + shift] = ColumnSolver(tgt)
                 solver = solvers.get(d + shift)
-                for w in act.images(vecs):
+                for w in self.apply_word(str(shift), d, vecs):
                     if w == 0:
                         cols.append(0)
                         continue
@@ -426,7 +429,7 @@ class GradedA1Module:
     # -- generators and homology ------------------------------------------
 
     def _decomposables_rref(self, d: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        vecs = self.sq1_map(d - 1).columns() + self.sq2_map(d - 2).columns()
+        vecs = self._letter_columns("1", d - 1) + self._letter_columns("2", d - 2)
         return span_rref(vecs, self.dim(d))
 
     def decomposables(self, d: int) -> Tuple[int, ...]:
@@ -582,7 +585,7 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
             old = basis[d]
             rows = []
             for widx in steenrod.words_of_degree(g + 6 - d):
-                coords = [solver.solve(v) for v in M.act_word(WORDS[widx], d).images(old)]
+                coords = [solver.solve(v) for v in M.apply_word(WORDS[widx], d, old)]
                 if None in coords:
                     raise InvariantError(f"free splitting complement not closed at degree {d}")
                 rows.append(sum(((c >> kcoord) & 1) << j for j, c in enumerate(coords)))
@@ -755,7 +758,7 @@ def _quotient_by_ideal(generators: Sequence[A1Element], name: str) -> GradedA1Mo
         for d in dims:
             if d + shift not in dims:
                 continue
-            act = (amod.sq2_map(d) if shift == 2 else amod.sq1_map(d)).columns()
+            act = amod._letter_columns(str(shift), d)
             cols = [project(act[j], d + shift) for j in keep[d]]
             store[d] = BitMatrix.from_columns(cols, dims[d + shift])
     hi = max(dims) if dims else 0

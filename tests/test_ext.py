@@ -279,6 +279,33 @@ def test_cached_h0_powers_equal_products_from_the_identity(name):
                 ref = h0 @ ref
 
 
+def test_free_word_images_equal_products_in_a1():
+    from a1bordism.steenrod import WORDS, A1Element, words_of_degree
+
+    rng = random.Random(2024)
+    for _ in range(30):
+        gen_degrees = sorted(rng.randint(0, 8) for _ in range(rng.randint(1, 4)))
+        top = max(gen_degrees) + rng.randint(0, 7)  # below + 6 the bases are cut
+        fbasis = ex._free_bases(gen_degrees, top)
+        gens = [(t, rng.getrandbits(len(fbasis[t]))) for t in rng.choices(sorted(fbasis), k=5)]
+        # from below every generator to above some by more than 6, so some
+        # generators have no word of degree d - t
+        for d in range(gen_degrees[0] - 2, top + 1):
+            pos = {bw: p for p, bw in enumerate(fbasis.get(d, ()))}
+            want = []
+            for t, v in gens:
+                for w in words_of_degree(d - t):
+                    acc = 0
+                    for p, (gi, u) in enumerate(fbasis[t]):
+                        if (v >> p) & 1:
+                            prod = A1Element.from_word(WORDS[w]) * A1Element(1 << u)
+                            for k in range(8):
+                                if (prod.bits >> k) & 1:
+                                    acc ^= 1 << pos[(gi, k)]
+                    want.append(acc)
+            assert ex._free_word_images(fbasis, gens, d) == want, (gen_degrees, top, d)
+
+
 def test_chart_is_immutable():
     from a1bordism.gf2 import BitMatrix
 

@@ -565,6 +565,44 @@ def test_word_images_equal_per_word_matvec_in_free_basis_order(build):
         assert any(v & (v - 1) for _, v in gens)
 
 
+# the Joker cut at degree 3: Sq2 from degree 2 and everything from degree 3 are absent
+JOKER_TO_3 = """MODULE joker3
+DEG 0: a
+DEG 1: b
+DEG 2: c
+DEG 3: e
+SQ1 a -> b
+SQ2 a -> c
+SQ2 b -> e
+TRUNCATE 3
+"""
+
+
+@pytest.mark.parametrize("build", [lambda: named_structure("KTminus", 12),
+                                   lambda: md.parse_a1mod(JOKER_TO_3)],
+                         ids=["KTminus@12", "a1mod"])
+def test_apply_word_equals_word_matrix_images(build):
+    from a1bordism.steenrod import WORDS, word_degree
+
+    m = build()
+    rng = random.Random(17)
+    for d in range(m.lo - 1, m.hi + 3):
+        n = m.dim(d)
+        vecs = [0, (1 << n) - 1] + [1 << j for j in range(n)] + [rng.getrandbits(n) for _ in range(3)]
+        for w in WORDS:
+            # the product of the letters' matrices, a route apart from the cached columns
+            ref, deg = BitMatrix.identity(n), d
+            for letter in reversed(w):
+                ref = m.act_letter(letter, deg) @ ref
+                deg += int(letter)
+            got = m.apply_word(w, d, vecs)
+            assert got == ref.images(vecs) == m.act_word(w, d).images(vecs), (w, d)
+            if d + word_degree(w) > m.hi:  # no class, so no Sq map, above the truncation
+                assert not any(got), (w, d)
+    # the cached columns cannot be changed in place
+    assert m._columns and all(type(c) is tuple for c in m._columns.values())
+
+
 # -- validate-closure property suite ----------------------------------------------
 
 
@@ -585,7 +623,7 @@ def test_act_word_equals_letter_by_letter_product(build):
 
     m = build()
     for d in range(m.lo - 1, m.hi + 1):
-        for w in reversed(WORDS):  # longest first, so the suffixes are not cached yet
+        for w in reversed(WORDS):
             ref, deg = BitMatrix.identity(m.dim(d)), d
             for letter in reversed(w):
                 ref = m.act_letter(letter, deg) @ ref

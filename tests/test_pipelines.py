@@ -49,6 +49,25 @@ def test_provenance_names_the_built_cutoff(monkeypatch):
         assert hi == required_cutoff(through, max_s)
 
 
+def test_pipelines_build_no_word_matrix_but_the_top_class(monkeypatch):
+    # words act on vectors one letter at a time; the one word matrix a
+    # pipeline builds is the top class that split_free's search multiplies by
+    from a1bordism.modules import GradedA1Module
+
+    words = []
+    act_word = GradedA1Module.act_word
+
+    def record(self, word, d):
+        words.append(word)
+        return act_word(self, word, d)
+
+    monkeypatch.setattr(GradedA1Module, "act_word", record)
+    for name, through in (("SigmaBO2", 7), ("KTminus", 4)):
+        words.clear()
+        run_pipeline(name, through)
+        assert set(words) == {"1212"}, name
+
+
 def test_fk_small_window():
     rep = run_pipeline("FK", 4, max_s=8)
     assert groups(rep) == ["Z", "0", "Z", "0", "Z^2"]
