@@ -175,11 +175,14 @@ def verify_resolution(res: Resolution) -> None:
             if s == 1:
                 acc: Dict[int, int] = {}
                 for gi, elt in entries:
+                    if elt.is_zero():
+                        continue
                     t_gi, vec = prev.augmentation[gi]
-                    img = res.module.act_element(elt, t_gi).matvec(vec) if not elt.is_zero() else 0
-                    d = t_gi + elt.degree() if not elt.is_zero() else None
-                    if d is not None and (res.module.complete or d <= res.module.hi):
-                        acc[d] = acc.get(d, 0) ^ img
+                    d = t_gi + elt.degree()
+                    if res.module.complete or d <= res.module.hi:
+                        for w in elt.words():
+                            (img,) = res.module.apply_word(w, t_gi, [vec])
+                            acc[d] = acc.get(d, 0) ^ img
                 if any(v for v in acc.values()):
                     raise InvariantError(f"d∘d ≠ 0 at stage 1, generator {i}")
             else:

@@ -16,15 +16,18 @@ form is unique, so the result does not depend on the order of the rows.
 sides against fixed columns, or to test many vectors for membership in
 their span (``v in solver``), reducing the columns only once.
 
-The row/column layout is converted only here, by ``from_columns``,
-``columns`` and ``images``; callers that think in images of basis
-vectors use those and never walk a matrix bit by bit.  A caller that
-wants M·v for many v reads the columns once (``images``, or ``columns``
-kept for as long as it needs them) rather than calling ``matvec`` per
-vector.  A matrix does not cache its columns: most matrices are read
-column-wise once or never, and a per-matrix cache would only add memory.
-The exception is a module's own Sq1 and Sq2, read column-wise again and
-again: ``GradedA1Module`` keeps their columns itself.
+The row/column layout is converted only here, by ``from_columns`` and
+``columns``; callers that think in images of basis vectors use those
+and never walk a matrix bit by bit.  ``combine(vectors, masks)`` XORs
+the vectors picked out by each mask, and is the one copy of that loop:
+``matmul`` is ``combine`` of the right factor's rows over the left
+factor's rows, M·v for many v is ``combine`` of M's columns over the
+v's, and a change of basis is ``combine`` of the old basis over the
+new coordinates.  A matrix does not cache its columns: most matrices
+are read column-wise once or never, and a per-matrix cache would only
+add memory.  The exception is a module's own Sq1 and Sq2, read
+column-wise again and again: ``GradedA1Module`` keeps their columns
+itself.
 
 ``BitMatrix(rows, ncols)`` checks every row against the column count.
 Results that are in range by construction skip that check through the
@@ -63,6 +66,23 @@ def _transpose(vectors: Sequence[int], n: int) -> List[int]:
             low = v & -v
             out[low.bit_length() - 1] |= bit
             v ^= low
+    return out
+
+
+def combine(vectors: Sequence[int], masks: Iterable[int]) -> List[int]:
+    """For each mask, the XOR of ``vectors[j]`` over its set bits j.
+
+    Steps over set bits only; raises IndexError on a bit at or beyond
+    ``len(vectors)``.
+    """
+    out = []
+    for m in masks:
+        acc = 0
+        while m:
+            low = m & -m
+            acc ^= vectors[low.bit_length() - 1]
+            m ^= low
+        out.append(acc)
     return out
 
 
@@ -126,25 +146,6 @@ class BitMatrix:
         """Column j as a bit vector (bit i = row i), for every j."""
         return _transpose(self.rows, self.ncols)
 
-    def images(self, vectors: Iterable[int]) -> List[int]:
-        """M·v for each v, as XORs of the columns over the set bits of v.
-
-        Equal to ``[self.matvec(v) for v in vectors]`` but transposes once;
-        raises ValueError on a bit at or beyond ``ncols``.
-        """
-        cols = self.columns()
-        out = []
-        for v in vectors:
-            if v >> self.ncols:
-                raise ValueError("vector has bits beyond ncols")
-            acc = 0
-            while v:
-                low = v & -v
-                acc ^= cols[low.bit_length() - 1]
-                v ^= low
-            out.append(acc)
-        return out
-
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
 
@@ -175,16 +176,7 @@ class BitMatrix:
         """Composition self∘other (apply ``other`` first)."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        rows = []
-        for r in self.rows:
-            acc = 0
-            rr = r
-            while rr:
-                k = (rr & -rr).bit_length() - 1
-                acc ^= other.rows[k]
-                rr &= rr - 1
-            rows.append(acc)
-        return BitMatrix._trusted(tuple(rows), other.ncols)
+        return BitMatrix._trusted(tuple(combine(other.rows, self.rows)), other.ncols)
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         return self.matmul(other)

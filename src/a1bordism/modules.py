@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .gf2 import BitMatrix, ColumnSolver, free_coords, span_rref
+from .gf2 import BitMatrix, ColumnSolver, combine, free_coords, span_rref
 from . import steenrod
 from .steenrod import A1Element, DEGREES, WORDS, reduce_word
 
@@ -132,22 +132,14 @@ class GradedA1Module:
         return cols
 
     def apply_word(self, nf: str, d: int, vecs: Sequence[int]) -> List[int]:
-        """``act_word(nf, d).images(vecs)`` for a normal-form word, one letter at a time.
+        """``[act_word(nf, d).matvec(v) for v in vecs]`` for a normal-form word.
 
-        The letters act right to left through ``_letter_columns``; no word
-        matrix is built.
+        The letters act right to left, one ``combine`` over
+        ``_letter_columns`` each; no word matrix is built.
         """
         out = list(vecs)
         for letter in reversed(nf):
-            cols, nxt = self._letter_columns(letter, d), []
-            for v in out:
-                acc = 0
-                while v:
-                    low = v & -v
-                    acc ^= cols[low.bit_length() - 1]
-                    v ^= low
-                nxt.append(acc)
-            out = nxt
+            out = combine(self._letter_columns(letter, d), out)
             d += int(letter)
         return out
 
@@ -162,13 +154,6 @@ class GradedA1Module:
             cols = self.apply_word(nf, d, [1 << j for j in range(self.dim(d))])
             hit = self._act_cache[(nf, d)] = BitMatrix.from_columns(cols, rows)
         return hit
-
-    def act_element(self, a: A1Element, d: int) -> BitMatrix:
-        deg = a.degree()
-        out = BitMatrix.zeros(self.dim(d + deg), self.dim(d))
-        for w in a.words():
-            out = out.add(self.act_word(w, d))
-        return out
 
     def word_images(self, gens: Sequence[Tuple[int, int]], d: int) -> List[int]:
         """Degree-d columns of the A(1)-map to M from a free module with these generators.
@@ -296,18 +281,13 @@ class GradedA1Module:
                 dims[d] = len(labs)
                 labels[d] = tuple(labs)
 
-        # each factor's Sq^k columns in degree d are read once, not once
-        # per target degree
-        read: Dict[Tuple[int, int, int], List[int]] = {}
+        # the factors' cached Sq1/Sq2 columns; Sq0 is the identity, whose
+        # columns in every degree are a prefix of units
+        units = tuple(1 << i for i in range(max([*self.dims.values(), *other.dims.values()],
+                                                default=0)))
 
-        def images(m: "GradedA1Module", k: int, d: int) -> List[int]:
-            key = (m is other, k, d)
-            if key not in read:
-                if k == 0:
-                    read[key] = [1 << i for i in range(m.dim(d))]
-                else:
-                    read[key] = (m.sq1_map(d) if k == 1 else m.sq2_map(d)).columns()
-            return read[key]
+        def images(m: "GradedA1Module", k: int, d: int) -> Sequence[int]:
+            return m._letter_columns(str(k), d) if k else units
 
         def build(op_pairs: Sequence[Tuple[int, int]], d: int) -> BitMatrix:
             # op_pairs lists (k1, k2) with Sq^{k1} on the left factor, Sq^{k2} on the right
@@ -592,7 +572,7 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
             kers = BitMatrix(rows, len(old)).kernel_basis()
             if len(kers) + len(fvecs[d]) != len(old):
                 raise InvariantError("free splitting functional is degenerate")
-            basis[d] = BitMatrix.from_columns(old, M.dim(d)).images(kers)
+            basis[d] = combine(old, kers)
             labels[d] = [labels[d][v.bit_length() - 1] if v & (v - 1) == 0 else f"s{d}_{k}"
                          for k, v in enumerate(kers)]
         start = g
@@ -875,33 +855,38 @@ def format_a1mod(m: GradedA1Module) -> str:
     lines = [f"MODULE {m.name or 'anonymous'}"]
     for d in m.degrees():
         lines.append(f"DEG {d}: " + " ".join(m.labels[d]))
-    index: Dict[str, Tuple[int, int]] = {}
-    for d in m.degrees():
-        for i, lab in enumerate(m.labels[d]):
-            index[lab] = (d, i)
-    for key, getter in (("SQ1", m.sq1_map), ("SQ2", m.sq2_map)):
-        shift = 1 if key == "SQ1" else 2
+    for shift in (1, 2):
         for d in m.degrees():
             if not (m.complete or d + shift <= m.hi):
                 continue
-            mat = getter(d)
-            for j, col in enumerate(mat.columns()):
+            for j, col in enumerate(m._letter_columns(str(shift), d)):
                 if col == 0:
                     continue
-                targets = [m.labels[d + shift][i] for i in range(mat.nrows) if (col >> i) & 1]
-                lines.append(f"{key} {m.labels[d][j]} -> " + " + ".join(targets))
+                targets = [lab for i, lab in enumerate(m.labels[d + shift]) if (col >> i) & 1]
+                lines.append(f"SQ{shift} {m.labels[d][j]} -> " + " + ".join(targets))
     lines.append(f"TRUNCATE {m.hi}")
     return "\n".join(lines) + "\n"
 
 
 def parse_a1mod(text: str) -> GradedA1Module:
-    """Parse the line-oriented .a1mod format, validating the A(1) relations."""
+    """Parse the line-oriented .a1mod format, validating the A(1) relations.
+
+    Each SQ1/SQ2 source and TRUNCATE is given once: a second line is
+    refused, naming the first, rather than silently replacing it.
+    """
     name = ""
     deg_of: Dict[str, Tuple[int, int]] = {}
     labels: Dict[int, List[str]] = {}
     deg_lines: Dict[int, int] = {}  # degree -> the DEG line of its first label
     actions: List[Tuple[int, str, str, List[str]]] = []
     hi: Optional[int] = None
+    first: Dict[str, int] = {}  # "SQ1 a", "SQ2 a" or "TRUNCATE" -> its line
+
+    def claim(key: str, ln: int) -> None:
+        if key in first:
+            raise ModuleError(f"line {ln}: duplicate {key} (first on line {first[key]})")
+        first[key] = ln
+
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -919,6 +904,8 @@ def parse_a1mod(text: str) -> GradedA1Module:
                 raise ModuleError(f"line {ln}: DEG line needs a colon")
             labs = rest[1].split()
             for lab in labs:
+                if lab in ("+", "->"):
+                    raise ModuleError(f"line {ln}: {lab!r} cannot be a label")
                 if lab in deg_of:
                     raise ModuleError(f"line {ln}: duplicate label {lab!r}")
                 deg_of[lab] = (d, len(labels.setdefault(d, [])))
@@ -931,6 +918,7 @@ def parse_a1mod(text: str) -> GradedA1Module:
             if arrow != 2:
                 raise ModuleError(f"line {ln}: expected one source label")
             src = parts[1]
+            claim(f"{parts[0]} {src}", ln)
             targets = [p for p in parts[3:] if p != "+"]
             actions.append((ln, parts[0], src, targets))
         elif parts[0] == "TRUNCATE":
@@ -938,6 +926,7 @@ def parse_a1mod(text: str) -> GradedA1Module:
                 hi = int(parts[1])
             except (ValueError, IndexError):
                 raise ModuleError(f"line {ln}: TRUNCATE <degree>")
+            claim("TRUNCATE", ln)
         else:
             raise ModuleError(f"line {ln}: unknown directive {parts[0]!r}")
     if hi is None:

@@ -171,16 +171,8 @@ def evaluate_obstruction_on(space_name: str, word: str = "21",
     p: Poly = frozenset([mono])
     deg = wu.mono_degree(mono)
     for letter in reversed(word):
-        k = int(letter)
-        acc: set = set()
-        for m in p:
-            for x in wu.sq_k_mono(m, k):
-                if x in acc:
-                    acc.discard(x)
-                else:
-                    acc.add(x)
-        p = frozenset(acc)
-        deg += k
+        p = sp._poly([x for m in p for x in wu.sq_k_mono(m, int(letter))])
+        deg += int(letter)
     if deg > wu.cutoff:
         raise ObstructionError(f"degree {deg} exceeds the Wu-manifold window")
     im_dim, (in_image,) = _mod_sq1_image(wu, deg, [wu.poly_vector(p, deg)])

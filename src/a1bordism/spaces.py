@@ -772,15 +772,24 @@ def parse_space(text: str):
     Every error names a line: the offending one, the GEN line of a
     generator without an SQ line, the SQ line of a generator whose data
     break the A(1) relations, or the last line when CUTOFF is missing.
+    Each SQ generator, CUTOFF, SHIFT, TWIST A and TWIST B is given once:
+    a second line is refused, naming the first.
     """
     name = "anonymous"
     gens: List[Generator] = []
     gen_lines: Dict[str, int] = {}
-    sq_lines: List[Tuple[int, str, str]] = []
+    sq_lines: Dict[str, Tuple[int, str]] = {}  # generator -> (line, polynomial)
     cutoff: Optional[int] = None
     twists = {"A": (0, "0"), "B": (0, "0")}  # slot -> (line, class)
     shift = 0
     last = 0
+    first: Dict[str, int] = {}  # "SQ t", "CUTOFF", "SHIFT", "TWIST A" or "TWIST B" -> its line
+
+    def claim(key: str, ln: int) -> None:
+        if key in first:
+            raise ValueError(f"line {ln}: duplicate {key} (first on line {first[key]})")
+        first[key] = ln
+
     for ln, raw in enumerate(text.splitlines(), start=1):
         last = ln
         line = raw.split("#", 1)[0].strip()
@@ -811,7 +820,8 @@ def parse_space(text: str):
             if "=" not in body:
                 raise ValueError(f"line {ln}: SQ <label> = <polynomial>")
             lab, poly = body.split("=", 1)
-            sq_lines.append((ln, lab.strip(), poly.strip()))
+            claim(f"SQ {lab.strip()}", ln)
+            sq_lines[lab.strip()] = (ln, poly.strip())
         elif parts[0] == "CUTOFF":
             try:
                 cutoff = int(parts[1])
@@ -819,23 +829,25 @@ def parse_space(text: str):
                 raise ValueError(f"line {ln}: CUTOFF <degree>")
             if cutoff < 0:
                 raise ValueError(f"line {ln}: cutoff must be nonnegative")
+            claim("CUTOFF", ln)
         elif parts[0] == "TWIST":
             if len(parts) < 2 or parts[1] not in ("A", "B") or "=" not in line:
                 raise ValueError(f"line {ln}: TWIST A = <class> or TWIST B = <class>")
+            claim(f"TWIST {parts[1]}", ln)
             twists[parts[1]] = (ln, line.split("=", 1)[1].strip())
         elif parts[0] == "SHIFT":
             try:
                 shift = int(parts[1])
             except (ValueError, IndexError):
                 raise ValueError(f"line {ln}: SHIFT <degree>")
+            claim("SHIFT", ln)
         else:
             raise ValueError(f"line {ln}: unknown directive {parts[0]!r}")
     if cutoff is None:
         raise ValueError(f"line {max(last, 1)}: missing CUTOFF")
     ring = SpacePresentation(name, gens, cutoff, {})  # parses the SQ polynomials
     total = {}
-    sq_line_of: Dict[str, int] = {}
-    for ln, lab, poly in sq_lines:
+    for lab, (ln, poly) in sq_lines.items():
         if lab not in gen_lines:
             raise ValueError(f"line {ln}: SQ line for unknown generator {lab!r}")
         try:
@@ -850,7 +862,6 @@ def parse_space(text: str):
             raise ValueError(f"line {ln}: SQ {lab} violates the relations of an unstable "
                              f"algebra: it must be {lab} + (terms of degree {deg + 1} to "
                              f"{2 * deg - 1}) + {lab}^2")
-        sq_line_of[lab] = ln
     for g in gens:
         if g.label not in total:
             raise ValueError(f"line {gen_lines[g.label]}: missing SQ line for generator {g.label!r}")
@@ -860,7 +871,7 @@ def parse_space(text: str):
     v = pres.cohomology_module().validate()
     if v is not None:
         culprit = max((g for g in gens if g.degree <= v.degree), key=lambda g: g.degree)
-        raise ValueError(f"line {sq_line_of[culprit.label]}: "
+        raise ValueError(f"line {sq_lines[culprit.label][0]}: "
                          f"space presentation violates A(1) relations: {v}")
     for slot, want in (("A", 1), ("B", 2)):
         ln, cls = twists[slot]

@@ -12,7 +12,8 @@ from a1bordism import spaces as sp
 from a1bordism.ext import (assemble_groups, chart_ascii, chart_tsv,
                            collapse_certificate, ext_chart, minimal_resolution,
                            verify_resolution)
-from a1bordism.modules import catalog, free_module
+from a1bordism.modules import InvariantError, catalog, free_module
+from a1bordism.steenrod import A1Element
 from oracles import BarExt, check_exact
 
 
@@ -404,6 +405,30 @@ def test_pipeline_resolutions_are_exact_and_minimal(pipeline_resolutions):
     for key, res in pipeline_resolutions.items():
         verify_resolution(res)
         check_exact(res)
+
+
+@pytest.mark.parametrize("name, s, i, old, new, message", [
+    # Sq2Sq1 is not zero on J's generator, Sq1Sq2 is
+    ("J", 1, 0, "12", "21", "d∘d ≠ 0 at stage 1, generator 0"),
+    # d of generator 2 is Sq1Sq2 on one generator plus Sq2 on the next;
+    # their Sq1Sq2Sq1 terms cancel, which Sq2Sq1Sq1 = 0 does not
+    ("Q", 3, 2, "12", "21", "d∘d ≠ 0 at stage 3, generator 2"),
+    ("J", 2, 0, "1", "", "non-minimal boundary at stage 2"),
+])
+def test_verify_resolution_rejects_a_corrupted_boundary(name, s, i, old, new, message):
+    # one coefficient of stage s's generator i changed to another word of
+    # its degree, or to the unit
+    res = minimal_resolution(catalog(name), max_s=4, max_t=12)
+    verify_resolution(res)
+    stage = res.stages[s]
+    boundary = [list(entries) for entries in stage.boundary]
+    gi, elt = boundary[i][0]
+    assert elt == A1Element.from_word(old)
+    boundary[i][0] = (gi, A1Element.from_word(new))
+    bad = dataclasses.replace(stage, boundary=boundary)
+    broken = dataclasses.replace(res, stages=res.stages[:s] + [bad] + res.stages[s + 1:])
+    with pytest.raises(InvariantError, match=message):
+        verify_resolution(broken)
 
 
 def test_exactness_check_catches_a_missing_generator(pipeline_resolutions):

@@ -67,6 +67,47 @@ def test_a1mod_rejects_duplicate_labels():
         parse_a1mod("MODULE m\nDEG 0: a\nDEG 1: a\nTRUNCATE 1")
 
 
+A1MOD_PAIR = "MODULE m\nDEG 0: a\nDEG 1: b c\nDEG 2: e\nSQ1 a -> b\nSQ2 a -> e\n"
+
+
+@pytest.mark.parametrize("extra, line, first, key", [
+    ("SQ1 a -> c\n", 7, 5, "SQ1 a"),
+    ("SQ2 a -> e\n", 7, 6, "SQ2 a"),
+    ("TRUNCATE 2\nTRUNCATE 3\n", 8, 7, "TRUNCATE"),
+])
+def test_a1mod_refuses_a_repeated_directive(extra, line, first, key):
+    # the second line used to replace the first: Sq1 a = c, or TRUNCATE 3
+    with pytest.raises(ModuleError, match=rf"^line {line}: duplicate {key} \(first on line {first}\)$"):
+        parse_a1mod(A1MOD_PAIR + extra)
+
+
+@pytest.mark.parametrize("label", ["+", "->"])
+def test_a1mod_refuses_an_operator_as_a_label(label):
+    # a target "+" was dropped, so SQ1 a -> + gave Sq1 a = 0
+    with pytest.raises(ModuleError, match=r"^line 3: .* cannot be a label$"):
+        parse_a1mod(f"MODULE m\nDEG 0: a\nDEG 1: {label}\nSQ1 a -> {label}\n")
+
+
+SPACE_BO2 = ("SPACE s\nGEN w1 DEG 1\nGEN w2 DEG 2\nSQ w1 = w1 + w1^2\nSQ w2 = w2 + w1*w2 + w2^2\n"
+             "CUTOFF 8\nTWIST A = w1\nTWIST B = w2\nSHIFT 1\n")
+
+
+@pytest.mark.parametrize("extra, first, key", [
+    # both SQ lines are valid; the second used to win
+    ("SQ w2 = w2 + w2^2\n", 5, "SQ w2"),
+    ("CUTOFF 6\n", 6, "CUTOFF"),
+    ("TWIST A = 0\n", 7, "TWIST A"),
+    ("TWIST B = 0\n", 8, "TWIST B"),
+    ("SHIFT 2\n", 9, "SHIFT"),
+])
+def test_space_refuses_a_repeated_directive(extra, first, key):
+    # either line alone is accepted
+    parse_space(SPACE_BO2)
+    parse_space(SPACE_BO2.replace(SPACE_BO2.splitlines()[first - 1], extra.strip()))
+    with pytest.raises(ValueError, match=rf"^line 10: duplicate {key} \(first on line {first}\)$"):
+        parse_space(SPACE_BO2 + extra)
+
+
 def test_space_format_parse_and_twist():
     text = """
     SPACE halfplane

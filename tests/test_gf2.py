@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from a1bordism.gf2 import BitMatrix, ColumnSolver, free_coords, span_rref
+from a1bordism.gf2 import BitMatrix, ColumnSolver, combine, free_coords, span_rref
 from oracles import (brute_kernel, brute_rowspace, brute_solutions, column_scan_kernel_basis,
                      column_scan_rref, column_scan_solve)
 
@@ -227,14 +227,19 @@ def test_column_solver_kernel_equals_kernel_basis():
         assert ColumnSolver(m.columns()).kernel == list(m.kernel_basis())
 
 
-def test_images_equal_per_vector_matvec():
+def test_combine_equals_per_vector_matvec():
     rng = random.Random(47)
     for r, c, density in _reference_shapes(rng):
         m = _random_matrix(rng, r, c, density)
         vectors = [0] + [1 << j for j in range(c)] + [rng.getrandbits(c) for _ in range(5)]
-        assert m.images(vectors) == [m.matvec(v) for v in vectors]
-    with pytest.raises(ValueError):
-        BitMatrix.identity(2).images([0b100])
+        assert combine(m.columns(), vectors) == [m.matvec(v) for v in vectors]
+        # the rows of a product: row i of a picks rows of m
+        k = rng.randint(0, 6)
+        a = _random_matrix(rng, k, r, density)
+        assert combine(m.rows, a.rows) == list((a @ m).rows)
+    assert combine([], []) == [] and combine([0b1], [0]) == [0]
+    with pytest.raises(IndexError):
+        combine(BitMatrix.identity(2).columns(), [0b100])
 
 
 def test_column_solver_membership_matches_bruteforce_span():

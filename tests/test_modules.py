@@ -153,6 +153,14 @@ def test_tensor_truncation_bound():
     assert not t.complete and t.hi == 9  # J complete, P truncated at 9
 
 
+def test_tensor_with_the_zero_module_is_zero():
+    J = catalog("J")
+    for zero in (GradedA1Module({}, {}, {}, 0, complete=True), GradedA1Module({}, {}, {}, 5)):
+        for t in (zero.tensor(J), J.tensor(zero), zero.tensor(zero)):
+            assert dict(t.dims) == {} and dict(t.sq1) == {} and dict(t.sq2) == {}
+            assert t.validate() is None and t.minimal_generators() == []
+
+
 def _cartan_reference(a, b, k, d):
     """Rows of Sq^k on degree d of a ⊗ b, entry by entry from the Cartan formula."""
     def basis(deg):
@@ -596,7 +604,8 @@ def test_apply_word_equals_word_matrix_images(build):
                 ref = m.act_letter(letter, deg) @ ref
                 deg += int(letter)
             got = m.apply_word(w, d, vecs)
-            assert got == ref.images(vecs) == m.act_word(w, d).images(vecs), (w, d)
+            assert got == [ref.matvec(v) for v in vecs] \
+                == [m.act_word(w, d).matvec(v) for v in vecs], (w, d)
             if d + word_degree(w) > m.hi:  # no class, so no Sq map, above the truncation
                 assert not any(got), (w, d)
     # the cached columns cannot be changed in place
