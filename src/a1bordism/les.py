@@ -430,9 +430,11 @@ def parse_les(text: str) -> LESProblem:
     MAP <i> -> <i+1> = zero|injective|surjective|iso
 
     Too few or no SLOT lines are blamed on the last line, a gap in the slot
-    indices on the SLOT line just after it.
+    indices on the SLOT line just after it.  LES, each SLOT and each MAP
+    are given once: a second line is refused, naming the first.
     """
     name = "les"
+    name_line: Optional[int] = None
     slots: Dict[int, Tuple[int, str, PartialGroup]] = {}  # index -> (line, label, group)
     maps: Dict[int, Tuple[int, str]] = {}  # source index -> (line, annotation)
     last = 0
@@ -446,7 +448,9 @@ def parse_les(text: str) -> LESProblem:
         hparts = head.replace("->", " ").split()
         try:
             if parts[0] == "LES":
-                name = " ".join(parts[1:])
+                if name_line is not None:
+                    raise LESError(f"duplicate LES (first on line {name_line})")
+                name, name_line = " ".join(parts[1:]), ln
             elif parts[0] == "SLOT" and eq and len(hparts) in (2, 3):
                 idx = int(hparts[1])
                 if idx in slots:

@@ -871,8 +871,8 @@ def format_a1mod(m: GradedA1Module) -> str:
 def parse_a1mod(text: str) -> GradedA1Module:
     """Parse the line-oriented .a1mod format, validating the A(1) relations.
 
-    Each SQ1/SQ2 source and TRUNCATE is given once: a second line is
-    refused, naming the first, rather than silently replacing it.
+    MODULE, each SQ1/SQ2 source and TRUNCATE are given once: a second line
+    is refused, naming the first, rather than silently replacing it.
     """
     name = ""
     deg_of: Dict[str, Tuple[int, int]] = {}
@@ -880,7 +880,7 @@ def parse_a1mod(text: str) -> GradedA1Module:
     deg_lines: Dict[int, int] = {}  # degree -> the DEG line of its first label
     actions: List[Tuple[int, str, str, List[str]]] = []
     hi: Optional[int] = None
-    first: Dict[str, int] = {}  # "SQ1 a", "SQ2 a" or "TRUNCATE" -> its line
+    first: Dict[str, int] = {}  # "MODULE", "SQ1 a", "SQ2 a" or "TRUNCATE" -> its line
 
     def claim(key: str, ln: int) -> None:
         if key in first:
@@ -893,6 +893,7 @@ def parse_a1mod(text: str) -> GradedA1Module:
             continue
         parts = line.split()
         if parts[0] == "MODULE":
+            claim("MODULE", ln)
             name = " ".join(parts[1:])
         elif parts[0] == "DEG":
             try:

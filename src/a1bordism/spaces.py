@@ -26,6 +26,8 @@ V(BO2, w1, w1²) and TauPlus = PinMinus ⊗ V(BO2, w1, w1²), relabeled into
 the BO1×BO2 monomials ``U*a^i*b^j*c^k``, whose order the tensor basis
 already has.  Their wedge pieces split the small BO2 factor by w2 before
 tensoring; ``space("BO1xBO2")`` stays as the oracle the tests compare with.
+The single-twist factors (GM, Pin±, FK) and Tau±'s BO2 factor are built
+once per cutoff and shared; the products are built afresh on every call.
 """
 
 from __future__ import annotations
@@ -645,38 +647,56 @@ def named_structure(name: str, cutoff: int) -> GradedA1Module:
     """The A(1)-module whose Ext computes the 2-complete bordism of ``name``.
 
     Every module is normalized so its bottom class sits in degree 0; the
-    spec's virtual-rank shifts are already absorbed.
+    spec's virtual-rank shifts are already absorbed.  A structure that is
+    a single twist (``SINGLE_TWISTS``) is built once per (name, cutoff)
+    and every call gets the same module, as ``catalog`` does; FKO, KT±,
+    PinMinusO2 and Tau± tensor those shared factors afresh on each call,
+    and no product is kept once its caller drops it.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    if name == "FK":
-        m = twist(space("BSO2", cutoff), "0", "w2")
-    elif name == "PinMinus":
-        m = twist(space("BO1", cutoff), "t", "0", generator_label="U")
-    elif name == "PinPlus":
-        m = twist(space("BO1", cutoff), "t", "t^2", generator_label="U")
-    elif name == "FKO":
+    if name in SINGLE_TWISTS:
+        return _single_twist(name, cutoff)
+    if name == "FKO":
         m = named_structure("PinMinus", cutoff).tensor(named_structure("FK", cutoff))
-    elif name == "GM":
-        m = twist(ThomSpace(space("BO2", cutoff - 2), 2, name="MO2"), "0", "U")
     elif name == "KTminus":
         m = named_structure("GM", cutoff).tensor(named_structure("PinMinus", cutoff))
     elif name == "KTplus":
         m = named_structure("GM", cutoff).tensor(named_structure("PinPlus", cutoff))
-    elif name == "SpinO2":
-        m = twist(space("BO2", cutoff), "0", "w2", generator_label="U")
-    elif name == "SigmaBO2":
-        m = twist(space("BO2", cutoff), "w1", "0", generator_label="U")
     elif name == "PinMinusO2":
         vm2 = twist(space("BO2", cutoff), "w1", "w2", generator_label="U")
         m = vm2.tensor(named_structure("PinMinus", cutoff))
     elif name in _CARTAN_PIN_TWIST:
         pin, bo2 = _cartan_factors(name, cutoff)
         m = _product_labels(pin.tensor(bo2), name)
-    elif name == "MV_a_ab":
-        m = twist(space("BO1xBO1", cutoff), "a", "a*b", generator_label="U")
     else:
         raise ValueError(f"unknown structure {name!r}; choose from {STRUCTURE_NAMES}")
+    return m.renamed(name)
+
+
+SINGLE_TWISTS = ("FK", "PinMinus", "PinPlus", "GM", "SpinO2", "SigmaBO2", "MV_a_ab")
+
+
+@functools.lru_cache(maxsize=None)
+def _single_twist(name: str, cutoff: int) -> GradedA1Module:
+    """A structure of ``SINGLE_TWISTS``, built once per (name, cutoff)."""
+    if name == "FK":
+        m = twist(space("BSO2", cutoff), "0", "w2")
+    elif name == "PinMinus":
+        m = twist(space("BO1", cutoff), "t", "0", generator_label="U")
+    elif name == "PinPlus":
+        m = twist(space("BO1", cutoff), "t", "t^2", generator_label="U")
+    elif name == "GM":
+        # the Thom class sits in degree 2, so a cutoff below 2 is the
+        # truncation of the smallest Thom model: truncating commutes with twisting
+        mo2 = ThomSpace(space("BO2", max(cutoff - 2, 0)), 2, name="MO2")
+        m = twist(mo2, "0", "U").truncate(cutoff)
+    elif name == "SpinO2":
+        m = twist(space("BO2", cutoff), "0", "w2", generator_label="U")
+    elif name == "SigmaBO2":
+        m = twist(space("BO2", cutoff), "w1", "0", generator_label="U")
+    else:  # MV_a_ab
+        m = twist(space("BO1xBO1", cutoff), "a", "a*b", generator_label="U")
     return m.renamed(name)
 
 
@@ -690,9 +710,14 @@ def _cartan_factors(name: str, cutoff: int) -> Tuple[GradedA1Module, GradedA1Mod
     """The pin factor V(BO1, a, b1) and the BO2 factor V(BO2, b, b^2) of a Tau± module."""
     pin = twist(bo_presentation(1, cutoff, labels=["a"], name="BO1"), "a",
                 _CARTAN_PIN_TWIST[name], generator_label="U")
-    bo2 = twist(bo_presentation(2, cutoff, labels=["b", "c"], name="BO2"), "b", "b^2",
-                generator_label="U")
-    return pin, bo2
+    return pin, _tau_bo2_factor(cutoff)
+
+
+@functools.lru_cache(maxsize=None)
+def _tau_bo2_factor(cutoff: int) -> GradedA1Module:
+    """V(BO2, b, b^2), the factor TauMinus and TauPlus share, built once per cutoff."""
+    return twist(bo_presentation(2, cutoff, labels=["b", "c"], name="BO2"), "b", "b^2",
+                 generator_label="U")
 
 
 def _product_labels(m: GradedA1Module, name: str) -> GradedA1Module:
@@ -772,8 +797,8 @@ def parse_space(text: str):
     Every error names a line: the offending one, the GEN line of a
     generator without an SQ line, the SQ line of a generator whose data
     break the A(1) relations, or the last line when CUTOFF is missing.
-    Each SQ generator, CUTOFF, SHIFT, TWIST A and TWIST B is given once:
-    a second line is refused, naming the first.
+    SPACE, each SQ generator, CUTOFF, SHIFT, TWIST A and TWIST B are given
+    once: a second line is refused, naming the first.
     """
     name = "anonymous"
     gens: List[Generator] = []
@@ -783,7 +808,8 @@ def parse_space(text: str):
     twists = {"A": (0, "0"), "B": (0, "0")}  # slot -> (line, class)
     shift = 0
     last = 0
-    first: Dict[str, int] = {}  # "SQ t", "CUTOFF", "SHIFT", "TWIST A" or "TWIST B" -> its line
+    # "SPACE", "SQ t", "CUTOFF", "SHIFT", "TWIST A" or "TWIST B" -> its line
+    first: Dict[str, int] = {}
 
     def claim(key: str, ln: int) -> None:
         if key in first:
@@ -797,6 +823,7 @@ def parse_space(text: str):
             continue
         parts = line.split()
         if parts[0] == "SPACE":
+            claim("SPACE", ln)
             name = " ".join(parts[1:])
         elif parts[0] == "GEN":
             usage = f"line {ln}: GEN <label> DEG <d> [NILPOTENT <e>]"

@@ -180,6 +180,14 @@ def test_ext_refuses_a_window_past_the_truncation(tmp_path):
     assert code == 0
     assert text.splitlines()[1:] == ["0\t0\t1\t0", "1\t1\t1\t0"]
 
+@pytest.mark.parametrize("name, max_n", [("GM", 0), ("KTminus", 0), ("KTplus", 1)])
+def test_ext_of_a_thom_structure_below_its_thom_class(name, max_n):
+    # the module cutoff max_n + max_s lies below GM's Thom class in degree 2
+    text, code = run(["ext", name, "--max-n", str(max_n), "--max-s", "0", "--format", "tsv"])
+    assert code == 0, text
+    assert text.splitlines()[:2] == ["s\tn\tdim\th0rank", "0\t0\t1\t0"]
+
+
 def test_byte_identical_across_jobs():
     # criterion: identical output for --jobs 1 and --jobs 8
     cases = [

@@ -9,6 +9,7 @@ import pytest
 from a1bordism import cli
 from a1bordism import modules as md
 from a1bordism import spaces as sp
+from a1bordism.les import LESError, parse_les
 from a1bordism.modules import ModuleError, format_a1mod, parse_a1mod
 from a1bordism.spaces import parse_space
 
@@ -81,6 +82,12 @@ def test_a1mod_refuses_a_repeated_directive(extra, line, first, key):
         parse_a1mod(A1MOD_PAIR + extra)
 
 
+def test_a1mod_refuses_a_second_module_line():
+    # the second name used to win and was printed by the module verb
+    with pytest.raises(ModuleError, match=r"^line 2: duplicate MODULE \(first on line 1\)$"):
+        parse_a1mod("MODULE a\nMODULE b\nDEG 0: x\n")
+
+
 @pytest.mark.parametrize("label", ["+", "->"])
 def test_a1mod_refuses_an_operator_as_a_label(label):
     # a target "+" was dropped, so SQ1 a -> + gave Sq1 a = 0
@@ -106,6 +113,11 @@ def test_space_refuses_a_repeated_directive(extra, first, key):
     parse_space(SPACE_BO2.replace(SPACE_BO2.splitlines()[first - 1], extra.strip()))
     with pytest.raises(ValueError, match=rf"^line 10: duplicate {key} \(first on line {first}\)$"):
         parse_space(SPACE_BO2 + extra)
+
+
+def test_space_refuses_a_second_space_line():
+    with pytest.raises(ValueError, match=r"^line 10: duplicate SPACE \(first on line 1\)$"):
+        parse_space(SPACE_BO2 + "SPACE t\n")
 
 
 def test_space_format_parse_and_twist():
@@ -151,6 +163,12 @@ SPACE_OK = "SPACE s\nGEN t DEG 1\nSQ t = t + t^2\nCUTOFF 8\n"
 LES_TAIL = "SLOT 1 X = ?\nSLOT 2 B = Z/4\n"
 LES_OK = "LES p\nSLOT 0 A = 0\n" + LES_TAIL
 VERB = {".a1mod": "module", ".space": "module", ".les": "les"}
+
+
+def test_les_refuses_a_second_les_line():
+    # the second name used to win and was printed by the les verb
+    with pytest.raises(LESError, match=r"^line 3: duplicate LES \(first on line 1\)$"):
+        parse_les(LES_OK.replace("SLOT 1", "LES q\nSLOT 1"))
 
 
 @pytest.mark.parametrize("suffix, text, line", [

@@ -378,8 +378,10 @@ def test_structure_pieces_of_unsplit_and_split_structures():
 
 
 def test_structure_unknown_name():
-    with pytest.raises(ValueError):
-        sp.named_structure("GMX", 8)
+    # refused on every call: a failed build leaves nothing in the factor cache
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^unknown structure 'GMX'; choose from \("):
+            sp.named_structure("GMX", 8)
 
 
 @pytest.mark.parametrize("cutoff, t", [(26, 20), (29, 23)])
@@ -391,6 +393,65 @@ def test_structure_pieces_commute_with_truncation(name, cutoff, t):
     assert len(big) == len(small)
     for piece, want in zip(big, small):
         assert_same_module(piece.truncate(t), want)
+
+
+# -- the factor cache ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cutoff", [0, 1])
+@pytest.mark.parametrize("name", ["GM", "KTminus", "KTplus"])
+def test_thom_structures_below_the_thom_class_are_truncations(name, cutoff):
+    # GM's Thom class sits in degree 2; a cutoff of 0 or 1 used to twist
+    # BO2 at a negative cutoff and fail with "cutoff must be nonnegative"
+    assert_same_module(sp.named_structure(name, cutoff),
+                       sp.named_structure(name, 5).truncate(cutoff))
+
+
+@pytest.mark.parametrize("name", sp.STRUCTURE_NAMES)
+def test_every_structure_builds_at_the_smallest_cutoffs(name):
+    for cutoff in range(4):
+        m = sp.named_structure(name, cutoff)
+        assert (m.name, m.hi, m.lo) == (name, cutoff, 0)
+        assert m.validate() is None
+
+
+@pytest.mark.parametrize("name", sp.SINGLE_TWISTS)
+def test_a_single_twist_structure_is_built_once(name):
+    assert sp.named_structure(name, 9) is sp.named_structure(name, 9)
+
+
+@pytest.mark.parametrize("name", ["FKO", "KTminus", "KTplus", "PinMinusO2", "TauMinus", "TauPlus"])
+def test_a_product_structure_is_rebuilt_on_every_call(name):
+    # products are never held by the cache: keeping them raised peak memory
+    first, second = sp.named_structure(name, 9), sp.named_structure(name, 9)
+    assert first is not second
+    assert_same_module(first, second)
+    assert construction_digest([first]) == construction_digest([second])
+
+
+@pytest.mark.parametrize("name", ["GM", "KTminus", "TauPlus"])
+def test_a_negative_cutoff_is_refused_on_every_call(name):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^cutoff must be nonnegative$"):
+            sp.named_structure(name, -1)
+
+
+def test_heavy_structures_share_their_twisted_factors(monkeypatch):
+    # KT± share GM, KTminus and PinMinusO2 share PinMinus, Tau± share
+    # V(BO2, b, b^2): 7 twists for the 5 products, not 10
+    sp._single_twist.cache_clear()
+    sp._tau_bo2_factor.cache_clear()
+    calls = []
+    twist = sp.twist
+
+    def counted(model, *args, **kwargs):
+        calls.append(model.name)
+        return twist(model, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "twist", counted)
+    for name in ("KTminus", "KTplus", "TauMinus", "TauPlus", "PinMinusO2"):
+        sp.named_structure(name, 8)
+    assert sorted(calls) == ["BO1", "BO1", "BO1", "BO1", "BO2", "BO2", "MO2"]
 
 
 # -- pinned construction bytes ----------------------------------------------------
