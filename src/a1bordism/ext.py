@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .gf2 import BitMatrix, ColumnSolver, free_coords, span_rref
+from .gf2 import BitMatrix, ColumnSolver, combine, free_coords, span_rref
 from . import steenrod
 from .modules import GradedA1Module, InvariantError
 from .steenrod import A1Element
@@ -207,13 +207,13 @@ class ExtChart:
 
     Immutable: every field is set here, ``dims`` and ``h0`` are read-only
     mappings, and assigning an attribute raises AttributeError.  So the
-    h0 powers can be cached on the instance: ``h0_power(s, n, k)`` is
-    built once, as ``h0_map(s + k - 1, n) @ h0_power(s, n, k - 1)``, and
-    the same matrix (with the row reduction it has cached) comes back on
-    every later call.
+    h0-strands of a column can be cached on the instance:
+    ``strands(n)`` sweeps column n once, the first time it is asked for,
+    and every later call and every ``h0_rank`` on that column reads the
+    same tuple.
     """
 
-    __slots__ = ("max_s", "max_t", "dims", "h0", "_powers")
+    __slots__ = ("max_s", "max_t", "dims", "h0", "_strands")
 
     def __init__(self, max_s: int, max_t: int, dims: Mapping[Tuple[int, int], int],
                  h0: Mapping[Tuple[int, int], BitMatrix]):
@@ -221,7 +221,7 @@ class ExtChart:
         object.__setattr__(self, "max_t", max_t)
         object.__setattr__(self, "dims", MappingProxyType(dict(dims)))
         object.__setattr__(self, "h0", MappingProxyType(dict(h0)))
-        object.__setattr__(self, "_powers", {})
+        object.__setattr__(self, "_strands", {})
 
     def __setattr__(self, *a):
         raise AttributeError("ExtChart is immutable")
@@ -238,17 +238,55 @@ class ExtChart:
             return BitMatrix.zeros(self.dim(s + 1, n), self.dim(s, n))
         return m
 
-    def h0_power(self, s: int, n: int, k: int) -> BitMatrix:
-        """h0^k from (s, n) to (s + k, n); the identity for k <= 0."""
-        key = (s, n, k)
-        out = self._powers.get(key)
+    def strands(self, n: int) -> Tuple[Tuple[int, int], ...]:
+        """The h0-strands of column n as (birth, death) filtrations, sorted.
+
+        The chain V_0 -> V_1 -> ... of the column's h0 maps splits into
+        strands, each alive from its birth to its death inclusive
+        (Zomorodian & Carlsson, "Computing persistent homology", 2005).
+        One sweep carries a basis of V_s, each vector tagged with its
+        birth, to the next filtration: the images are reduced
+        oldest-first against a pivot table keyed by lowest bit, so a
+        vanishing combination ends the youngest strand in it (the elder
+        rule), and each basis vector of V_{s+1} outside the images'
+        span starts a strand at s + 1.  At every s the vectors born at
+        or below b span the image of h0^(s-b) from (b, n).
+        """
+        out = self._strands.get(n)
         if out is None:
-            if k <= 0:
-                out = BitMatrix.identity(self.dim(s, n))
-            else:
-                out = self.h0_map(s + k - 1, n) @ self.h0_power(s, n, k - 1)
-            self._powers[key] = out
+            top = max((s for (s, m) in self.dims if m == n), default=-1)
+            ended: List[Tuple[int, int]] = []
+            alive: List[Tuple[int, int]] = []  # (birth, vector), oldest first
+            for s in range(top + 1):
+                tagged = []
+                if alive:
+                    images = combine(self.h0_map(s - 1, n).columns(), [v for _, v in alive])
+                    tagged = [(b, v) for (b, _), v in zip(alive, images)]
+                tagged += [(s, 1 << j) for j in range(self.dim(s, n))]
+                table: Dict[int, int] = {}
+                alive = []
+                for b, v in tagged:
+                    while v:
+                        low = v & -v
+                        hit = table.get(low)
+                        if hit is None:
+                            table[low] = v
+                            alive.append((b, v))
+                            break
+                        v ^= hit
+                    else:
+                        if b < s:
+                            ended.append((b, s - 1))
+            ended += [(b, top) for b, _ in alive]
+            out = self._strands[n] = tuple(sorted(ended))
         return out
+
+    def h0_rank(self, s: int, n: int, k: int) -> int:
+        """The rank of h0^k from (s, n) to (s + k, n), for k >= 0.
+
+        It is the number of strands alive at both s and s + k.
+        """
+        return sum(1 for b, d in self.strands(n) if b <= s and s + k <= d)
 
     def columns(self) -> List[int]:
         return sorted({n for (_, n) in self.dims})
@@ -325,7 +363,7 @@ def collapse_certificate(chart: ExtChart, report_max_s: int) -> Certificate:
         # the same for every r, so found once, at the source's first reliable target
         if (s, n) not in nilpotence_cache:
             nilpotence_cache[(s, n)] = next(
-                (k for k in range(1, col_top(n) - s + 1) if chart.h0_power(s, n, k).is_zero()),
+                (k for k in range(1, col_top(n) - s + 1) if chart.h0_rank(s, n, k) == 0),
                 None)
         return nilpotence_cache[(s, n)]
 
@@ -353,8 +391,7 @@ def collapse_certificate(chart: ExtChart, report_max_s: int) -> Certificate:
                     ok = False
                     notes.append(f"d{r}: ({s},{n_src})→{tgt} h0-kernel check exceeds window")
                     continue
-                power = chart.h0_power(tgt[0], tgt[1], k)
-                if power.rank() != chart.dim(*tgt):
+                if chart.h0_rank(tgt[0], tgt[1], k) != chart.dim(*tgt):
                     ok = False
                     notes.append(f"d{r}: ({s},{n_src})→{tgt} not excluded (h0^{k} has kernel)")
         return ok, notes
@@ -426,46 +463,26 @@ class DegreeReport:
 
 def assemble_column(chart: ExtChart, n: int, certified: bool,
                     report_max_s: int) -> DegreeReport:
-    """Read the 2-complete group of one column from its h0-strands."""
+    """Read the 2-complete group of one column from its h0-strands.
+
+    Within the trusted filtrations s <= s_top, a strand of length k is
+    Z/2^k and a strand that reaches s_top is Z.
+    """
     # only trust bidegrees with t = s + n inside the resolved range
     s_top = min(chart.max_s, chart.max_t - n)
-
-    # ranks[s][k] is the rank of h0^k from (s, n), for k up to the first
-    # zero rank: every higher power factors through that zero map
-    ranks: Dict[int, List[int]] = {}
-
-    def rank_power(s: int, j: int) -> int:
-        if s < 0 or chart.dim(s, n) == 0 or s + j > s_top:
-            return 0
-        got = ranks.get(s)
-        if got is None:
-            got = ranks[s] = []
-            for k in range(s_top - s + 1):
-                got.append(chart.h0_power(s, n, k).rank())
-                if not got[-1]:
-                    break
-        return got[j] if j < len(got) else 0
-
     free_rank = 0
     torsion: List[int] = []
     warnings: List[str] = []
     high_starts = 0
-    for s in range(0, s_top + 1):
-        if chart.dim(s, n) == 0:
+    for birth, death in chart.strands(n):
+        if birth > s_top:
             continue
-        lmax = s_top - s + 1
-        reach_top = rank_power(s, lmax - 1) - rank_power(s - 1, lmax)
-        starts_here = rank_power(s, 0) - rank_power(s - 1, 1)
-        if s > report_max_s and starts_here > 0:
-            high_starts += starts_here
-        if reach_top:
-            free_rank += reach_top
-        for ell in range(1, lmax):
-            cnt_ge = rank_power(s, ell - 1) - rank_power(s - 1, ell)
-            cnt_gt = rank_power(s, ell) - rank_power(s - 1, ell + 1)
-            exact = cnt_ge - cnt_gt
-            for _ in range(max(exact, 0)):
-                torsion.append(2 ** ell)
+        if birth > report_max_s:
+            high_starts += 1
+        if death >= s_top:
+            free_rank += 1
+        else:
+            torsion.append(2 ** (death - birth + 1))
     torsion.sort(reverse=True)
     if high_starts:
         certified = False

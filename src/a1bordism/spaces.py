@@ -666,7 +666,7 @@ def named_structure(name: str, cutoff: int) -> GradedA1Module:
     elif name == "PinMinusO2":
         vm2 = twist(space("BO2", cutoff), "w1", "w2", generator_label="U")
         m = vm2.tensor(named_structure("PinMinus", cutoff))
-    elif name in _CARTAN_PIN_TWIST:
+    elif name in _CARTAN_PIN_FACTOR:
         pin, bo2 = _cartan_factors(name, cutoff)
         m = _product_labels(pin.tensor(bo2), name)
     else:
@@ -702,15 +702,18 @@ def _single_twist(name: str, cutoff: int) -> GradedA1Module:
 
 # Tau± by the Cartan formula, with BO1 = <a> and BO2 = <b, c>:
 # V(BO1xBO2, a + b, b1 + ab + b^2) = V(BO1, a, b1) ⊗ V(BO2, b, b^2).  The pin
-# factor's b1 is a^2 (PinPlus) for TauMinus and 0 (PinMinus) for TauPlus.
-_CARTAN_PIN_TWIST: Dict[str, str] = {"TauMinus": "a^2", "TauPlus": "0"}
+# factor is PinPlus (b1 = a^2) for TauMinus and PinMinus (b1 = 0) for
+# TauPlus, whose BO1 generator t is the a here.
+_CARTAN_PIN_FACTOR: Dict[str, str] = {"TauMinus": "PinPlus", "TauPlus": "PinMinus"}
 
 
 def _cartan_factors(name: str, cutoff: int) -> Tuple[GradedA1Module, GradedA1Module]:
-    """The pin factor V(BO1, a, b1) and the BO2 factor V(BO2, b, b^2) of a Tau± module."""
-    pin = twist(bo_presentation(1, cutoff, labels=["a"], name="BO1"), "a",
-                _CARTAN_PIN_TWIST[name], generator_label="U")
-    return pin, _tau_bo2_factor(cutoff)
+    """The pin factor V(BO1, a, b1) and the BO2 factor V(BO2, b, b^2) of a Tau± module.
+
+    Both are shared: the pin factor is the cached PinPlus or PinMinus,
+    labelled by t, which ``_product_labels`` renames to a.
+    """
+    return _single_twist(_CARTAN_PIN_FACTOR[name], cutoff), _tau_bo2_factor(cutoff)
 
 
 @functools.lru_cache(maxsize=None)
@@ -724,12 +727,14 @@ def _product_labels(m: GradedA1Module, name: str) -> GradedA1Module:
     """A pin-factor tensor product under the BO1xBO2 monomial labels.
 
     The tensor basis (pin degree, then the BO2 factor's basis) already runs
-    in the product's monomial order, so only the labels change:
-    ``U*a^2(x)U*b*c`` becomes ``U*a^2*b*c`` and ``U*1(x)U*1`` becomes ``U*1``.
+    in the product's monomial order, so only the labels change, the pin
+    factor's t becoming a: ``U*t^2(x)U*b*c`` becomes ``U*a^2*b*c`` and
+    ``U*1(x)U*1`` becomes ``U*1``.
     """
     def merge(label: str) -> str:
-        parts = [f for side in label.split("(x)") for f in side.split("*")[1:] if f != "1"]
-        return "U*" + ("*".join(parts) or "1")
+        pin, bo2 = (side.split("*")[1:] for side in label.split("(x)"))
+        parts = [f.replace("t", "a") for f in pin] + bo2
+        return "U*" + ("*".join(f for f in parts if f != "1") or "1")
 
     labels = {d: tuple(merge(s) for s in labs) for d, labs in m.labels.items()}
     return GradedA1Module(m.dims, m.sq1, m.sq2, m.hi, labels, m.complete, name)
@@ -778,7 +783,7 @@ def structure_pieces(name: str, cutoff: int) -> List[GradedA1Module]:
     Tau± split the BO2 factor by w2 (``c``) and tensor each half with the
     pin factor, so the 1,925-class product (at cutoff 26) is never built.
     """
-    if name in _CARTAN_PIN_TWIST:
+    if name in _CARTAN_PIN_FACTOR:
         pin, bo2 = _cartan_factors(name, cutoff)
         halves = split_by_variable(bo2.renamed(name), SPECTRUM_SPLITS[name][0])
         return [_product_labels(pin.tensor(half), half.name) for half in halves]

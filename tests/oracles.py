@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from a1bordism.ext import DegreeReport
+from a1bordism.gf2 import BitMatrix
 from a1bordism.pipelines import DEFAULT_MAX_S, window_parameters
 from a1bordism.steenrod import _RULES, DEGREES, MUL_TABLE, TOP_DEGREE, WORDS, word_degree
 
@@ -433,6 +435,69 @@ def check_exact(res) -> None:
             dim = len(free_degree_basis(res.stages[s].gen_degrees, t))
             if dim != rank(s, t) + rank(s + 1, t):
                 raise AssertionError(f"not exact at s={s}, t={t}")
+
+
+# -- groups from ranks of h0 powers -----------------------------------------------
+
+
+def h0_power_ranks(chart, s: int, n: int, top: int) -> List[int]:
+    """Rank of h0^k from (s, n), for k = 0 .. top - s.
+
+    Each power is the product of the chart's ``h0_map``s from the
+    identity, and its rank comes from ``column_scan_rref``.
+    """
+    power = BitMatrix.identity(chart.dim(s, n))
+    out = []
+    for k in range(top - s + 1):
+        out.append(len(column_scan_rref(power.rows, power.ncols)[1]))
+        power = chart.h0_map(s + k, n) @ power
+    return out
+
+
+def rank_power_rows(chart, cert, max_n: int) -> List[DegreeReport]:
+    """The rows ``assemble_groups`` gives, from ranks of h0 powers alone.
+
+    The number of strands born at s that live through s + l - 1 is
+    rank h0^(l-1) from s minus rank h0^l from s - 1, so strands of each
+    length are differences of those counts; this was the engine's
+    assembly before it swept each column once.
+    """
+    rows = []
+    for n in range(max_n + 1):
+        s_top = min(chart.max_s, chart.max_t - n)
+        ranks = {s: h0_power_ranks(chart, s, n, s_top)
+                 for s in range(s_top + 1) if chart.dim(s, n)}
+
+        def rank_power(s: int, j: int) -> int:
+            got = ranks.get(s, ())
+            return got[j] if j < len(got) else 0
+
+        free_rank = high_starts = 0
+        torsion: List[int] = []
+        for s in sorted(ranks):
+            lmax = s_top - s + 1
+            free_rank += rank_power(s, lmax - 1) - rank_power(s - 1, lmax)
+            starts_here = rank_power(s, 0) - rank_power(s - 1, 1)
+            if s > cert.report_max_s:
+                high_starts += starts_here
+            for ell in range(1, lmax):
+                cnt_ge = rank_power(s, ell - 1) - rank_power(s - 1, ell)
+                cnt_gt = rank_power(s, ell) - rank_power(s - 1, ell + 1)
+                torsion += [2 ** ell] * (cnt_ge - cnt_gt)
+        certified = cert.column_ok(chart, n)
+        warnings = []
+        if high_starts:
+            certified = False
+            warnings.append(
+                f"{high_starts} strand(s) begin above the certified filtration "
+                f"window (s > {cert.report_max_s}); their differentials are unchecked")
+        if free_rank:
+            warnings.append(f"tower reaches window boundary (s={s_top}); reported as 2-adic Z")
+        if len(torsion) > 1:
+            warnings.append("extensions unresolved beyond h0 between summands")
+        rows.append(DegreeReport(n, free_rank, tuple(sorted(torsion, reverse=True)),
+                                 certified, tuple(warnings)))
+    return rows
 
 
 # -- the pipeline window ----------------------------------------------------------

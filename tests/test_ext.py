@@ -14,7 +14,7 @@ from a1bordism.ext import (assemble_groups, chart_ascii, chart_tsv,
                            verify_resolution)
 from a1bordism.modules import InvariantError, catalog, free_module
 from a1bordism.steenrod import A1Element
-from oracles import BarExt, check_exact
+from oracles import BarExt, check_exact, h0_power_ranks, rank_power_rows
 
 
 # the hand-built minimal-resolution fixture for F2 over A(1): Ext is
@@ -226,6 +226,78 @@ def test_certificate_h0_tower_targets_are_excluded():
     assert all(cert.certified[(s, 0)] for s in range(9))
 
 
+def column_chart(n, dims, h0):
+    # one column n of a chart with max_s 6, max_t 12 (so s_top = min(6, 12 - n));
+    # dims by filtration, h0 maps by source filtration as lists of rows
+    from a1bordism.gf2 import BitMatrix
+
+    return ex.ExtChart(6, 12, {(s, n): d for s, d in dims.items()},
+                       {(s, n): BitMatrix(rows, dims[s]) for s, rows in h0.items()})
+
+
+def test_a_merged_strand_ends_the_younger_one():
+    # a -> e0 and e0, e1 -> f: the strand of a runs from 0 to 2 (Z/8) and
+    # e1 dies at once (Z/2); ending the older strand would give Z/4 + Z/4
+    chart = column_chart(0, {0: 1, 1: 2, 2: 1}, {0: [1, 0], 1: [0b11]})
+    row = ex.assemble_column(chart, 0, True, 4)
+    assert (row.free_rank, row.torsion, row.certified) == (0, (8, 2), True)
+    assert row.warnings == ("extensions unresolved beyond h0 between summands",)
+
+
+def test_a_tower_that_runs_off_the_window_is_z():
+    # a tower from s = 0 past s_top = 6, joined at s = 2 by a younger
+    # class that h0 sends into it: Z + Z/2, not Z/8 + Z
+    dims = {s: 1 for s in range(9)} | {2: 2}
+    h0 = {s: [1] for s in range(8)} | {1: [1, 0], 2: [0b11]}
+    row = ex.assemble_column(column_chart(3, dims, h0), 3, True, 4)
+    assert (row.free_rank, row.torsion, row.certified) == (1, (2,), True)
+    assert row.warnings == ("tower reaches window boundary (s=6); reported as 2-adic Z",)
+
+
+def test_a_strand_born_above_the_report_window_is_uncertified():
+    # a class born at s = 3 > report_max_s = 2 merges with the strand of
+    # the class at s = 0 one filtration up: Z/32 + Z/2 (not Z/16 + Z/4)
+    dims = {0: 1, 1: 1, 2: 1, 3: 2, 4: 1}
+    h0 = {0: [1], 1: [1], 2: [1, 0], 3: [0b11]}
+    row = ex.assemble_column(column_chart(0, dims, h0), 0, True, 2)
+    assert (row.free_rank, row.torsion, row.certified) == (0, (32, 2), False)
+    assert row.warnings == (
+        "1 strand(s) begin above the certified filtration window (s > 2); "
+        "their differentials are unchecked",
+        "extensions unresolved beyond h0 between summands")
+
+
+def test_rank_power_oracle_agrees_with_assemble_groups(pipeline_resolutions):
+    from a1bordism import pipelines as pl
+
+    assert len(pipeline_resolutions) == 16
+    for key, res in pipeline_resolutions.items():
+        chart = ext_chart(res)
+        cert = collapse_certificate(chart, report_max_s=pl.DEFAULT_MAX_S)
+        assert assemble_groups(chart, cert, max_n=7) == rank_power_rows(chart, cert, 7), key
+
+
+def test_certificate_and_assembly_multiply_and_reduce_no_matrix(monkeypatch):
+    # the strands are read by one sweep per column: no h0 power is built
+    # and no matrix is row-reduced
+    from a1bordism.gf2 import BitMatrix
+
+    (chart,) = pipeline_charts("FK")
+    calls = []
+    for method in ("matmul", "rref"):
+        original = getattr(BitMatrix, method)
+
+        def counted(self, *args, _name=method, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(BitMatrix, method, counted)
+    cert = collapse_certificate(chart, report_max_s=12)
+    rows = assemble_groups(chart, cert, max_n=7)
+    assert [r.group_str() for r in rows] == ["Z", "0", "Z", "0", "Z^2", "0", "Z^2", "0"]
+    assert calls == []
+
+
 def test_chart_exports():
     chart = f2_chart(max_s=8, max_t=12)
     tsv = chart_tsv(chart, max_n=4, max_s=8)
@@ -259,25 +331,20 @@ def pipeline_charts(name, through=7):
 
 
 @pytest.mark.parametrize("name", ["SpinO2", "PinPlus"])
-def test_cached_h0_powers_equal_products_from_the_identity(name):
+def test_h0_rank_equals_the_rank_of_products_from_the_identity(name):
     from a1bordism.gf2 import BitMatrix
 
     for chart in pipeline_charts(name):
-        for (s, n), d in sorted(chart.dims.items()):
+        for n in chart.columns():
             top = min(chart.max_s, chart.max_t - n)
-            # the highest power first, so the lower ones come from the cache
-            ks = range(max(top - s, 0) + 1)
-            got = {k: chart.h0_power(s, n, k) for k in reversed(ks)}
-            ref = BitMatrix.identity(d)
-            for k in ks:
-                assert got[k] == ref, (name, s, n, k)
-                assert chart.h0_power(s, n, k) is got[k]
-                h0 = chart.h0.get((s + k, n))
-                if h0 is None:
-                    h0 = BitMatrix.zeros(chart.dim(s + k + 1, n), chart.dim(s + k, n))
+            for s in range(top + 1):
+                want = h0_power_ranks(chart, s, n, top)
+                got = [chart.h0_rank(s, n, k) for k in range(top - s + 1)]
+                assert got == want, (name, s, n)
+                if (s, n) not in chart.h0:
                     # an absent h0 map is the shared zero of its shape
-                    assert chart.h0_map(s + k, n) is h0
-                ref = h0 @ ref
+                    zero = BitMatrix.zeros(chart.dim(s + 1, n), chart.dim(s, n))
+                    assert chart.h0_map(s, n) is zero
 
 
 def test_free_word_images_equal_products_in_a1():
@@ -323,7 +390,7 @@ def test_chart_is_immutable():
         chart.dims[(2, 0)] = 1
     dims[(2, 0)] = 1  # the chart keeps its own copy of the mappings
     del h0[(0, 0)]
-    assert chart.dim(2, 0) == 0 and chart.h0_power(0, 0, 1).rows == (1,)
+    assert chart.dim(2, 0) == 0 and chart.h0_rank(0, 0, 1) == 1
 
 
 @pytest.fixture(scope="module")

@@ -437,8 +437,9 @@ def test_a_negative_cutoff_is_refused_on_every_call(name):
 
 
 def test_heavy_structures_share_their_twisted_factors(monkeypatch):
-    # KT± share GM, KTminus and PinMinusO2 share PinMinus, Tau± share
-    # V(BO2, b, b^2): 7 twists for the 5 products, not 10
+    # KT± share GM, KTminus, PinMinusO2 and TauPlus share PinMinus,
+    # TauMinus shares PinPlus with KTplus, and Tau± share V(BO2, b, b^2):
+    # 5 twists for the 5 products, not 10
     sp._single_twist.cache_clear()
     sp._tau_bo2_factor.cache_clear()
     calls = []
@@ -451,7 +452,7 @@ def test_heavy_structures_share_their_twisted_factors(monkeypatch):
     monkeypatch.setattr(sp, "twist", counted)
     for name in ("KTminus", "KTplus", "TauMinus", "TauPlus", "PinMinusO2"):
         sp.named_structure(name, 8)
-    assert sorted(calls) == ["BO1", "BO1", "BO1", "BO1", "BO2", "BO2", "MO2"]
+    assert sorted(calls) == ["BO1", "BO1", "BO2", "BO2", "MO2"]
 
 
 # -- pinned construction bytes ----------------------------------------------------
