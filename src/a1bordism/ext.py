@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .gf2 import BitMatrix, ColumnSolver, combine, free_coords, span_rref
+from .gf2 import ColumnSolver, combine, free_coords, span_rref
 from . import steenrod
 from .modules import GradedA1Module, InvariantError
 from .steenrod import A1Element
@@ -202,7 +202,8 @@ class ExtChart:
     """The E2 page in the window s <= max_s, t <= max_t, with its h0 maps.
 
     ``dims[(s, n)]`` is the dimension at filtration s and stem n = t - s;
-    ``h0[(s, n)]`` is multiplication by h0 from (s, n) to (s + 1, n),
+    ``h0[(s, n)]`` is multiplication by h0 from (s, n) to (s + 1, n), as
+    the tuple of its columns (bit vectors in the basis of (s + 1, n)),
     absent where it is zero.
 
     Immutable: every field is set here, ``dims`` and ``h0`` are read-only
@@ -216,11 +217,11 @@ class ExtChart:
     __slots__ = ("max_s", "max_t", "dims", "h0", "_strands")
 
     def __init__(self, max_s: int, max_t: int, dims: Mapping[Tuple[int, int], int],
-                 h0: Mapping[Tuple[int, int], BitMatrix]):
+                 h0: Mapping[Tuple[int, int], Sequence[int]]):
         object.__setattr__(self, "max_s", max_s)
         object.__setattr__(self, "max_t", max_t)
         object.__setattr__(self, "dims", MappingProxyType(dict(dims)))
-        object.__setattr__(self, "h0", MappingProxyType(dict(h0)))
+        object.__setattr__(self, "h0", MappingProxyType({k: tuple(c) for k, c in h0.items()}))
         object.__setattr__(self, "_strands", {})
 
     def __setattr__(self, *a):
@@ -231,12 +232,6 @@ class ExtChart:
 
     def reliable(self, s: int, n: int) -> bool:
         return s + n <= self.max_t
-
-    def h0_map(self, s: int, n: int) -> BitMatrix:
-        m = self.h0.get((s, n))
-        if m is None:
-            return BitMatrix.zeros(self.dim(s + 1, n), self.dim(s, n))
-        return m
 
     def strands(self, n: int) -> Tuple[Tuple[int, int], ...]:
         """The h0-strands of column n as (birth, death) filtrations, sorted.
@@ -260,7 +255,9 @@ class ExtChart:
             for s in range(top + 1):
                 tagged = []
                 if alive:
-                    images = combine(self.h0_map(s - 1, n).columns(), [v for _, v in alive])
+                    h0 = self.h0.get((s - 1, n))
+                    # an absent h0 map is zero
+                    images = [0] * len(alive) if h0 is None else combine(h0, [v for _, v in alive])
                     tagged = [(b, v) for (b, _), v in zip(alive, images)]
                 tagged += [(s, 1 << j) for j in range(self.dim(s, n))]
                 table: Dict[int, int] = {}
@@ -300,7 +297,7 @@ def ext_chart(res: Resolution) -> ExtChart:
             key = (s, t - s)
             dims[key] = dims.get(key, 0) + 1
             index.setdefault(key, []).append(i)
-    h0: Dict[Tuple[int, int], BitMatrix] = {}
+    h0: Dict[Tuple[int, int], List[int]] = {}
     for s in range(1, len(res.stages)):
         stage = res.stages[s]
         prev = res.stages[s - 1]
@@ -311,16 +308,14 @@ def ext_chart(res: Resolution) -> ExtChart:
             tgt = index.get((s, tprime + 1 - s), [])
             if not src or not tgt:
                 continue
-            rows = []
-            for ti in tgt:
-                r = 0
-                entries = dict(stage.boundary[ti])
-                for cpos, si in enumerate(src):
-                    elt = entries.get(si)
-                    if elt is not None and elt.coefficient("1"):
-                        r |= 1 << cpos
-                rows.append(r)
-            h0[src_key] = BitMatrix(rows, len(src))
+            cols = [0] * len(src)
+            pos = {si: cpos for cpos, si in enumerate(src)}
+            for rpos, ti in enumerate(tgt):
+                for si, elt in stage.boundary[ti]:
+                    cpos = pos.get(si)
+                    if cpos is not None and elt.coefficient("1"):
+                        cols[cpos] |= 1 << rpos
+            h0[src_key] = cols
     return ExtChart(res.max_s, res.max_t, dims, h0)
 
 
@@ -514,7 +509,7 @@ def chart_tsv(chart: ExtChart, max_n: int, max_s: int) -> str:
             d = chart.dim(s, n)
             if d == 0:
                 continue
-            lines.append(f"{s}\t{n}\t{d}\t{chart.h0_map(s, n).rank()}")
+            lines.append(f"{s}\t{n}\t{d}\t{chart.h0_rank(s, n, 1)}")
     return "\n".join(lines) + "\n"
 
 
@@ -526,7 +521,7 @@ def chart_ascii(chart: ExtChart, max_n: int, max_s: int) -> str:
         cells = []
         for n in range(0, max_n + 1):
             d = chart.dim(s, n)
-            link = "|" if s > 0 and chart.h0_map(s - 1, n).rank() > 0 else " "
+            link = "|" if s > 0 and chart.h0_rank(s - 1, n, 1) > 0 else " "
             if d == 0:
                 cells.append("   ".ljust(colw))
             else:

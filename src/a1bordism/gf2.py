@@ -16,34 +16,30 @@ form is unique, so the result does not depend on the order of the rows.
 sides against fixed columns, or to test many vectors for membership in
 their span (``v in solver``), reducing the columns only once.
 
-The row/column layout is converted only here, by ``from_columns`` and
-``columns``; callers that think in images of basis vectors use those
-and never walk a matrix bit by bit.  ``combine(vectors, masks)`` XORs
-the vectors picked out by each mask, and is the one copy of that loop:
-``matmul`` is ``combine`` of the right factor's rows over the left
-factor's rows, M·v for many v is ``combine`` of M's columns over the
-v's, and a change of basis is ``combine`` of the old basis over the
-new coordinates.  A matrix does not cache its columns: most matrices
-are read column-wise once or never, and a per-matrix cache would only
-add memory.  The exception is a module's own Sq1 and Sq2, read
-column-wise again and again: ``GradedA1Module`` keeps their columns
-itself.
+Linear maps that are only ever applied are kept as their columns, not
+as matrices: a module's Sq1 and Sq2 and a chart's h0 are tuples of
+column ints.  ``combine(vectors, masks)`` XORs the vectors picked out by
+each mask, and is the one copy of that loop: M·v for many v is
+``combine`` of M's columns over the v's, a composition is ``combine`` of
+the outer map's columns over the inner map's, a change of basis is
+``combine`` of the old basis over the new coordinates, and ``matmul`` is
+``combine`` of the right factor's rows over the left factor's rows.
+``from_columns`` is the one conversion from columns to a ``BitMatrix``,
+for the maps that are row-reduced, multiplied or applied one vector at
+a time.
 
 ``BitMatrix(rows, ncols)`` checks every row against the column count.
 Results that are in range by construction skip that check through the
-private ``BitMatrix._trusted``: ``matmul`` and ``add`` (XORs of in-range
-rows), ``rref`` (row operations on in-range rows), ``zeros``,
-``identity`` and ``from_columns`` (whose transpose raises on a bit at
-or beyond ``nrows``).  Nothing outside this module calls it.
+private ``BitMatrix._trusted``: ``matmul`` (XORs of in-range rows),
+``rref`` (row operations on in-range rows) and ``from_columns`` (whose
+transpose raises on a bit at or beyond ``nrows``).  Nothing outside
+this module calls it.
 
-Matrices are immutable, the cached row reduction included, so
-``zeros(r, c)`` returns one shared instance per shape: the absent Sq and
-h0 maps that modules and charts ask for are built once per process.
+Matrices are immutable, the cached row reduction included.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 
@@ -121,33 +117,12 @@ class BitMatrix:
         return m
 
     @classmethod
-    @functools.lru_cache(maxsize=None)
-    def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        """The nrows x ncols zero matrix: one shared instance per shape."""
-        if nrows < 0 or ncols < 0:
-            raise ValueError("nrows and ncols must be nonnegative")
-        return cls._trusted((0,) * nrows, ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        if n < 0:
-            raise ValueError("ncols must be nonnegative")
-        return cls._trusted(tuple(1 << i for i in range(n)), n)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[int], nrows: int) -> "BitMatrix":
         if nrows < 0:
             raise ValueError("nrows must be nonnegative")
         return cls._trusted(tuple(_transpose(columns, nrows)), len(columns))
 
     # -- basic access --------------------------------------------------
-
-    def columns(self) -> List[int]:
-        """Column j as a bit vector (bit i = row i), for every j."""
-        return _transpose(self.rows, self.ncols)
-
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -180,11 +155,6 @@ class BitMatrix:
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         return self.matmul(other)
-
-    def add(self, other: "BitMatrix") -> "BitMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in add")
-        return BitMatrix._trusted(tuple(a ^ b for a, b in zip(self.rows, other.rows)), self.ncols)
 
     # -- elimination ----------------------------------------------------
 

@@ -1,10 +1,10 @@
 """Finitely generated graded modules over A(1).
 
-A module is a graded GF(2) vector space with Sq1 and Sq2 action matrices
-satisfying the A(1) relations.  Degrees above ``hi`` are *unknown* unless
-the module is flagged complete; every derived quantity carries a
-conservative validity bound so that truncation never silently fabricates
-zeros.
+A module is a graded GF(2) vector space with Sq1 and Sq2 actions,
+stored per degree as their columns, satisfying the A(1) relations.
+Degrees above ``hi`` are *unknown* unless the module is flagged
+complete; every derived quantity carries a conservative validity bound
+so that truncation never silently fabricates zeros.
 """
 
 from __future__ import annotations
@@ -49,20 +49,25 @@ class Violation:
 class GradedA1Module:
     """Graded GF(2) module with Sq1 (degree +1) and Sq2 (degree +2) actions.
 
+    ``sq1[d]`` is the tuple of columns of Sq1 from degree d: its int j is
+    Sq1 of basis vector j, as a bit vector in degree d + 1's basis (the
+    layout ``combine`` reads); likewise ``sq2[d]``.  An absent degree is
+    the zero map; ``sq(k, d)`` reads either, absent or not.
+
     Immutable: every field is set here, ``dims``, ``sq1``, ``sq2`` and
-    ``labels`` are read-only mappings, and assigning an attribute raises
-    AttributeError.  A module can therefore be shared and cached; the
-    word-action, Sq-column and Margolis caches live on the instance.
+    ``labels`` are read-only mappings of tuples, and assigning an
+    attribute raises AttributeError.  A module can therefore be shared and
+    cached; the word-action and Margolis caches live on the instance.
     """
 
     __slots__ = ("dims", "lo", "hi", "sq1", "sq2", "complete", "name", "labels",
-                 "_act_cache", "_columns", "_margolis_cache")
+                 "_act_cache", "_margolis_cache")
 
     def __init__(
         self,
         dims: Mapping[int, int],
-        sq1: Mapping[int, BitMatrix],
-        sq2: Mapping[int, BitMatrix],
+        sq1: Mapping[int, Sequence[int]],
+        sq2: Mapping[int, Sequence[int]],
         hi: int,
         labels: Optional[Mapping[int, Sequence[str]]] = None,
         complete: bool = False,
@@ -78,13 +83,12 @@ class GradedA1Module:
         object.__setattr__(self, "dims", MappingProxyType(dims))
         object.__setattr__(self, "lo", min(dims) if dims else 0)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "sq1", MappingProxyType(dict(sq1)))
-        object.__setattr__(self, "sq2", MappingProxyType(dict(sq2)))
+        object.__setattr__(self, "sq1", MappingProxyType({d: tuple(c) for d, c in sq1.items()}))
+        object.__setattr__(self, "sq2", MappingProxyType({d: tuple(c) for d, c in sq2.items()}))
         object.__setattr__(self, "complete", complete)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "labels", MappingProxyType(labs))
         object.__setattr__(self, "_act_cache", {})
-        object.__setattr__(self, "_columns", {})
         object.__setattr__(self, "_margolis_cache", {})
 
     def __setattr__(self, *a):
@@ -109,38 +113,22 @@ class GradedA1Module:
     def label(self, d: int, i: int) -> str:
         return self.labels[d][i]
 
-    def sq1_map(self, d: int) -> BitMatrix:
-        m = self.sq1.get(d)
-        if m is None:
-            return BitMatrix.zeros(self.dim(d + 1), self.dim(d))
-        return m
-
-    def sq2_map(self, d: int) -> BitMatrix:
-        m = self.sq2.get(d)
-        if m is None:
-            return BitMatrix.zeros(self.dim(d + 2), self.dim(d))
-        return m
-
-    def act_letter(self, letter: str, d: int) -> BitMatrix:
-        return self.sq1_map(d) if letter == "1" else self.sq2_map(d)
-
-    def _letter_columns(self, letter: str, d: int) -> Tuple[int, ...]:
-        """Columns of Sq1 (letter "1") or Sq2 (letter "2") from degree d, read once."""
-        cols = self._columns.get((letter, d))
-        if cols is None:
-            cols = self._columns[(letter, d)] = tuple(self.act_letter(letter, d).columns())
-        return cols
+    def sq(self, k: int, d: int) -> Tuple[int, ...]:
+        """Columns of Sq^k (k = 1 or 2) from degree d; zeros where the map is absent."""
+        cols = (self.sq1 if k == 1 else self.sq2).get(d)
+        return (0,) * self.dim(d) if cols is None else cols
 
     def apply_word(self, nf: str, d: int, vecs: Sequence[int]) -> List[int]:
         """``[act_word(nf, d).matvec(v) for v in vecs]`` for a normal-form word.
 
-        The letters act right to left, one ``combine`` over
-        ``_letter_columns`` each; no word matrix is built.
+        The letters act right to left, one ``combine`` over ``sq`` each;
+        no word matrix is built.
         """
         out = list(vecs)
         for letter in reversed(nf):
-            out = combine(self._letter_columns(letter, d), out)
-            d += int(letter)
+            k = int(letter)
+            out = combine(self.sq(k, d), out)
+            d += k
         return out
 
     def act_word(self, word: str, d: int) -> BitMatrix:
@@ -148,7 +136,7 @@ class GradedA1Module:
         nf = reduce_word(word)
         rows = self.dim(d + steenrod.word_degree(word))
         if nf is None:
-            return BitMatrix.zeros(rows, self.dim(d))
+            return BitMatrix([0] * rows, self.dim(d))
         hit = self._act_cache.get((nf, d))
         if hit is None:
             cols = self.apply_word(nf, d, [1 << j for j in range(self.dim(d))])
@@ -174,24 +162,24 @@ class GradedA1Module:
     # -- validation -----------------------------------------------------
 
     def validate(self) -> Optional[Violation]:
-        """Check matrix shapes and the A(1) relations; None means ok."""
+        """Check the Sq column shapes and the A(1) relations; None means ok."""
         for d, n in self.dims.items():
             if not self.complete and d > self.hi:
                 return Violation(d, "basis above truncation degree")
-        for d, m in self.sq1.items():
-            if (m.nrows, m.ncols) != (self.dim(d + 1), self.dim(d)):
-                return Violation(d, "Sq1 matrix shape mismatch")
-        for d, m in self.sq2.items():
-            if (m.nrows, m.ncols) != (self.dim(d + 2), self.dim(d)):
-                return Violation(d, "Sq2 matrix shape mismatch")
-        lo, top = self.lo, self.hi
-        for d in range(lo, top + 1):
-            if self.complete or d + 2 <= top:
-                if not (self.sq1_map(d + 1) @ self.sq1_map(d)).is_zero():
+        for k, store in ((1, self.sq1), (2, self.sq2)):
+            for d, cols in store.items():
+                tgt = self.dim(d + k)
+                # c >> tgt also catches a negative column
+                if len(cols) != self.dim(d) or any(c >> tgt for c in cols):
+                    return Violation(d, f"Sq{k} matrix shape mismatch")
+        sq = self.sq
+        for d in range(self.lo, self.hi + 1):
+            if self.complete or d + 2 <= self.hi:
+                if any(combine(sq(1, d + 1), sq(1, d))):
                     return Violation(d, "Sq1∘Sq1 ≠ 0")
-            if self.complete or d + 4 <= top:
-                lhs = self.sq2_map(d + 2) @ self.sq2_map(d)
-                rhs = self.sq1_map(d + 3) @ (self.sq2_map(d + 1) @ self.sq1_map(d))
+            if self.complete or d + 4 <= self.hi:
+                lhs = combine(sq(2, d + 2), sq(2, d))
+                rhs = combine(sq(1, d + 3), combine(sq(2, d + 1), sq(1, d)))
                 if lhs != rhs:
                     return Violation(d, "Sq2∘Sq2 ≠ Sq1∘Sq2∘Sq1")
         return None
@@ -236,19 +224,14 @@ class GradedA1Module:
                 + [f"r.{s}" for s in other.labels.get(d, ("?",) * other.dim(d))]
             )
 
-        def block(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-            rows = list(a.rows) + [0] * b.nrows
-            for i, r in enumerate(b.rows):
-                rows[a.nrows + i] = r << a.ncols
-            return BitMatrix(rows, a.ncols + b.ncols)
-
+        # the right summand's classes follow the left's in every degree
         sq1 = {}
         sq2 = {}
-        for d in dims:
-            if dims.get(d + 1) and (complete or d + 1 <= hi):
-                sq1[d] = block(self.sq1_map(d), other.sq1_map(d))
-            if dims.get(d + 2) and (complete or d + 2 <= hi):
-                sq2[d] = block(self.sq2_map(d), other.sq2_map(d))
+        for k, store in ((1, sq1), (2, sq2)):
+            for d in dims:
+                if dims.get(d + k) and (complete or d + k <= hi):
+                    shift = self.dim(d + k)
+                    store[d] = self.sq(k, d) + tuple(c << shift for c in other.sq(k, d))
         return GradedA1Module(dims, sq1, sq2, hi, labels, complete,
                               name=f"{self.name}+{other.name}")
 
@@ -281,15 +264,15 @@ class GradedA1Module:
                 dims[d] = len(labs)
                 labels[d] = tuple(labs)
 
-        # the factors' cached Sq1/Sq2 columns; Sq0 is the identity, whose
-        # columns in every degree are a prefix of units
+        # the factors' Sq1/Sq2 columns; Sq0 is the identity, whose columns
+        # in every degree are a prefix of units
         units = tuple(1 << i for i in range(max([*self.dims.values(), *other.dims.values()],
                                                 default=0)))
 
         def images(m: "GradedA1Module", k: int, d: int) -> Sequence[int]:
-            return m._letter_columns(str(k), d) if k else units
+            return m.sq(k, d) if k else units
 
-        def build(op_pairs: Sequence[Tuple[int, int]], d: int) -> BitMatrix:
+        def build(op_pairs: Sequence[Tuple[int, int]], d: int) -> List[int]:
             # op_pairs lists (k1, k2) with Sq^{k1} on the left factor, Sq^{k2} on the right
             shift = sum(op_pairs[0])
             tgt = offsets[d + shift]
@@ -310,7 +293,7 @@ class GradedA1Module:
                                 c ^= w << (off + (low.bit_length() - 1) * width)
                                 u ^= low
                         cols.append(c)
-            return BitMatrix.from_columns(cols, dims[d + shift])
+            return cols
 
         sq1 = {}
         sq2 = {}
@@ -379,8 +362,8 @@ class GradedA1Module:
                 else:
                     lab.append(f"s{d}_{i}")
             labels[d] = tuple(lab)
-        sq1: Dict[int, BitMatrix] = {}
-        sq2: Dict[int, BitMatrix] = {}
+        sq1: Dict[int, List[int]] = {}
+        sq2: Dict[int, List[int]] = {}
         solvers: Dict[int, ColumnSolver] = {}
         for shift, store in ((1, sq1), (2, sq2)):
             for d, vecs in basis.items():
@@ -388,7 +371,7 @@ class GradedA1Module:
                     continue
                 tgt = basis.get(d + shift, [])
                 if d in whole and d + shift in whole:
-                    store[d] = self.act_letter(str(shift), d)
+                    store[d] = self.sq(shift, d)
                     continue
                 cols = []
                 if tgt and d + shift not in solvers:
@@ -403,13 +386,13 @@ class GradedA1Module:
                         raise ModuleError(f"span not closed under Sq{shift} at degree {d}")
                     cols.append(x)
                 if tgt:
-                    store[d] = BitMatrix.from_columns(cols, len(tgt))
+                    store[d] = cols
         return GradedA1Module(dims, sq1, sq2, self.hi, labels, self.complete, name=name), basis
 
     # -- generators and homology ------------------------------------------
 
     def _decomposables_rref(self, d: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        vecs = self._letter_columns("1", d - 1) + self._letter_columns("2", d - 2)
+        vecs = self.sq(1, d - 1) + self.sq(2, d - 2)
         return span_rref(vecs, self.dim(d))
 
     def decomposables(self, d: int) -> Tuple[int, ...]:
@@ -445,23 +428,26 @@ class GradedA1Module:
 
     def _margolis(self, i: int) -> Tuple[Dict[int, int], int]:
         q = 1 if i == 0 else 3
+        sq = self.sq
 
-        def qmap(d: int) -> BitMatrix:
+        def qmap(d: int) -> Sequence[int]:
+            """Columns of Q_i from degree d: Q0 = Sq1, Q1 = Sq1Sq2 + Sq2Sq1."""
             if i == 0:
-                return self.sq1_map(d)
-            return (self.sq1_map(d + 2) @ self.sq2_map(d)).add(self.sq2_map(d + 1) @ self.sq1_map(d))
+                return sq(1, d)
+            return [a ^ b for a, b in zip(combine(sq(1, d + 2), sq(2, d)),
+                                          combine(sq(2, d + 1), sq(1, d)))]
+
+        def rank(d: int) -> int:
+            return len(span_rref(qmap(d), self.dim(d + q))[0])
 
         reliable = self.hi if self.complete else self.hi - q
         for d in range(self.lo, (self.hi if self.complete else self.hi - 2 * q) + 1):
-            if not (qmap(d + q) @ qmap(d)).is_zero():
+            if any(combine(qmap(d + q), qmap(d))):
                 raise ModuleError(f"Q{i}∘Q{i} ≠ 0 at degree {d}: not a valid module")
         dims: Dict[int, int] = {}
         top = self.hi if self.complete else reliable
         for d in range(self.lo, top + 1):
-            out = qmap(d)
-            ker = self.dim(d) - out.rank()
-            img = qmap(d - q).rank()
-            h = ker - img
+            h = self.dim(d) - rank(d) - rank(d - q)
             if h:
                 dims[d] = h
         return dims, reliable
@@ -494,8 +480,8 @@ def free_module(cutoff: Optional[int] = None) -> GradedA1Module:
     dims = {d: len(v) for d, v in by_deg.items()}
     labels = {d: tuple("Sq" + "Sq".join(WORDS[i]) if WORDS[i] else "1" for i in v)
               for d, v in by_deg.items()}
-    sq1: Dict[int, BitMatrix] = {}
-    sq2: Dict[int, BitMatrix] = {}
+    sq1: Dict[int, List[int]] = {}
+    sq2: Dict[int, List[int]] = {}
     for letter, store, shift in (("1", sq1, 1), ("2", sq2, 2)):
         for d in dims:
             if d + shift not in dims:
@@ -508,7 +494,7 @@ def free_module(cutoff: Optional[int] = None) -> GradedA1Module:
                     td, tp = pos[steenrod.WORD_INDEX[w]]
                     col |= 1 << tp
                 cols.append(col)
-            store[d] = BitMatrix.from_columns(cols, dims[d + shift])
+            store[d] = cols
     m = GradedA1Module(dims, sq1, sq2, steenrod.TOP_DEGREE, labels, complete=True, name="A1")
     if cutoff is not None and cutoff < steenrod.TOP_DEGREE:
         m = m.quotient_above(cutoff)
@@ -542,11 +528,12 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
     # before the remainder's basis
     free_cols: Dict[int, List[int]] = {d: [] for d in M.degrees()}
     frees: List[Tuple[int, str]] = []
+    (top,) = steenrod.top_class().words()
     start = M.lo
     while True:
-        # x = basis[g][i], the first with top·x ≠ 0 ("1212" is the top class)
+        # x = basis[g][i], the first with top·x ≠ 0
         found = next(((g, i) for g in range(start, gen_top + 1)
-                      for i, b in enumerate(basis.get(g, ())) if M.act_word("1212", g).matvec(b)), None)
+                      for i, b in enumerate(basis.get(g, ())) if M.act_word(top, g).matvec(b)), None)
         if found is None:
             break
         g, i = found
@@ -732,15 +719,14 @@ def _quotient_by_ideal(generators: Sequence[A1Element], name: str) -> GradedA1Mo
 
     dims = {d: len(keep[d]) for d in amod.degrees() if keep[d]}
     labels = {d: tuple(amod.label(d, j) for j in keep[d]) for d in dims}
-    sq1: Dict[int, BitMatrix] = {}
-    sq2: Dict[int, BitMatrix] = {}
+    sq1: Dict[int, List[int]] = {}
+    sq2: Dict[int, List[int]] = {}
     for shift, store in ((1, sq1), (2, sq2)):
         for d in dims:
             if d + shift not in dims:
                 continue
-            act = amod._letter_columns(str(shift), d)
-            cols = [project(act[j], d + shift) for j in keep[d]]
-            store[d] = BitMatrix.from_columns(cols, dims[d + shift])
+            act = amod.sq(shift, d)
+            store[d] = [project(act[j], d + shift) for j in keep[d]]
     hi = max(dims) if dims else 0
     return GradedA1Module(dims, sq1, sq2, hi, labels, complete=True, name=name)
 
@@ -761,10 +747,9 @@ def m1_module() -> GradedA1Module:
     m = lower.direct_sum(upper)
     # add the gluing differential: Sq1(degree-4 generator) = degree-5 class of M0
     sq1 = dict(m.sq1)
-    base = m.sq1_map(4)
-    rows = list(base.rows)
-    rows[0] ^= 1  # target index 0 = M0's degree-5 class; source index 0 = lifted generator
-    sq1[4] = BitMatrix(rows, base.ncols)
+    cols = list(m.sq(1, 4))
+    cols[0] ^= 1  # source index 0 = lifted generator; target index 0 = M0's degree-5 class
+    sq1[4] = cols
     out = GradedA1Module(m.dims, sq1, m.sq2, m.hi, m.labels, complete=True, name="M1")
     return out.assert_valid()
 
@@ -798,9 +783,9 @@ def pin_minus_cell(cutoff: int) -> GradedA1Module:
     sq1 = {}
     sq2 = {}
     for k in range(cutoff):
-        sq1[k] = BitMatrix([(k + 1) & 1], 1)
+        sq1[k] = ((k + 1) & 1,)
     for k in range(cutoff - 1):
-        sq2[k] = BitMatrix([binom2(k + 1, 2)], 1)
+        sq2[k] = (binom2(k + 1, 2),)
     return GradedA1Module(dims, sq1, sq2, cutoff, labels, complete=False, name="P(pin-)").assert_valid()
 
 
@@ -859,7 +844,7 @@ def format_a1mod(m: GradedA1Module) -> str:
         for d in m.degrees():
             if not (m.complete or d + shift <= m.hi):
                 continue
-            for j, col in enumerate(m._letter_columns(str(shift), d)):
+            for j, col in enumerate(m.sq(shift, d)):
                 if col == 0:
                     continue
                 targets = [lab for i, lab in enumerate(m.labels[d + shift]) if (col >> i) & 1]
@@ -951,13 +936,8 @@ def parse_a1mod(text: str) -> GradedA1Module:
             acc ^= 1 << ti
         (cols1 if key == "SQ1" else cols2)[d][j] = acc
         touch_lines.setdefault(d, ln)
-    sq1 = {}
-    sq2 = {}
-    for d in dims:
-        if dims.get(d + 1):
-            sq1[d] = BitMatrix.from_columns(cols1[d], dims[d + 1])
-        if dims.get(d + 2):
-            sq2[d] = BitMatrix.from_columns(cols2[d], dims[d + 2])
+    sq1 = {d: cols1[d] for d in dims if dims.get(d + 1)}
+    sq2 = {d: cols2[d] for d in dims if dims.get(d + 2)}
     mod = GradedA1Module(dims, sq1, sq2, hi, {d: tuple(v) for d, v in labels.items()},
                          complete=False, name=name)
     v = mod.validate()

@@ -83,7 +83,7 @@ def _mod_sq1_image(model: SpacePresentation, d: int,
                    vectors: List[int]) -> Tuple[int, Tuple[bool, ...]]:
     """dim Im(Sq1: H^{d-1} -> H^d), and whether each degree-d vector lies in it."""
     n = len(model.basis(d))
-    image, _ = span_rref(model.sq_matrix(1, d - 1).columns(), n)
+    image, _ = span_rref(model.sq_matrix(1, d - 1), n)
     span = ColumnSolver(image)
     return len(image), tuple(v in span for v in vectors)
 
@@ -111,7 +111,7 @@ def primary_obstruction_oneform() -> OneFormObstruction:
     is surfaced, not patched.
     """
     K = sp.space("KZ2_2", 6)
-    kernel = K.sq_matrix(1, 5).kernel_basis()
+    kernel = tuple(ColumnSolver(K.sq_matrix(1, 5)).kernel)
     rep_mono = K.gen_mono("S21B")
     rep_vec = K.poly_vector(frozenset([rep_mono]), 5)
     im_dim, in_image = _mod_sq1_image(K, 5, [rep_vec ^ v for v in kernel])

@@ -139,9 +139,7 @@ def run_pipeline(name: str, through_degree: int, max_s: int = DEFAULT_MAX_S) -> 
 
 def a0_pair_module() -> GradedA1Module:
     """A(0) as an A(1)-module: two classes joined by Sq1."""
-    from .gf2 import BitMatrix
-
-    return GradedA1Module({0: 1, 1: 1}, {0: BitMatrix([1], 1)}, {}, 1,
+    return GradedA1Module({0: 1, 1: 1}, {0: (1,)}, {}, 1,
                           {0: ("e0",), 1: ("e1",)}, complete=True, name="A0")
 
 

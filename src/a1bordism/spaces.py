@@ -13,7 +13,8 @@ realizes the spin-twist action
 as pure matrix algebra over any ring model.  A ring model is a space
 presentation or a Thom-space model; both offer the same interface:
 ``dim(d)``, ``element_labels(d)``, ``sq_matrix(k, d)``,
-``mult_matrix(cls, degree, d)`` and ``parse_class(text, degree)``.
+``mult_matrix(cls, degree, d)`` and ``parse_class(text, degree)``; the
+two maps come as their columns, the layout the modules keep.
 Twist classes are given as text and parsed by the model.
 
 A Thom space of a sum of bundles is the smash of the Thom spaces,
@@ -37,7 +38,7 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .gf2 import BitMatrix
+from .gf2 import combine
 from .modules import GradedA1Module, binom2
 
 Monomial = Tuple[int, ...]
@@ -292,11 +293,12 @@ class SpacePresentation:
     def dim(self, d: int) -> int:
         return len(self.basis(d))
 
-    def sq_matrix(self, k: int, d: int) -> BitMatrix:
-        cols = [self.poly_vector(self.sq_k_mono(m, k), d + k) for m in self.basis(d)]
-        return BitMatrix.from_columns(cols, self.dim(d + k))
+    def sq_matrix(self, k: int, d: int) -> List[int]:
+        """Columns of Sq^k from degree d."""
+        return [self.poly_vector(self.sq_k_mono(m, k), d + k) for m in self.basis(d)]
 
-    def mult_matrix(self, p: Poly, pdeg: int, d: int) -> BitMatrix:
+    def mult_matrix(self, p: Poly, pdeg: int, d: int) -> List[int]:
+        """Columns of multiplication by p (of degree pdeg) from degree d."""
         # a product is in the degree-(d + pdeg) index iff it is reduced and of that degree
         idx = self.index(d + pdeg)
         cols = []
@@ -307,7 +309,7 @@ class SpacePresentation:
                 if i is not None:
                     v ^= 1 << i
             cols.append(v)
-        return BitMatrix.from_columns(cols, self.dim(d + pdeg))
+        return cols
 
     def element_labels(self, d: int) -> Tuple[str, ...]:
         return tuple(self.mono_label(m) for m in self.basis(d))
@@ -461,7 +463,7 @@ class ThomSpace:
     Elements are c·1 + p·U with p a polynomial over the base; U has degree
     n, Sq^i U = w_i U (Wu) and U·U = w_n·U.  A U-multiple p·U is handled
     through its coefficient p (``sq``, ``apply_word``, ``multiply``,
-    ``vector``, ``format``); the matrices of the ring-model interface are
+    ``vector``, ``format``); the columns of the ring-model interface are
     written through those operations.
     """
 
@@ -538,23 +540,22 @@ class ThomSpace:
             for m in self.base.basis(d - self.rank)
         )
 
-    def sq_matrix(self, k: int, d: int) -> BitMatrix:
+    def sq_matrix(self, k: int, d: int) -> List[int]:
+        """Columns of Sq^k from degree d."""
         if d == 0:
             # Sq^k(1) = 0 for k > 0
-            return BitMatrix.zeros(self.dim(k), 1)
-        cols = [self.vector(self.sq(k, frozenset([m])), d + k)
+            return [0]
+        return [self.vector(self.sq(k, frozenset([m])), d + k)
                 for m in self.base.basis(d - self.rank)]
-        return BitMatrix.from_columns(cols, self.dim(d + k))
 
-    def mult_matrix(self, cls: "ThomClass", degree: int, d: int) -> BitMatrix:
+    def mult_matrix(self, cls: "ThomClass", degree: int, d: int) -> List[int]:
+        """Columns of multiplication by the class (of the given degree) from degree d."""
         if d == 0:
             # image of the unit is the class itself
-            cols = [int(cls.unit) ^ self.vector(cls.u_part, degree)]
-        else:
-            cols = [(self.vector(frozenset([m]), d + degree) if cls.unit else 0)
-                    ^ self.vector(self.multiply(cls.u_part, frozenset([m])), d + degree)
-                    for m in self.base.basis(d - self.rank)]
-        return BitMatrix.from_columns(cols, self.dim(d + degree))
+            return [int(cls.unit) ^ self.vector(cls.u_part, degree)]
+        return [(self.vector(frozenset([m]), d + degree) if cls.unit else 0)
+                ^ self.vector(self.multiply(cls.u_part, frozenset([m])), d + degree)
+                for m in self.base.basis(d - self.rank)]
 
     def parse_class(self, text: str, degree: int) -> "ThomClass":
         """A class of the given degree: the unit and U-multiples only."""
@@ -622,13 +623,13 @@ def twist(model, a: str, b: str, shift: int = 0, generator_label: str = "Q") -> 
             continue
         dims[d + shift] = model.dim(d)
         labs[d + shift] = tuple(f"{generator_label}*{s}" for s in model.element_labels(d))
-        # dim is 0 above the cutoff
+        # dim is 0 above the cutoff; a sum of maps XORs their columns
         if model.dim(d + 1):
-            sq1[d + shift] = a_times(d).add(sq1_of(d))
+            sq1[d + shift] = [x ^ y for x, y in zip(a_times(d), sq1_of(d))]
         if model.dim(d + 2):
-            m = model.mult_matrix(b_cls, 2, d).add(model.sq_matrix(2, d))
-            m = m.add(a_times(d + 1) @ sq1_of(d))
-            sq2[d + shift] = m
+            a_sq1 = combine(a_times(d + 1), sq1_of(d))
+            sq2[d + shift] = [x ^ y ^ z for x, y, z in zip(
+                model.mult_matrix(b_cls, 2, d), model.sq_matrix(2, d), a_sq1)]
     out = GradedA1Module(dims, sq1, sq2, model.cutoff + shift, labs, complete=False,
                          name=f"V({model.name})")
     return out.assert_valid()

@@ -371,10 +371,25 @@ def free_degree_basis(gen_degrees: Sequence[int], t: int) -> Dict[Tuple[int, int
     return {pair: k for k, pair in enumerate(pairs)}
 
 
+def identity(n: int) -> BitMatrix:
+    return BitMatrix([1 << i for i in range(n)], n)
+
+
+def letter_matrix(module, k: int, d: int) -> BitMatrix:
+    """Sq^k (k = 1 or 2) from degree d of the module, as a matrix."""
+    return BitMatrix.from_columns(module.sq(k, d), module.dim(d + k))
+
+
+def h0_matrix(chart, s: int, n: int) -> BitMatrix:
+    """Multiplication by h0 from (s, n) to (s + 1, n), as a matrix; zero where absent."""
+    cols = chart.h0.get((s, n), (0,) * chart.dim(s, n))
+    return BitMatrix.from_columns(cols, chart.dim(s + 1, n))
+
+
 def _act_by_letters(module, word: str, d: int, v: int) -> int:
     """word·v for v in degree d of the module, one Sq1/Sq2 letter at a time."""
     for letter in reversed(word):
-        v = (module.sq1_map(d) if letter == "1" else module.sq2_map(d)).matvec(v)
+        v = letter_matrix(module, int(letter), d).matvec(v)
         d += int(letter)
     return v
 
@@ -443,14 +458,14 @@ def check_exact(res) -> None:
 def h0_power_ranks(chart, s: int, n: int, top: int) -> List[int]:
     """Rank of h0^k from (s, n), for k = 0 .. top - s.
 
-    Each power is the product of the chart's ``h0_map``s from the
+    Each power is the product of the chart's h0 matrices from the
     identity, and its rank comes from ``column_scan_rref``.
     """
-    power = BitMatrix.identity(chart.dim(s, n))
+    power = identity(chart.dim(s, n))
     out = []
     for k in range(top - s + 1):
         out.append(len(column_scan_rref(power.rows, power.ncols)[1]))
-        power = chart.h0_map(s + k, n) @ power
+        power = h0_matrix(chart, s + k, n) @ power
     return out
 
 

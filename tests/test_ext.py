@@ -14,7 +14,7 @@ from a1bordism.ext import (assemble_groups, chart_ascii, chart_tsv,
                            verify_resolution)
 from a1bordism.modules import InvariantError, catalog, free_module
 from a1bordism.steenrod import A1Element
-from oracles import BarExt, check_exact, h0_power_ranks, rank_power_rows
+from oracles import BarExt, check_exact, h0_matrix, h0_power_ranks, rank_power_rows
 
 
 # the hand-built minimal-resolution fixture for F2 over A(1): Ext is
@@ -107,7 +107,7 @@ def test_bar_complex_h0_matches_chart():
                if v and s <= 4 and n >= 0 and s + n + 1 <= 11]
     assert len(classes) == 9
     for s, n in classes:
-        assert bx.h0_nonzero(s, n) == (chart.h0_map(s, n).rank() > 0), (s, n)
+        assert bx.h0_nonzero(s, n) == (h0_matrix(chart, s, n).rank() > 0), (s, n)
 
 
 def test_f2_groups_through_eight():
@@ -206,9 +206,7 @@ def test_certificate_flags_synthetic_dense_chart():
 def test_certificate_threat_reasons(dims, h0, threat, certified):
     # max_s 6, max_t 12: column n is read up to s = min(6, 12 - n); h0 is
     # the identity on the listed one-dimensional bidegrees, zero elsewhere
-    from a1bordism.gf2 import BitMatrix
-
-    chart = ex.ExtChart(6, 12, dims, {k: BitMatrix.identity(1) for k in h0})
+    chart = ex.ExtChart(6, 12, dims, {k: (1,) for k in h0})
     cert = collapse_certificate(chart, report_max_s=4)
     assert cert.threats == ([] if threat is None else [threat])
     assert cert.certified == certified
@@ -216,10 +214,8 @@ def test_certificate_threat_reasons(dims, h0, threat, certified):
 
 def test_certificate_h0_tower_targets_are_excluded():
     # single h0-torsion dot next to a clean infinite tower: certified
-    from a1bordism.gf2 import BitMatrix
-
     dims = {(s, 0): 1 for s in range(13)} | {(0, 1): 1}
-    h0 = {(s, 0): BitMatrix([1], 1) for s in range(12)}
+    h0 = {(s, 0): (1,) for s in range(12)}
     chart = ex.ExtChart(max_s=12, max_t=30, dims=dims, h0=h0)
     cert = collapse_certificate(chart, report_max_s=8)
     assert cert.certified[(0, 1)]
@@ -229,10 +225,10 @@ def test_certificate_h0_tower_targets_are_excluded():
 def column_chart(n, dims, h0):
     # one column n of a chart with max_s 6, max_t 12 (so s_top = min(6, 12 - n));
     # dims by filtration, h0 maps by source filtration as lists of rows
-    from a1bordism.gf2 import BitMatrix
+    from a1bordism.gf2 import _transpose
 
     return ex.ExtChart(6, 12, {(s, n): d for s, d in dims.items()},
-                       {(s, n): BitMatrix(rows, dims[s]) for s, rows in h0.items()})
+                       {(s, n): _transpose(rows, dims[s]) for s, rows in h0.items()})
 
 
 def test_a_merged_strand_ends_the_younger_one():
@@ -332,8 +328,6 @@ def pipeline_charts(name, through=7):
 
 @pytest.mark.parametrize("name", ["SpinO2", "PinPlus"])
 def test_h0_rank_equals_the_rank_of_products_from_the_identity(name):
-    from a1bordism.gf2 import BitMatrix
-
     for chart in pipeline_charts(name):
         for n in chart.columns():
             top = min(chart.max_s, chart.max_t - n)
@@ -341,10 +335,11 @@ def test_h0_rank_equals_the_rank_of_products_from_the_identity(name):
                 want = h0_power_ranks(chart, s, n, top)
                 got = [chart.h0_rank(s, n, k) for k in range(top - s + 1)]
                 assert got == want, (name, s, n)
-                if (s, n) not in chart.h0:
-                    # an absent h0 map is the shared zero of its shape
-                    zero = BitMatrix.zeros(chart.dim(s + 1, n), chart.dim(s, n))
-                    assert chart.h0_map(s, n) is zero
+                if (s, n) in chart.h0:
+                    # stored as the tuple of its dim(s, n) columns
+                    cols = chart.h0[(s, n)]
+                    assert type(cols) is tuple and len(cols) == chart.dim(s, n)
+                    assert all(type(c) is int for c in cols)
 
 
 def test_free_word_images_equal_products_in_a1():
@@ -375,22 +370,21 @@ def test_free_word_images_equal_products_in_a1():
 
 
 def test_chart_is_immutable():
-    from a1bordism.gf2 import BitMatrix
-
     dims = {(0, 0): 1, (1, 0): 1}
-    h0 = {(0, 0): BitMatrix([1], 1)}
+    h0 = {(0, 0): [1]}
     chart = ex.ExtChart(max_s=4, max_t=4, dims=dims, h0=h0)
     with pytest.raises(AttributeError):
         chart.max_s = 8
     with pytest.raises(AttributeError):
         chart.dims = {}
     with pytest.raises(TypeError):
-        chart.h0[(1, 0)] = BitMatrix([1], 1)
+        chart.h0[(1, 0)] = (1,)
     with pytest.raises(TypeError):
         chart.dims[(2, 0)] = 1
-    dims[(2, 0)] = 1  # the chart keeps its own copy of the mappings
+    dims[(2, 0)] = 1  # the chart keeps its own copy of the mappings and columns
+    h0[(0, 0)][0] = 0
     del h0[(0, 0)]
-    assert chart.dim(2, 0) == 0 and chart.h0_rank(0, 0, 1) == 1
+    assert chart.dim(2, 0) == 0 and chart.h0[(0, 0)] == (1,) and chart.h0_rank(0, 0, 1) == 1
 
 
 @pytest.fixture(scope="module")

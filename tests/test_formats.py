@@ -21,8 +21,8 @@ def test_a1mod_roundtrip_catalog():
         back = parse_a1mod(text)
         assert {d: back.dim(d) for d in back.degrees()} == m.dims
         for d in m.degrees():
-            assert back.sq1_map(d) == m.sq1_map(d)
-            assert back.sq2_map(d) == m.sq2_map(d)
+            assert back.sq(1, d) == m.sq(1, d)
+            assert back.sq(2, d) == m.sq(2, d)
 
 
 def test_a1mod_example_text():
@@ -36,7 +36,7 @@ def test_a1mod_example_text():
     m = parse_a1mod(text)
     assert m.name == "pair"
     assert m.dims == {0: 1, 1: 1}
-    assert m.sq1_map(0).rows == (1,)
+    assert m.sq1[0] == (1,)
 
 
 def test_a1mod_rejects_relation_violation_with_line():
@@ -136,8 +136,8 @@ def test_space_format_parse_and_twist():
     tw = sp.twist(pres, a, b)
     pm = md.pin_minus_cell(8)
     for d in range(8):
-        assert tw.sq1_map(d) == pm.sq1_map(d)
-        assert tw.sq2_map(d) == pm.sq2_map(d)
+        assert tw.sq(1, d) == pm.sq(1, d)
+        assert tw.sq(2, d) == pm.sq(2, d)
 
 
 def test_space_format_rejects_bad_sq():

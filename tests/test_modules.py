@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from a1bordism.gf2 import BitMatrix
+from a1bordism.gf2 import BitMatrix, _transpose
 from a1bordism import modules as md
 from a1bordism.modules import (GradedA1Module, ModuleError, catalog, free_module,
                                iso_up_to_degree, split_free)
 from a1bordism.spaces import named_structure
-from oracles import quotient_dims_by_left_ideal
+from oracles import identity, letter_matrix, quotient_dims_by_left_ideal
 
 
 def dims_of(m, top):
@@ -25,11 +25,21 @@ def test_validate_free_module_ok():
 
 
 def test_validate_rejects_sq1_identity():
-    bad = GradedA1Module({0: 1, 1: 1, 2: 1},
-                         {0: BitMatrix([1], 1), 1: BitMatrix([1], 1)},
-                         {}, 2, complete=True)
+    bad = GradedA1Module({0: 1, 1: 1, 2: 1}, {0: (1,), 1: (1,)}, {}, 2, complete=True)
     v = bad.validate()
     assert v is not None and "Sq1∘Sq1" in v.relation and v.degree == 0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("cols", [(), (1, 0), (0b10,), (-1,)],
+                         ids=["too-few", "too-many", "bit-past-target", "negative"])
+def test_validate_rejects_a_column_shape_mismatch(k, cols):
+    # degree 0 has one class and degree k one class, so Sq^k from 0 is one
+    # column with bits below 1
+    bad = GradedA1Module({0: 1, k: 1}, {0: cols} if k == 1 else {}, {0: cols} if k == 2 else {},
+                         2, complete=True)
+    v = bad.validate()
+    assert (v.degree, v.relation) == (0, f"Sq{k} matrix shape mismatch")
 
 
 def test_validate_joker_quotient():
@@ -63,7 +73,7 @@ def test_catalog_m1_extension():
     assert iso_up_to_degree(M0, M1, 3).status == "iso"
     assert iso_up_to_degree(M0, M1, 4).status == "none"
     # the gluing differential: Sq1 of the degree-4 class hits the degree-5 class
-    assert M1.sq1_map(4).rank() == 1
+    assert letter_matrix(M1, 1, 4).rank() == 1
 
 
 def test_catalog_r2_margolis_profile():
@@ -97,7 +107,9 @@ def test_modules_are_frozen():
     with pytest.raises(AttributeError):
         m.complete = False
     with pytest.raises(TypeError):
-        m.sq1[0] = BitMatrix.zeros(1, 1)
+        m.sq1[0] = (0,)
+    with pytest.raises(TypeError):
+        m.sq1[0][0] = 0
     with pytest.raises(TypeError):
         m.dims[9] = 1
     assert m.name == "J" and m.renamed("J2").name == "J2" and m.name == "J"
@@ -168,10 +180,7 @@ def _cartan_reference(a, b, k, d):
                 for i in range(a.dim(d1)) for j in range(b.dim(deg - d1))]
 
     def act(m, kk, deg, i):
-        if kk == 0:
-            return 1 << i
-        mat = m.sq1_map(deg) if kk == 1 else m.sq2_map(deg)
-        return sum(((row >> i) & 1) << r for r, row in enumerate(mat.rows))
+        return m.sq(kk, deg)[i] if kk else 1 << i
 
     src, tgt = basis(d), basis(d + k)
     rows = [0] * len(tgt)
@@ -190,10 +199,10 @@ def test_tensor_matches_entrywise_cartan_reference():
         t = a.tensor(b)
         nonzero = 0
         for d in t.degrees():
-            for k, getter in ((1, t.sq1_map), (2, t.sq2_map)):
+            for k in (1, 2):
                 if t.complete or d + k <= t.hi:
                     ref = _cartan_reference(a, b, k, d)
-                    assert getter(d).rows == ref, (a.name, b.name, d, k)
+                    assert tuple(_transpose(t.sq(k, d), t.dim(d + k))) == ref, (a.name, b.name, d, k)
                     nonzero += any(ref)
         assert nonzero > 5
 
@@ -223,9 +232,7 @@ def test_margolis_joker_profile():
 
 
 def test_margolis_invalid_module_rejected():
-    bad = GradedA1Module({0: 1, 1: 1, 2: 1},
-                         {0: BitMatrix([1], 1), 1: BitMatrix([1], 1)},
-                         {}, 2, complete=True)
+    bad = GradedA1Module({0: 1, 1: 1, 2: 1}, {0: (1,), 1: (1,)}, {}, 2, complete=True)
     with pytest.raises(ModuleError):
         bad.margolis_homology(0)
 
@@ -346,13 +353,14 @@ def test_split_free_witness_is_a1_map():
     src = src.direct_sum(dec.remainder)
 
     def w(d):
-        return dec.witness.get(d, BitMatrix.zeros(M.dim(d), src.dim(d)))
+        return dec.witness.get(d, BitMatrix([0] * M.dim(d), src.dim(d)))
 
     for d in range(M.lo, M.hi + 1):
         assert (w(d).nrows, w(d).ncols) == (M.dim(d), src.dim(d))
-        for shift, src_map, tgt_map in ((1, src.sq1_map, M.sq1_map), (2, src.sq2_map, M.sq2_map)):
+        for shift in (1, 2):
             if (src.complete or d + shift <= src.hi) and (M.complete or d + shift <= M.hi):
-                assert w(d + shift) @ src_map(d) == tgt_map(d) @ w(d), (d, shift)
+                assert w(d + shift) @ letter_matrix(src, shift, d) \
+                    == letter_matrix(M, shift, d) @ w(d), (d, shift)
 
 
 def test_split_free_joker_tensor_pin_cell():
@@ -372,8 +380,8 @@ def split_free_digest(M, max_gen_degree):
     rem = dec.remainder
     data = (tuple(dec.free_summands), dec.valid_through,
             tuple(sorted(rem.dims.items())), tuple(sorted(rem.labels.items())),
-            tuple((d, rem.sq1[d].rows) for d in sorted(rem.sq1)),
-            tuple((d, rem.sq2[d].rows) for d in sorted(rem.sq2)),
+            tuple((d, tuple(_transpose(rem.sq1[d], rem.dim(d + 1)))) for d in sorted(rem.sq1)),
+            tuple((d, tuple(_transpose(rem.sq2[d], rem.dim(d + 2)))) for d in sorted(rem.sq2)),
             rem.hi, rem.complete, rem.name,
             tuple((d, dec.witness[d].rows) for d in sorted(dec.witness)))
     return hashlib.sha256(repr(data).encode()).hexdigest()
@@ -487,7 +495,7 @@ def test_iso_j_vs_q_dimension_pruned():
 
 def test_iso_detects_twist():
     # two-dimensional pair with Sq1 vs without: dims match, structure differs
-    pair = GradedA1Module({0: 1, 1: 1}, {0: BitMatrix([1], 1)}, {}, 1, complete=True)
+    pair = GradedA1Module({0: 1, 1: 1}, {0: (1,)}, {}, 1, complete=True)
     split = GradedA1Module({0: 1, 1: 1}, {}, {}, 1, complete=True)
     assert iso_up_to_degree(pair, split, 1).status == "none"
 
@@ -498,9 +506,9 @@ def _assert_isomorphism(A, B, maps):
     for d, phi in maps.items():
         assert (phi.nrows, phi.ncols) == (B.dim(d), A.dim(d))
         assert phi.rank() == A.dim(d) == B.dim(d)
-        for k, a_map, b_map in ((1, A.sq1_map, B.sq1_map), (2, A.sq2_map, B.sq2_map)):
+        for k in (1, 2):
             if d + k in maps:
-                assert maps[d + k] @ a_map(d) == b_map(d) @ phi, (d, k)
+                assert maps[d + k] @ letter_matrix(A, k, d) == letter_matrix(B, k, d) @ phi, (d, k)
 
 
 def test_iso_witness_commutes():
@@ -598,18 +606,37 @@ def test_apply_word_equals_word_matrix_images(build):
         n = m.dim(d)
         vecs = [0, (1 << n) - 1] + [1 << j for j in range(n)] + [rng.getrandbits(n) for _ in range(3)]
         for w in WORDS:
-            # the product of the letters' matrices, a route apart from the cached columns
-            ref, deg = BitMatrix.identity(n), d
+            # the product of the letters' matrices, a route apart from combine
+            ref, deg = identity(n), d
             for letter in reversed(w):
-                ref = m.act_letter(letter, deg) @ ref
+                ref = letter_matrix(m, int(letter), deg) @ ref
                 deg += int(letter)
             got = m.apply_word(w, d, vecs)
             assert got == [ref.matvec(v) for v in vecs] \
                 == [m.act_word(w, d).matvec(v) for v in vecs], (w, d)
             if d + word_degree(w) > m.hi:  # no class, so no Sq map, above the truncation
                 assert not any(got), (w, d)
-    # the cached columns cannot be changed in place
-    assert m._columns and all(type(c) is tuple for c in m._columns.values())
+
+
+def test_sweep_modules_keep_sq_columns_as_tuples():
+    # every module the --through 7 pipelines build, and its pieces and their
+    # remainders, stores each Sq map as a tuple of dim(d) ints: the columns
+    # cannot be changed in place
+    from a1bordism import pipelines as pl
+    from a1bordism import spaces as sp
+
+    _, _, cutoff = pl.window_parameters(7, pl.DEFAULT_MAX_S)
+    checked = 0
+    for name in sp.STRUCTURE_NAMES:
+        pieces = sp.structure_pieces(name, cutoff)
+        rems = [split_free(p, max_gen_degree=8).remainder for p in pieces]
+        for m in [named_structure(name, cutoff), *pieces, *rems]:
+            for store in (m.sq1, m.sq2):
+                for d, cols in store.items():
+                    assert type(cols) is tuple and len(cols) == m.dim(d), (m.name, d)
+                    assert all(type(c) is int for c in cols), (m.name, d)
+                    checked += 1
+    assert checked > 1000
 
 
 # -- validate-closure property suite ----------------------------------------------
@@ -627,15 +654,14 @@ def _random_module(rng: random.Random) -> GradedA1Module:
                                    lambda: named_structure("KTminus", 12)],
                          ids=["J", "SpinO2@12", "KTminus@12"])
 def test_act_word_equals_letter_by_letter_product(build):
-    from a1bordism.gf2 import BitMatrix
     from a1bordism.steenrod import WORDS
 
     m = build()
     for d in range(m.lo - 1, m.hi + 1):
         for w in reversed(WORDS):
-            ref, deg = BitMatrix.identity(m.dim(d)), d
+            ref, deg = identity(m.dim(d)), d
             for letter in reversed(w):
-                ref = m.act_letter(letter, deg) @ ref
+                ref = letter_matrix(m, int(letter), deg) @ ref
                 deg += int(letter)
             assert m.act_word(w, d) == ref, (w, d)
     assert m.act_word("22", m.lo) is m.act_word("121", m.lo)

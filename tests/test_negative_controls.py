@@ -76,10 +76,7 @@ def test_corrupted_thom_sq1_breaks_two_form_sensitivity():
 def test_corrupted_pin_cell_changes_golden_groups():
     # flip the Sq1 parity of the pin- cell: Z/8 in degree 2 degenerates
     P = md.pin_minus_cell(24)
-    from a1bordism.gf2 import BitMatrix
-
-    flipped = {k: BitMatrix([1 - P.sq1_map(k).rows[0] if P.sq1_map(k).rows else 0], 1)
-               for k in range(24)}
+    flipped = {k: (1 - P.sq(1, k)[0],) for k in range(24)}
     bad = md.GradedA1Module({d: 1 for d in range(25)}, flipped, dict(P.sq2),
                             24, None, complete=False, name="Pflip")
     v = bad.validate()

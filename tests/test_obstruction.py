@@ -5,6 +5,7 @@ import pytest
 from a1bordism import cli
 from a1bordism import obstruction as ob
 from a1bordism import spaces as sp
+from a1bordism.gf2 import _transpose
 
 
 def test_pullback_sends_fundamental_class_to_thom_class():
@@ -31,7 +32,8 @@ def test_pullback_is_multiplicative_where_defined():
         square = th.multiply(pb.images[x], pb.images[x])
         assert square == th.apply_word(word, pb.images[x]) == th.base.parse_poly(f"w{n}")
         col = km.basis(2 * n).index(km.mono_mul(km.gen_mono(x), km.gen_mono(x)))
-        assert pb.matrix(2 * n).columns()[col] == th.vector(square, 2 * n)
+        mat = pb.matrix(2 * n)
+        assert _transpose(mat.rows, mat.ncols)[col] == th.vector(square, 2 * n)
 
 
 def test_pullback_commutes_with_sq_on_generators():
@@ -82,8 +84,7 @@ def test_sq1_of_representative_lands_in_im_sq1():
     from a1bordism.gf2 import ColumnSolver, span_rref
 
     vec = K.poly_vector(sq1_rep, 6)
-    im = [K.sq_matrix(1, 5).columns()[j] for j in range(len(K.basis(5)))]
-    basis, _ = span_rref(im, len(K.basis(6)))
+    basis, _ = span_rref(K.sq_matrix(1, 5), len(K.basis(6)))
     assert vec in ColumnSolver(basis)
 
 

@@ -10,7 +10,7 @@ from a1bordism import modules as md
 from a1bordism import obstruction as ob
 from a1bordism import spaces as sp
 from a1bordism.modules import catalog, iso_up_to_degree, split_free
-from oracles import graded_part, kzn_dims, total_sq_reference
+from oracles import graded_part, kzn_dims, letter_matrix, total_sq_reference
 
 
 # -- space catalog --------------------------------------------------------------
@@ -174,8 +174,8 @@ def test_twist_zero_is_cohomology():
     m = X.cohomology_module()
     assert {d: t.dim(d) for d in t.degrees()} == {d: m.dim(d) for d in m.degrees()}
     for d in range(7):
-        assert t.sq1_map(d) == m.sq1_map(d)
-        assert t.sq2_map(d) == m.sq2_map(d)
+        assert t.sq(1, d) == m.sq(1, d)
+        assert t.sq(2, d) == m.sq(2, d)
 
 
 def test_twist_degree_mismatch():
@@ -199,8 +199,8 @@ def test_pin_minus_twist_vs_thom_construction():
     P = md.pin_minus_cell(12)
     assert [pm.dim(d) for d in range(13)] == [1] * 13
     for d in range(12):
-        assert pm.sq1_map(d) == P.sq1_map(d)
-        assert pm.sq2_map(d) == P.sq2_map(d)
+        assert pm.sq(1, d) == P.sq(1, d)
+        assert pm.sq(2, d) == P.sq(2, d)
 
 
 def test_twist_external_sum_property():
@@ -219,9 +219,9 @@ def test_gm_twist_matches_figure_actions():
     gm = sp.named_structure("GM", 8)
     assert [gm.dim(d) for d in range(7)] == [1, 0, 1, 1, 2, 2, 3]
     # Sq2(Q) = QU, Sq1(QU) = Q w1 U, Sq2(QU) = 0 (U·U = w2·U cancels Sq2 U)
-    assert gm.sq2_map(0).rows == (1,)
-    assert gm.sq1_map(2).rows == (1,)
-    assert gm.sq2_map(2).is_zero()
+    assert gm.sq2[0] == (1,)
+    assert gm.sq1[2] == (1,)
+    assert not any(gm.sq(2, 2))
 
 
 def test_thom_space_class_parsing():
@@ -357,7 +357,7 @@ def test_tau_oracle_rejects_a_wrong_bo2_twist(name):
     pin = sp.named_structure(TAU_PINS[name], cutoff)
 
     def sq2_ranks(m):
-        return [m.sq2_map(d).rank() for d in range(cutoff - 1)]
+        return [letter_matrix(m, 2, d).rank() for d in range(cutoff - 1)]
 
     def with_bo2_twist(b):
         return pin.tensor(sp.twist(sp.space("BO2", cutoff), "w1", b, generator_label="U"))
@@ -462,8 +462,8 @@ def construction_digest(modules):
     """SHA-256 of the dims, labels and Sq1/Sq2 columns of each module."""
     data = [(tuple(sorted(m.dims.items())),
              tuple(sorted(m.labels.items())),
-             tuple((d, tuple(m.sq1[d].columns())) for d in sorted(m.sq1)),
-             tuple((d, tuple(m.sq2[d].columns())) for d in sorted(m.sq2)))
+             tuple((d, m.sq1[d]) for d in sorted(m.sq1)),
+             tuple((d, m.sq2[d]) for d in sorted(m.sq2)))
             for m in modules]
     return hashlib.sha256(repr(data).encode()).hexdigest()
 
