@@ -515,6 +515,49 @@ def rank_power_rows(chart, cert, max_n: int) -> List[DegreeReport]:
     return rows
 
 
+def brute_certificate(chart, report_max_s: int,
+                      max_n: int) -> Tuple[Dict[Tuple[int, int], bool], List[str]]:
+    """The ``certified`` flags and ``threats`` of the collapse certificate, from h0-power ranks.
+
+    Every in-window differential d_r: (s, n) -> (s + r, n - 1) with n <=
+    max_n + 1, r >= 2, s + r <= report_max_s and both ends nonzero is put
+    to the four exclusion arguments in turn, each evaluated from
+    ``h0_power_ranks`` (products of h0 matrices, no strands).  When one
+    differential of a column pair is not excluded, every class of
+    columns 0 .. max_n that some differential of that pair touches is
+    uncertified.
+    """
+    def col_top(n: int) -> int:
+        return min(chart.max_s, chart.max_t - n)
+
+    def failure(s: int, n: int, t: int) -> Optional[str]:
+        if s + n > chart.max_t or t + n - 1 > chart.max_t:
+            return "beyond reliable window"
+        ranks = h0_power_ranks(chart, s, n, col_top(n))
+        k = next((k for k in range(1, len(ranks)) if ranks[k] == 0), None)
+        if k is None:
+            return "source not h0-nilpotent in window"
+        if t + k > col_top(n - 1):
+            return "h0-kernel check exceeds window"
+        if h0_power_ranks(chart, t, n - 1, t + k)[k] != chart.dim(t, n - 1):
+            return f"not excluded (h0^{k} has kernel)"
+        return None
+
+    differentials = [(s, n, s + r) for n in range(max_n + 2)
+                     for s in range(report_max_s + 1)
+                     for r in range(2, report_max_s - s + 1)
+                     if chart.dim(s, n) and chart.dim(s + r, n - 1)]
+    failures = {(s, n, t): failure(s, n, t) for s, n, t in differentials}
+    threats = sorted({f"d{t - s}: ({s},{n})→({t}, {n - 1}) {why}"
+                      for (s, n, t), why in failures.items() if why})
+    bad = {n for (_, n, _), why in failures.items() if why}
+    touched = ({(s, n) for s, n, _ in differentials if n in bad}
+               | {(t, n - 1) for _, n, t in differentials if n in bad})
+    certified = {(s, n): (s, n) not in touched for n in range(max_n + 1)
+                 for s in range(report_max_s + 1) if chart.dim(s, n)}
+    return certified, threats
+
+
 # -- the pipeline window ----------------------------------------------------------
 
 

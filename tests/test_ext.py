@@ -14,7 +14,8 @@ from a1bordism.ext import (assemble_groups, chart_ascii, chart_tsv,
                            verify_resolution)
 from a1bordism.modules import InvariantError, catalog, free_module
 from a1bordism.steenrod import A1Element
-from oracles import BarExt, check_exact, h0_matrix, h0_power_ranks, rank_power_rows
+from oracles import (BarExt, brute_certificate, check_exact, h0_matrix, h0_power_ranks,
+                     rank_power_rows)
 
 
 # the hand-built minimal-resolution fixture for F2 over A(1): Ext is
@@ -185,7 +186,8 @@ def test_certificate_flags_synthetic_dense_chart():
     assert cert.threats
 
 
-@pytest.mark.parametrize("dims, h0, threat, certified", [
+# one hand-built chart per exclusion argument that can fail, and one that excludes
+THREAT_CHARTS = pytest.mark.parametrize("dims, h0, threat, certified", [
     # the source column 13 lies past t <= max_t
     ({(0, 13): 1, (2, 12): 1}, [], "d2: (0,13)→(2, 12) beyond reliable window",
      {(0, 13): False, (2, 12): False}),
@@ -203,6 +205,9 @@ def test_certificate_flags_synthetic_dense_chart():
     ({(0, 5): 1} | {(s, 4): 1 for s in range(2, 6)}, [(2, 4), (3, 4), (4, 4)], None,
      {(0, 5): True, (2, 4): True, (3, 4): True, (4, 4): True}),
 ], ids=["unreliable", "not-nilpotent", "exceeds-window", "kernel", "excluded"])
+
+
+@THREAT_CHARTS
 def test_certificate_threat_reasons(dims, h0, threat, certified):
     # max_s 6, max_t 12: column n is read up to s = min(6, 12 - n); h0 is
     # the identity on the listed one-dimensional bidegrees, zero elsewhere
@@ -210,6 +215,13 @@ def test_certificate_threat_reasons(dims, h0, threat, certified):
     cert = collapse_certificate(chart, report_max_s=4)
     assert cert.threats == ([] if threat is None else [threat])
     assert cert.certified == certified
+
+
+@THREAT_CHARTS
+def test_brute_certificate_gives_the_threat_reasons(dims, h0, threat, certified):
+    chart = ex.ExtChart(6, 12, dims, {k: (1,) for k in h0})
+    assert brute_certificate(chart, 4, max(chart.columns())) == (
+        certified, [] if threat is None else [threat])
 
 
 def test_certificate_h0_tower_targets_are_excluded():
@@ -271,6 +283,16 @@ def test_rank_power_oracle_agrees_with_assemble_groups(pipeline_resolutions):
         chart = ext_chart(res)
         cert = collapse_certificate(chart, report_max_s=pl.DEFAULT_MAX_S)
         assert assemble_groups(chart, cert, max_n=7) == rank_power_rows(chart, cert, 7), key
+
+
+def test_brute_certificate_agrees_on_every_column_of_the_sweep(pipeline_resolutions):
+    from a1bordism import pipelines as pl
+
+    for key, res in pipeline_resolutions.items():
+        chart = ext_chart(res)
+        cert = collapse_certificate(chart, report_max_s=pl.DEFAULT_MAX_S)
+        got = brute_certificate(chart, pl.DEFAULT_MAX_S, max(chart.columns()))
+        assert got == (cert.certified, cert.threats), key
 
 
 def test_certificate_and_assembly_multiply_and_reduce_no_matrix(monkeypatch):
