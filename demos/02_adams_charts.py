@@ -18,8 +18,8 @@ print(ex.chart_ascii(chart, max_n=8, max_s=10))
 
 # Reading groups off the chart: maximal h0-strands of length k give
 # Z/2^k, strands that run out of the window top give a 2-adic Z.
-cert = ex.collapse_certificate(chart, report_max_s=10)
-rows = ex.assemble_groups(chart, cert, max_n=8)
+cert = ex.collapse_certificate(chart, report_max_s=10, max_n=8)
+rows = ex.assemble_groups(chart, cert)
 print("assembled 2-complete groups:")
 for r in rows:
     print(f"  degree {r.degree}: {r.group_str():12s}"

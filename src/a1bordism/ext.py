@@ -325,98 +325,59 @@ def ext_chart(res: Resolution) -> ExtChart:
 @dataclass
 class Certificate:
     report_max_s: int
+    max_n: int
     certified: Dict[Tuple[int, int], bool]
     threats: List[str]
 
     def column_ok(self, chart: ExtChart, n: int) -> bool:
-        return all(
-            self.certified.get((s, n), True)
-            for s in range(self.report_max_s + 1)
-            if chart.dim(s, n)
-        )
+        """All classes of column n with s <= report_max_s certified; KeyError past max_n."""
+        return all(self.certified[(s, n)]
+                   for s in range(self.report_max_s + 1) if chart.dim(s, n))
 
 
-def collapse_certificate(chart: ExtChart, report_max_s: int) -> Certificate:
-    """Certify permanence of chart classes within the reported window.
+def collapse_certificate(chart: ExtChart, report_max_s: int, max_n: int) -> Certificate:
+    """Certify permanence of the classes of columns 0..max_n with s <= report_max_s.
 
-    A differential d_r moves (s, n) -> (s+r, n-1), so all differentials
-    into a column come from the column one to its right.  A class is
-    certified when every in-window threat on its column pair is excluded,
-    either because the target bidegree vanishes or by h0-linearity:
-    h0-nilpotent sources cannot hit a zone where a power of h0 is
-    injective.  Everything else is reported uncertified, never assumed.
+    A differential d_r moves (s, n) -> (s+r, n-1), so the rows 0..max_n
+    read only the column pairs n -> n-1 for n <= max_n + 1; those pairs,
+    and no others, are checked.  A pair is excluded when each in-window
+    d_r (r >= 2, s + r <= report_max_s) between nonzero bidegrees is ruled
+    out by h0-linearity: the source is killed by h0^k, with k = 1 +
+    (largest death - s) over the strands alive at (s, n), inside the
+    column's window, and h0^k is injective on the target (t, n-1), i.e.
+    no strand alive at t dies before t + k.  Every class that a
+    differential of a pair not excluded touches is uncertified, and each
+    failed argument is listed in ``threats``; nothing is assumed.
     """
-    certified: Dict[Tuple[int, int], bool] = {}
-    threats: List[str] = []
-
     def col_top(n: int) -> int:
         return min(chart.max_s, chart.max_t - n)
 
-    nilpotence_cache: Dict[Tuple[int, int], Optional[int]] = {}
+    def failure(s: int, n: int, t: int) -> Optional[str]:
+        if not (chart.reliable(s, n) and chart.reliable(t, n - 1)):
+            return "beyond reliable window"
+        k = 1 + max(d for b, d in chart.strands(n) if b <= s <= d) - s
+        if k > col_top(n) - s:
+            return "source not h0-nilpotent in window"
+        if t + k > col_top(n - 1):
+            return "h0-kernel check exceeds window"
+        if any(d < t + k for b, d in chart.strands(n - 1) if b <= t <= d):
+            return f"not excluded (h0^{k} has kernel)"
+        return None
 
-    def nilpotence(s: int, n: int) -> Optional[int]:
-        # the same for every r, so found once, at the source's first reliable target
-        if (s, n) not in nilpotence_cache:
-            nilpotence_cache[(s, n)] = next(
-                (k for k in range(1, col_top(n) - s + 1) if chart.h0_rank(s, n, k) == 0),
-                None)
-        return nilpotence_cache[(s, n)]
-
-    def pair_excluded(n_src: int) -> Tuple[bool, List[str]]:
-        """No differentials (any page) from column n_src to n_src - 1, in-window."""
-        notes = []
-        ok = True
-        for s in range(0, report_max_s + 1):
-            if chart.dim(s, n_src) == 0:
-                continue
-            for r in range(2, report_max_s - s + 1):
-                tgt = (s + r, n_src - 1)
-                if chart.dim(*tgt) == 0:
-                    continue
-                if not (chart.reliable(s, n_src) and chart.reliable(*tgt)):
-                    ok = False
-                    notes.append(f"d{r}: ({s},{n_src})→{tgt} beyond reliable window")
-                    continue
-                k = nilpotence(s, n_src)
-                if k is None:
-                    ok = False
-                    notes.append(f"d{r}: ({s},{n_src})→{tgt} source not h0-nilpotent in window")
-                    continue
-                if tgt[0] + k > col_top(n_src - 1):
-                    ok = False
-                    notes.append(f"d{r}: ({s},{n_src})→{tgt} h0-kernel check exceeds window")
-                    continue
-                if chart.h0_rank(tgt[0], tgt[1], k) != chart.dim(*tgt):
-                    ok = False
-                    notes.append(f"d{r}: ({s},{n_src})→{tgt} not excluded (h0^{k} has kernel)")
-        return ok, notes
-
-    pair_cache: Dict[int, Tuple[bool, List[str]]] = {}
-
-    def pair(n_src: int) -> Tuple[bool, List[str]]:
-        if n_src not in pair_cache:
-            pair_cache[n_src] = pair_excluded(n_src)
-        return pair_cache[n_src]
-
-    for n in chart.columns():
-        for s in range(report_max_s + 1):
-            if chart.dim(s, n) == 0:
-                continue
-            ok = True
-            # outgoing: needs the (n -> n-1) pair unless no in-window target exists
-            if any(chart.dim(s + r, n - 1) for r in range(2, report_max_s - s + 1)):
-                p_ok, notes = pair(n)
-                if not p_ok:
-                    ok = False
-                    threats.extend(notes)
-            # incoming: from column n+1
-            if any(chart.dim(s - r, n + 1) for r in range(2, s + 1)):
-                p_ok, notes = pair(n + 1)
-                if not p_ok:
-                    ok = False
-                    threats.extend(notes)
-            certified[(s, n)] = ok
-    return Certificate(report_max_s, certified, sorted(set(threats)))
+    certified = {(s, n): True for n in range(max_n + 1)
+                 for s in range(report_max_s + 1) if chart.dim(s, n)}
+    threats: List[str] = []
+    for n in range(max_n + 2):
+        ends = [(s, s + r) for s in range(report_max_s + 1)
+                for r in range(2, report_max_s - s + 1)
+                if chart.dim(s, n) and chart.dim(s + r, n - 1)]
+        notes = [f"d{t - s}: ({s},{n})→({t}, {n - 1}) {why}"
+                 for s, t in ends if (why := failure(s, n, t))]
+        if notes:
+            threats += notes
+            touched = {(s, n) for s, _ in ends} | {(t, n - 1) for _, t in ends}
+            certified.update(dict.fromkeys(touched & certified.keys(), False))
+    return Certificate(report_max_s, max_n, certified, sorted(threats))
 
 
 # -- group assembly -------------------------------------------------------------
@@ -491,12 +452,10 @@ def assemble_column(chart: ExtChart, n: int, certified: bool,
     return DegreeReport(n, free_rank, tuple(torsion), certified, tuple(warnings))
 
 
-def assemble_groups(chart: ExtChart, cert: Certificate, max_n: int) -> List[DegreeReport]:
-    out = []
-    for n in range(0, max_n + 1):
-        ok = cert.column_ok(chart, n)
-        out.append(assemble_column(chart, n, ok, cert.report_max_s))
-    return out
+def assemble_groups(chart: ExtChart, cert: Certificate) -> List[DegreeReport]:
+    """The rows 0..cert.max_n, the columns the certificate covers."""
+    return [assemble_column(chart, n, cert.column_ok(chart, n), cert.report_max_s)
+            for n in range(cert.max_n + 1)]
 
 
 # -- rendering -------------------------------------------------------------------

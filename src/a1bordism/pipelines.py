@@ -96,8 +96,8 @@ def _assemble_piece(piece: GradedA1Module, through: int, max_s: int,
         res = ext_mod.minimal_resolution(remainder, max_s=s_resolve,
                                          max_t=min(max_t, remainder.hi))
         chart = ext_mod.ext_chart(res)
-        cert = ext_mod.collapse_certificate(chart, report_max_s=max_s)
-        for r in ext_mod.assemble_groups(chart, cert, max_n=through):
+        cert = ext_mod.collapse_certificate(chart, report_max_s=max_s, max_n=through)
+        for r in ext_mod.assemble_groups(chart, cert):
             rows[r.degree] += r
     return rows
 

@@ -469,7 +469,7 @@ def h0_power_ranks(chart, s: int, n: int, top: int) -> List[int]:
     return out
 
 
-def rank_power_rows(chart, cert, max_n: int) -> List[DegreeReport]:
+def rank_power_rows(chart, cert) -> List[DegreeReport]:
     """The rows ``assemble_groups`` gives, from ranks of h0 powers alone.
 
     The number of strands born at s that live through s + l - 1 is
@@ -478,7 +478,7 @@ def rank_power_rows(chart, cert, max_n: int) -> List[DegreeReport]:
     assembly before it swept each column once.
     """
     rows = []
-    for n in range(max_n + 1):
+    for n in range(cert.max_n + 1):
         s_top = min(chart.max_s, chart.max_t - n)
         ranks = {s: h0_power_ranks(chart, s, n, s_top)
                  for s in range(s_top + 1) if chart.dim(s, n)}

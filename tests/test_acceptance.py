@@ -294,8 +294,8 @@ def test_criterion5_oracle_equivalence():
         for t in range(0, 14):
             assert chart.dim(s, t - s) == bx.ext_dim(s, t), (s, t)
     oracle_groups = bx.groups_by_stem(4)
-    cert = ex.collapse_certificate(chart, report_max_s=12)
-    rows = ex.assemble_groups(chart, cert, max_n=8)
+    cert = ex.collapse_certificate(chart, report_max_s=12, max_n=8)
+    rows = ex.assemble_groups(chart, cert)
     for n, (fr, tors) in oracle_groups.items():
         assert rows[n].free_rank == fr and list(rows[n].torsion) == tors
     expect = [(1, ()), (0, (2,)), (0, (2,)), (0, ()), (1, ()),

@@ -89,8 +89,8 @@ def test_f2_groups_match_bar_complex_oracle():
     bx = BarExt(max_s=9, max_t=13)
     oracle = bx.groups_by_stem(4)
     chart = f2_chart()
-    cert = collapse_certificate(chart, report_max_s=12)
-    rows = assemble_groups(chart, cert, max_n=4)
+    cert = collapse_certificate(chart, report_max_s=12, max_n=4)
+    rows = assemble_groups(chart, cert)
     for n in range(5):
         free, torsion = oracle[n]
         assert rows[n].free_rank == free, n
@@ -113,8 +113,8 @@ def test_bar_complex_h0_matches_chart():
 
 def test_f2_groups_through_eight():
     chart = f2_chart()
-    cert = collapse_certificate(chart, report_max_s=12)
-    rows = assemble_groups(chart, cert, max_n=8)
+    cert = collapse_certificate(chart, report_max_s=12, max_n=8)
+    rows = assemble_groups(chart, cert)
     expect = [(1, ()), (0, (2,)), (0, (2,)), (0, ()), (1, ()),
               (0, ()), (0, ()), (0, ()), (1, ())]
     for n, (fr, tors) in enumerate(expect):
@@ -144,10 +144,10 @@ def test_assemble_on_suspension_shifts_degrees():
     a = catalog("Q")
     ca = ext_chart(minimal_resolution(a, 10, 16))
     cs = ext_chart(minimal_resolution(a.suspend(2), 10, 16))
-    certa = collapse_certificate(ca, report_max_s=8)
-    certs = collapse_certificate(cs, report_max_s=8)
-    ra = assemble_groups(ca, certa, max_n=4)
-    rs = assemble_groups(cs, certs, max_n=6)
+    certa = collapse_certificate(ca, report_max_s=8, max_n=4)
+    certs = collapse_certificate(cs, report_max_s=8, max_n=6)
+    ra = assemble_groups(ca, certa)
+    rs = assemble_groups(cs, certs)
     for n in range(5):
         assert (ra[n].free_rank, ra[n].torsion) == (rs[n + 2].free_rank, rs[n + 2].torsion)
 
@@ -158,8 +158,8 @@ def test_h0_consistency_with_known_towers():
     dec = md.split_free(m, max_gen_degree=5)
     res = minimal_resolution(dec.remainder, max_s=16, max_t=20)
     chart = ext_chart(res)
-    cert = collapse_certificate(chart, report_max_s=12)
-    rows = assemble_groups(chart, cert, max_n=4)
+    cert = collapse_certificate(chart, report_max_s=12, max_n=4)
+    rows = assemble_groups(chart, cert)
     assert rows[2].torsion == (4,)
     assert rows[4].torsion == (8, 2)
 
@@ -168,7 +168,7 @@ def test_certificate_free_chart_fully_certified():
     dec = md.split_free(sp.named_structure("KTminus", 20), max_gen_degree=5)
     res = minimal_resolution(dec.remainder, max_s=14, max_t=16)
     chart = ext_chart(res)
-    cert = collapse_certificate(chart, report_max_s=10)
+    cert = collapse_certificate(chart, report_max_s=10, max_n=4)
     for n in range(5):
         assert cert.column_ok(chart, n)
 
@@ -180,7 +180,7 @@ def test_certificate_flags_synthetic_dense_chart():
 
     dims = {(0, 5): 1, (2, 4): 1}
     chart = ex.ExtChart(max_s=12, max_t=30, dims=dims, h0={})
-    cert = collapse_certificate(chart, report_max_s=10)
+    cert = collapse_certificate(chart, report_max_s=10, max_n=5)
     assert not cert.certified[(0, 5)]
     assert not cert.certified[(2, 4)]
     assert cert.threats
@@ -212,7 +212,7 @@ def test_certificate_threat_reasons(dims, h0, threat, certified):
     # max_s 6, max_t 12: column n is read up to s = min(6, 12 - n); h0 is
     # the identity on the listed one-dimensional bidegrees, zero elsewhere
     chart = ex.ExtChart(6, 12, dims, {k: (1,) for k in h0})
-    cert = collapse_certificate(chart, report_max_s=4)
+    cert = collapse_certificate(chart, report_max_s=4, max_n=max(chart.columns()))
     assert cert.threats == ([] if threat is None else [threat])
     assert cert.certified == certified
 
@@ -229,7 +229,7 @@ def test_certificate_h0_tower_targets_are_excluded():
     dims = {(s, 0): 1 for s in range(13)} | {(0, 1): 1}
     h0 = {(s, 0): (1,) for s in range(12)}
     chart = ex.ExtChart(max_s=12, max_t=30, dims=dims, h0=h0)
-    cert = collapse_certificate(chart, report_max_s=8)
+    cert = collapse_certificate(chart, report_max_s=8, max_n=1)
     assert cert.certified[(0, 1)]
     assert all(cert.certified[(s, 0)] for s in range(9))
 
@@ -281,8 +281,8 @@ def test_rank_power_oracle_agrees_with_assemble_groups(pipeline_resolutions):
     assert len(pipeline_resolutions) == 16
     for key, res in pipeline_resolutions.items():
         chart = ext_chart(res)
-        cert = collapse_certificate(chart, report_max_s=pl.DEFAULT_MAX_S)
-        assert assemble_groups(chart, cert, max_n=7) == rank_power_rows(chart, cert, 7), key
+        cert = collapse_certificate(chart, report_max_s=pl.DEFAULT_MAX_S, max_n=7)
+        assert assemble_groups(chart, cert) == rank_power_rows(chart, cert), key
 
 
 def test_brute_certificate_agrees_on_every_column_of_the_sweep(pipeline_resolutions):
@@ -290,9 +290,10 @@ def test_brute_certificate_agrees_on_every_column_of_the_sweep(pipeline_resoluti
 
     for key, res in pipeline_resolutions.items():
         chart = ext_chart(res)
-        cert = collapse_certificate(chart, report_max_s=pl.DEFAULT_MAX_S)
-        got = brute_certificate(chart, pl.DEFAULT_MAX_S, max(chart.columns()))
-        assert got == (cert.certified, cert.threats), key
+        for max_n in (7, max(chart.columns())):
+            cert = collapse_certificate(chart, report_max_s=pl.DEFAULT_MAX_S, max_n=max_n)
+            got = brute_certificate(chart, pl.DEFAULT_MAX_S, max_n)
+            assert got == (cert.certified, cert.threats), (key, max_n)
 
 
 def test_certificate_and_assembly_multiply_and_reduce_no_matrix(monkeypatch):
@@ -310,8 +311,8 @@ def test_certificate_and_assembly_multiply_and_reduce_no_matrix(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(BitMatrix, method, counted)
-    cert = collapse_certificate(chart, report_max_s=12)
-    rows = assemble_groups(chart, cert, max_n=7)
+    cert = collapse_certificate(chart, report_max_s=12, max_n=7)
+    rows = assemble_groups(chart, cert)
     assert [r.group_str() for r in rows] == ["Z", "0", "Z", "0", "Z^2", "0", "Z^2", "0"]
     assert calls == []
 

@@ -57,8 +57,8 @@ def test_corrupted_sq1w2_changes_golden_table():
     dec = md.split_free(bad, max_gen_degree=4)
     res = ex.minimal_resolution(dec.remainder, max_s=12, max_t=15)
     chart = ex.ext_chart(res)
-    cert = ex.collapse_certificate(chart, report_max_s=8)
-    rows = ex.assemble_groups(chart, cert, max_n=3)
+    cert = ex.collapse_certificate(chart, report_max_s=8, max_n=3)
+    rows = ex.assemble_groups(chart, cert)
     honest = [(1, ()), (0, (2,)), (0, (2,)), (0, (2,))]  # spin-O2 degrees 0..3
     free_at = [g for g, _ in dec.free_summands]
     got = [(r.free_rank, tuple(sorted(list(r.torsion) + [2] * free_at.count(r.degree),
@@ -83,8 +83,8 @@ def test_corrupted_pin_cell_changes_golden_groups():
     if v is None:
         res = ex.minimal_resolution(bad, max_s=12, max_t=14)
         chart = ex.ext_chart(res)
-        cert = ex.collapse_certificate(chart, report_max_s=8)
-        rows = ex.assemble_groups(chart, cert, max_n=2)
+        cert = ex.collapse_certificate(chart, report_max_s=8, max_n=2)
+        rows = ex.assemble_groups(chart, cert)
         honest = [(0, (2,)), (0, (2,)), (0, (8,))]
         got = [(r.free_rank, r.torsion) for r in rows]
         assert got != honest
