@@ -437,17 +437,17 @@ class GradedA1Module:
             return [a ^ b for a, b in zip(combine(sq(1, d + 2), sq(2, d)),
                                           combine(sq(2, d + 1), sq(1, d)))]
 
-        def rank(d: int) -> int:
-            return len(span_rref(qmap(d), self.dim(d + q))[0])
-
         reliable = self.hi if self.complete else self.hi - q
-        for d in range(self.lo, (self.hi if self.complete else self.hi - 2 * q) + 1):
-            if any(combine(qmap(d + q), qmap(d))):
+        checked = self.hi if self.complete else self.hi - 2 * q
+        # every degree the check and the ranks below read, each map built once
+        maps = {d: qmap(d) for d in range(self.lo - q, checked + q + 1)}
+        for d in range(self.lo, checked + 1):
+            if any(combine(maps[d + q], maps[d])):
                 raise ModuleError(f"Q{i}∘Q{i} ≠ 0 at degree {d}: not a valid module")
+        ranks = {d: len(ColumnSolver(cols).table) for d, cols in maps.items()}
         dims: Dict[int, int] = {}
-        top = self.hi if self.complete else reliable
-        for d in range(self.lo, top + 1):
-            h = self.dim(d) - rank(d) - rank(d - q)
+        for d in range(self.lo, reliable + 1):
+            h = self.dim(d) - ranks[d] - ranks[d - q]
             if h:
                 dims[d] = h
         return dims, reliable
