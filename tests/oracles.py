@@ -464,8 +464,11 @@ def h0_power_ranks(chart, s: int, n: int, top: int) -> List[int]:
     power = identity(chart.dim(s, n))
     out = []
     for k in range(top - s + 1):
+        if k:
+            power = h0_matrix(chart, s + k - 1, n) @ power
         out.append(len(column_scan_rref(power.rows, power.ncols)[1]))
-        power = h0_matrix(chart, s + k, n) @ power
+        if not out[-1]:  # h0^k = 0, and so is every higher power
+            return out + [0] * (top - s - k)
     return out
 
 
@@ -530,16 +533,22 @@ def brute_certificate(chart, report_max_s: int,
     def col_top(n: int) -> int:
         return min(chart.max_s, chart.max_t - n)
 
+    ranks: Dict[Tuple[int, int], List[int]] = {}
+
+    def rank(s: int, n: int, k: int) -> int:
+        if (s, n) not in ranks:
+            ranks[(s, n)] = h0_power_ranks(chart, s, n, col_top(n))
+        return ranks[(s, n)][k]
+
     def failure(s: int, n: int, t: int) -> Optional[str]:
         if s + n > chart.max_t or t + n - 1 > chart.max_t:
             return "beyond reliable window"
-        ranks = h0_power_ranks(chart, s, n, col_top(n))
-        k = next((k for k in range(1, len(ranks)) if ranks[k] == 0), None)
+        k = next((k for k in range(1, col_top(n) - s + 1) if rank(s, n, k) == 0), None)
         if k is None:
             return "source not h0-nilpotent in window"
         if t + k > col_top(n - 1):
             return "h0-kernel check exceeds window"
-        if h0_power_ranks(chart, t, n - 1, t + k)[k] != chart.dim(t, n - 1):
+        if rank(t, n - 1, k) != chart.dim(t, n - 1):
             return f"not excluded (h0^{k} has kernel)"
         return None
 

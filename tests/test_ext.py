@@ -224,6 +224,31 @@ def test_brute_certificate_gives_the_threat_reasons(dims, h0, threat, certified)
         certified, [] if threat is None else [threat])
 
 
+def test_column_ok_past_the_certified_window_raises():
+    # a column above max_n was never looked at: its classes are not read as certified
+    chart = ex.ExtChart(6, 12, {(0, 3): 1, (0, 5): 1}, {})
+    cert = collapse_certificate(chart, report_max_s=4, max_n=3)
+    assert cert.column_ok(chart, 3)
+    assert (0, 5) not in cert.certified
+    with pytest.raises(KeyError):
+        cert.column_ok(chart, 5)
+
+
+def test_certifying_only_the_reported_columns_changes_no_row():
+    # every wedge piece run_pipeline resolves at --through 0..7
+    from a1bordism import pipelines as pl
+
+    pieces = 0
+    for through in range(8):
+        for name in sp.STRUCTURE_NAMES:
+            for chart in pipeline_charts(name, through):
+                cert = collapse_certificate(chart, pl.DEFAULT_MAX_S, max_n=through)
+                full = collapse_certificate(chart, pl.DEFAULT_MAX_S, max_n=max(chart.columns()))
+                assert assemble_groups(chart, cert) == assemble_groups(chart, full)[:through + 1]
+                pieces += 1
+    assert pieces == 128
+
+
 def test_certificate_h0_tower_targets_are_excluded():
     # single h0-torsion dot next to a clean infinite tower: certified
     dims = {(s, 0): 1 for s in range(13)} | {(0, 1): 1}
