@@ -321,6 +321,20 @@ def test_brute_certificate_agrees_on_every_column_of_the_sweep(pipeline_resoluti
             assert got == (cert.certified, cert.threats), (key, max_n)
 
 
+def test_the_sweep_rows_read_exactly_four_threats(pipeline_resolutions):
+    # the threats behind the uncertified rows PinPlus 3-4, TauMinus 4-5 and PinMinusO2 7
+    from a1bordism import pipelines as pl
+
+    threats = {(key, threat) for key, res in pipeline_resolutions.items()
+               for threat in collapse_certificate(ext_chart(res), pl.DEFAULT_MAX_S, 7).threats}
+    assert threats == {
+        ("PinPlus/0", "d2: (0,4)→(2, 3) not excluded (h0^4 has kernel)"),
+        ("TauMinus/0", "d2: (0,5)→(2, 4) not excluded (h0^4 has kernel)"),
+        ("PinMinusO2/0", "d2: (1,8)→(3, 7) not excluded (h0^4 has kernel)"),
+        ("PinMinusO2/0", "d3: (0,8)→(3, 7) not excluded (h0^5 has kernel)"),
+    }
+
+
 def test_certificate_and_assembly_multiply_and_reduce_no_matrix(monkeypatch):
     # the strands are read by one sweep per column: no h0 power is built
     # and no matrix is row-reduced
