@@ -330,7 +330,10 @@ class Certificate:
     threats: List[str]
 
     def column_ok(self, chart: ExtChart, n: int) -> bool:
-        """All classes of column n with s <= report_max_s certified; KeyError past max_n."""
+        """Whether every class of column n with s <= report_max_s is certified.
+
+        A column past max_n that has such classes was never certified: KeyError.
+        """
         return all(self.certified[(s, n)]
                    for s in range(self.report_max_s + 1) if chart.dim(s, n))
 
