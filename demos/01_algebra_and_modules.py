@@ -39,7 +39,7 @@ for name in ("A1free", "J", "M0"):
     print(f"  Margolis of {name}: Q0 -> {h0 or 0}, Q1 -> {h1 or 0}")
 
 # split_free peels off free rank-one summands wherever the degree-6 top
-# class acts nontrivially; the witness matrices certify the splitting.
+# class acts nontrivially; the witness columns certify the splitting.
 big = md.free_module().direct_sum(md.catalog("J").suspend(1))
 dec = md.split_free(big)
 print("\nsplit_free on A(1) ⊕ ΣJ found free summands at:",

@@ -285,9 +285,6 @@ class ExtChart:
         """
         return sum(1 for b, d in self.strands(n) if b <= s and s + k <= d)
 
-    def columns(self) -> List[int]:
-        return sorted({n for (_, n) in self.dims})
-
 
 def ext_chart(res: Resolution) -> ExtChart:
     dims: Dict[Tuple[int, int], int] = {}

@@ -16,17 +16,24 @@ form is unique, so the result does not depend on the order of the rows.
 sides against fixed columns, or to test many vectors for membership in
 their span (``v in solver``), reducing the columns only once.
 
-Linear maps that are only ever applied are kept as their columns, not
-as matrices: a module's Sq1 and Sq2 and a chart's h0 are tuples of
-column ints.  ``combine(vectors, masks)`` XORs the vectors picked out by
+Every linear map the library builds or returns is kept as its columns,
+not as a matrix: a module's Sq1 and Sq2, a chart's h0, ``split_free``'s
+witnesses, the isomorphisms ``iso_up_to_degree`` finds and the Thom-class
+pullbacks are tuples of column ints, column j being the image of basis
+vector j.  ``combine(vectors, masks)`` XORs the vectors picked out by
 each mask, and is the one copy of that loop: M·v for many v is
 ``combine`` of M's columns over the v's, a composition is ``combine`` of
 the outer map's columns over the inner map's, a change of basis is
 ``combine`` of the old basis over the new coordinates, and ``matmul`` is
 ``combine`` of the right factor's rows over the left factor's rows.
-``from_columns`` is the one conversion from columns to a ``BitMatrix``,
-for the maps that are row-reduced, multiplied or applied one vector at
-a time.
+``ColumnSolver`` gives such a map's rank, preimages and kernel.
+
+A ``BitMatrix`` is built in the library only by ``span_rref``, for the
+canonical reduced basis of a span, and by ``from_columns`` for
+``GradedA1Module.act_word``, whose ``matvec`` finds each free generator.
+``matmul`` and ``kernel_basis`` have no caller in the library: they are
+the references the tests hold ``combine`` and ``ColumnSolver.kernel``
+to, and the benchmark's kernel count reads them by name.
 
 ``BitMatrix(rows, ncols)`` checks every row against the column count.
 Results that are in range by construction skip that check through the

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .gf2 import BitMatrix, ColumnSolver, combine, free_coords, span_rref
-from . import steenrod
+from . import gf2, steenrod
+from .gf2 import ColumnSolver, combine, free_coords, span_rref
 from .steenrod import A1Element, DEGREES, WORDS, reduce_word
 
 
@@ -131,16 +131,22 @@ class GradedA1Module:
             d += k
         return out
 
-    def act_word(self, word: str, d: int) -> BitMatrix:
-        """Matrix of the word (maybe non-reduced) from degree d, built once per normal form."""
+    def act_word(self, word: str, d: int) -> gf2.BitMatrix:
+        """Matrix of the word (maybe non-reduced) from degree d, built once per normal form.
+
+        The one matrix a module builds: every other map is kept as columns
+        and applied by ``apply_word``.  It stays because ``split_free`` finds
+        each free generator by ``act_word(top, g).matvec``, the call the
+        benchmark's kernel count (``perfbench``) expects to see.
+        """
         nf = reduce_word(word)
         rows = self.dim(d + steenrod.word_degree(word))
         if nf is None:
-            return BitMatrix([0] * rows, self.dim(d))
+            return gf2.BitMatrix([0] * rows, self.dim(d))
         hit = self._act_cache.get((nf, d))
         if hit is None:
             cols = self.apply_word(nf, d, [1 << j for j in range(self.dim(d))])
-            hit = self._act_cache[(nf, d)] = BitMatrix.from_columns(cols, rows)
+            hit = self._act_cache[(nf, d)] = gf2.BitMatrix.from_columns(cols, rows)
         return hit
 
     def word_images(self, gens: Sequence[Tuple[int, int]], d: int) -> List[int]:
@@ -458,13 +464,22 @@ class GradedA1Module:
 
 @dataclass
 class ModuleDecomposition:
+    """M as free summands plus a remainder, and the remainder's catalog match.
+
+    Both maps are kept as degree → tuple of columns, where column j is the
+    image of basis vector j.  ``witness[d]`` is the isomorphism from
+    (free summands ⊕ remainder)_d to M_d: the free summands' classes come
+    first, and each column is a bit vector in M_d's basis.
+    ``witness_iso[d]``, once a catalog match is certified, is the
+    isomorphism from the remainder to the sum of ``catalog_summands``.
+    """
     free_summands: List[Tuple[int, str]]
     catalog_summands: List[Tuple[str, int]]
     remainder: GradedA1Module
-    witness: Dict[int, BitMatrix]
+    witness: Dict[int, Tuple[int, ...]]
     valid_through: int
     notes: List[str] = field(default_factory=list)
-    witness_iso: Optional[Dict[int, BitMatrix]] = None
+    witness_iso: Optional[Dict[int, Tuple[int, ...]]] = None
 
 
 @functools.lru_cache(maxsize=None)
@@ -541,7 +556,7 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
         # images of the 8 basis words on x, in M's coordinates
         fvecs = {d: M.word_images([(g, basis[g][i])], d) for d in range(g, g + 7)}
         for d, vecs in fvecs.items():
-            if len(span_rref(vecs, M.dim(d))[0]) != len(vecs):
+            if ColumnSolver(vecs).kernel:
                 raise InvariantError("top class nonzero but cyclic module not free")
             free_cols[d].extend(vecs)
         # the functional: a coordinate of top·x in the current basis (nonzero by choice of x)
@@ -550,13 +565,15 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
         kcoord = (top_coords & -top_coords).bit_length() - 1
         for d in range(g, g + 7):
             old = basis[d]
-            rows = []
-            for widx in steenrod.words_of_degree(g + 6 - d):
+            # column j: bit r is the functional on word r of degree g + 6 - d times old[j]
+            cols = [0] * len(old)
+            for r, widx in enumerate(steenrod.words_of_degree(g + 6 - d)):
                 coords = [solver.solve(v) for v in M.apply_word(WORDS[widx], d, old)]
                 if None in coords:
                     raise InvariantError(f"free splitting complement not closed at degree {d}")
-                rows.append(sum(((c >> kcoord) & 1) << j for j, c in enumerate(coords)))
-            kers = BitMatrix(rows, len(old)).kernel_basis()
+                for j, c in enumerate(coords):
+                    cols[j] |= ((c >> kcoord) & 1) << r
+            kers = ColumnSolver(cols).kernel
             if len(kers) + len(fvecs[d]) != len(old):
                 raise InvariantError("free splitting functional is degenerate")
             basis[d] = combine(old, kers)
@@ -566,10 +583,11 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
     valid_through = M.hi if M.complete else M.hi - 6
     if max_gen_degree is not None:
         valid_through = min(valid_through, max_gen_degree)
-    witness: Dict[int, BitMatrix] = {}
+    witness: Dict[int, Tuple[int, ...]] = {}
     for d in M.degrees():
-        witness[d] = BitMatrix.from_columns(free_cols[d] + basis[d], M.dim(d))
-        if witness[d].rank() != M.dim(d):
+        n = M.dim(d)
+        cols = witness[d] = tuple(free_cols[d] + basis[d])
+        if len(cols) != n or any(c >> n for c in cols) or len(ColumnSolver(cols).table) != n:
             raise InvariantError(f"free splitting witness is not an isomorphism at degree {d}")
     remainder = M
     if frees:
@@ -583,8 +601,13 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
 
 @dataclass
 class IsoResult:
+    """The verdict of ``iso_up_to_degree``, with the isomorphism when there is one.
+
+    ``maps`` is degree → tuple of columns, where column j is the image of
+    basis vector j of M_d, a bit vector in N_d's basis.
+    """
     status: str  # "iso" | "none" | "undecided"
-    maps: Optional[Dict[int, BitMatrix]] = None
+    maps: Optional[Dict[int, Tuple[int, ...]]] = None
     reason: str = ""
 
 
@@ -645,27 +668,25 @@ def iso_up_to_degree(M: GradedA1Module, N: GradedA1Module, n: int, budget: int =
     # each basis vector of A_d as a combination of them, phi_d sends that
     # basis vector to the same combination of the words on the images
     degs = range(min(A.lo, B.lo), n + 1)
-    src: Dict[int, BitMatrix] = {}
-    combos: Dict[int, BitMatrix] = {}
+    src: Dict[int, List[int]] = {}
+    combos: Dict[int, List[int]] = {}
     for d in degs:
-        cols = A.word_images(gens, d)
-        solver = ColumnSolver(cols)
-        coords = [solver.solve(1 << k) for k in range(A.dim(d))]
-        if None in coords:
+        src[d] = A.word_images(gens, d)
+        solver = ColumnSolver(src[d])
+        combos[d] = [solver.solve(1 << k) for k in range(A.dim(d))]
+        if None in combos[d]:
             raise InvariantError(f"minimal generators do not span degree {d}")
-        src[d] = BitMatrix.from_columns(cols, A.dim(d))
-        combos[d] = BitMatrix.from_columns(coords, len(cols))
 
-    def module_map(images: Sequence[int]) -> Optional[Dict[int, BitMatrix]]:
+    def module_map(images: Sequence[int]) -> Optional[Dict[int, Tuple[int, ...]]]:
         """The A(1)-map A -> B sending gens to images, or None if there is none."""
         tgt_gens = [(t, w) for (t, _), w in zip(gens, images)]
-        out: Dict[int, BitMatrix] = {}
+        out: Dict[int, Tuple[int, ...]] = {}
         for d in degs:
-            tgt = BitMatrix.from_columns(B.word_images(tgt_gens, d), B.dim(d))
-            phi = tgt @ combos[d]
-            if phi @ src[d] != tgt:
+            tgt = B.word_images(tgt_gens, d)
+            phi = combine(tgt, combos[d])
+            if combine(phi, src[d]) != tgt:
                 return None  # the images break a relation of A
-            out[d] = phi
+            out[d] = tuple(phi)
         return out
 
     options = [candidate_tuples(d, len(by_degree[d])) for d in sorted(by_degree)]
@@ -675,7 +696,7 @@ def iso_up_to_degree(M: GradedA1Module, N: GradedA1Module, n: int, budget: int =
         sol = module_map([w for tup in choice for w in tup])
         if sol is None:
             continue
-        if all(sol[d].rank() == A.dim(d) for d in degs if A.dim(d)):
+        if all(len(ColumnSolver(sol[d]).table) == A.dim(d) for d in degs if A.dim(d)):
             return IsoResult("iso", maps=sol)
     return IsoResult("none", reason="exhausted generator images")
 

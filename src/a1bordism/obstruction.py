@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .gf2 import BitMatrix, ColumnSolver, span_rref
+from .gf2 import ColumnSolver
 from . import spaces as sp
 from .spaces import Poly, SpacePresentation
 
@@ -32,17 +32,23 @@ def _thom_model(n: int) -> sp.ThomSpace:
 
 @dataclass
 class PullbackMap:
+    """The pullback H^d(K(Z/2,n)) -> H^d(MO_n) for n <= d <= n + 3.
+
+    ``columns`` is degree → tuple of columns, where column j is the image
+    of the model's j-th degree-d basis monomial, a bit vector in the basis
+    of H^{d-n}(BO_n)·U.  ``images`` holds the image of each generator.
+    """
     n: int
     kmodel: SpacePresentation
     thom: sp.ThomSpace
-    matrices: Dict[int, BitMatrix]
+    columns: Dict[int, Tuple[int, ...]]
     images: Dict[str, Poly]
 
-    def matrix(self, d: int) -> BitMatrix:
-        if d not in self.matrices:
+    def columns_at(self, d: int) -> Tuple[int, ...]:
+        if d not in self.columns:
             raise ObstructionError(
                 f"pullback degree {d} exceeds the modeled window (d <= {self.n + 3})")
-        return self.matrices[d]
+        return self.columns[d]
 
 
 def pullback_along_thom_class(n: int) -> PullbackMap:
@@ -60,7 +66,7 @@ def pullback_along_thom_class(n: int) -> PullbackMap:
     for g in kmodel.gens:
         word = kmodel.sq_words[g.label]
         images[g.label] = thom.apply_word(word, unit_u)
-    matrices: Dict[int, BitMatrix] = {}
+    columns: Dict[int, Tuple[int, ...]] = {}
     for d in range(n, n + 4):
         cols = []
         for mono in kmodel.basis(d):
@@ -72,8 +78,8 @@ def pullback_along_thom_class(n: int) -> PullbackMap:
                 cols.append(0)
             else:
                 cols.append(thom.vector(img, d))
-        matrices[d] = BitMatrix.from_columns(cols, len(thom.base.basis(d - n)))
-    return PullbackMap(n, kmodel, thom, matrices, images)
+        columns[d] = tuple(cols)
+    return PullbackMap(n, kmodel, thom, columns, images)
 
 
 # -- one-form symmetry ---------------------------------------------------------
@@ -82,10 +88,8 @@ def pullback_along_thom_class(n: int) -> PullbackMap:
 def _mod_sq1_image(model: SpacePresentation, d: int,
                    vectors: List[int]) -> Tuple[int, Tuple[bool, ...]]:
     """dim Im(Sq1: H^{d-1} -> H^d), and whether each degree-d vector lies in it."""
-    n = len(model.basis(d))
-    image, _ = span_rref(model.sq_matrix(1, d - 1), n)
-    span = ColumnSolver(image)
-    return len(image), tuple(v in span for v in vectors)
+    span = ColumnSolver(model.sq_matrix(1, d - 1))
+    return len(span.table), tuple(v in span for v in vectors)
 
 
 @dataclass
@@ -186,8 +190,13 @@ def evaluate_obstruction_on(space_name: str, word: str = "21",
 
 @dataclass
 class TwoFormVerdict:
+    """Whether the degree-6 pullback K(Z/2,3) -> MO_3 is injective.
+
+    ``columns`` is the map as a tuple of columns: column j is the image of
+    ``basis[j]``, a bit vector in the basis of H^3(BO_3)·U.
+    """
     injective: bool
-    matrix: BitMatrix
+    columns: Tuple[int, ...]
     images: Tuple[str, ...]
     basis: Tuple[str, ...]
     conclusion: str
@@ -209,13 +218,12 @@ def twoform_degree6_injectivity(corrupt_sq1_u: bool = False) -> TwoFormVerdict:
         thom._sq_u = thom._sq_u - {thom.base.gen_mono("w1")}
     img_sq2sq1 = thom.apply_word("21", unit_u)
     img_csq = thom.apply_word("3", unit_u)  # C^2 = Sq3 C pulls back to Sq3 U = w3 U
-    cols = [thom.vector(img_sq2sq1, 6), thom.vector(img_csq, 6)]
-    mat = BitMatrix.from_columns(cols, len(thom.base.basis(3)))
-    inj = mat.rank() == 2
+    cols = (thom.vector(img_sq2sq1, 6), thom.vector(img_csq, 6))
+    inj = not ColumnSolver(cols).kernel
     conclusion = (
         "injective: no degree-6 primary obstruction for 2-form Z/2 symmetries"
         if inj else "not injective: a degree-6 obstruction class would be invisible")
-    return TwoFormVerdict(inj, mat,
+    return TwoFormVerdict(inj, cols,
                           (thom.format(img_sq2sq1), thom.format(img_csq)),
                           ("Sq2Sq1C", "C^2"), conclusion)
 

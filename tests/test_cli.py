@@ -244,7 +244,13 @@ def test_failed_internal_invariant_is_undecided_not_usage(monkeypatch):
     monkeypatch.undo()
 
     # split_free's freeness check, reached before any catalog module is built
-    monkeypatch.setattr(md, "span_rref", lambda vecs, n: ((), ()))
+    class RankZero(md.ColumnSolver):
+        # every column reads as dependent on the earlier ones
+        def __init__(self, columns):
+            super().__init__(())
+            self.kernel = [1 << j for j in range(len(columns))]
+
+    monkeypatch.setattr(md, "ColumnSolver", RankZero)
     text, code = run(["decompose", "SpinO2", "--through", "6"])
     assert code == 2
     assert text.startswith("error: undecided: internal invariant failed: "

@@ -212,7 +212,7 @@ def test_certificate_threat_reasons(dims, h0, threat, certified):
     # max_s 6, max_t 12: column n is read up to s = min(6, 12 - n); h0 is
     # the identity on the listed one-dimensional bidegrees, zero elsewhere
     chart = ex.ExtChart(6, 12, dims, {k: (1,) for k in h0})
-    cert = collapse_certificate(chart, report_max_s=4, max_n=max(chart.columns()))
+    cert = collapse_certificate(chart, report_max_s=4, max_n=max(n for _, n in chart.dims))
     assert cert.threats == ([] if threat is None else [threat])
     assert cert.certified == certified
 
@@ -220,7 +220,7 @@ def test_certificate_threat_reasons(dims, h0, threat, certified):
 @THREAT_CHARTS
 def test_brute_certificate_gives_the_threat_reasons(dims, h0, threat, certified):
     chart = ex.ExtChart(6, 12, dims, {k: (1,) for k in h0})
-    assert brute_certificate(chart, 4, max(chart.columns())) == (
+    assert brute_certificate(chart, 4, max(n for _, n in chart.dims)) == (
         certified, [] if threat is None else [threat])
 
 
@@ -243,7 +243,7 @@ def test_certifying_only_the_reported_columns_changes_no_row():
         for name in sp.STRUCTURE_NAMES:
             for chart in pipeline_charts(name, through):
                 cert = collapse_certificate(chart, pl.DEFAULT_MAX_S, max_n=through)
-                full = collapse_certificate(chart, pl.DEFAULT_MAX_S, max_n=max(chart.columns()))
+                full = collapse_certificate(chart, pl.DEFAULT_MAX_S, max_n=max(n for _, n in chart.dims))
                 assert assemble_groups(chart, cert) == assemble_groups(chart, full)[:through + 1]
                 pieces += 1
     assert pieces == 128
@@ -315,7 +315,7 @@ def test_brute_certificate_agrees_on_every_column_of_the_sweep(pipeline_resoluti
 
     for key, res in pipeline_resolutions.items():
         chart = ext_chart(res)
-        for max_n in (7, max(chart.columns())):
+        for max_n in (7, max(n for _, n in chart.dims)):
             cert = collapse_certificate(chart, report_max_s=pl.DEFAULT_MAX_S, max_n=max_n)
             got = brute_certificate(chart, pl.DEFAULT_MAX_S, max_n)
             assert got == (cert.certified, cert.threats), (key, max_n)
@@ -391,7 +391,7 @@ def pipeline_charts(name, through=7):
 @pytest.mark.parametrize("name", ["SpinO2", "PinPlus"])
 def test_h0_rank_equals_the_rank_of_products_from_the_identity(name):
     for chart in pipeline_charts(name):
-        for n in chart.columns():
+        for n in sorted({n for _, n in chart.dims}):
             top = min(chart.max_s, chart.max_t - n)
             for s in range(top + 1):
                 want = h0_power_ranks(chart, s, n, top)

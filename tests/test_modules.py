@@ -338,8 +338,9 @@ def test_split_free_witness_and_validity():
     assert dec.remainder.validate() is None
     assert dec.remainder.total_dim() == 5
     for d in big.degrees():
-        w = dec.witness[d]
-        assert w.ncols == big.dim(d) and w.rank() == big.dim(d)
+        cols = dec.witness[d]
+        assert len(cols) == big.dim(d) and not any(c >> big.dim(d) for c in cols)
+        assert BitMatrix.from_columns(cols, big.dim(d)).rank() == big.dim(d)
 
 
 def test_split_free_witness_is_a1_map():
@@ -353,10 +354,12 @@ def test_split_free_witness_is_a1_map():
     src = src.direct_sum(dec.remainder)
 
     def w(d):
-        return dec.witness.get(d, BitMatrix([0] * M.dim(d), src.dim(d)))
+        cols = dec.witness.get(d, (0,) * src.dim(d))
+        assert len(cols) == src.dim(d) and not any(c >> M.dim(d) for c in cols), d
+        return BitMatrix.from_columns(cols, M.dim(d))
 
     for d in range(M.lo, M.hi + 1):
-        assert (w(d).nrows, w(d).ncols) == (M.dim(d), src.dim(d))
+        w(d)
         for shift in (1, 2):
             if (src.complete or d + shift <= src.hi) and (M.complete or d + shift <= M.hi):
                 assert w(d + shift) @ letter_matrix(src, shift, d) \
@@ -383,7 +386,7 @@ def split_free_digest(M, max_gen_degree):
             tuple((d, tuple(_transpose(rem.sq1[d], rem.dim(d + 1)))) for d in sorted(rem.sq1)),
             tuple((d, tuple(_transpose(rem.sq2[d], rem.dim(d + 2)))) for d in sorted(rem.sq2)),
             rem.hi, rem.complete, rem.name,
-            tuple((d, dec.witness[d].rows) for d in sorted(dec.witness)))
+            tuple((d, tuple(_transpose(dec.witness[d], M.dim(d)))) for d in sorted(dec.witness)))
     return hashlib.sha256(repr(data).encode()).hexdigest()
 
 
@@ -501,14 +504,20 @@ def test_iso_detects_twist():
 
 
 def _assert_isomorphism(A, B, maps):
-    """maps is an A(1)-isomorphism A -> B on its degrees, which cover A's."""
+    """maps (degree -> columns) is an A(1)-isomorphism A -> B on its degrees, which cover A's.
+
+    The columns are checked as matrices, apart from the ``combine`` that built them.
+    """
     assert set(A.degrees()) <= set(maps)
-    for d, phi in maps.items():
-        assert (phi.nrows, phi.ncols) == (B.dim(d), A.dim(d))
+    mats = {}
+    for d, cols in maps.items():
+        assert len(cols) == A.dim(d) and not any(c >> B.dim(d) for c in cols), d
+        phi = mats[d] = BitMatrix.from_columns(cols, B.dim(d))
         assert phi.rank() == A.dim(d) == B.dim(d)
+    for d, phi in mats.items():
         for k in (1, 2):
-            if d + k in maps:
-                assert maps[d + k] @ letter_matrix(A, k, d) == letter_matrix(B, k, d) @ phi, (d, k)
+            if d + k in mats:
+                assert mats[d + k] @ letter_matrix(A, k, d) == letter_matrix(B, k, d) @ phi, (d, k)
 
 
 def test_iso_witness_commutes():
@@ -530,6 +539,33 @@ def test_decompose_witness_iso_commutes(name):
         pm = pl._match_piece(pname, 6).suspend(susp).quotient_above(6)
         total = pm if total is None else total.direct_sum(pm)
     _assert_isomorphism(dec.remainder, total, dec.witness_iso)
+
+
+def test_iso_and_split_free_compose_and_reduce_columns_not_matrices(monkeypatch):
+    # every map the iso search and the free split build is a column tuple,
+    # composed with combine and reduced by ColumnSolver: no matrix product,
+    # no matrix kernel and, in the iso search, no conversion to a matrix
+    M0, M1, KT = catalog("M0"), catalog("M1"), named_structure("KTminus", 12)
+    calls = []
+    for method in ("matmul", "kernel_basis"):
+        original = getattr(BitMatrix, method)
+
+        def counted(self, *args, _name=method, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(BitMatrix, method, counted)
+    from_columns = BitMatrix.from_columns
+
+    def counted_from_columns(cls, columns, nrows):
+        calls.append("from_columns")
+        return from_columns(columns, nrows)
+
+    monkeypatch.setattr(BitMatrix, "from_columns", classmethod(counted_from_columns))
+    assert iso_up_to_degree(M0, M1, 3).status == "iso"
+    assert calls == []
+    assert len(split_free(KT).free_summands) == 9
+    assert "matmul" not in calls and "kernel_basis" not in calls
 
 
 def test_iso_generator_images_that_break_a_relation_are_rejected():

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from a1bordism import pipelines as pl
+from a1bordism.gf2 import _transpose
 from a1bordism import spaces as sp
 from a1bordism.pipelines import PipelineError, decompose_structure, run_pipeline
 from oracles import required_cutoff
@@ -170,7 +171,8 @@ def test_decompose_undecided_iso_search_is_reported(monkeypatch):
 def decompose_digest(dec):
     """SHA-256 of a decomposition's summands, notes, remainder dims and witness."""
     witness = None if dec.witness_iso is None else tuple(
-        (d, dec.witness_iso[d].rows) for d in sorted(dec.witness_iso))
+        (d, tuple(_transpose(dec.witness_iso[d], dec.remainder.dim(d))))
+        for d in sorted(dec.witness_iso))
     data = (tuple(dec.free_summands), tuple(dec.catalog_summands), tuple(dec.notes),
             tuple(sorted(dec.remainder.dims.items())), witness)
     return hashlib.sha256(repr(data).encode()).hexdigest()
