@@ -5,8 +5,8 @@ import hashlib
 import pytest
 
 from a1bordism import pipelines as pl
-from a1bordism.gf2 import _transpose
 from a1bordism import spaces as sp
+from a1bordism.gf2 import _transpose
 from a1bordism.pipelines import PipelineError, decompose_structure, run_pipeline
 from oracles import required_cutoff
 
