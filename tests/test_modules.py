@@ -480,6 +480,30 @@ def test_split_free_outputs_are_pinned():
     assert got == SPLIT_FREE_DIGESTS
 
 
+# SHA-256 of format_a1mod for every catalog module, R3 at two cutoffs
+CATALOG_DIGESTS = {
+    "F2": "489f32a7d541f877e77e8a032f8afe288fb037aac585ea7a2498254db295e159",
+    "A1free": "729cda0b7b51b1cf608de5be09c70fc340df1cffcdb80eebc689977d543aee43",
+    "M0": "03ccc15b49dde5817ad4ee336ffd55c44d002778f6977e40086daf32c8dcd71b",
+    "M1": "b59ba579fe63d4823cc3838183f22ba441404c686784200c41d582c01a9983af",
+    "J": "c3e09ece0bf2932812c1ff3b84a30f5ee7486a90c18dda3f9d15fcf5cb6ea8cb",
+    "Q": "69812c131a29b30c337c771bd8337b81c827b5ddf51b55587c310c63d2db3901",
+    "R2": "511c780a8094b3289fc51834f63a5bdcdd36427ee3927e52ff2f630f78f78b95",
+    "R3@6": "496f39990351049abe6db1eb153548d6f4b3b9bf1bb139461eff9d8e6e4978b7",
+    "R3@12": "660ac8fc1cb91c27f4ecab0c98c7604d5a02d99c9ca6c731e32ef58007d9e2d1",
+}
+
+
+def test_catalog_bytes_are_pinned():
+    got = {}
+    for name in md.CATALOG_NAMES:
+        for cutoff in ((6, 12) if name == "R3" else (None,)):
+            key = name if cutoff is None else f"{name}@{cutoff}"
+            text = md.format_a1mod(catalog(name, cutoff))
+            got[key] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == CATALOG_DIGESTS
+
+
 # -- iso search -------------------------------------------------------------------
 
 
