@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .gf2 import ColumnSolver, combine, free_coords, span_rref
+from .gf2 import ColumnSolver, combine
 from . import steenrod
 from .modules import GradedA1Module, InvariantError
 from .steenrod import A1Element
@@ -91,8 +91,9 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
     large Ext modules", 1993).  The kernel K_s of F_s -> F_{s-1} (of
     F_0 -> M) is kept as vectors of F_s, and the next boundary's columns
     w·v are read off the A(1) multiplication table; no module is built
-    for K_s.  Its generators complement Sq1 K_s + Sq2 K_s, as
-    ``GradedA1Module.generator_coords`` would on K_s.  Degrees go in
+    for K_s.  Its generators are the kernel vectors whose coordinates are
+    not pivots of ``ColumnSolver`` on Sq1 K_s + Sq2 K_s, the complement
+    ``GradedA1Module.generator_coords`` would take on K_s.  Degrees go in
     increasing order in a single thread, so the result depends only on
     the module and the window.
     """
@@ -155,7 +156,7 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
                         raise InvariantError("kernel not closed under the action")
                     decomposables[d + shift].append(x)
         gens = [(d, vecs[j]) for d, vecs in sorted(ker_vecs.items())
-                for j in free_coords(span_rref(decomposables[d], len(vecs))[1], len(vecs))]
+                for j in ColumnSolver(decomposables[d]).complement(len(vecs))]
         prev_fbasis = fbasis
 
     return Resolution(M, max_s, max_t, stages)
@@ -240,41 +241,33 @@ class ExtChart:
         strands, each alive from its birth to its death inclusive
         (Zomorodian & Carlsson, "Computing persistent homology", 2005).
         One sweep carries a basis of V_s, each vector tagged with its
-        birth, to the next filtration: the images are reduced
-        oldest-first against a pivot table keyed by lowest bit, so a
-        vanishing combination ends the youngest strand in it (the elder
-        rule), and each basis vector of V_{s+1} outside the images'
-        span starts a strand at s + 1.  At every s the vectors born at
+        birth, to the next filtration: a ``ColumnSolver`` reduces the
+        images oldest-first, so a vanishing combination ends the youngest
+        strand in it (the elder rule), and each basis vector of V_{s+1}
+        outside the images' span starts a strand at s + 1.  The highest
+        bit of a table or kernel mask is the index of the vector it
+        reduces, which gives the birth.  At every s the vectors born at
         or below b span the image of h0^(s-b) from (b, n).
         """
         out = self._strands.get(n)
         if out is None:
             top = max((s for (s, m) in self.dims if m == n), default=-1)
             ended: List[Tuple[int, int]] = []
-            alive: List[Tuple[int, int]] = []  # (birth, vector), oldest first
+            births: List[int] = []  # of the carried basis vectors, oldest first
+            vecs: List[int] = []
             for s in range(top + 1):
-                tagged = []
-                if alive:
-                    h0 = self.h0.get((s - 1, n))
-                    # an absent h0 map is zero
-                    images = [0] * len(alive) if h0 is None else combine(h0, [v for _, v in alive])
-                    tagged = [(b, v) for (b, _), v in zip(alive, images)]
-                tagged += [(s, 1 << j) for j in range(self.dim(s, n))]
-                table: Dict[int, int] = {}
-                alive = []
-                for b, v in tagged:
-                    while v:
-                        low = v & -v
-                        hit = table.get(low)
-                        if hit is None:
-                            table[low] = v
-                            alive.append((b, v))
-                            break
-                        v ^= hit
-                    else:
-                        if b < s:
-                            ended.append((b, s - 1))
-            ended += [(b, top) for b, _ in alive]
+                h0 = self.h0.get((s - 1, n))
+                # an absent h0 map is zero
+                vecs = [0] * len(vecs) if h0 is None else combine(h0, vecs)
+                births += [s] * self.dim(s, n)
+                vecs += [1 << j for j in range(self.dim(s, n))]
+                solver = ColumnSolver(vecs)
+                # a mask's highest bit is the index of the vector it reduces
+                dead = [births[m.bit_length() - 1] for m in solver.kernel]
+                ended += [(b, s - 1) for b in dead if b < s]
+                births = [births[m.bit_length() - 1] for _, m in solver.table.values()]
+                vecs = [v for v, _ in solver.table.values()]
+            ended += [(b, top) for b in births]
             out = self._strands[n] = tuple(sorted(ended))
         return out
 

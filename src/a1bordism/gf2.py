@@ -7,14 +7,17 @@ All operations are deterministic: pivots are chosen leftmost-column,
 lowest-row-index.
 
 Elimination is by pivot table, the packed-row method of M4RI (Albrecht,
-Bard & Hart, ACM TOMS 37(1), 2010): each row is reduced against the
-pivot rows found so far, keyed by their lowest set bit, and either
-becomes a new pivot row or vanishes; back-substitution in descending
-pivot order then clears the other pivot columns.  The reduced row-echelon
-form is unique, so the result does not depend on the order of the rows.
-``ColumnSolver`` keeps the same kind of table to solve many right-hand
-sides against fixed columns, or to test many vectors for membership in
-their span (``v in solver``), reducing the columns only once.
+Bard & Hart, ACM TOMS 37(1), 2010): each vector is reduced against the
+pivot vectors found so far, keyed by their lowest set bit, and either
+becomes a new pivot vector or vanishes.  ``ColumnSolver`` is that table,
+and the only elimination the library runs: it gives a span's pivots and
+their complement, solves many right-hand sides against fixed columns,
+tests many vectors for membership in their span (``v in solver``) and
+records each vanishing column's dependency, reducing the columns only
+once.  ``BitMatrix.rref`` follows the same table with back-substitution
+in descending pivot order, which clears the other pivot columns; the
+reduced row-echelon form is unique, so it does not depend on the order
+of the rows.
 
 Every linear map the library builds or returns is kept as its columns,
 not as a matrix: a module's Sq1 and Sq2, a chart's h0, ``split_free``'s
@@ -28,12 +31,12 @@ the outer map's columns over the inner map's, a change of basis is
 ``combine`` of the right factor's rows over the left factor's rows.
 ``ColumnSolver`` gives such a map's rank, preimages and kernel.
 
-A ``BitMatrix`` is built in the library only by ``span_rref``, for the
-canonical reduced basis of a span, and by ``from_columns`` for
+A ``BitMatrix`` is built in the library only by ``from_columns``, for
 ``GradedA1Module.act_word``, whose ``matvec`` finds each free generator.
-``matmul`` and ``kernel_basis`` have no caller in the library: they are
-the references the tests hold ``combine`` and ``ColumnSolver.kernel``
-to, and the benchmark's kernel count reads them by name.
+``rref``, ``matmul`` and ``kernel_basis``, and ``span_rref`` and
+``free_coords`` on rref pivots, have no caller in the library: they are
+the references the tests hold ``ColumnSolver`` and ``combine`` to, and
+the benchmark's kernel count reads the matrix kernels by name.
 
 ``BitMatrix(rows, ncols)`` checks every row against the column count.
 Results that are in range by construction skip that check through the
@@ -232,8 +235,14 @@ class ColumnSolver:
     XOR_{j in m} columns[j] = b, or None when b is outside the span;
     ``b in solver`` asks only whether b is in the span.
 
-    ``kernel`` has the dependency mask of each column in the span of the
-    earlier ones, which is the vector ``kernel_basis`` gives for it.
+    ``table`` maps the lowest set bit of each reduced column to that
+    column and its combination mask, in column order.  Its keys are the
+    span's pivots, the ones ``span_rref`` gives, so ``complement`` is the
+    same coordinates as ``free_coords`` of them.  ``kernel`` has the
+    dependency mask of each column in the span of the earlier ones, which
+    is the vector ``kernel_basis`` gives for it.  A column's mask in the
+    table or the kernel adds only earlier columns to it, so its highest
+    set bit is that column's own index.
     """
 
     __slots__ = ("table", "kernel")
@@ -273,6 +282,10 @@ class ColumnSolver:
                 return False
             b ^= hit[0]
         return True
+
+    def complement(self, ncols: int) -> Tuple[int, ...]:
+        """The coordinates j < ncols that are not pivots of the span, ascending."""
+        return tuple(j for j in range(ncols) if 1 << j not in self.table)
 
 
 def span_rref(vectors: Iterable[int], ncols: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import gf2, steenrod
-from .gf2 import ColumnSolver, combine, free_coords, span_rref
+from .gf2 import ColumnSolver, combine
 from .steenrod import A1Element, DEGREES, WORDS, reduce_word
 
 
@@ -397,17 +397,17 @@ class GradedA1Module:
 
     # -- generators and homology ------------------------------------------
 
-    def _decomposables_rref(self, d: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        vecs = self.sq(1, d - 1) + self.sq(2, d - 2)
-        return span_rref(vecs, self.dim(d))
-
     def decomposables(self, d: int) -> Tuple[int, ...]:
-        """Canonical basis of the degree-d part of the augmentation-ideal image."""
-        return self._decomposables_rref(d)[0]
+        """The Sq1 and Sq2 images in degree d, which span the augmentation-ideal image there."""
+        return self.sq(1, d - 1) + self.sq(2, d - 2)
 
     def generator_coords(self, d: int) -> Tuple[int, ...]:
-        """Coordinates of a deterministic complement to the decomposables."""
-        return free_coords(self._decomposables_rref(d)[1], self.dim(d))
+        """Coordinates of a deterministic complement to the decomposables.
+
+        They are the coordinates that are not pivots of the decomposables'
+        span, the lowest set bits of its reduced basis.
+        """
+        return ColumnSolver(self.decomposables(d)).complement(self.dim(d))
 
     def minimal_generators(self, through: Optional[int] = None) -> List[Tuple[int, int]]:
         """(degree, coordinate vector) pairs generating the module minimally."""
@@ -633,17 +633,16 @@ def iso_up_to_degree(M: GradedA1Module, N: GradedA1Module, n: int, budget: int =
         if ha != hb:
             return IsoResult("none", reason=f"Q{i}-Margolis homology differs")
     gens = A.minimal_generators()
-    for d in set(g[0] for g in gens):
-        if len(A.generator_coords(d)) != len(B.generator_coords(d)):
+    by_degree: Dict[int, List[int]] = {}
+    for d, v in gens:
+        by_degree.setdefault(d, []).append(v)
+    for d, vs in by_degree.items():
+        if len(vs) != len(B.generator_coords(d)):
             return IsoResult("none", reason=f"generator counts differ at degree {d}")
     if not gens:
         return IsoResult("iso", maps={})
 
-    by_degree: Dict[int, List[int]] = {}
-    for d, v in gens:
-        by_degree.setdefault(d, []).append(v)
-
-    if any(A.dim(d) > 10 for d, _ in gens):
+    if any(A.dim(d) > 10 for d in by_degree):
         return IsoResult("undecided", reason="generator target space too large to enumerate")
 
     def candidate_tuples(d: int, count: int) -> List[Tuple[int, ...]]:
@@ -704,8 +703,13 @@ def iso_up_to_degree(M: GradedA1Module, N: GradedA1Module, n: int, budget: int =
 # -- the catalog -----------------------------------------------------------
 
 
-def _left_ideal(generators: Sequence[A1Element]) -> Dict[int, List[int]]:
-    """Degreewise span (in A(1)-module coordinates) of A(1)·generators."""
+def _quotient_by_ideal(generators: Sequence[A1Element], name: str) -> GradedA1Module:
+    """A(1)/A(1)·generators, with the words that are not pivots of the ideal as basis.
+
+    Each degree of the ideal is reduced once, into one ``ColumnSolver``
+    table; a class of A(1) goes to its normal form, which has no pivot
+    bit, read off on the kept words.
+    """
     amod = free_module()
     gens = []
     for gen in generators:
@@ -713,29 +717,20 @@ def _left_ideal(generators: Sequence[A1Element]) -> Dict[int, List[int]]:
         t = gen.degree()
         basis = steenrod.words_of_degree(t)
         gens.append((t, sum(1 << basis.index(steenrod.WORD_INDEX[w]) for w in gen.words())))
-    spans = {d: span_rref(amod.word_images(gens, d), amod.dim(d))[0] for d in amod.degrees()}
-    return {d: list(vecs) for d, vecs in spans.items() if vecs}
-
-
-def _quotient_by_ideal(generators: Sequence[A1Element], name: str) -> GradedA1Module:
-    amod = free_module()
-    ideal = _left_ideal(generators)
-    keep: Dict[int, Tuple[int, ...]] = {}
-    reducers: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-    for d in amod.degrees():
-        basis, pivots = span_rref(ideal.get(d, []), amod.dim(d))
-        reducers[d] = (basis, pivots)
-        keep[d] = free_coords(pivots, amod.dim(d))
+    ideal = {d: ColumnSolver(amod.word_images(gens, d)) for d in amod.degrees()}
+    keep = {d: solver.complement(amod.dim(d)) for d, solver in ideal.items()}
 
     def project(v: int, d: int) -> int:
-        basis, pivots = reducers[d]
-        for b, p in zip(basis, pivots):
-            if (v >> p) & 1:
-                v ^= b
+        table, index = ideal[d].table, {1 << j: k for k, j in enumerate(keep[d])}
         out = 0
-        for k, j in enumerate(keep[d]):
-            if (v >> j) & 1:
-                out |= 1 << k
+        while v:
+            low = v & -v
+            hit = table.get(low)
+            if hit is None:  # a kept word, which stays in the normal form
+                out |= 1 << index[low]
+                v ^= low
+            else:
+                v ^= hit[0]
         return out
 
     dims = {d: len(keep[d]) for d in amod.degrees() if keep[d]}

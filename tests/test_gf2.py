@@ -241,3 +241,39 @@ def test_column_solver_membership_matches_bruteforce_span():
         span = brute_rowspace(base)
         for v in range(1 << n):
             assert (v in solver) == (v in span)
+
+
+def _vector_lists(rng: random.Random):
+    """(vectors, ncols): the reference shapes' rows with zero and repeated
+    vectors mixed in, plus the empty list and all-zero lists."""
+    cases = [([], 0), ([], 5), ([0, 0], 0), ([0, 0, 0], 4), ([0b101] * 3, 3), ([1, 0, 1, 0], 1)]
+    for r, c, density in _reference_shapes(rng):
+        rows = list(_random_matrix(rng, r, c, density).rows)
+        if rows:
+            rows.insert(rng.randrange(len(rows) + 1), 0)
+            rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))
+        cases.append((rows, c))
+    return cases
+
+
+def test_column_solver_complement_equals_free_coords_of_span_rref():
+    # the table's keys are the span's lowest-bit pivots, the ones rref gives
+    for vectors, n in _vector_lists(random.Random(59)):
+        solver = ColumnSolver(vectors)
+        _, pivots = span_rref(vectors, n)
+        assert solver.complement(n) == free_coords(pivots, n)
+        assert sorted(low.bit_length() - 1 for low in solver.table) == list(pivots)
+
+
+def test_column_solver_masks_end_at_their_own_column():
+    # the highest bit of a table or kernel mask is its column's index, and
+    # the table keeps column order: what ExtChart.strands reads births from
+    for vectors, n in _vector_lists(random.Random(61)):
+        solver = ColumnSolver(vectors)
+        owners = [m.bit_length() - 1 for _, m in solver.table.values()]
+        dead = [m.bit_length() - 1 for m in solver.kernel]
+        assert owners == sorted(owners) and dead == sorted(dead)
+        assert sorted(owners + dead) == list(range(len(vectors)))
+        for low, (v, m) in solver.table.items():
+            assert v & -v == low and combine(vectors, [m]) == [v]
+        assert combine(vectors, solver.kernel) == [0] * len(solver.kernel)

@@ -60,6 +60,28 @@ def test_catalog_m0_dims_from_defining_formula():
     assert dims_of(M0, 6) == [1, 0, 1, 1, 0, 1, 0]
 
 
+def test_quotient_by_one_generator_kills_exactly_its_left_ideal():
+    # for every homogeneous g, a ↦ a·1 from A(1) to A(1)/A(1)·g has kernel
+    # A(1)·g, read off the multiplication table: the quotient's Sq maps are
+    # the normal forms of the ideal, not just its pivots dropped
+    from a1bordism import steenrod
+    from a1bordism.gf2 import ColumnSolver
+
+    for t in range(1, steenrod.TOP_DEGREE + 1):
+        words = steenrod.words_of_degree(t)
+        for pick in range(1, 1 << len(words)):
+            g = steenrod.A1Element(sum(1 << i for k, i in enumerate(words) if pick >> k & 1))
+            Q = md._quotient_by_ideal([g], "X")
+            for d in range(t, steenrod.TOP_DEGREE + 1):
+                basis = steenrod.words_of_degree(d)
+                products = [(steenrod.A1Element(1 << w) * g).bits for w in steenrod.words_of_degree(d - t)]
+                ideal = [sum(1 << k for k, i in enumerate(basis) if p >> i & 1) for p in products]
+                images = [Q.apply_word(steenrod.WORDS[i], 0, [1])[0] for i in basis]
+                kernel = ColumnSolver(images).kernel
+                assert len(kernel) == len(ColumnSolver(ideal).table), (g, d)
+                assert all(v in ColumnSolver(ideal) for v in kernel), (g, d)
+
+
 def test_catalog_q_dims():
     assert dims_of(catalog("Q"), 3) == [1, 0, 1, 1]
 
@@ -590,6 +612,27 @@ def test_iso_and_split_free_compose_and_reduce_columns_not_matrices(monkeypatch)
     assert calls == []
     assert len(split_free(KT).free_summands) == 9
     assert "matmul" not in calls and "kernel_basis" not in calls
+
+
+def test_catalog_resolution_and_decomposition_eliminate_only_through_column_solver(monkeypatch):
+    # generator choice, catalog quotients and h0-strands read ColumnSolver
+    # tables: building the catalog, resolving and decomposing make no rref
+    from a1bordism.pipelines import decompose_structure, run_pipeline
+
+    calls = []
+    rref = BitMatrix.rref
+
+    def counted(self):
+        calls.append(self.nrows)
+        return rref(self)
+
+    monkeypatch.setattr(BitMatrix, "rref", counted)
+    for name in md.CATALOG_NAMES:
+        for cutoff in ((6, 12) if name == "R3" else (None,)):
+            md.catalog.__wrapped__(name, cutoff)  # built afresh, past the cache
+    assert run_pipeline("SigmaBO2", 7)
+    assert decompose_structure("SpinO2", 6).catalog_summands
+    assert calls == []
 
 
 def test_iso_generator_images_that_break_a_relation_are_rejected():
