@@ -100,11 +100,8 @@ class SpacePresentation:
             return None
         return m
 
-    def mono_mul(self, m1: Monomial, m2: Monomial) -> Optional[Monomial]:
-        return self.reduce_mono(tuple(a + b for a, b in zip(m1, m2)))
-
     def poly_mul(self, p: Poly, q: Poly) -> Poly:
-        # the products of mono_mul, with each factor's degree derived once
+        # the sum of reduce_mono(m1 + m2) over the pairs, each factor's degree derived once
         cutoff, nilpotent = self.cutoff, self._nilpotent
         q_degrees = [(m2, self.mono_degree(m2)) for m2 in q]
         acc: set = set()

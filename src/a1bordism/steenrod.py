@@ -134,7 +134,6 @@ class A1Element:
         return " + ".join("Sq" + "·Sq".join(w) if w else "1" for w in self.words())
 
 
-ZERO = A1Element(0)
 ONE = A1Element.from_word("")
 SQ1 = A1Element.from_word("1")
 SQ2 = A1Element.from_word("2")

@@ -30,7 +30,7 @@ def test_pullback_is_multiplicative_where_defined():
         x = km.gens[0].label
         square = th.multiply(pb.images[x], pb.images[x])
         assert square == th.apply_word(word, pb.images[x]) == th.base.parse_poly(f"w{n}")
-        col = km.basis(2 * n).index(km.mono_mul(km.gen_mono(x), km.gen_mono(x)))
+        col = km.basis(2 * n).index(km.reduce_mono(tuple(2 * e for e in km.gen_mono(x))))
         assert pb.columns_at(2 * n)[col] == th.vector(square, 2 * n)
 
 
