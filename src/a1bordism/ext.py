@@ -48,42 +48,6 @@ class Resolution:
         return self.stages[s].gen_degrees if s < len(self.stages) else []
 
 
-def _free_bases(gen_degrees: Sequence[int], top: int) -> Dict[int, List[Tuple[int, int]]]:
-    """Bases of the degrees <= top of the free module on the given generators.
-
-    Degree d's basis is pairs (generator index, word index) in the column
-    order of ``GradedA1Module.word_images``, which must stay the same.
-    """
-    out: Dict[int, List[Tuple[int, int]]] = {}
-    for i, t in enumerate(gen_degrees):
-        for widx, dw in enumerate(steenrod.DEGREES):
-            if t + dw <= top:
-                out.setdefault(t + dw, []).append((i, widx))
-    return out
-
-
-def _free_word_images(fbasis: Mapping[int, Sequence[Tuple[int, int]]],
-                      gens: Sequence[Tuple[int, int]], d: int) -> List[int]:
-    """``GradedA1Module.word_images`` into the free module with bases ``fbasis``.
-
-    A product of two basis words of A(1) is one basis word or 0, so the
-    word w sends each set bit (gi, u) of v to (gi, MUL_TABLE[w][u]) or to 0.
-    """
-    target = {bw: 1 << p for p, bw in enumerate(fbasis.get(d, ()))}
-    out = []
-    for t, v in gens:
-        for widx in steenrod.words_of_degree(d - t):
-            row, basis, acc, rest = steenrod.MUL_TABLE[widx], fbasis[t], 0, v
-            while rest:
-                low = rest & -rest
-                gi, u = basis[low.bit_length() - 1]
-                if row[u] is not None:
-                    acc ^= target[(gi, row[u])]
-                rest ^= low
-            out.append(acc)
-    return out
-
-
 def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
     """Stages 0..max_s of the minimal free resolution, exact for t <= max_t.
 
@@ -131,7 +95,7 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
         # F_{s-1} is injective, so this is the kernel of F_s onto K_{s-1};
         # the generators come in degree order, so those with words in
         # degree d (t in d - 6 .. d) are one slice
-        fbasis = _free_bases(gen_degrees, max_t)
+        fbasis = steenrod.free_bases(gen_degrees, max_t)
         ker_vecs: Dict[int, List[int]] = {}
         for d in sorted(fbasis):
             near = gens[bisect.bisect_left(gen_degrees, d - steenrod.TOP_DEGREE):
@@ -142,7 +106,7 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
 
         # Sq1 and Sq2 of the kernel in kernel coordinates span the
         # decomposables of K_s
-        images = functools.partial(_free_word_images, fbasis)
+        images = functools.partial(steenrod.free_word_images, fbasis)
         decomposables: Dict[int, List[int]] = {d: [] for d in ker_vecs}
         solvers = {d: ColumnSolver(v) for d, v in ker_vecs.items()}
         for shift in (1, 2):

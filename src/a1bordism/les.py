@@ -17,8 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ext import format_group
 
-INF = None  # open upper bound
-
 
 def _iv_meet(a, b):
     lo = max(a[0], b[0])
@@ -311,15 +309,12 @@ def solve_les(problem: LESProblem) -> LESSolution:
         else:
             r = _iv_exact(g.rank)
             t = _iv_exact(g.torlog)
-            # reconstruction: ker = im(left map) known as a group, free quotient
-            if 1 <= j < n and r is not None:
-                left = j - 1 if j >= 1 else None
-                right = j if j < n - 1 else None
-                ker_factors = im_factors[left] if left is not None else None
-                quot_free = right is not None and imtor[right] == (0, 0) and \
-                    _iv_exact(imrank[right]) is not None
-                if j == n - 1:
-                    quot_free = False
+            # reconstruction: ker = im(map j - 1) known as a group, and the
+            # quotient, im(map j), free (the last slot has no map j)
+            if j >= 1 and r is not None:
+                ker_factors = im_factors[j - 1]
+                quot_free = j < n - 1 and imtor[j] == (0, 0) and \
+                    _iv_exact(imrank[j]) is not None
                 if ker_factors is not None and quot_free:
                     g.factors = ker_factors
                     determined = PartialGroup.exact(r, ker_factors).group_str()

@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import gf2, steenrod
 from .gf2 import ColumnSolver, combine
-from .steenrod import A1Element, DEGREES, WORDS, reduce_word
+from .steenrod import A1Element, WORDS, reduce_word
 
 
 def binom2(n: int, k: int) -> int:
@@ -76,10 +76,12 @@ class GradedA1Module:
         dims = {d: n for d, n in dims.items() if n > 0}
         labs: Dict[int, Tuple[str, ...]] = {}
         for d, n in dims.items():
-            lab = tuple(labels.get(d, ())) if labels else ()
-            if len(lab) != n:
-                lab = tuple(f"x{d}_{i}" for i in range(n))
-            labs[d] = lab
+            if not labels or d not in labels:
+                labs[d] = tuple(f"x{d}_{i}" for i in range(n))
+                continue
+            labs[d] = tuple(labels[d])
+            if len(labs[d]) != n:
+                raise ModuleError(f"degree {d} has {n} classes but {len(labs[d])} labels")
         object.__setattr__(self, "dims", MappingProxyType(dims))
         object.__setattr__(self, "lo", min(dims) if dims else 0)
         object.__setattr__(self, "hi", hi)
@@ -153,7 +155,7 @@ class GradedA1Module:
         """Degree-d columns of the A(1)-map to M from a free module with these generators.
 
         Generator i sits in degree t and goes to v, for ``gens[i] = (t, v)``.
-        Columns come in the basis order of ``ext._free_bases``: generator by
+        Columns come in the basis order of ``steenrod.free_bases``: generator by
         generator, and within one the words of degree d - t in ``WORDS``
         order.
         """
@@ -226,8 +228,8 @@ class GradedA1Module:
                 continue
             dims[d] = self.dim(d) + other.dim(d)
             labels[d] = tuple(
-                [f"l.{s}" for s in self.labels.get(d, ("?",) * self.dim(d))]
-                + [f"r.{s}" for s in other.labels.get(d, ("?",) * other.dim(d))]
+                [f"l.{s}" for s in self.labels.get(d, ())]
+                + [f"r.{s}" for s in other.labels.get(d, ())]
             )
 
         # the right summand's classes follow the left's in every degree
@@ -485,31 +487,12 @@ class ModuleDecomposition:
 @functools.lru_cache(maxsize=None)
 def free_module(cutoff: Optional[int] = None) -> GradedA1Module:
     """A(1) itself as a left module over itself (built once per cutoff)."""
-    by_deg: Dict[int, List[int]] = {}
-    for idx, d in enumerate(DEGREES):
-        by_deg.setdefault(d, []).append(idx)
-    pos = {}
-    for d, idxs in by_deg.items():
-        for p, idx in enumerate(idxs):
-            pos[idx] = (d, p)
-    dims = {d: len(v) for d, v in by_deg.items()}
-    labels = {d: tuple("Sq" + "Sq".join(WORDS[i]) if WORDS[i] else "1" for i in v)
-              for d, v in by_deg.items()}
-    sq1: Dict[int, List[int]] = {}
-    sq2: Dict[int, List[int]] = {}
-    for letter, store, shift in (("1", sq1, 1), ("2", sq2, 2)):
-        for d in dims:
-            if d + shift not in dims:
-                continue
-            cols = []
-            for idx in by_deg[d]:
-                prod = A1Element.from_word(letter + WORDS[idx])
-                col = 0
-                for w in prod.words():
-                    td, tp = pos[steenrod.WORD_INDEX[w]]
-                    col |= 1 << tp
-                cols.append(col)
-            store[d] = cols
+    fbasis = steenrod.free_bases([0], steenrod.TOP_DEGREE)
+    dims = {d: len(b) for d, b in fbasis.items()}
+    labels = {d: tuple("Sq" + "Sq".join(WORDS[w]) if WORDS[w] else "1" for _, w in b)
+              for d, b in fbasis.items()}
+    sq1, sq2 = ({d: steenrod.free_word_images(fbasis, [(d, 1 << j) for j in range(n)], d + k)
+                 for d, n in dims.items() if d + k in dims} for k in (1, 2))
     m = GradedA1Module(dims, sq1, sq2, steenrod.TOP_DEGREE, labels, complete=True, name="A1")
     if cutoff is not None and cutoff < steenrod.TOP_DEGREE:
         m = m.quotient_above(cutoff)

@@ -126,7 +126,7 @@ def run_pipeline(name: str, through_degree: int, max_s: int = DEFAULT_MAX_S) -> 
     if len(pieces) > 1:
         note = sp.SPECTRUM_SPLITS[name][1]
         provenance.append(f"{name}: resolved as a wedge of two pieces ({note})")
-    odd = ODD_PARTS.get(name, "assumed trivial")
+    odd = ODD_PARTS[name]
     rows = [ext_mod.DegreeReport(n, 0, (), True, (), odd) for n in range(through_degree + 1)]
     for piece in pieces:
         rows = list(map(operator.add, rows, _assemble_piece(

@@ -22,13 +22,16 @@ Th(V⊕W) = Th(V) ∧ Th(W); in cohomology that is the Cartan formula, so
 
     V(X×Y, a1 + a2, b1 + a1 a2 + b2) = V(X, a1, b1) ⊗ V(Y, a2, b2).
 
-KT±, PinMinusO2 and Tau± are built that way: TauMinus = PinPlus ⊗
-V(BO2, w1, w1²) and TauPlus = PinMinus ⊗ V(BO2, w1, w1²), relabeled into
+Two tables hold every recipe.  ``TWISTS`` gives each single twist V(X, a, b)
+(GM, Pin±, FK, SpinO2, SigmaBO2, MV_a_ab, and two BO2 factors) as a ring
+model, a, b and a generator label; ``PRODUCTS`` gives FKO, KT±, PinMinusO2
+and Tau± as the tensor product of two of them.  TauMinus = PinPlus ⊗
+V(BO2, b, b²) and TauPlus = PinMinus ⊗ V(BO2, b, b²) are relabeled into
 the BO1×BO2 monomials ``U*a^i*b^j*c^k``, whose order the tensor basis
 already has.  Their wedge pieces split the small BO2 factor by w2 before
 tensoring; ``space("BO1xBO2")`` stays as the oracle the tests compare with.
-The single-twist factors (GM, Pin±, FK) and Tau±'s BO2 factor are built
-once per cutoff and shared; the products are built afresh on every call.
+Every twist is built once per (name, cutoff) by ``_twist`` and shared; the
+products are built afresh on every call.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .gf2 import combine
 from .modules import GradedA1Module, binom2
@@ -640,85 +643,63 @@ STRUCTURE_NAMES = (
     "TauMinus", "TauPlus", "PinMinusO2", "PinMinus", "PinPlus", "MV_a_ab",
 )
 
+# name -> (ring model at a cutoff, a, b, generator label) of V(X, a, b).  GM's
+# Thom class sits in degree 2, so below cutoff 2 its model is the smallest
+# Thom model, truncated by ``_twist``: truncating commutes with twisting.  The
+# last two are factors of PRODUCTS only; Tau±'s BO2 is <b, c>.
+TWISTS: Dict[str, Tuple[Callable[[int], object], str, str, str]] = {
+    "FK": (lambda c: space("BSO2", c), "0", "w2", "Q"),
+    "PinMinus": (lambda c: space("BO1", c), "t", "0", "U"),
+    "PinPlus": (lambda c: space("BO1", c), "t", "t^2", "U"),
+    "GM": (lambda c: ThomSpace(space("BO2", max(c - 2, 0)), 2, name="MO2"), "0", "U", "Q"),
+    "SpinO2": (lambda c: space("BO2", c), "0", "w2", "U"),
+    "SigmaBO2": (lambda c: space("BO2", c), "w1", "0", "U"),
+    "MV_a_ab": (lambda c: space("BO1xBO1", c), "a", "a*b", "U"),
+    "V(BO2, w1, w2)": (lambda c: space("BO2", c), "w1", "w2", "U"),
+    "V(BO2, b, b^2)": (lambda c: bo_presentation(2, c, labels=["b", "c"], name="BO2"),
+                       "b", "b^2", "U"),
+}
+
+# name -> (left, right) factor in TWISTS, by the Cartan formula.  Tau± are
+# V(BO1xBO2, a + b, b1 + ab + b^2) = V(BO1, a, b1) ⊗ V(BO2, b, b^2) with
+# BO1 = <a>: the pin factor is PinPlus (b1 = a^2) for TauMinus and PinMinus
+# (b1 = 0) for TauPlus, whose t is the a here.
+PRODUCTS: Dict[str, Tuple[str, str]] = {
+    "FKO": ("PinMinus", "FK"),
+    "KTminus": ("GM", "PinMinus"),
+    "KTplus": ("GM", "PinPlus"),
+    "PinMinusO2": ("V(BO2, w1, w2)", "PinMinus"),
+    "TauMinus": ("PinPlus", "V(BO2, b, b^2)"),
+    "TauPlus": ("PinMinus", "V(BO2, b, b^2)"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _twist(name: str, cutoff: int) -> GradedA1Module:
+    """The ``TWISTS`` module ``name`` through degree ``cutoff``, built once per (name, cutoff)."""
+    model, a, b, label = TWISTS[name]
+    return twist(model(cutoff), a, b, generator_label=label).truncate(cutoff).renamed(name)
+
 
 def named_structure(name: str, cutoff: int) -> GradedA1Module:
     """The A(1)-module whose Ext computes the 2-complete bordism of ``name``.
 
     Every module is normalized so its bottom class sits in degree 0; the
-    spec's virtual-rank shifts are already absorbed.  A structure that is
-    a single twist (``SINGLE_TWISTS``) is built once per (name, cutoff)
-    and every call gets the same module, as ``catalog`` does; FKO, KT±,
-    PinMinusO2 and Tau± tensor those shared factors afresh on each call,
-    and no product is kept once its caller drops it.
+    spec's virtual-rank shifts are already absorbed.  A structure in
+    ``TWISTS`` is built once per (name, cutoff) and every call gets the
+    same module, as ``catalog`` does; a structure in ``PRODUCTS`` tensors
+    its two shared factors afresh on each call, and no product is kept
+    once its caller drops it.  Tau± take the BO1xBO2 monomial labels.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    if name in SINGLE_TWISTS:
-        return _single_twist(name, cutoff)
-    if name == "FKO":
-        m = named_structure("PinMinus", cutoff).tensor(named_structure("FK", cutoff))
-    elif name == "KTminus":
-        m = named_structure("GM", cutoff).tensor(named_structure("PinMinus", cutoff))
-    elif name == "KTplus":
-        m = named_structure("GM", cutoff).tensor(named_structure("PinPlus", cutoff))
-    elif name == "PinMinusO2":
-        vm2 = twist(space("BO2", cutoff), "w1", "w2", generator_label="U")
-        m = vm2.tensor(named_structure("PinMinus", cutoff))
-    elif name in _CARTAN_PIN_FACTOR:
-        pin, bo2 = _cartan_factors(name, cutoff)
-        m = _product_labels(pin.tensor(bo2), name)
-    else:
+    if name not in STRUCTURE_NAMES:
         raise ValueError(f"unknown structure {name!r}; choose from {STRUCTURE_NAMES}")
-    return m.renamed(name)
-
-
-SINGLE_TWISTS = ("FK", "PinMinus", "PinPlus", "GM", "SpinO2", "SigmaBO2", "MV_a_ab")
-
-
-@functools.lru_cache(maxsize=None)
-def _single_twist(name: str, cutoff: int) -> GradedA1Module:
-    """A structure of ``SINGLE_TWISTS``, built once per (name, cutoff)."""
-    if name == "FK":
-        m = twist(space("BSO2", cutoff), "0", "w2")
-    elif name == "PinMinus":
-        m = twist(space("BO1", cutoff), "t", "0", generator_label="U")
-    elif name == "PinPlus":
-        m = twist(space("BO1", cutoff), "t", "t^2", generator_label="U")
-    elif name == "GM":
-        # the Thom class sits in degree 2, so a cutoff below 2 is the
-        # truncation of the smallest Thom model: truncating commutes with twisting
-        mo2 = ThomSpace(space("BO2", max(cutoff - 2, 0)), 2, name="MO2")
-        m = twist(mo2, "0", "U").truncate(cutoff)
-    elif name == "SpinO2":
-        m = twist(space("BO2", cutoff), "0", "w2", generator_label="U")
-    elif name == "SigmaBO2":
-        m = twist(space("BO2", cutoff), "w1", "0", generator_label="U")
-    else:  # MV_a_ab
-        m = twist(space("BO1xBO1", cutoff), "a", "a*b", generator_label="U")
-    return m.renamed(name)
-
-
-# Tau± by the Cartan formula, with BO1 = <a> and BO2 = <b, c>:
-# V(BO1xBO2, a + b, b1 + ab + b^2) = V(BO1, a, b1) ⊗ V(BO2, b, b^2).  The pin
-# factor is PinPlus (b1 = a^2) for TauMinus and PinMinus (b1 = 0) for
-# TauPlus, whose BO1 generator t is the a here.
-_CARTAN_PIN_FACTOR: Dict[str, str] = {"TauMinus": "PinPlus", "TauPlus": "PinMinus"}
-
-
-def _cartan_factors(name: str, cutoff: int) -> Tuple[GradedA1Module, GradedA1Module]:
-    """The pin factor V(BO1, a, b1) and the BO2 factor V(BO2, b, b^2) of a Tau± module.
-
-    Both are shared: the pin factor is the cached PinPlus or PinMinus,
-    labelled by t, which ``_product_labels`` renames to a.
-    """
-    return _single_twist(_CARTAN_PIN_FACTOR[name], cutoff), _tau_bo2_factor(cutoff)
-
-
-@functools.lru_cache(maxsize=None)
-def _tau_bo2_factor(cutoff: int) -> GradedA1Module:
-    """V(BO2, b, b^2), the factor TauMinus and TauPlus share, built once per cutoff."""
-    return twist(bo_presentation(2, cutoff, labels=["b", "c"], name="BO2"), "b", "b^2",
-                 generator_label="U")
+    if name in TWISTS:
+        return _twist(name, cutoff)
+    left, right = PRODUCTS[name]
+    m = _twist(left, cutoff).tensor(_twist(right, cutoff))
+    return _product_labels(m, name) if right == "V(BO2, b, b^2)" else m.renamed(name)
 
 
 def _product_labels(m: GradedA1Module, name: str) -> GradedA1Module:
@@ -778,11 +759,12 @@ def structure_pieces(name: str, cutoff: int) -> List[GradedA1Module]:
 
     A structure with a ``SPECTRUM_SPLITS`` entry gives its two halves,
     ``name[no v]`` and ``name[v·]``; any other gives its module alone.
-    Tau± split the BO2 factor by w2 (``c``) and tensor each half with the
-    pin factor, so the 1,925-class product (at cutoff 26) is never built.
+    Tau±, the products that split, split their BO2 factor by w2 (``c``)
+    and tensor each half with the pin factor, so the 1,925-class product
+    (at cutoff 26) is never built.
     """
-    if name in _CARTAN_PIN_FACTOR:
-        pin, bo2 = _cartan_factors(name, cutoff)
+    if name in PRODUCTS and name in SPECTRUM_SPLITS:
+        pin, bo2 = (_twist(f, cutoff) for f in PRODUCTS[name])
         halves = split_by_variable(bo2.renamed(name), SPECTRUM_SPLITS[name][0])
         return [_product_labels(pin.tensor(half), half.name) for half in halves]
     m = named_structure(name, cutoff)

@@ -5,12 +5,14 @@ the outermost operation on the left ("12" is Sq1Sq2, i.e. Sq1 applied
 after Sq2).  The defining relations are Sq1Sq1 = 0 and Sq2Sq2 = Sq1Sq2Sq1;
 these force the two degree-6 words to coincide, and we use "1212" as the
 normal form of the top class.  Multiplication goes through a once-built
-8x8 table produced by string rewriting.
+8x8 table produced by string rewriting; the same table gives the action
+on free modules (``free_bases``, ``free_word_images``), which builds A(1)
+itself and every stage of a resolution.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 WORDS: Tuple[str, ...] = ("", "1", "2", "12", "21", "121", "212", "1212")
 DEGREES: Tuple[int, ...] = (0, 1, 2, 3, 3, 4, 5, 6)
@@ -171,3 +173,43 @@ _WORDS_BY_DEGREE: Tuple[Tuple[int, ...], ...] = tuple(
 def words_of_degree(d: int) -> Tuple[int, ...]:
     """Indices into WORDS of the basis words of degree d, ascending; () outside 0..6."""
     return _WORDS_BY_DEGREE[d] if 0 <= d <= TOP_DEGREE else ()
+
+
+# -- free modules -----------------------------------------------------------------
+
+
+def free_bases(gen_degrees: Sequence[int], top: int) -> Dict[int, List[Tuple[int, int]]]:
+    """Bases of the degrees <= top of the free module on generators in these degrees.
+
+    Degree d's basis is pairs (generator index, word index): generator by
+    generator, and within one the words in ``WORDS`` order.  This is the
+    column order of ``GradedA1Module.word_images``, which must stay the same.
+    """
+    out: Dict[int, List[Tuple[int, int]]] = {}
+    for i, t in enumerate(gen_degrees):
+        for widx, dw in enumerate(DEGREES):
+            if t + dw <= top:
+                out.setdefault(t + dw, []).append((i, widx))
+    return out
+
+
+def free_word_images(fbasis: Mapping[int, Sequence[Tuple[int, int]]],
+                     gens: Sequence[Tuple[int, int]], d: int) -> List[int]:
+    """``GradedA1Module.word_images`` into the free module with bases ``fbasis``.
+
+    A product of two basis words of A(1) is one basis word or 0, so the
+    word w sends each set bit (gi, u) of v to (gi, MUL_TABLE[w][u]) or to 0.
+    """
+    target = {bw: 1 << p for p, bw in enumerate(fbasis.get(d, ()))}
+    out = []
+    for t, v in gens:
+        for widx in words_of_degree(d - t):
+            row, basis, acc, rest = MUL_TABLE[widx], fbasis[t], 0, v
+            while rest:
+                low = rest & -rest
+                gi, u = basis[low.bit_length() - 1]
+                if row[u] is not None:
+                    acc ^= target[(gi, row[u])]
+                rest ^= low
+            out.append(acc)
+    return out

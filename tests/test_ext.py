@@ -405,13 +405,13 @@ def test_h0_rank_equals_the_rank_of_products_from_the_identity(name):
 
 
 def test_free_word_images_equal_products_in_a1():
-    from a1bordism.steenrod import WORDS, A1Element, words_of_degree
+    from a1bordism.steenrod import WORDS, A1Element, free_bases, free_word_images, words_of_degree
 
     rng = random.Random(2024)
     for _ in range(30):
         gen_degrees = sorted(rng.randint(0, 8) for _ in range(rng.randint(1, 4)))
         top = max(gen_degrees) + rng.randint(0, 7)  # below + 6 the bases are cut
-        fbasis = ex._free_bases(gen_degrees, top)
+        fbasis = free_bases(gen_degrees, top)
         gens = [(t, rng.getrandbits(len(fbasis[t]))) for t in rng.choices(sorted(fbasis), k=5)]
         # from below every generator to above some by more than 6, so some
         # generators have no word of degree d - t
@@ -428,7 +428,7 @@ def test_free_word_images_equal_products_in_a1():
                                 if (prod.bits >> k) & 1:
                                     acc ^= 1 << pos[(gi, k)]
                     want.append(acc)
-            assert ex._free_word_images(fbasis, gens, d) == want, (gen_degrees, top, d)
+            assert free_word_images(fbasis, gens, d) == want, (gen_degrees, top, d)
 
 
 def test_chart_is_immutable():

@@ -137,6 +137,17 @@ def test_modules_are_frozen():
     assert m.name == "J" and m.renamed("J2").name == "J2" and m.name == "J"
 
 
+def test_a_label_tuple_of_the_wrong_length_is_refused():
+    # used to be replaced silently by x{d}_{i} names
+    for labs in (("a",), ("a", "b", "c")):
+        with pytest.raises(ModuleError, match=r"^degree 1 has 2 classes but \d labels$"):
+            GradedA1Module({0: 1, 1: 2}, {}, {}, 1, {0: ("u",), 1: labs})
+    # an absent degree still gets the default names
+    m = GradedA1Module({0: 1, 1: 2}, {}, {}, 1, {0: ("u",)})
+    assert dict(m.labels) == {0: ("u",), 1: ("x1_0", "x1_1")}
+    assert dict(GradedA1Module({0: 1}, {}, {}, 0).labels) == {0: ("x0_0",)}
+
+
 def test_catalog_constructors_are_memoized():
     assert catalog("R3", 6) is catalog("R3", 6)
     assert catalog("J") is catalog("J")
@@ -665,8 +676,7 @@ def test_quotient_above_own_top_is_the_module_itself():
                                    lambda: named_structure("KTminus", 12)],
                          ids=["A1free", "J", "SpinO2@12", "KTminus@12"])
 def test_word_images_equal_per_word_matvec_in_free_basis_order(build):
-    from a1bordism.ext import _free_bases
-    from a1bordism.steenrod import WORDS
+    from a1bordism.steenrod import WORDS, free_bases
 
     m = build()
     gens = []
@@ -678,7 +688,7 @@ def test_word_images_equal_per_word_matvec_in_free_basis_order(build):
     # so some generators have no word of degree d - t
     for d in range(m.lo - 2, max(gen_degrees) + 9):
         want = [m.act_word(WORDS[w], gen_degrees[i]).matvec(gens[i][1])
-                for i, w in _free_bases(gen_degrees, d).get(d, [])]
+                for i, w in free_bases(gen_degrees, d).get(d, [])]
         assert m.word_images(gens, d) == want, d
     if m.name != "J":  # J has one class per degree
         assert any(v & (v - 1) for _, v in gens)

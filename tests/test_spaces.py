@@ -403,6 +403,20 @@ def test_structure_pieces_commute_with_truncation(name, cutoff, t):
 # -- the factor cache ------------------------------------------------------------
 
 
+def test_every_structure_has_one_recipe_and_one_odd_part():
+    from a1bordism.pipelines import ODD_PARTS
+    for name in sp.STRUCTURE_NAMES:
+        assert (name in sp.TWISTS) + (name in sp.PRODUCTS) == 1, name
+    assert set(sp.PRODUCTS) <= set(sp.STRUCTURE_NAMES)
+    assert {f for pair in sp.PRODUCTS.values() for f in pair} <= set(sp.TWISTS)
+    assert set(ODD_PARTS) == set(sp.STRUCTURE_NAMES)
+    # a factor-only twist is not a structure
+    for name in set(sp.TWISTS) - set(sp.STRUCTURE_NAMES):
+        with pytest.raises(ValueError, match=r"^unknown structure"):
+            sp.named_structure(name, 8)
+    assert "V(BO2, b, b^2)" in sp.TWISTS
+
+
 @pytest.mark.parametrize("cutoff", [0, 1])
 @pytest.mark.parametrize("name", ["GM", "KTminus", "KTplus"])
 def test_thom_structures_below_the_thom_class_are_truncations(name, cutoff):
@@ -420,7 +434,7 @@ def test_every_structure_builds_at_the_smallest_cutoffs(name):
         assert m.validate() is None
 
 
-@pytest.mark.parametrize("name", sp.SINGLE_TWISTS)
+@pytest.mark.parametrize("name", [n for n in sp.STRUCTURE_NAMES if n in sp.TWISTS])
 def test_a_single_twist_structure_is_built_once(name):
     assert sp.named_structure(name, 9) is sp.named_structure(name, 9)
 
@@ -444,9 +458,8 @@ def test_a_negative_cutoff_is_refused_on_every_call(name):
 def test_heavy_structures_share_their_twisted_factors(monkeypatch):
     # KT± share GM, KTminus, PinMinusO2 and TauPlus share PinMinus,
     # TauMinus shares PinPlus with KTplus, and Tau± share V(BO2, b, b^2):
-    # 5 twists for the 5 products, not 10
-    sp._single_twist.cache_clear()
-    sp._tau_bo2_factor.cache_clear()
+    # 5 twists for the 5 products, not 10, and none again on a second pass
+    sp._twist.cache_clear()
     calls = []
     twist = sp.twist
 
@@ -455,8 +468,9 @@ def test_heavy_structures_share_their_twisted_factors(monkeypatch):
         return twist(model, *args, **kwargs)
 
     monkeypatch.setattr(sp, "twist", counted)
-    for name in ("KTminus", "KTplus", "TauMinus", "TauPlus", "PinMinusO2"):
-        sp.named_structure(name, 8)
+    for _ in range(2):
+        for name in ("KTminus", "KTplus", "TauMinus", "TauPlus", "PinMinusO2"):
+            sp.named_structure(name, 8)
     assert sorted(calls) == ["BO1", "BO1", "BO2", "BO2", "MO2"]
 
 
