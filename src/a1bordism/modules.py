@@ -318,16 +318,17 @@ class GradedA1Module:
     def truncate(self, n: int, complete: bool = False) -> "GradedA1Module":
         """Quotient away degrees above n (complete=True means 'genuinely zero there').
 
-        A complete module already truncated at n is returned as it is, so
-        its word-action and Margolis caches carry over.
+        A module already truncated at n under the same flag is returned as
+        it is, so its word-action and Margolis caches carry over.
         """
-        if complete and self.complete and n == self.hi:
-            return self
         if not self.complete and n > self.hi:
             raise ModuleError(f"cannot extend truncation {self.hi} to {n}")
         dims = {d: v for d, v in self.dims.items() if d <= n}
         sq1 = {d: m for d, m in self.sq1.items() if d + 1 <= n}
         sq2 = {d: m for d, m in self.sq2.items() if d + 2 <= n}
+        kept_all = (len(dims), len(sq1), len(sq2)) == (len(self.dims), len(self.sq1), len(self.sq2))
+        if kept_all and (n, complete) == (self.hi, self.complete):
+            return self
         labels = {d: v for d, v in self.labels.items() if d <= n}
         return GradedA1Module(dims, sq1, sq2, n, labels, complete, name=self.name)
 

@@ -22,16 +22,22 @@ Th(V⊕W) = Th(V) ∧ Th(W); in cohomology that is the Cartan formula, so
 
     V(X×Y, a1 + a2, b1 + a1 a2 + b2) = V(X, a1, b1) ⊗ V(Y, a2, b2).
 
-Two tables hold every recipe.  ``TWISTS`` gives each single twist V(X, a, b)
-(GM, Pin±, FK, SpinO2, SigmaBO2, MV_a_ab, and two BO2 factors) as a ring
-model, a, b and a generator label; ``PRODUCTS`` gives FKO, KT±, PinMinusO2
-and Tau± as the tensor product of two of them.  TauMinus = PinPlus ⊗
-V(BO2, b, b²) and TauPlus = PinMinus ⊗ V(BO2, b, b²) are relabeled into
-the BO1×BO2 monomials ``U*a^i*b^j*c^k``, whose order the tensor basis
-already has.  Their wedge pieces split the small BO2 factor by w2 before
-tensoring; ``space("BO1xBO2")`` stays as the oracle the tests compare with.
-Every twist is built once per (name, cutoff) by ``_twist`` and shared; the
-products are built afresh on every call.
+The catalog of spaces is the ``SPACES`` table (name -> presentation at a
+cutoff).  Two more tables hold every structure's recipe.  ``TWISTS``
+gives each single twist V(X, a, b) (GM, Pin±, FK, SpinO2, SigmaBO2,
+MV_a_ab, and two BO2 factors) as a ring model, a, b and a generator
+label; ``PRODUCTS`` gives FKO, KT±, PinMinusO2 and Tau± as the tensor
+product of two of them.  Every twist is built once per (name, cutoff) by
+``_twist`` and shared; the products are built afresh on every call.
+
+Labels are for display only: no code here reads them.  A twist's basis
+in degree d is its ring's ``basis(d)``, so ``split_by_variable`` picks a
+wedge piece by the exponent of a generator in those monomials.
+TauMinus = PinPlus ⊗ V(BO2, b, b²) and TauPlus = PinMinus ⊗ V(BO2, b, b²)
+are labeled ``U*a^i*b^j*c^k`` from the BO1×BO2 monomials, whose order
+the tensor basis already has.  Their wedge pieces split the small BO2
+factor by w2 (``c``) before tensoring; a twist of ``space("BO1xBO2")``
+stays as the oracle the tests compare with.
 """
 
 from __future__ import annotations
@@ -388,10 +394,46 @@ def bo_presentation(n: int, cutoff: int, labels: Optional[Sequence[str]] = None,
     return SpacePresentation(name or f"BO{n}", gens, cutoff, total)
 
 
-SPACE_NAMES = ("BO1", "BO2", "BO3", "BSO2", "BO1xBO1", "BO1xBO2",
-               "WuManifold", "KZ2_2", "KZ2_3")
-
 _KZ_MAX_CUTOFF = {"KZ2_2": 8, "KZ2_3": 6}
+
+
+# name -> the presentation at a cutoff.  The Wu manifold's ring is zero
+# above degree 5, so a larger cutoff is clamped to 5; K(Z/2, n) is modeled
+# only through _KZ_MAX_CUTOFF, and ``space`` refuses a larger cutoff.
+SPACES: Dict[str, Callable[[int], SpacePresentation]] = {
+    "BO1": lambda c: bo_presentation(1, c, labels=["t"], name="BO1"),
+    "BO2": lambda c: bo_presentation(2, c, name="BO2"),
+    "BO3": lambda c: bo_presentation(3, c, name="BO3"),
+    # Sq(w2) = w2 + w2^2
+    "BSO2": lambda c: SpacePresentation("BSO2", [Generator("w2", 2)], c,
+                                        {"w2": _poly([(1,), (2,)])}),
+    "BO1xBO1": lambda c: bo_presentation(1, c, labels=["a"], name="BO1a").product(
+        bo_presentation(1, c, labels=["b"], name="BO1b"), name="BO1xBO1"),
+    "BO1xBO2": lambda c: bo_presentation(1, c, labels=["a"], name="BO1").product(
+        bo_presentation(2, c, labels=["b", "c"], name="BO2"), name="BO1xBO2"),
+    "WuManifold": lambda c: SpacePresentation(
+        "WuManifold", [Generator("z2", 2, nilpotence=2), Generator("z3", 3, nilpotence=2)],
+        min(c, 5), {
+            "z2": _poly([(1, 0), (0, 1)]),          # Sq(z2) = z2 + z3
+            "z3": _poly([(0, 1), (1, 1)]),          # Sq(z3) = z3 + z2 z3
+        }),
+    "KZ2_2": lambda c: SpacePresentation(
+        "KZ2_2", [Generator("B", 2), Generator("SB", 3), Generator("S21B", 5)], c, {
+            "B": _poly([(1, 0, 0), (0, 1, 0), (2, 0, 0)]),
+            "SB": _poly([(0, 1, 0), (0, 0, 1), (0, 2, 0)]),
+            "S21B": _poly([(0, 0, 1), (0, 2, 0), (0, 0, 2)]),
+        }, sq_words={"B": "", "SB": "1", "S21B": "21"}),
+    "KZ2_3": lambda c: SpacePresentation(
+        "KZ2_3", [Generator("C", 3), Generator("S1C", 4), Generator("S2C", 5),
+                  Generator("S21C", 6)], c, {
+            "C": _poly([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (2, 0, 0, 0)]),
+            "S1C": _poly([(0, 1, 0, 0), (0, 0, 0, 1)]),
+            "S2C": _poly([(0, 0, 1, 0), (2, 0, 0, 0)]),  # Sq1 Sq2 C = Sq3 C = C^2
+            "S21C": _poly([(0, 0, 0, 1)]),
+        }, sq_words={"C": "", "S1C": "1", "S2C": "2", "S21C": "21"}),
+}
+
+SPACE_NAMES = tuple(SPACES)
 
 
 def space(name: str, cutoff: int) -> SpacePresentation:
@@ -399,59 +441,12 @@ def space(name: str, cutoff: int) -> SpacePresentation:
     name = name.replace("×", "x")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    if name == "BO1":
-        return bo_presentation(1, cutoff, labels=["t"], name="BO1")
-    if name == "BO2":
-        return bo_presentation(2, cutoff, name="BO2")
-    if name == "BO3":
-        return bo_presentation(3, cutoff, name="BO3")
-    if name == "BSO2":
-        g = Generator("w2", 2)
-        total = {"w2": _poly([(1,), (2,)])}  # Sq(w2) = w2 + w2^2
-        return SpacePresentation("BSO2", [g], cutoff, total)
-    if name == "BO1xBO1":
-        a = bo_presentation(1, cutoff, labels=["a"], name="BO1a")
-        b = bo_presentation(1, cutoff, labels=["b"], name="BO1b")
-        return a.product(b, name="BO1xBO1")
-    if name == "BO1xBO2":
-        a = bo_presentation(1, cutoff, labels=["a"], name="BO1")
-        bc = bo_presentation(2, cutoff, labels=["b", "c"], name="BO2")
-        return a.product(bc, name="BO1xBO2")
-    if name == "WuManifold":
-        if cutoff > 5:
-            cutoff = 5
-        z2 = Generator("z2", 2, nilpotence=2)
-        z3 = Generator("z3", 3, nilpotence=2)
-        total = {
-            "z2": _poly([(1, 0), (0, 1)]),          # Sq(z2) = z2 + z3
-            "z3": _poly([(0, 1), (1, 1)]),          # Sq(z3) = z3 + z2 z3
-        }
-        return SpacePresentation("WuManifold", [z2, z3], cutoff, total)
-    if name in ("KZ2_2", "KZ2_3"):
-        cap = _KZ_MAX_CUTOFF[name]
-        if cutoff > cap:
-            raise ValueError(
-                f"{name} is modeled only through degree {cap}; requested cutoff {cutoff}")
-        if name == "KZ2_2":
-            gens = [Generator("B", 2), Generator("SB", 3), Generator("S21B", 5)]
-            total = {
-                "B": _poly([(1, 0, 0), (0, 1, 0), (2, 0, 0)]),
-                "SB": _poly([(0, 1, 0), (0, 0, 1), (0, 2, 0)]),
-                "S21B": _poly([(0, 0, 1), (0, 2, 0), (0, 0, 2)]),
-            }
-            words = {"B": "", "SB": "1", "S21B": "21"}
-            return SpacePresentation("KZ2_2", gens, cutoff, total, sq_words=words)
-        gens = [Generator("C", 3), Generator("S1C", 4), Generator("S2C", 5),
-                Generator("S21C", 6)]
-        total = {
-            "C": _poly([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (2, 0, 0, 0)]),
-            "S1C": _poly([(0, 1, 0, 0), (0, 0, 0, 1)]),
-            "S2C": _poly([(0, 0, 1, 0), (2, 0, 0, 0)]),  # Sq1 Sq2 C = Sq3 C = C^2
-            "S21C": _poly([(0, 0, 0, 1)]),
-        }
-        words = {"C": "", "S1C": "1", "S2C": "2", "S21C": "21"}
-        return SpacePresentation("KZ2_3", gens, cutoff, total, sq_words=words)
-    raise ValueError(f"unknown space {name!r}; choose from {SPACE_NAMES}")
+    if name not in SPACES:
+        raise ValueError(f"unknown space {name!r}; choose from {SPACE_NAMES}")
+    cap = _KZ_MAX_CUTOFF.get(name, cutoff)
+    if cutoff > cap:
+        raise ValueError(f"{name} is modeled only through degree {cap}; requested cutoff {cutoff}")
+    return SPACES[name](cutoff)
 
 
 # -- Thom-space model ---------------------------------------------------------
@@ -535,10 +530,8 @@ class ThomSpace:
     def element_labels(self, d: int) -> Tuple[str, ...]:
         if d == 0:
             return ("1",)
-        return tuple(
-            ("U" if self.base.mono_label(m) == "1" else self.base.mono_label(m) + "*U")
-            for m in self.base.basis(d - self.rank)
-        )
+        return tuple(self.base.mono_label(m) + "*U" if any(m) else "U"
+                     for m in self.base.basis(d - self.rank))
 
     def sq_matrix(self, k: int, d: int) -> List[int]:
         """Columns of Sq^k from degree d."""
@@ -699,56 +692,58 @@ def named_structure(name: str, cutoff: int) -> GradedA1Module:
         return _twist(name, cutoff)
     left, right = PRODUCTS[name]
     m = _twist(left, cutoff).tensor(_twist(right, cutoff))
-    return _product_labels(m, name) if right == "V(BO2, b, b^2)" else m.renamed(name)
+    return _tau_labels(m, name) if right == "V(BO2, b, b^2)" else m.renamed(name)
 
 
-def _product_labels(m: GradedA1Module, name: str) -> GradedA1Module:
-    """A pin-factor tensor product under the BO1xBO2 monomial labels.
+def _tau_labels(m: GradedA1Module, name: str, var: Optional[str] = None,
+                multiples: bool = False) -> GradedA1Module:
+    """A pin factor ⊗ V(BO2, b, b^2) product under the labels ``U*<monomial>``.
 
-    The tensor basis (pin degree, then the BO2 factor's basis) already runs
-    in the product's monomial order, so only the labels change, the pin
-    factor's t becoming a: ``U*t^2(x)U*b*c`` becomes ``U*a^2*b*c`` and
-    ``U*1(x)U*1`` becomes ``U*1``.
+    The monomials are BO1xBO2's (a, b, c), in the ring's order: the tensor
+    basis (pin degree, then the BO2 factor's basis) already runs in that
+    order, so the pin's t^i is a^i.  Given ``var``, only the monomials
+    whose exponent of it is positive (``multiples``) or zero are kept, the
+    basis of that wedge half.
     """
-    def merge(label: str) -> str:
-        pin, bo2 = (side.split("*")[1:] for side in label.split("(x)"))
-        parts = [f.replace("t", "a") for f in pin] + bo2
-        return "U*" + ("*".join(f for f in parts if f != "1") or "1")
-
-    labels = {d: tuple(merge(s) for s in labs) for d, labs in m.labels.items()}
+    ring = space("BO1xBO2", m.hi)
+    v = ring.gen_mono(var).index(1) if var else None
+    labels = {d: tuple("U*" + ring.mono_label(x) for x in ring.basis(d)
+                       if v is None or (x[v] > 0) == multiples)
+              for d in m.dims}
     return GradedA1Module(m.dims, m.sq1, m.sq2, m.hi, labels, m.complete, name)
 
 
-# documented wedge splittings used when a pipeline resolves a structure
-# piecewise (each mirrors a space-level section, so it holds at the level
-# of spectra and spectral sequences, not just modules)
+# structure -> (variable whose multiples split off, provenance note); each
+# split mirrors a section of spaces, so it holds at the level of spectra and
+# spectral sequences, not just modules
 SPECTRUM_SPLITS: Dict[str, Tuple[str, str]] = {
-    # structure -> (variable whose multiples split off, provenance note);
-    # each split mirrors a section of spaces, so it holds for spectra
     "SigmaBO2": ("w2", "BO1->BO2 with determinant section splits off the pin- wedge summand"),
     "TauMinus": ("c", "O1xO1 -> O1xO2 with (id,det) section splits off the Klein-cover summand"),
     "TauPlus": ("c", "O1xO1 -> O1xO2 with (id,det) section splits off the Klein-cover summand"),
 }
 
 
-def split_by_variable(m: GradedA1Module, var: str) -> Tuple[GradedA1Module, GradedA1Module]:
-    """Split a structure module into (var-free part, var-multiples part).
+def split_by_variable(m: GradedA1Module, ring: SpacePresentation,
+                      var: str) -> Tuple[GradedA1Module, GradedA1Module]:
+    """Split a twist of ``ring`` into (var-free part, var-multiples part).
 
-    Both spans must be closed under the action (checked); this implements
-    the documented wedge decompositions above.
+    Basis vector i of degree d is the monomial ``ring.basis(d)[i]``, the
+    order ``twist`` builds; it joins the var-multiples part when its
+    exponent of ``var`` is positive.  Labels are not read.  A module with a
+    degree d of other than ``ring.dim(d)`` classes is refused.  Both spans
+    must be closed under the action (checked); this implements the
+    documented wedge decompositions above.
     """
-    def uses(label: str) -> bool:
-        for factor in label.replace("(x)", "*").split("*"):
-            base = factor.split("^")[0].strip()
-            if base == var:
-                return True
-        return False
-
+    bad = [d for d in m.degrees() if m.dim(d) != ring.dim(d)]
+    if bad:
+        raise ValueError(f"{m.name} is not a twist of {ring.name}: degree {bad[0]} has "
+                         f"{m.dim(bad[0])} classes, the ring {ring.dim(bad[0])}")
+    v = ring.gen_mono(var).index(1)
     part_a: Dict[int, List[int]] = {}
     part_b: Dict[int, List[int]] = {}
     for d in m.degrees():
-        for i in range(m.dim(d)):
-            (part_b if uses(m.label(d, i)) else part_a).setdefault(d, []).append(1 << i)
+        for i, x in enumerate(ring.basis(d)):
+            (part_b if x[v] else part_a).setdefault(d, []).append(1 << i)
     a, _ = m.submodule(part_a, name=f"{m.name}[no {var}]")
     b, _ = m.submodule(part_b, name=f"{m.name}[{var}·]")
     return a, b
@@ -763,14 +758,15 @@ def structure_pieces(name: str, cutoff: int) -> List[GradedA1Module]:
     and tensor each half with the pin factor, so the 1,925-class product
     (at cutoff 26) is never built.
     """
-    if name in PRODUCTS and name in SPECTRUM_SPLITS:
-        pin, bo2 = (_twist(f, cutoff) for f in PRODUCTS[name])
-        halves = split_by_variable(bo2.renamed(name), SPECTRUM_SPLITS[name][0])
-        return [_product_labels(pin.tensor(half), half.name) for half in halves]
-    m = named_structure(name, cutoff)
-    if name in SPECTRUM_SPLITS:
-        return list(split_by_variable(m, SPECTRUM_SPLITS[name][0]))
-    return [m]
+    if name not in SPECTRUM_SPLITS:
+        return [named_structure(name, cutoff)]
+    var = SPECTRUM_SPLITS[name][0]
+    if name in TWISTS:
+        return list(split_by_variable(named_structure(name, cutoff), TWISTS[name][0](cutoff), var))
+    pin, bo2 = PRODUCTS[name]
+    halves = split_by_variable(_twist(bo2, cutoff).renamed(name), TWISTS[bo2][0](cutoff), var)
+    return [_tau_labels(_twist(pin, cutoff).tensor(half), half.name, var, multiples)
+            for half, multiples in zip(halves, (False, True))]
 
 
 # -- text format (.space) -------------------------------------------------------

@@ -308,7 +308,7 @@ def test_spin_o2_decomposes_as_r2_q_and_frees():
 
 def test_sigma_bo2_wedge_split_pieces():
     m = sp.named_structure("SigmaBO2", 12)
-    a, b = sp.split_by_variable(m, "w2")
+    a, b = sp.split_by_variable(m, sp.space("BO2", 12), "w2")
     assert [a.dim(d) for d in range(8)] == [1] * 8  # pin- cell
     assert b.dim(2) == 1 and b.dim(3) == 1
     # M-part: Σ²Q ⊕ Σ³A(1) ⊕ (degrees ≥ 6)
@@ -348,7 +348,7 @@ def test_tau_structure_equals_the_product_ring_oracle(name, cutoff):
 @pytest.mark.parametrize("name", sorted(TAU_TWISTS))
 def test_tau_pieces_equal_the_split_oracle(name, cutoff):
     pieces = sp.structure_pieces(name, cutoff)
-    want = sp.split_by_variable(tau_oracle(name, cutoff), "c")
+    want = sp.split_by_variable(tau_oracle(name, cutoff), sp.space("BO1xBO2", cutoff), "c")
     assert [p.name for p in pieces] == [f"{name}[no c]", f"{name}[c·]"]
     assert len(pieces) == len(want)
     for piece, w in zip(pieces, want):
@@ -377,7 +377,8 @@ def test_structure_pieces_of_unsplit_and_split_structures():
     assert [p.name for p in gm] == ["GM"]
     assert_same_module(gm[0], sp.named_structure("GM", 8))
     sigma = sp.structure_pieces("SigmaBO2", 8)
-    for piece, want in zip(sigma, sp.split_by_variable(sp.named_structure("SigmaBO2", 8), "w2")):
+    for piece, want in zip(sigma, sp.split_by_variable(sp.named_structure("SigmaBO2", 8),
+                                                       sp.space("BO2", 8), "w2")):
         assert_same_module(piece, want)
     assert [p.name for p in sigma] == ["SigmaBO2[no w2]", "SigmaBO2[w2·]"]
 
