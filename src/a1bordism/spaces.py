@@ -30,9 +30,9 @@ label; ``PRODUCTS`` gives FKO, KT±, PinMinusO2 and Tau± as the tensor
 product of two of them.  Every twist is built once per (name, cutoff) by
 ``_twist`` and shared; the products are built afresh on every call.
 
-Labels are for display only: no code here reads them.  A twist's basis
-in degree d is its ring's ``basis(d)``, so ``split_by_variable`` picks a
-wedge piece by the exponent of a generator in those monomials.
+Basis labels are for display only: no code here reads them.  A twist's
+basis in degree d is its ring's ``basis(d)``, so ``split_by_variable``
+picks a wedge piece by the exponent of a generator in those monomials.
 TauMinus = PinPlus ⊗ V(BO2, b, b²) and TauPlus = PinMinus ⊗ V(BO2, b, b²)
 are labeled ``U*a^i*b^j*c^k`` from the BO1×BO2 monomials, whose order
 the tensor basis already has.  Their wedge pieces split the small BO2
@@ -692,20 +692,21 @@ def named_structure(name: str, cutoff: int) -> GradedA1Module:
         return _twist(name, cutoff)
     left, right = PRODUCTS[name]
     m = _twist(left, cutoff).tensor(_twist(right, cutoff))
-    return _tau_labels(m, name) if right == "V(BO2, b, b^2)" else m.renamed(name)
+    if right == "V(BO2, b, b^2)":
+        return _tau_labels(m, name, space("BO1xBO2", cutoff))
+    return m.renamed(name)
 
 
-def _tau_labels(m: GradedA1Module, name: str, var: Optional[str] = None,
-                multiples: bool = False) -> GradedA1Module:
+def _tau_labels(m: GradedA1Module, name: str, ring: SpacePresentation,
+                var: Optional[str] = None, multiples: bool = False) -> GradedA1Module:
     """A pin factor ⊗ V(BO2, b, b^2) product under the labels ``U*<monomial>``.
 
-    The monomials are BO1xBO2's (a, b, c), in the ring's order: the tensor
-    basis (pin degree, then the BO2 factor's basis) already runs in that
-    order, so the pin's t^i is a^i.  Given ``var``, only the monomials
-    whose exponent of it is positive (``multiples``) or zero are kept, the
-    basis of that wedge half.
+    The monomials are those of ``ring`` = BO1xBO2 = <a, b, c>, in its
+    order: the tensor basis (pin degree, then the BO2 factor's basis)
+    already runs in that order, so the pin's t^i is a^i.  Given ``var``,
+    only the monomials whose exponent of it is positive (``multiples``)
+    or zero are kept, the basis of that wedge half.
     """
-    ring = space("BO1xBO2", m.hi)
     v = ring.gen_mono(var).index(1) if var else None
     labels = {d: tuple("U*" + ring.mono_label(x) for x in ring.basis(d)
                        if v is None or (x[v] > 0) == multiples)
@@ -765,7 +766,8 @@ def structure_pieces(name: str, cutoff: int) -> List[GradedA1Module]:
         return list(split_by_variable(named_structure(name, cutoff), TWISTS[name][0](cutoff), var))
     pin, bo2 = PRODUCTS[name]
     halves = split_by_variable(_twist(bo2, cutoff).renamed(name), TWISTS[bo2][0](cutoff), var)
-    return [_tau_labels(_twist(pin, cutoff).tensor(half), half.name, var, multiples)
+    ring = space("BO1xBO2", cutoff)
+    return [_tau_labels(_twist(pin, cutoff).tensor(half), half.name, ring, var, multiples)
             for half, multiples in zip(halves, (False, True))]
 
 

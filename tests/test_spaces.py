@@ -131,6 +131,22 @@ def test_thom_squares_match_whole_total_squares(thom):
             for k in (1, 2):
                 assert thom.sq(k, frozenset([m])) == graded_part(base, whole, d + k), (m, k)
 
+def test_space_catalog_refusals_and_clamps():
+    assert sp.SPACE_NAMES == ("BO1", "BO2", "BO3", "BSO2", "BO1xBO1", "BO1xBO2",
+                              "WuManifold", "KZ2_2", "KZ2_3")
+    assert sp.space("BO1×BO2", 4).name == "BO1xBO2"
+    assert sp.space("WuManifold", 9).cutoff == 5
+    with pytest.raises(ValueError, match=r"^cutoff must be nonnegative$"):
+        sp.space("BOX", -1)
+    with pytest.raises(ValueError, match=r"^unknown space 'BOX'; choose from \('BO1', "):
+        sp.space("BOX", 3)
+    for name, cap in sp._KZ_MAX_CUTOFF.items():
+        assert sp.space(name, cap).cutoff == cap
+        with pytest.raises(ValueError, match=rf"^{name} is modeled only through degree {cap}; "
+                                             rf"requested cutoff {cap + 1}$"):
+            sp.space(name, cap + 1)
+
+
 def test_wu_manifold_actions():
     wu = sp.space("WuManifold", 5)
     z2 = wu.gen_mono("z2")
@@ -372,6 +388,65 @@ def test_tau_oracle_rejects_a_wrong_bo2_twist(name):
     assert sq2_ranks(with_bo2_twist("0")) != want
 
 
+# FKO and PinMinusO2 are Cartan products with a direct ring model,
+# V(X×Y, a1 + a2, b1 + a1 a2 + b2): name -> (product ring at a cutoff, a, b,
+# a wrong b, the product monomial of a (left, right) pair of factor monomials)
+DIRECT_TWISTS = {
+    # PinMinus ⊗ FK over BO1 x BSO2 = <t, w2>
+    "FKO": (lambda c: sp.space("BO1", c).product(sp.space("BSO2", c), name="BO1xBSO2"),
+            "t", "w2", "0", lambda x, y: x + y),
+    # V(BO2, w1, w2) ⊗ PinMinus over BO1xBO2 = <a, b, c>: a = t, b = w1, c = w2
+    "PinMinusO2": (lambda c: sp.space("BO1xBO2", c), "a+b", "c+a*b", "c", lambda x, y: y + x),
+}
+
+
+def direct_ring_permutation(name: str, cutoff: int):
+    """degree -> the direct twist's basis index of each tensor basis vector.
+
+    The tensor basis of degree d runs over the left factor's degrees d1,
+    then its monomials of degree d1, then the right factor's of degree
+    d - d1; each pair is one monomial of the product ring.
+    """
+    ring, _, _, _, pair = DIRECT_TWISTS[name]
+    ring = ring(cutoff)
+    left, right = (sp.TWISTS[f][0](cutoff) for f in sp.PRODUCTS[name])
+    return {d: [ring.index(d)[pair(x, y)] for d1 in range(d + 1)
+                for x in left.basis(d1) for y in right.basis(d - d1)]
+            for d in range(cutoff + 1)}
+
+
+def equal_under(m: md.GradedA1Module, direct: md.GradedA1Module, perm) -> bool:
+    """Whether ``perm`` carries m's dims and Sq1/Sq2 columns onto ``direct``'s."""
+    def moved(v, d):
+        return sum(1 << perm[d][p] for p in range(v.bit_length()) if v >> p & 1)
+
+    if dict(m.dims) != dict(direct.dims):
+        return False
+    return all(moved(col, d + k) == direct.sq(k, d)[perm[d][p]]
+               for k in (1, 2) for d in m.degrees() for p, col in enumerate(m.sq(k, d)))
+
+
+@pytest.mark.parametrize("cutoff", [12, 20])
+@pytest.mark.parametrize("name", sorted(DIRECT_TWISTS))
+def test_cartan_product_equals_its_direct_ring_twist(name, cutoff):
+    ring, a, b, _, _ = DIRECT_TWISTS[name]
+    perm = direct_ring_permutation(name, cutoff)
+    assert all(sorted(p) == list(range(len(p))) for p in perm.values())
+    if name == "FKO":
+        assert all(p == sorted(p) for p in perm.values())
+    direct = sp.twist(ring(cutoff), a, b, generator_label="U")
+    assert equal_under(sp.named_structure(name, cutoff), direct, perm)
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_TWISTS))
+def test_direct_ring_oracle_rejects_a_wrong_b(name):
+    ring, a, _, wrong_b, _ = DIRECT_TWISTS[name]
+    cutoff = 12
+    direct = sp.twist(ring(cutoff), a, wrong_b, generator_label="U")
+    assert not equal_under(sp.named_structure(name, cutoff), direct,
+                           direct_ring_permutation(name, cutoff))
+
+
 def test_structure_pieces_of_unsplit_and_split_structures():
     gm = sp.structure_pieces("GM", 8)
     assert [p.name for p in gm] == ["GM"]
@@ -381,6 +456,27 @@ def test_structure_pieces_of_unsplit_and_split_structures():
                                                        sp.space("BO2", 8), "w2")):
         assert_same_module(piece, want)
     assert [p.name for p in sigma] == ["SigmaBO2[no w2]", "SigmaBO2[w2·]"]
+
+
+@pytest.mark.parametrize("name, var", [("SigmaBO2", "w2"), ("V(BO2, b, b^2)", "c")])
+def test_split_by_variable_reads_monomials_not_labels(name, var):
+    cutoff = 14
+    m, ring = sp._twist(name, cutoff), sp.TWISTS[name][0](cutoff)
+    want = sp.split_by_variable(m, ring, var)
+    assert all(half.total_dim() for half in want)
+    # the default labels x{d}_{i}, and labels that all name the variable
+    for labels in (None, {d: (f"U*{var}",) * n for d, n in m.dims.items()}):
+        relabeled = md.GradedA1Module(m.dims, m.sq1, m.sq2, m.hi, labels, m.complete, m.name)
+        got = sp.split_by_variable(relabeled, ring, var)
+        for g, w in zip(got, want):
+            assert ((g.name, dict(g.dims), dict(g.sq1), dict(g.sq2))
+                    == (w.name, dict(w.dims), dict(w.sq1), dict(w.sq2)))
+
+
+def test_split_by_variable_refuses_a_module_of_another_ring():
+    with pytest.raises(ValueError, match=r"^SigmaBO2 is not a twist of BO2: degree 9 has 5 "
+                                         r"classes, the ring 0$"):
+        sp.split_by_variable(sp.named_structure("SigmaBO2", 12), sp.space("BO2", 8), "w2")
 
 
 def test_structure_unknown_name():
@@ -425,6 +521,21 @@ def test_thom_structures_below_the_thom_class_are_truncations(name, cutoff):
     # BO2 at a negative cutoff and fail with "cutoff must be nonnegative"
     assert_same_module(sp.named_structure(name, cutoff),
                        sp.named_structure(name, 5).truncate(cutoff))
+
+
+def test_truncating_at_the_top_keeps_the_module_itself():
+    m = sp.twist(sp.space("BO2", 9), "w1", "0")
+    assert not m.complete and m.truncate(m.hi) is m
+    assert m.truncate(m.hi, complete=True) is not m
+    # a class above hi is still cut off
+    odd = md.GradedA1Module({0: 1, 3: 1}, {}, {}, 2)
+    assert dict(odd.truncate(2).dims) == {0: 1}
+    # GM's Thom model reaches degree 2, past cutoffs 0 and 1
+    for cutoff in (0, 1):
+        gm = sp.named_structure("GM", cutoff)
+        assert gm.hi == cutoff and max(gm.dims) <= cutoff
+        assert all(d + 1 <= cutoff for d in gm.sq1) and all(d + 2 <= cutoff for d in gm.sq2)
+        assert sp.TWISTS["GM"][0](cutoff).cutoff == 2
 
 
 @pytest.mark.parametrize("name", sp.STRUCTURE_NAMES)
