@@ -131,6 +131,7 @@ def test_thom_squares_match_whole_total_squares(thom):
             for k in (1, 2):
                 assert thom.sq(k, frozenset([m])) == graded_part(base, whole, d + k), (m, k)
 
+
 def test_space_catalog_refusals_and_clamps():
     assert sp.SPACE_NAMES == ("BO1", "BO2", "BO3", "BSO2", "BO1xBO1", "BO1xBO2",
                               "WuManifold", "KZ2_2", "KZ2_3")
