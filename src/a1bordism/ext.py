@@ -276,12 +276,23 @@ def ext_chart(res: Resolution) -> ExtChart:
 # -- collapse certification ----------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
+    """Which classes of columns 0..max_n with s <= report_max_s survive.
+
+    ``threats`` lists each differential not ruled out, with the argument
+    that failed.  Immutable, as ``ExtChart`` is: ``certified`` is a
+    read-only copy and ``threats`` a tuple, so reports can share it.
+    """
+
     report_max_s: int
     max_n: int
-    certified: Dict[Tuple[int, int], bool]
-    threats: List[str]
+    certified: Mapping[Tuple[int, int], bool]
+    threats: Tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "certified", MappingProxyType(dict(self.certified)))
+        object.__setattr__(self, "threats", tuple(self.threats))
 
     def column_ok(self, chart: ExtChart, n: int) -> bool:
         """Whether every class of column n with s <= report_max_s is certified.

@@ -29,6 +29,22 @@ class PipelineError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class PieceReport:
+    """What run_pipeline computed for one wedge piece.
+
+    ``free_summands`` are the (degree, label) pairs split_free split off,
+    generated in degrees <= through + 1; ``chart`` and ``certificate``
+    are those of the remainder, None when the remainder is empty; ``rows``
+    are the piece's rows 0..through.  No module or resolution is kept.
+    """
+    name: str
+    free_summands: Tuple[Tuple[int, str], ...]
+    chart: Optional[ext_mod.ExtChart]
+    certificate: Optional[ext_mod.Certificate]
+    rows: Tuple[ext_mod.DegreeReport, ...]
+
+
 @dataclass
 class PipelineReport:
     name: str
@@ -36,6 +52,7 @@ class PipelineReport:
     rows: List[ext_mod.DegreeReport]
     provenance: List[str]
     max_s: int
+    pieces: Tuple[PieceReport, ...] = ()
 
     @property
     def certified(self) -> bool:
@@ -78,19 +95,15 @@ def window_parameters(through_degree: int, max_s: int) -> Tuple[int, int, int]:
     return s_resolve, max_t, cutoff
 
 
-def _assemble_piece(piece: GradedA1Module, through: int, max_s: int,
-                    s_resolve: int, max_t: int,
-                    provenance: List[str]) -> List[ext_mod.DegreeReport]:
+def _resolve_piece(piece: GradedA1Module, through: int, max_s: int) -> PieceReport:
     """Split off frees, resolve the remainder, certify, and assemble groups."""
+    s_resolve, max_t, _ = window_parameters(through, max_s)
     dec = split_free(piece, max_gen_degree=through + 1)
     rows = [ext_mod.DegreeReport(n, 0, (), True) for n in range(through + 1)]
     for g, _label in dec.free_summands:
         if g <= through:  # a free A(1) summand contributes one Z/2 at its generator
             rows[g] += ext_mod.DegreeReport(g, 0, (2,), True)
-    if dec.free_summands:
-        provenance.append(
-            f"{piece.name}: {len(dec.free_summands)} free summand(s) split off; "
-            "free summands realize wedge factors (Margolis), so they support no differentials")
+    chart = cert = None
     remainder = dec.remainder
     if remainder.total_dim():
         res = ext_mod.minimal_resolution(remainder, max_s=s_resolve,
@@ -99,7 +112,7 @@ def _assemble_piece(piece: GradedA1Module, through: int, max_s: int,
         cert = ext_mod.collapse_certificate(chart, report_max_s=max_s, max_n=through)
         for r in ext_mod.assemble_groups(chart, cert):
             rows[r.degree] += r
-    return rows
+    return PieceReport(piece.name, tuple(dec.free_summands), chart, cert, tuple(rows))
 
 
 def _require_nonnegative(**window: int) -> None:
@@ -126,12 +139,16 @@ def run_pipeline(name: str, through_degree: int, max_s: int = DEFAULT_MAX_S) -> 
     if len(pieces) > 1:
         note = sp.SPECTRUM_SPLITS[name][1]
         provenance.append(f"{name}: resolved as a wedge of two pieces ({note})")
+    reports = tuple(_resolve_piece(piece, through_degree, max_s) for piece in pieces)
+    provenance += [
+        f"{p.name}: {len(p.free_summands)} free summand(s) split off; "
+        "free summands realize wedge factors (Margolis), so they support no differentials"
+        for p in reports if p.free_summands]
     odd = ODD_PARTS[name]
     rows = [ext_mod.DegreeReport(n, 0, (), True, (), odd) for n in range(through_degree + 1)]
-    for piece in pieces:
-        rows = list(map(operator.add, rows, _assemble_piece(
-            piece, through_degree, max_s, s_resolve, max_t, provenance)))
-    return PipelineReport(name, through_degree, rows, provenance, max_s)
+    for p in reports:
+        rows = list(map(operator.add, rows, p.rows))
+    return PipelineReport(name, through_degree, rows, provenance, max_s, reports)
 
 
 # -- catalog matching -------------------------------------------------------

@@ -8,6 +8,7 @@ brute-force GF(2) helpers enumerate vectors directly.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from a1bordism.ext import DegreeReport
@@ -452,6 +453,45 @@ def check_exact(res) -> None:
                 raise AssertionError(f"not exact at s={s}, t={t}")
 
 
+# -- free summands counted by the top class --------------------------------------
+
+
+def top_class_rank(module, d: int) -> int:
+    """Rank of the top class Sq1Sq2Sq1Sq2 (word 1212) from M_d to M_{d+6}.
+
+    The product of the module's letter matrices, one Sq1/Sq2 at a time;
+    its rank comes from ``column_scan_rref``.
+    """
+    power, deg = identity(module.dim(d)), d
+    for letter in reversed("1212"):
+        power = letter_matrix(module, int(letter), deg) @ power
+        deg += int(letter)
+    return len(column_scan_rref(power.rows, power.ncols)[1])
+
+
+def check_free_summand_count(module, free_summands: Sequence[Tuple[int, str]],
+                             max_gen_degree: int) -> None:
+    """Raise AssertionError unless the top class counts the free summands.
+
+    A(1) is a finite-dimensional Hopf algebra, hence Frobenius (Larson &
+    Sweedler, 1969), and local, with socle spanned by the top class; so x
+    generates a free summand exactly when top·x ≠ 0, and the summands
+    generated in degree d number the rank of top: M_d → M_{d+6}.  This
+    holds for every d <= min(max_gen_degree, hi - 6), the degrees
+    ``split_free`` searches; no summand is generated above them.
+    """
+    top = min(max_gen_degree, module.hi - 6)
+    counts = Counter(g for g, _ in free_summands)
+    above = sorted(g for g in counts if g > top)
+    if above:
+        raise AssertionError(f"{module.name}: free summands generated above degree {top}: {above}")
+    for d in range(module.lo, top + 1):
+        rank = top_class_rank(module, d)
+        if counts[d] != rank:
+            raise AssertionError(f"{module.name}: {counts[d]} free summand(s) generated in "
+                                 f"degree {d}, but the top class has rank {rank} there")
+
+
 # -- groups from ranks of h0 powers -----------------------------------------------
 
 
@@ -519,7 +559,7 @@ def rank_power_rows(chart, cert) -> List[DegreeReport]:
 
 
 def brute_certificate(chart, report_max_s: int,
-                      max_n: int) -> Tuple[Dict[Tuple[int, int], bool], List[str]]:
+                      max_n: int) -> Tuple[Dict[Tuple[int, int], bool], Tuple[str, ...]]:
     """The ``certified`` flags and ``threats`` of the collapse certificate, from h0-power ranks.
 
     Every in-window differential d_r: (s, n) -> (s + r, n - 1) with n <=
@@ -557,8 +597,8 @@ def brute_certificate(chart, report_max_s: int,
                      for r in range(2, report_max_s - s + 1)
                      if chart.dim(s, n) and chart.dim(s + r, n - 1)]
     failures = {(s, n, t): failure(s, n, t) for s, n, t in differentials}
-    threats = sorted({f"d{t - s}: ({s},{n})→({t}, {n - 1}) {why}"
-                      for (s, n, t), why in failures.items() if why})
+    threats = tuple(sorted({f"d{t - s}: ({s},{n})→({t}, {n - 1}) {why}"
+                            for (s, n, t), why in failures.items() if why}))
     bad = {n for (_, n, _), why in failures.items() if why}
     touched = ({(s, n) for s, n, _ in differentials if n in bad}
                | {(t, n - 1) for _, n, t in differentials if n in bad})

@@ -213,7 +213,7 @@ def test_certificate_threat_reasons(dims, h0, threat, certified):
     # the identity on the listed one-dimensional bidegrees, zero elsewhere
     chart = ex.ExtChart(6, 12, dims, {k: (1,) for k in h0})
     cert = collapse_certificate(chart, report_max_s=4, max_n=max(n for _, n in chart.dims))
-    assert cert.threats == ([] if threat is None else [threat])
+    assert cert.threats == (() if threat is None else (threat,))
     assert cert.certified == certified
 
 
@@ -221,7 +221,21 @@ def test_certificate_threat_reasons(dims, h0, threat, certified):
 def test_brute_certificate_gives_the_threat_reasons(dims, h0, threat, certified):
     chart = ex.ExtChart(6, 12, dims, {k: (1,) for k in h0})
     assert brute_certificate(chart, 4, max(n for _, n in chart.dims)) == (
-        certified, [] if threat is None else [threat])
+        certified, () if threat is None else (threat,))
+
+
+def test_certificate_is_immutable():
+    # reports keep their certificates, and the session cache shares them
+    certified, threats = {(0, 5): False, (2, 4): False}, ["d2: (0,5)→(2, 4) not excluded"]
+    cert = ex.Certificate(4, 5, certified, threats)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.max_n = 8
+    with pytest.raises(TypeError):
+        cert.certified[(0, 5)] = True
+    certified[(0, 5)] = True  # the certificate keeps its own copies
+    threats.clear()
+    assert cert.certified == {(0, 5): False, (2, 4): False}
+    assert cert.threats == ("d2: (0,5)→(2, 4) not excluded",)
 
 
 def test_column_ok_past_the_certified_window_raises():
@@ -234,17 +248,22 @@ def test_column_ok_past_the_certified_window_raises():
         cert.column_ok(chart, 5)
 
 
-def test_certifying_only_the_reported_columns_changes_no_row():
-    # every wedge piece run_pipeline resolves at --through 0..7
+def test_certifying_only_the_reported_columns_changes_no_row(pipeline_cache):
+    # every wedge piece run_pipeline resolves at --through 0..7, with the
+    # certificate the pipeline made
     from a1bordism import pipelines as pl
 
     pieces = 0
     for through in range(8):
         for name in sp.STRUCTURE_NAMES:
-            for chart in pipeline_charts(name, through):
-                cert = collapse_certificate(chart, pl.DEFAULT_MAX_S, max_n=through)
-                full = collapse_certificate(chart, pl.DEFAULT_MAX_S, max_n=max(n for _, n in chart.dims))
-                assert assemble_groups(chart, cert) == assemble_groups(chart, full)[:through + 1]
+            for p in pipeline_cache(name, through).pieces:
+                if p.chart is None:
+                    continue
+                full = collapse_certificate(p.chart, pl.DEFAULT_MAX_S,
+                                            max_n=max(n for _, n in p.chart.dims))
+                assert (p.certificate.max_n, p.certificate.report_max_s) == (through, pl.DEFAULT_MAX_S)
+                assert assemble_groups(p.chart, p.certificate) \
+                    == assemble_groups(p.chart, full)[:through + 1]
                 pieces += 1
     assert pieces == 128
 
@@ -300,33 +319,35 @@ def test_a_strand_born_above_the_report_window_is_uncertified():
         "extensions unresolved beyond h0 between summands")
 
 
-def test_rank_power_oracle_agrees_with_assemble_groups(pipeline_resolutions):
+def sweep_pieces(pipeline_cache):
+    """("name/k", piece) for each resolved wedge piece of the --through 7 sweep."""
+    return [(f"{name}/{k}", p) for name in sp.STRUCTURE_NAMES
+            for k, p in enumerate(pipeline_cache(name, 7).pieces) if p.chart is not None]
+
+
+def test_rank_power_oracle_agrees_with_assemble_groups(pipeline_cache):
+    pieces = sweep_pieces(pipeline_cache)
+    assert len(pieces) == 16
+    for key, p in pieces:
+        assert assemble_groups(p.chart, p.certificate) \
+            == rank_power_rows(p.chart, p.certificate), key
+
+
+def test_brute_certificate_agrees_on_every_column_of_the_sweep(pipeline_cache):
     from a1bordism import pipelines as pl
 
-    assert len(pipeline_resolutions) == 16
-    for key, res in pipeline_resolutions.items():
-        chart = ext_chart(res)
-        cert = collapse_certificate(chart, report_max_s=pl.DEFAULT_MAX_S, max_n=7)
-        assert assemble_groups(chart, cert) == rank_power_rows(chart, cert), key
+    for key, p in sweep_pieces(pipeline_cache):
+        full = collapse_certificate(p.chart, report_max_s=pl.DEFAULT_MAX_S,
+                                    max_n=max(n for _, n in p.chart.dims))
+        for cert in (p.certificate, full):
+            got = brute_certificate(p.chart, pl.DEFAULT_MAX_S, cert.max_n)
+            assert got == (cert.certified, cert.threats), (key, cert.max_n)
 
 
-def test_brute_certificate_agrees_on_every_column_of_the_sweep(pipeline_resolutions):
-    from a1bordism import pipelines as pl
-
-    for key, res in pipeline_resolutions.items():
-        chart = ext_chart(res)
-        for max_n in (7, max(n for _, n in chart.dims)):
-            cert = collapse_certificate(chart, report_max_s=pl.DEFAULT_MAX_S, max_n=max_n)
-            got = brute_certificate(chart, pl.DEFAULT_MAX_S, max_n)
-            assert got == (cert.certified, cert.threats), (key, max_n)
-
-
-def test_the_sweep_rows_read_exactly_four_threats(pipeline_resolutions):
+def test_the_sweep_rows_read_exactly_four_threats(pipeline_cache):
     # the threats behind the uncertified rows PinPlus 3-4, TauMinus 4-5 and PinMinusO2 7
-    from a1bordism import pipelines as pl
-
-    threats = {(key, threat) for key, res in pipeline_resolutions.items()
-               for threat in collapse_certificate(ext_chart(res), pl.DEFAULT_MAX_S, 7).threats}
+    threats = {(key, threat) for key, p in sweep_pieces(pipeline_cache)
+               for threat in p.certificate.threats}
     assert threats == {
         ("PinPlus/0", "d2: (0,4)→(2, 3) not excluded (h0^4 has kernel)"),
         ("TauMinus/0", "d2: (0,5)→(2, 4) not excluded (h0^4 has kernel)"),
@@ -335,12 +356,12 @@ def test_the_sweep_rows_read_exactly_four_threats(pipeline_resolutions):
     }
 
 
-def test_certificate_and_assembly_multiply_and_reduce_no_matrix(monkeypatch):
+def test_certificate_and_assembly_multiply_and_reduce_no_matrix(monkeypatch, pipeline_cache):
     # the strands are read by one sweep per column: no h0 power is built
     # and no matrix is row-reduced
     from a1bordism.gf2 import BitMatrix
 
-    (chart,) = pipeline_charts("FK")
+    (chart,) = pipeline_charts(pipeline_cache, "FK")
     calls = []
     for method in ("matmul", "rref"):
         original = getattr(BitMatrix, method)
@@ -376,21 +397,14 @@ def test_jobs_do_not_change_resolution():
     assert c1.dims == c2.dims and c1.h0 == c2.h0
 
 
-def pipeline_charts(name, through=7):
-    # the charts run_pipeline reads at this window, one per wedge piece
-    from a1bordism import pipelines as pl
-
-    s_resolve, max_t, cutoff = pl.window_parameters(through, pl.DEFAULT_MAX_S)
-    for piece in sp.structure_pieces(name, cutoff):
-        rem = md.split_free(piece, max_gen_degree=through + 1).remainder
-        if rem.total_dim():
-            yield ext_chart(minimal_resolution(rem, max_s=s_resolve,
-                                               max_t=min(max_t, rem.hi)))
+def pipeline_charts(pipeline_cache, name, through=7):
+    # the charts run_pipeline read at this window, one per resolved wedge piece
+    return [p.chart for p in pipeline_cache(name, through).pieces if p.chart]
 
 
 @pytest.mark.parametrize("name", ["SpinO2", "PinPlus"])
-def test_h0_rank_equals_the_rank_of_products_from_the_identity(name):
-    for chart in pipeline_charts(name):
+def test_h0_rank_equals_the_rank_of_products_from_the_identity(name, pipeline_cache):
+    for chart in pipeline_charts(pipeline_cache, name):
         for n in sorted({n for _, n in chart.dims}):
             top = min(chart.max_s, chart.max_t - n)
             for s in range(top + 1):
@@ -447,22 +461,6 @@ def test_chart_is_immutable():
     h0[(0, 0)][0] = 0
     del h0[(0, 0)]
     assert chart.dim(2, 0) == 0 and chart.h0[(0, 0)] == (1,) and chart.h0_rank(0, 0, 1) == 1
-
-
-@pytest.fixture(scope="module")
-def pipeline_resolutions():
-    """The resolution of every wedge piece run_pipeline resolves at --through 7."""
-    from a1bordism import pipelines as pl
-
-    s_resolve, max_t, cutoff = pl.window_parameters(7, pl.DEFAULT_MAX_S)
-    out = {}
-    for name in sp.STRUCTURE_NAMES:
-        for k, piece in enumerate(sp.structure_pieces(name, cutoff)):
-            rem = md.split_free(piece, max_gen_degree=8).remainder
-            if rem.total_dim():
-                out[f"{name}/{k}"] = minimal_resolution(rem, max_s=s_resolve,
-                                                        max_t=min(max_t, rem.hi))
-    return out
 
 
 def resolution_digest(res):

@@ -100,6 +100,49 @@ def test_parse_les_format():
         parse_les("LES x\nSLOT 0 A = 0\nSLOT 1 B = 0\nMAP 0 -> 2 = zero")
 
 
+# -- the figures' known slots are engine rows -----------------------------------
+
+
+# figure -> slot label -> the structure and degree of the engine row it holds
+FIGURE_ROWS = {
+    "gm": {**{f"S{k}": ("SigmaBO2", k) for k in range(5)},
+           **{f"O{k}": ("GM", k) for k in range(6)}},
+    "kt-minus": {**{f"O{k}": ("KTminus", k) for k in range(5)},
+                 **{f"T{k}": ("TauMinus", k) for k in range(4)}},
+    "kt-plus": {**{f"O{k}": ("KTplus", k) for k in range(5)},
+                **{f"T{k}": ("TauPlus", k) for k in range(4)}},
+}
+# the published values the engine disagrees with, the strict xfails
+# test_criterion1_gm_degree_five and test_criterion1_tau_plus_degree_two
+PUBLISHED_ONLY = {("gm", "O5"), ("kt-plus", "T2")}
+
+
+def engine_group(pipeline_cache, name, degree):
+    row = pipeline_cache(name, 7).rows[degree]
+    assert row.certified, (name, degree)
+    return PartialGroup.exact(row.free_rank, row.torsion)
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_ROWS))
+def test_figure_slots_agree_with_the_engine_rows(pipeline_cache, figure):
+    problem = les.FIGURES[figure]()
+    for label, (name, degree) in FIGURE_ROWS[figure].items():
+        slot = problem.groups[problem.labels.index(label)]
+        engine = engine_group(pipeline_cache, name, degree)
+        assert slot.known
+        assert (slot == engine) != ((figure, label) in PUBLISHED_ONLY), (label, engine.group_str())
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_ROWS))
+def test_figures_solve_with_the_engine_rows(pipeline_cache, figure):
+    # with the engine's values in every slot it fills, GM's O5 = Z/2 and
+    # KT+'s T2 = (Z/2)^3 among them, the sequences are still exact
+    problem = les.FIGURES[figure]()
+    for label, (name, degree) in FIGURE_ROWS[figure].items():
+        problem.groups[problem.labels.index(label)] = engine_group(pipeline_cache, name, degree)
+    assert solve_les(problem).contradiction is None
+
+
 # -- soundness fuzz: the solver never narrows beyond the truth -----------------
 
 

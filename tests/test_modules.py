@@ -10,7 +10,7 @@ from a1bordism import modules as md
 from a1bordism.modules import (GradedA1Module, ModuleError, catalog, free_module,
                                iso_up_to_degree, split_free)
 from a1bordism.spaces import named_structure
-from oracles import identity, letter_matrix, quotient_dims_by_left_ideal
+from oracles import check_free_summand_count, identity, letter_matrix, quotient_dims_by_left_ideal
 
 
 def dims_of(m, top):
@@ -513,6 +513,25 @@ def test_split_free_outputs_are_pinned():
     assert got == SPLIT_FREE_DIGESTS
 
 
+def test_free_summands_of_the_pinned_splits_are_counted_by_the_top_class():
+    inputs = dict(split_free_pin_inputs())
+    assert len(inputs) == 29
+    for M, max_gen_degree in inputs.values():
+        frees = split_free(M, max_gen_degree=max_gen_degree).free_summands
+        check_free_summand_count(M, frees, max_gen_degree)
+
+
+def test_top_class_count_rejects_a_dropped_free_summand():
+    # KTminus at cutoff 12 splits nine free summands in degrees 0-6;
+    # without the last, degree 6 has one fewer than the top class's rank
+    M = named_structure("KTminus", 12)
+    frees = split_free(M, max_gen_degree=6).free_summands
+    assert frees
+    check_free_summand_count(M, frees, 6)
+    with pytest.raises(AssertionError, match=f"generated in degree {frees[-1][0]}"):
+        check_free_summand_count(M, frees[:-1], 6)
+
+
 # SHA-256 of format_a1mod for every catalog module, R3 at two cutoffs
 CATALOG_DIGESTS = {
     "F2": "489f32a7d541f877e77e8a032f8afe288fb037aac585ea7a2498254db295e159",
@@ -731,24 +750,23 @@ def test_apply_word_equals_word_matrix_images(build):
                 assert not any(got), (w, d)
 
 
-def test_sweep_modules_keep_sq_columns_as_tuples():
-    # every module the --through 7 pipelines build, and its pieces and their
-    # remainders, stores each Sq map as a tuple of dim(d) ints: the columns
-    # cannot be changed in place
+def test_sweep_modules_keep_sq_columns_as_tuples(pipeline_resolutions):
+    # every module the --through 7 pipelines build, its pieces and the
+    # remainders they resolve store each Sq map as a tuple of dim(d) ints:
+    # the columns cannot be changed in place
     from a1bordism import pipelines as pl
     from a1bordism import spaces as sp
 
     _, _, cutoff = pl.window_parameters(7, pl.DEFAULT_MAX_S)
+    built = [m for name in sp.STRUCTURE_NAMES
+             for m in (named_structure(name, cutoff), *sp.structure_pieces(name, cutoff))]
     checked = 0
-    for name in sp.STRUCTURE_NAMES:
-        pieces = sp.structure_pieces(name, cutoff)
-        rems = [split_free(p, max_gen_degree=8).remainder for p in pieces]
-        for m in [named_structure(name, cutoff), *pieces, *rems]:
-            for store in (m.sq1, m.sq2):
-                for d, cols in store.items():
-                    assert type(cols) is tuple and len(cols) == m.dim(d), (m.name, d)
-                    assert all(type(c) is int for c in cols), (m.name, d)
-                    checked += 1
+    for m in built + [res.module for res in pipeline_resolutions.values()]:
+        for store in (m.sq1, m.sq2):
+            for d, cols in store.items():
+                assert type(cols) is tuple and len(cols) == m.dim(d), (m.name, d)
+                assert all(type(c) is int for c in cols), (m.name, d)
+                checked += 1
     assert checked > 1000
 
 

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import re
 
 import pytest
 
+from a1bordism import ext as ex
 from a1bordism import pipelines as pl
 from a1bordism import spaces as sp
 from a1bordism.gf2 import _transpose
 from a1bordism.pipelines import PipelineError, decompose_structure, run_pipeline
-from oracles import required_cutoff
+from oracles import check_free_summand_count, required_cutoff
 
 
 def groups(report):
@@ -92,6 +95,53 @@ def test_pipeline_stable_under_larger_window():
 def test_wedge_split_provenance_recorded():
     rep = run_pipeline("SigmaBO2", 2, max_s=8)
     assert any("wedge" in p for p in rep.provenance)
+
+
+def test_reports_keep_the_evidence_that_built_their_rows(pipeline_cache):
+    # every report of the --through 7 sweep: its rows are the sum of its
+    # pieces' rows, and each piece's rows are its free Z/2s plus the groups
+    # of the chart and certificate it kept
+    frees = 0
+    for name in sp.STRUCTURE_NAMES:
+        rep = pipeline_cache(name, 7)
+        want = [ex.DegreeReport(n, 0, (), True, (), pl.ODD_PARTS[name]) for n in range(8)]
+        for p in rep.pieces:
+            want = [a + b for a, b in zip(want, p.rows)]
+            rows = [ex.DegreeReport(n, 0, (), True) for n in range(8)]
+            for g, _label in p.free_summands:
+                if g <= 7:
+                    rows[g] += ex.DegreeReport(g, 0, (2,), True)
+            assert (p.chart is None) == (p.certificate is None), p.name
+            if p.chart is not None:
+                assert (p.certificate.report_max_s, p.certificate.max_n) == (pl.DEFAULT_MAX_S, 7)
+                rows = [a + b for a, b in zip(rows, ex.assemble_groups(p.chart, p.certificate))]
+            assert p.rows == tuple(rows), p.name
+            frees += len(p.free_summands)
+        assert rep.rows == want, name
+        said = [(m[1], int(m[2])) for line in rep.provenance
+                if (m := re.fullmatch(r"(.*): (\d+) free summand\(s\) split off; .*", line))]
+        assert said == [(p.name, len(p.free_summands)) for p in rep.pieces if p.free_summands]
+    assert frees > 0
+    piece = pipeline_cache("FK", 7).pieces[0]
+    for field in dataclasses.fields(piece):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(piece, field.name, None)
+
+
+@pytest.mark.parametrize("through", [4, 7])
+def test_free_summands_are_counted_by_the_top_class(pipeline_cache, through):
+    # the rank of top: M_d -> M_{d+6} on each wedge piece, for every degree
+    # split_free searched, against the summands the pipeline split off
+    cutoff = required_cutoff(through)
+    checked = 0
+    for name in sp.STRUCTURE_NAMES:
+        pieces = sp.structure_pieces(name, cutoff)
+        report = pipeline_cache(name, through)
+        assert [m.name for m in pieces] == [p.name for p in report.pieces]
+        for m, p in zip(pieces, report.pieces):
+            check_free_summand_count(m, p.free_summands, through + 1)
+            checked += 1
+    assert checked == 16
 
 
 def test_decompose_spin_o2():
