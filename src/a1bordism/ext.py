@@ -362,7 +362,7 @@ def format_group(free_rank: int, torsion: Sequence[int]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegreeReport:
     degree: int
     free_rank: int

@@ -361,7 +361,10 @@ def test_certificate_and_assembly_multiply_and_reduce_no_matrix(monkeypatch, pip
     # and no matrix is row-reduced
     from a1bordism.gf2 import BitMatrix
 
-    (chart,) = pipeline_charts(pipeline_cache, "FK")
+    # the pipeline's chart has swept its columns already: copy it with an
+    # empty strands cache so the sweep runs while the kernels are counted
+    (c,) = pipeline_charts(pipeline_cache, "FK")
+    chart = ex.ExtChart(c.max_s, c.max_t, c.dims, c.h0)
     calls = []
     for method in ("matmul", "rref"):
         original = getattr(BitMatrix, method)
@@ -374,6 +377,7 @@ def test_certificate_and_assembly_multiply_and_reduce_no_matrix(monkeypatch, pip
     cert = collapse_certificate(chart, report_max_s=12, max_n=7)
     rows = assemble_groups(chart, cert)
     assert [r.group_str() for r in rows] == ["Z", "0", "Z", "0", "Z^2", "0", "Z^2", "0"]
+    assert sorted(chart._strands) == list(range(8))
     assert calls == []
 
 

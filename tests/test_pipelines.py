@@ -126,6 +126,8 @@ def test_reports_keep_the_evidence_that_built_their_rows(pipeline_cache):
     for field in dataclasses.fields(piece):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(piece, field.name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        piece.rows[0].certified = False
 
 
 @pytest.mark.parametrize("through", [4, 7])
