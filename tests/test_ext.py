@@ -152,14 +152,12 @@ def test_assemble_on_suspension_shifts_degrees():
         assert (ra[n].free_rank, ra[n].torsion) == (rs[n + 2].free_rank, rs[n + 2].torsion)
 
 
-def test_h0_consistency_with_known_towers():
+def test_h0_consistency_with_known_towers(pipeline_cache):
     # pin^c: Z/4 in degree 2 and Z/8 + Z/2 in degree 4 force the h0-links
-    m = sp.named_structure("FKO", 24)
-    dec = md.split_free(m, max_gen_degree=5)
-    res = minimal_resolution(dec.remainder, max_s=16, max_t=20)
-    chart = ext_chart(res)
-    cert = collapse_certificate(chart, report_max_s=12, max_n=4)
-    rows = assemble_groups(chart, cert)
+    # in the chart bordism FKO --through 4 reads
+    (piece,) = pipeline_cache("FKO", 4).pieces
+    assert (piece.certificate.report_max_s, piece.certificate.max_n) == (12, 4)
+    rows = assemble_groups(piece.chart, piece.certificate)
     assert rows[2].torsion == (4,)
     assert rows[4].torsion == (8, 2)
 
