@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .gf2 import ColumnSolver, combine
+from .gf2 import ColumnSolver, _transpose, combine
 from . import steenrod
 from .modules import GradedA1Module, InvariantError
-from .steenrod import A1Element
 
 
 class ResolutionError(ValueError):
@@ -30,11 +30,9 @@ class ResolutionError(ValueError):
 @dataclass
 class ResolutionStage:
     s: int
-    gen_degrees: List[int]
-    # boundary[i] = list of (target generator index in stage s-1, A(1) element)
-    boundary: List[List[Tuple[int, A1Element]]]
-    # stage 0 only: augmentation vectors into the module, per generator
-    augmentation: List[Tuple[int, int]] = field(default_factory=list)
+    gen_degrees: List[int]  # ascending
+    # boundary[i]: generator i's image as a column int (layout in ``ExtChart``)
+    boundary: List[int]
 
 
 @dataclass
@@ -69,25 +67,11 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
     # coordinates of the boundary's target: M at stage 0, F_{s-1} after
     gens = M.minimal_generators(max_t)
     images = M.word_images
-    prev_fbasis: Dict[int, List[Tuple[int, int]]] = {}
     stages: List[ResolutionStage] = []
 
     for s in range(max_s + 1):
         gen_degrees = [t for t, _ in gens]
-        stage = ResolutionStage(s, gen_degrees, [])
-        if s == 0:
-            stage.augmentation = gens
-        else:
-            for t, v in gens:
-                entries: Dict[int, int] = {}
-                while v:
-                    low = v & -v
-                    gi, widx = prev_fbasis[t][low.bit_length() - 1]
-                    entries[gi] = entries.get(gi, 0) ^ (1 << widx)
-                    v ^= low
-                stage.boundary.append(
-                    [(gi, A1Element(bits)) for gi, bits in sorted(entries.items())])
-        stages.append(stage)
+        stages.append(ResolutionStage(s, gen_degrees, [v for _, v in gens]))
         if s == max_s:
             break
 
@@ -121,43 +105,36 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
                     decomposables[d + shift].append(x)
         gens = [(d, vecs[j]) for d, vecs in sorted(ker_vecs.items())
                 for j in ColumnSolver(decomposables[d]).complement(len(vecs))]
-        prev_fbasis = fbasis
 
     return Resolution(M, max_s, max_t, stages)
 
 
 def verify_resolution(res: Resolution) -> None:
-    """Assert boundary∘boundary = 0 and minimality (no unit coefficients)."""
+    """Assert boundary∘boundary = 0 and minimality (no unit coefficients).
+
+    Each boundary column must lie in its target's degree-t basis.  At s >= 1
+    d∘d is ``combine`` of the word images the resolution is built with.
+    """
+    # word images into stage s-1's target, its generators, and F_{s-1}'s bases
+    images, prev, fbasis = res.module.word_images, [], {}
     for s, stage in enumerate(res.stages):
-        for i, entries in enumerate(stage.boundary):
-            for gi, elt in entries:
-                if elt.coefficient(""):
-                    raise InvariantError(f"non-minimal boundary at stage {s}")
-        if s < 1:
-            continue
-        prev = res.stages[s - 1]
-        for i, entries in enumerate(stage.boundary):
-            if s == 1:
-                acc: Dict[int, int] = {}
-                for gi, elt in entries:
-                    if elt.is_zero():
-                        continue
-                    t_gi, vec = prev.augmentation[gi]
-                    d = t_gi + elt.degree()
-                    if res.module.complete or d <= res.module.hi:
-                        for w in elt.words():
-                            (img,) = res.module.apply_word(w, t_gi, [vec])
-                            acc[d] = acc.get(d, 0) ^ img
-                if any(v for v in acc.values()):
-                    raise InvariantError(f"d∘d ≠ 0 at stage 1, generator {i}")
-            else:
-                acc2: Dict[int, A1Element] = {}
-                for gi, elt in entries:
-                    for gj, elt2 in prev.boundary[gi]:
-                        prodelt = elt * elt2
-                        acc2[gj] = acc2.get(gj, A1Element(0)) + prodelt
-                if any(not v.is_zero() for v in acc2.values()):
-                    raise InvariantError(f"d∘d ≠ 0 at stage {s}, generator {i}")
+        gens = list(zip(stage.gen_degrees, stage.boundary))
+        cols: Dict[int, List[int]] = {}
+        for i, (t, v) in enumerate(gens):
+            if v >> (len(fbasis.get(t, ())) if s else res.module.dim(t)):
+                raise InvariantError(f"boundary of stage {s}, generator {i} lies outside "
+                                     f"degree {t} of {f'F_{s - 1}' if s else 'M'}")
+            if not s:
+                continue
+            if any(v >> p & 1 for p, (_, w) in enumerate(fbasis.get(t, ())) if w == 0):
+                raise InvariantError(f"non-minimal boundary at stage {s}")
+            if t not in cols:
+                cols[t] = images(prev, t)
+            if combine(cols[t], [v]) != [0]:
+                raise InvariantError(f"d∘d ≠ 0 at stage {s}, generator {i}")
+        if s:
+            images = functools.partial(steenrod.free_word_images, fbasis)
+        prev, fbasis = gens, steenrod.free_bases(stage.gen_degrees, res.max_t)
 
 
 # -- charts -------------------------------------------------------------------
@@ -168,8 +145,14 @@ class ExtChart:
 
     ``dims[(s, n)]`` is the dimension at filtration s and stem n = t - s;
     ``h0[(s, n)]`` is multiplication by h0 from (s, n) to (s + 1, n), as
-    the tuple of its columns (bit vectors in the basis of (s + 1, n)),
-    absent where it is zero.
+    the tuple of its columns (bit vectors in the basis of (s + 1, n)).
+    It is absent exactly where (s, n) or (s + 1, n) is empty, and may be
+    present and zero.
+
+    ``ext_chart`` reads h0 off the resolution's boundaries.  Stage s keeps
+    generator i's image, in degree t, as the column int ``boundary[i]``: a
+    vector of M_t at stage 0, and at s >= 1 one of F_{s-1}'s degree-t basis
+    in ``steenrod.free_bases`` order (generator by generator, ascending).
 
     Immutable: every field is set here, ``dims`` and ``h0`` are read-only
     mappings, and assigning an attribute raises AttributeError.  So the
@@ -244,32 +227,21 @@ class ExtChart:
 
 
 def ext_chart(res: Resolution) -> ExtChart:
-    dims: Dict[Tuple[int, int], int] = {}
-    index: Dict[Tuple[int, int], List[int]] = {}
-    for s, stage in enumerate(res.stages):
-        for i, t in enumerate(stage.gen_degrees):
-            key = (s, t - s)
-            dims[key] = dims.get(key, 0) + 1
-            index.setdefault(key, []).append(i)
+    counts = [Counter(stage.gen_degrees) for stage in res.stages]  # degrees ascend
+    dims = {(s, t - s): k for s, c in enumerate(counts) for t, k in c.items()}
     h0: Dict[Tuple[int, int], List[int]] = {}
     for s in range(1, len(res.stages)):
-        stage = res.stages[s]
-        prev = res.stages[s - 1]
-        # h0 = Sq1 coefficient: (s-1, n) -> (s, n)
-        for tprime in sorted(set(prev.gen_degrees)):
-            src_key = (s - 1, tprime - (s - 1))
-            src = index.get(src_key, [])
-            tgt = index.get((s, tprime + 1 - s), [])
-            if not src or not tgt:
-                continue
-            cols = [0] * len(src)
-            pos = {si: cpos for cpos, si in enumerate(src)}
-            for rpos, ti in enumerate(tgt):
-                for si, elt in stage.boundary[ti]:
-                    cpos = pos.get(si)
-                    if cpos is not None and elt.coefficient("1"):
-                        cols[cpos] |= 1 << rpos
-            h0[src_key] = cols
+        prev, start = counts[s - 1], 0
+        # h0: (s-1, n) -> (s, n) is the Sq1 coefficient of stage s's degree-t
+        # boundaries on stage s-1's degree-(t-1) generators: consecutive
+        # slots of F_{s-1}'s degree-t basis, after the words on lower ones
+        for t, k in counts[s].items():
+            rows, start = res.stages[s].boundary[start:start + k], start + k
+            if prev[t - 1]:
+                off = sum(prev[t - d] * len(steenrod.words_of_degree(d))
+                          for d in range(2, steenrod.TOP_DEGREE + 1))
+                mask = (1 << prev[t - 1]) - 1
+                h0[(s - 1, t - s)] = _transpose([v >> off & mask for v in rows], prev[t - 1])
     return ExtChart(res.max_s, res.max_t, dims, h0)
 
 

@@ -372,6 +372,49 @@ def free_degree_basis(gen_degrees: Sequence[int], t: int) -> Dict[Tuple[int, int
     return {pair: k for k, pair in enumerate(pairs)}
 
 
+def boundary_entries(res, s: int, i: int) -> List[Tuple[int, int]]:
+    """Stage s >= 1's boundary of generator i as (target generator, word bits) blocks.
+
+    The column int is decoded bit by bit through ``free_degree_basis`` of
+    stage s - 1 in the generator's degree; blocks come by target generator,
+    zero blocks left out.  A bit beyond that basis raises AssertionError.
+    """
+    t, v = res.stages[s].gen_degrees[i], res.stages[s].boundary[i]
+    pairs = list(free_degree_basis(res.stages[s - 1].gen_degrees, t))
+    assert not v >> len(pairs), f"stage {s}, generator {i} has a bit beyond degree {t}"
+    blocks: Dict[int, int] = {}
+    for p, (gj, w) in enumerate(pairs):
+        if v >> p & 1:
+            blocks[gj] = blocks.get(gj, 0) | 1 << w
+    return sorted(blocks.items())
+
+
+def decoded_h0(res) -> Dict[Tuple[int, int], Tuple[int, ...]]:
+    """h0 from (s-1, n) to (s, n): the Sq1 blocks of stage s's boundaries, decoded.
+
+    Column j (the j-th generator of (s-1, n)) has bit r when the r-th
+    generator of (s, n) has the word "1" on it; present exactly where
+    both bidegrees have generators, as ``ExtChart.h0`` is.
+    """
+    sq1 = 1 << WORDS.index("1")
+    out: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    for s in range(1, len(res.stages)):
+        src_deg, tgt_deg = res.stages[s - 1].gen_degrees, res.stages[s].gen_degrees
+        for n in sorted({t - s for t in tgt_deg}):
+            src = [j for j, g in enumerate(src_deg) if g == n + s - 1]
+            tgt = [i for i, t in enumerate(tgt_deg) if t == n + s]
+            if not src:
+                continue
+            cols = [0] * len(src)
+            for r, i in enumerate(tgt):
+                blocks = dict(boundary_entries(res, s, i))
+                for c, j in enumerate(src):
+                    if blocks.get(j, 0) & sq1:
+                        cols[c] |= 1 << r
+            out[(s - 1, n)] = tuple(cols)
+    return out
+
+
 def identity(n: int) -> BitMatrix:
     return BitMatrix([1 << i for i in range(n)], n)
 
@@ -398,24 +441,24 @@ def _act_by_letters(module, word: str, d: int, v: int) -> int:
 def boundary_rank(res, s: int, t: int) -> int:
     """Rank of d_{s,t}: F_{s,t} -> F_{s-1,t}, with d_0 the augmentation onto M_t.
 
-    Built from the resolution's boundary entries and MUL_TABLE (and, for
-    d_0, the module's Sq1/Sq2 matrices); the rank comes from
-    ``column_scan_rref`` of the image vectors.
+    Built from the resolution's boundary columns, decoded by
+    ``boundary_entries``, and MUL_TABLE (and, for d_0, the module's
+    Sq1/Sq2 matrices); the rank comes from ``column_scan_rref`` of the
+    image vectors.
     """
     stages = res.stages
     source = free_degree_basis(stages[s].gen_degrees, t)
     images = []
     if s == 0:
         for gi, w in source:
-            g, v = stages[0].augmentation[gi]
+            g, v = stages[0].gen_degrees[gi], stages[0].boundary[gi]
             images.append(_act_by_letters(res.module, WORDS[w], g, v))
         width = res.module.dim(t)
     else:
         target = free_degree_basis(stages[s - 1].gen_degrees, t)
         for gi, w in source:
             img = 0
-            for gj, elt in stages[s].boundary[gi]:
-                bits = elt.bits
+            for gj, bits in boundary_entries(res, s, gi):
                 while bits:
                     u = (bits & -bits).bit_length() - 1
                     bits &= bits - 1

@@ -13,9 +13,9 @@ from a1bordism.ext import (assemble_groups, chart_ascii, chart_tsv,
                            collapse_certificate, ext_chart, minimal_resolution,
                            verify_resolution)
 from a1bordism.modules import InvariantError, catalog, free_module
-from a1bordism.steenrod import A1Element
-from oracles import (BarExt, brute_certificate, check_exact, h0_matrix, h0_power_ranks,
-                     rank_power_rows)
+from a1bordism.steenrod import TOP_DEGREE, WORD_INDEX, free_bases
+from oracles import (BarExt, boundary_entries, brute_certificate, check_exact, decoded_h0,
+                     free_degree_basis, h0_matrix, h0_power_ranks, rank_power_rows)
 
 
 # the hand-built minimal-resolution fixture for F2 over A(1): Ext is
@@ -466,11 +466,18 @@ def test_chart_is_immutable():
 
 
 def resolution_digest(res):
-    """SHA-256 of every stage's generator degrees, boundary and augmentation."""
+    """SHA-256 of every stage's generator degrees, boundary and augmentation.
+
+    The bytes are those of the layout the digests were recorded in: stage
+    0's (degree, vector) pairs as its augmentation, and each later
+    boundary as (target generator, word bits) blocks, rebuilt from the
+    column ints by ``oracles.boundary_entries``.
+    """
     data = [(tuple(st.gen_degrees),
-             tuple(tuple((gi, elt.bits) for gi, elt in entries) for entries in st.boundary),
-             tuple(st.augmentation))
-            for st in res.stages]
+             tuple(tuple(boundary_entries(res, s, i)) for i in range(len(st.boundary)))
+             if s else (),
+             () if s else tuple(zip(st.gen_degrees, st.boundary)))
+            for s, st in enumerate(res.stages)]
     return hashlib.sha256(repr(data).encode()).hexdigest()
 
 
@@ -530,28 +537,81 @@ def test_pipeline_resolutions_are_exact_and_minimal(pipeline_resolutions):
         check_exact(res)
 
 
-@pytest.mark.parametrize("name, s, i, old, new, message", [
+def with_column(res, s, i, v):
+    """A copy of res whose stage-s boundary column of generator i is v."""
+    stage = res.stages[s]
+    bad = dataclasses.replace(stage, boundary=stage.boundary[:i] + [v] + stage.boundary[i + 1:])
+    return dataclasses.replace(res, stages=res.stages[:s] + [bad] + res.stages[s + 1:])
+
+
+@pytest.mark.parametrize("name, s, i, gi, old, new, message", [
     # Sq2Sq1 is not zero on J's generator, Sq1Sq2 is
-    ("J", 1, 0, "12", "21", "d∘d ≠ 0 at stage 1, generator 0"),
+    ("J", 1, 0, 0, "12", "21", "d∘d ≠ 0 at stage 1, generator 0"),
     # d of generator 2 is Sq1Sq2 on one generator plus Sq2 on the next;
     # their Sq1Sq2Sq1 terms cancel, which Sq2Sq1Sq1 = 0 does not
-    ("Q", 3, 2, "12", "21", "d∘d ≠ 0 at stage 3, generator 2"),
-    ("J", 2, 0, "1", "", "non-minimal boundary at stage 2"),
+    ("Q", 3, 2, 1, "12", "21", "d∘d ≠ 0 at stage 3, generator 2"),
+    # stage-4 generator 1 and stage-3 generator 2 both sit in degree 10
+    ("J", 4, 1, 2, None, "", "non-minimal boundary at stage 4"),
 ])
-def test_verify_resolution_rejects_a_corrupted_boundary(name, s, i, old, new, message):
-    # one coefficient of stage s's generator i changed to another word of
-    # its degree, or to the unit
+def test_verify_resolution_rejects_a_corrupted_boundary(name, s, i, gi, old, new, message):
+    # the block of stage s's generator i on target generator gi, exactly
+    # the word old (None: no word), changed to another word of its degree,
+    # or to the unit
     res = minimal_resolution(catalog(name), max_s=4, max_t=12)
     verify_resolution(res)
-    stage = res.stages[s]
-    boundary = [list(entries) for entries in stage.boundary]
-    gi, elt = boundary[i][0]
-    assert elt == A1Element.from_word(old)
-    boundary[i][0] = (gi, A1Element.from_word(new))
-    bad = dataclasses.replace(stage, boundary=boundary)
-    broken = dataclasses.replace(res, stages=res.stages[:s] + [bad] + res.stages[s + 1:])
+    t, v = res.stages[s].gen_degrees[i], res.stages[s].boundary[i]
+    pos = free_degree_basis(res.stages[s - 1].gen_degrees, t)
+    assert dict(boundary_entries(res, s, i)).get(gi, 0) == (0 if old is None else 1 << WORD_INDEX[old])
+    if old is not None:
+        v ^= 1 << pos[(gi, WORD_INDEX[old])]
+    v ^= 1 << pos[(gi, WORD_INDEX[new])]
     with pytest.raises(InvariantError, match=message):
-        verify_resolution(broken)
+        verify_resolution(with_column(res, s, i, v))
+
+
+@pytest.mark.parametrize("s, i, message", [
+    (0, 0, "boundary of stage 0, generator 0 lies outside degree 0 of M"),
+    (2, 1, "boundary of stage 2, generator 1 lies outside degree 6 of F_1"),
+])
+def test_verify_resolution_rejects_a_boundary_bit_outside_its_target(s, i, message):
+    # one bit just past the target's degree-t basis: M_t at stage 0, F_{s-1} after
+    res = minimal_resolution(catalog("Q"), max_s=4, max_t=12)
+    t, v = res.stages[s].gen_degrees[i], res.stages[s].boundary[i]
+    width = (res.module.dim(t) if s == 0
+             else len(free_degree_basis(res.stages[s - 1].gen_degrees, t)))
+    with pytest.raises(InvariantError, match=message):
+        verify_resolution(with_column(res, s, i, v | 1 << width))
+
+
+def test_h0_read_by_slot_offset_equals_the_decoded_sq1_blocks(pipeline_resolutions):
+    resolutions = dict(pipeline_resolutions)
+    resolutions["F2(16,26)"] = minimal_resolution(md.f2_module(), 16, 26)
+    resolutions["Q(4,12)"] = minimal_resolution(catalog("Q"), 4, 12)
+    for key, res in resolutions.items():
+        assert dict(ext_chart(res).h0) == decoded_h0(res), key
+    # negative control: one Sq1 bit flipped, on the last target of the
+    # widest h0 map of GM, from its last source generator
+    res = pipeline_resolutions["GM/0"]
+    chart = ext_chart(res)
+    (s, n) = max(chart.h0, key=lambda k: (len(chart.h0[k]) * chart.dim(k[0] + 1, k[1]), k))
+    i = max(i for i, t in enumerate(res.stages[s + 1].gen_degrees) if t == s + 1 + n)
+    j = max(j for j, t in enumerate(res.stages[s].gen_degrees) if t == s + n)
+    bit = 1 << free_degree_basis(res.stages[s].gen_degrees, s + 1 + n)[(j, WORD_INDEX["1"])]
+    broken = with_column(res, s + 1, i, res.stages[s + 1].boundary[i] ^ bit)
+    assert decoded_h0(broken) != dict(chart.h0)
+    assert dict(ext_chart(broken).h0) == decoded_h0(broken)
+
+
+def test_free_degree_basis_enumerates_in_free_bases_order():
+    # the oracle decodes boundary columns by this order
+    rng = random.Random(2028)
+    for _ in range(30):
+        gen_degrees = sorted(rng.randint(0, 10) for _ in range(rng.randint(1, 6)))
+        top = gen_degrees[-1] + TOP_DEGREE
+        fbasis = free_bases(gen_degrees, top)
+        for t in range(gen_degrees[0] - 1, top + 2):
+            assert free_degree_basis(gen_degrees, t) == \
+                {pair: k for k, pair in enumerate(fbasis.get(t, ()))}, (gen_degrees, t)
 
 
 def test_exactness_check_catches_a_missing_generator(pipeline_resolutions):
