@@ -29,7 +29,6 @@ class ResolutionError(ValueError):
 
 @dataclass
 class ResolutionStage:
-    s: int
     gen_degrees: List[int]  # ascending
     # boundary[i]: generator i's image as a column int (layout in ``ExtChart``)
     boundary: List[int]
@@ -71,7 +70,7 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
 
     for s in range(max_s + 1):
         gen_degrees = [t for t, _ in gens]
-        stages.append(ResolutionStage(s, gen_degrees, [v for _, v in gens]))
+        stages.append(ResolutionStage(gen_degrees, [v for _, v in gens]))
         if s == max_s:
             break
 
@@ -112,8 +111,9 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
 def verify_resolution(res: Resolution) -> None:
     """Assert boundary∘boundary = 0 and minimality (no unit coefficients).
 
-    Each boundary column must lie in its target's degree-t basis.  At s >= 1
-    d∘d is ``combine`` of the word images the resolution is built with.
+    Each boundary column must be nonzero (a generator sent to 0 is never
+    minimal) and lie in its target's degree-t basis.  At s >= 1 d∘d is
+    ``combine`` of the word images the resolution is built with.
     """
     # word images into stage s-1's target, its generators, and F_{s-1}'s bases
     images, prev, fbasis = res.module.word_images, [], {}
@@ -121,6 +121,8 @@ def verify_resolution(res: Resolution) -> None:
         gens = list(zip(stage.gen_degrees, stage.boundary))
         cols: Dict[int, List[int]] = {}
         for i, (t, v) in enumerate(gens):
+            if not v:
+                raise InvariantError(f"boundary of stage {s}, generator {i} is zero")
             if v >> (len(fbasis.get(t, ())) if s else res.module.dim(t)):
                 raise InvariantError(f"boundary of stage {s}, generator {i} lies outside "
                                      f"degree {t} of {f'F_{s - 1}' if s else 'M'}")

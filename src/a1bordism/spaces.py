@@ -78,7 +78,10 @@ class Generator:
 
 
 class SpacePresentation:
-    """Truncated graded-commutative GF(2) polynomial ring with total Sq data."""
+    """Truncated graded-commutative GF(2) polynomial ring with total Sq data.
+
+    Its reduced monomials through the cutoff are enumerated once, at construction.
+    """
 
     def __init__(self, name: str, gens: Sequence[Generator], cutoff: int,
                  total_sq: Dict[str, Poly], sq_words: Optional[Dict[str, str]] = None):
@@ -92,9 +95,23 @@ class SpacePresentation:
         self._degrees = tuple(g.degree for g in self.gens)
         self._nilpotent = tuple((i, g.nilpotence) for i, g in enumerate(self.gens)
                                 if g.nilpotence is not None)
-        self._basis_cache: Dict[int, Tuple[Monomial, ...]] = {}
         self._sq_cache: Dict[Tuple[Monomial, int], Poly] = {}
-        self._index_cache: Dict[int, Dict[Monomial, int]] = {}
+        # every reduced monomial with its degree, one generator's exponent at
+        # a time; a generator of degree 0 takes exponent 0 only
+        monos: List[Tuple[Monomial, int]] = [((), 0)]
+        for g in self.gens:
+            grown = []
+            for m, d in monos:
+                emax = (cutoff - d) // g.degree if g.degree else 0
+                if g.nilpotence is not None:
+                    emax = min(emax, g.nilpotence - 1)
+                grown.extend((m + (e,), d + e * g.degree) for e in range(emax + 1))
+            monos = grown
+        by_degree: Dict[int, List[Monomial]] = {d: [] for d in range(cutoff + 1)}
+        for m, d in monos:
+            by_degree[d].append(m)
+        self._basis = {d: tuple(sorted(ms)) for d, ms in by_degree.items()}
+        self._index = {d: {m: i for i, m in enumerate(b)} for d, b in self._basis.items()}
 
     # -- monomials -------------------------------------------------------
 
@@ -110,23 +127,8 @@ class SpacePresentation:
         return m
 
     def poly_mul(self, p: Poly, q: Poly) -> Poly:
-        # the sum of reduce_mono(m1 + m2) over the pairs, each factor's degree derived once
-        cutoff, nilpotent = self.cutoff, self._nilpotent
-        q_degrees = [(m2, self.mono_degree(m2)) for m2 in q]
-        acc: set = set()
-        for m1 in p:
-            d1 = self.mono_degree(m1)
-            for m2, d2 in q_degrees:
-                if d1 + d2 > cutoff:
-                    continue
-                m = tuple(a + b for a, b in zip(m1, m2))
-                if any(m[i] >= nil for i, nil in nilpotent):
-                    continue
-                if m in acc:
-                    acc.discard(m)
-                else:
-                    acc.add(m)
-        return frozenset(acc)
+        products = (tuple(map(operator.add, m1, m2)) for m1 in p for m2 in q)
+        return _poly([m for m in products if self.reduce_mono(m) is not None])
 
     def _mul_into(self, acc: set, xs, ys) -> None:
         """XOR into ``acc`` every product x·y that survives nilpotence.
@@ -163,44 +165,12 @@ class SpacePresentation:
         return "*".join(parts) if parts else "1"
 
     def basis(self, d: int) -> Tuple[Monomial, ...]:
-        if d in self._basis_cache:
-            return self._basis_cache[d]
-        if d < 0 or d > self.cutoff:
-            out: Tuple[Monomial, ...] = ()
-        else:
-            monos: List[Monomial] = []
-            gens = self.gens
-            last = len(gens) - 1
-            # acc[:i] holds the exponents chosen so far; the last
-            # generator's exponent is whatever degree is left
-            acc = [0] * len(gens)
-
-            def rec(i: int, rem: int):
-                g = gens[i]
-                emax = rem // g.degree if g.degree else 0
-                if g.nilpotence is not None:
-                    emax = min(emax, g.nilpotence - 1)
-                if i == last:
-                    if emax * g.degree == rem:
-                        acc[i] = emax
-                        monos.append(tuple(acc))
-                    return
-                for e in range(emax + 1):
-                    acc[i] = e
-                    rec(i + 1, rem - e * g.degree)
-
-            if gens:
-                rec(0, d)
-            elif d == 0:
-                monos.append(())
-            out = tuple(sorted(monos))
-        self._basis_cache[d] = out
-        return out
+        """The reduced monomials of degree d, sorted; () outside 0..cutoff."""
+        return self._basis.get(d, ())
 
     def index(self, d: int) -> Dict[Monomial, int]:
-        if d not in self._index_cache:
-            self._index_cache[d] = {m: i for i, m in enumerate(self.basis(d))}
-        return self._index_cache[d]
+        """Monomial -> its position in ``basis(d)``; {} outside 0..cutoff."""
+        return self._index.get(d, {})
 
     def poly_vector(self, p: Poly, d: int) -> int:
         # every reduced monomial of degree d is in the index, no other is
@@ -608,8 +578,8 @@ def twist(model, a: str, b: str, shift: int = 0, generator_label: str = "Q") -> 
     b_cls = model.parse_class(b, 2)
     # built once per degree: Sq1 on degree d enters sq1[d] and the a·Sq1 term
     # of sq2[d]; multiplication by a on degree d enters sq1[d] and sq2[d - 1]
-    sq1_of = functools.lru_cache(maxsize=None)(lambda d: model.sq_matrix(1, d))
-    a_times = functools.lru_cache(maxsize=None)(lambda d: model.mult_matrix(a_cls, 1, d))
+    sq1_of = {d: model.sq_matrix(1, d) for d in range(model.cutoff)}
+    a_times = {d: model.mult_matrix(a_cls, 1, d) for d in range(model.cutoff)}
     dims, labs, sq1, sq2 = {}, {}, {}, {}
     for d in range(model.cutoff + 1):
         if not model.dim(d):
@@ -618,9 +588,9 @@ def twist(model, a: str, b: str, shift: int = 0, generator_label: str = "Q") -> 
         labs[d + shift] = tuple(f"{generator_label}*{s}" for s in model.element_labels(d))
         # dim is 0 above the cutoff; a sum of maps XORs their columns
         if model.dim(d + 1):
-            sq1[d + shift] = [x ^ y for x, y in zip(a_times(d), sq1_of(d))]
+            sq1[d + shift] = [x ^ y for x, y in zip(a_times[d], sq1_of[d])]
         if model.dim(d + 2):
-            a_sq1 = combine(a_times(d + 1), sq1_of(d))
+            a_sq1 = combine(a_times[d + 1], sq1_of[d])
             sq2[d + shift] = [x ^ y ^ z for x, y, z in zip(
                 model.mult_matrix(b_cls, 2, d), model.sq_matrix(2, d), a_sq1)]
     out = GradedA1Module(dims, sq1, sq2, model.cutoff + shift, labs, complete=False,

@@ -112,9 +112,6 @@ class A1Element:
     def __hash__(self) -> int:
         return hash(("A1", self.bits))
 
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
     def words(self) -> Tuple[str, ...]:
         return tuple(WORDS[i] for i in range(DIM) if (self.bits >> i) & 1)
 
@@ -123,12 +120,6 @@ class A1Element:
         if len(degs) != 1:
             raise ValueError(f"degree of a non-homogeneous element: {self}")
         return degs[0]
-
-    def coefficient(self, word: str) -> int:
-        nf = reduce_word(word)
-        if nf is None:
-            return 0
-        return (self.bits >> WORD_INDEX[nf]) & 1
 
     def __repr__(self) -> str:
         if self.bits == 0:

@@ -8,6 +8,7 @@ brute-force GF(2) helpers enumerate vectors directly.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -675,6 +676,23 @@ def total_sq_reference(pres) -> Dict[Tuple[int, ...], FrozenSet[Tuple[int, ...]]
             prefix = m[:last] + (m[last] - 1,) + m[last + 1:]
             out[m] = pres.poly_mul(out[prefix], pres.total_sq[pres.gens[last].label])
     return out
+
+
+def brute_basis(pres) -> Dict[int, List[Tuple[int, ...]]]:
+    """Degree -> the sorted reduced monomials of a presentation, by brute force.
+
+    Every exponent vector with entries 0..cutoff (0 only for a generator of
+    degree 0) is tried and kept when each exponent is below its generator's
+    nilpotence and the degree is at most the cutoff; ``basis`` is not read.
+    """
+    gens = pres.gens
+    out: Dict[int, List[Tuple[int, ...]]] = {}
+    for m in itertools.product(*(range(pres.cutoff + 1 if g.degree else 1) for g in gens)):
+        degree = sum(e * g.degree for e, g in zip(m, gens))
+        if degree <= pres.cutoff and all(g.nilpotence is None or e < g.nilpotence
+                                         for e, g in zip(m, gens)):
+            out.setdefault(degree, []).append(m)
+    return {d: sorted(ms) for d, ms in out.items()}
 
 
 def graded_part(pres, p, degree: int) -> FrozenSet[Tuple[int, ...]]:

@@ -583,6 +583,21 @@ def test_verify_resolution_rejects_a_boundary_bit_outside_its_target(s, i, messa
         verify_resolution(with_column(res, s, i, v | 1 << width))
 
 
+def test_verify_resolution_rejects_a_zero_boundary_column():
+    # a generator sent to 0 is never minimal: Q's stage-0 generator with its
+    # column zeroed, and a degree-7 generator with column 0 appended to stage
+    # 1 (F_0 has no basis in degree 7, so stage 2's d∘d cannot be formed)
+    res = minimal_resolution(catalog("Q"), max_s=4, max_t=12)
+    with pytest.raises(InvariantError, match="boundary of stage 0, generator 0 is zero"):
+        verify_resolution(with_column(res, 0, 0, 0))
+    st = res.stages[1]
+    extra = ex.ResolutionStage(st.gen_degrees + [7], st.boundary + [0])
+    broken = dataclasses.replace(res, stages=res.stages[:1] + [extra] + res.stages[2:])
+    with pytest.raises(InvariantError,
+                       match=f"boundary of stage 1, generator {len(st.gen_degrees)} is zero"):
+        verify_resolution(broken)
+
+
 def test_h0_read_by_slot_offset_equals_the_decoded_sq1_blocks(pipeline_resolutions):
     resolutions = dict(pipeline_resolutions)
     resolutions["F2(16,26)"] = minimal_resolution(md.f2_module(), 16, 26)
@@ -619,7 +634,7 @@ def test_exactness_check_catches_a_missing_generator(pipeline_resolutions):
     # minimality, so only the rank counts see it
     res = pipeline_resolutions["GM/0"]
     st = res.stages[3]
-    cut = ex.ResolutionStage(3, st.gen_degrees[:-1], st.boundary[:-1])
+    cut = ex.ResolutionStage(st.gen_degrees[:-1], st.boundary[:-1])
     broken = dataclasses.replace(res, stages=res.stages[:3] + [cut] + res.stages[4:])
     verify_resolution(broken)
     with pytest.raises(AssertionError, match="not exact at s=2, t=23"):

@@ -10,7 +10,7 @@ from a1bordism import modules as md
 from a1bordism import obstruction as ob
 from a1bordism import spaces as sp
 from a1bordism.modules import catalog, iso_up_to_degree, split_free
-from oracles import graded_part, kzn_dims, letter_matrix, total_sq_reference
+from oracles import brute_basis, graded_part, kzn_dims, letter_matrix, total_sq_reference
 
 
 # -- space catalog --------------------------------------------------------------
@@ -96,6 +96,33 @@ def truncated_rp4_cp2() -> sp.SpacePresentation:
 
 GRADED_SQUARE_SPACES = [sp.space(name, sp._KZ_MAX_CUTOFF.get(name, 12))
                         for name in sp.SPACE_NAMES] + [truncated_rp4_cp2()]
+
+
+# every SPACES entry at cutoffs 0, 1, 7 and the largest it is modeled at (29,
+# the largest cutoff this suite builds a structure at, where nothing caps it)
+BASIS_ORACLE_RINGS = {f"{name}-{c}": functools.partial(sp.space, name, c)
+                      for name in sp.SPACE_NAMES
+                      for c in (0, 1, 7, sp._KZ_MAX_CUTOFF.get(name, 29))
+                      if c <= sp._KZ_MAX_CUTOFF.get(name, 29)} | {
+    "RP4xCP2-8": truncated_rp4_cp2,
+    "no-generators-5": lambda: sp.SpacePresentation("point", [], 5, {}),
+    "degree-0-generator-6": lambda: sp.SpacePresentation(
+        "u0", [sp.Generator("t", 1), sp.Generator("u", 0), sp.Generator("x", 2, nilpotence=3)],
+        6, {}),
+    "degree-0-generator-last-4": lambda: sp.SpacePresentation(
+        "u0", [sp.Generator("t", 1, nilpotence=3), sp.Generator("u", 0)], 4, {}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BASIS_ORACLE_RINGS))
+def test_basis_equals_the_brute_force_enumeration(key):
+    # split_by_variable and _tau_labels read basis vector i as basis(d)[i],
+    # so the sorted order is part of the contract
+    pres = BASIS_ORACLE_RINGS[key]()
+    expected = brute_basis(pres)
+    for d in range(-1, pres.cutoff + 2):
+        assert pres.basis(d) == tuple(expected.get(d, ())), d
+        assert pres.index(d) == {m: i for i, m in enumerate(pres.basis(d))}, d
 
 
 @pytest.mark.parametrize("pres", GRADED_SQUARE_SPACES, ids=lambda p: p.name)
