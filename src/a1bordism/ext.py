@@ -14,9 +14,8 @@ from __future__ import annotations
 import bisect
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .gf2 import ColumnSolver, _transpose, combine
 from . import steenrod
@@ -27,15 +26,13 @@ class ResolutionError(ValueError):
     pass
 
 
-@dataclass
-class ResolutionStage:
+class ResolutionStage(NamedTuple):
     gen_degrees: List[int]  # ascending
     # boundary[i]: generator i's image as a column int (layout in ``ExtChart``)
     boundary: List[int]
 
 
-@dataclass
-class Resolution:
+class Resolution(NamedTuple):
     module: GradedA1Module
     max_s: int
     max_t: int
@@ -250,8 +247,14 @@ def ext_chart(res: Resolution) -> ExtChart:
 # -- collapse certification ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class _CertificateFields(NamedTuple):
+    report_max_s: int
+    max_n: int
+    certified: Mapping[Tuple[int, int], bool]
+    threats: Tuple[str, ...]
+
+
+class Certificate(_CertificateFields):
     """Which classes of columns 0..max_n with s <= report_max_s survive.
 
     ``threats`` lists each differential not ruled out, with the argument
@@ -259,14 +262,17 @@ class Certificate:
     read-only copy and ``threats`` a tuple, so reports can share it.
     """
 
-    report_max_s: int
-    max_n: int
-    certified: Mapping[Tuple[int, int], bool]
-    threats: Tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "certified", MappingProxyType(dict(self.certified)))
-        object.__setattr__(self, "threats", tuple(self.threats))
+    def __new__(cls, report_max_s: int, max_n: int,
+                certified: Mapping[Tuple[int, int], bool], threats: Sequence[str]):
+        return super().__new__(cls, report_max_s, max_n,
+                               MappingProxyType(dict(certified)), tuple(threats))
+
+    @classmethod
+    def _make(cls, iterable) -> "Certificate":
+        # ``_replace`` builds through ``_make``, which would bypass ``__new__``
+        return cls(*iterable)
 
     def column_ok(self, chart: ExtChart, n: int) -> bool:
         """Whether every class of column n with s <= report_max_s is certified.
@@ -336,8 +342,7 @@ def format_group(free_rank: int, torsion: Sequence[int]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     degree: int
     free_rank: int
     torsion: Tuple[int, ...]  # 2-power orders, descending

@@ -12,8 +12,7 @@ what order-counting and rank-alternation justify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .ext import format_group
 
@@ -59,15 +58,32 @@ class LESError(ValueError):
 ANNOTATIONS = ("zero", "injective", "surjective", "iso")
 
 
-@dataclass
 class PartialGroup:
-    """Finitely generated abelian group knowledge: rank and 2-torsion intervals."""
+    """Finitely generated abelian group knowledge: rank and 2-torsion intervals.
 
-    rank: Tuple[int, Optional[int]] = (0, None)
-    torlog: Tuple[int, Optional[int]] = (0, None)
-    exp_log: Optional[int] = None          # exponent of torsion divides 2^exp_log
-    factors: Optional[Tuple[int, ...]] = None  # exact torsion invariant factors
-    known: bool = False
+    Mutable: ``solve_les`` narrows the intervals of its own copies in place.
+    """
+
+    __slots__ = ("rank", "torlog", "exp_log", "factors", "known")
+
+    def __init__(self, rank: Tuple[int, Optional[int]] = (0, None),
+                 torlog: Tuple[int, Optional[int]] = (0, None),
+                 exp_log: Optional[int] = None,  # exponent of torsion divides 2^exp_log
+                 factors: Optional[Tuple[int, ...]] = None,  # exact torsion invariant factors
+                 known: bool = False):
+        self.rank = rank
+        self.torlog = torlog
+        self.exp_log = exp_log
+        self.factors = factors
+        self.known = known
+
+    def __repr__(self) -> str:
+        return f"PartialGroup({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
+
+    def __eq__(self, other):
+        if type(other) is not PartialGroup:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     @classmethod
     def zero(cls) -> "PartialGroup":
@@ -142,16 +158,21 @@ class PartialGroup:
         return f"rank {self.rank}, |torsion| in 2^{self.torlog}"
 
 
-@dataclass
 class LESProblem:
-    """Slots of a long exact sequence, listed in arrow order."""
+    """Slots of a long exact sequence, listed in arrow order.
 
-    name: str
-    labels: List[str]
-    groups: List[PartialGroup]
-    annotations: Dict[int, str] = field(default_factory=dict)  # map i: labels[i] -> labels[i+1]
+    ``annotations[i]`` annotates map i: labels[i] -> labels[i+1].  The
+    arguments are checked here: a malformed problem raises LESError.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("name", "labels", "groups", "annotations")
+
+    def __init__(self, name: str, labels: List[str], groups: List[PartialGroup],
+                 annotations: Optional[Dict[int, str]] = None):
+        self.name = name
+        self.labels = labels
+        self.groups = groups
+        self.annotations = {} if annotations is None else annotations
         if len(self.labels) != len(self.groups):
             raise LESError("labels and groups must align")
         if len(self.groups) < 3:
@@ -162,9 +183,16 @@ class LESProblem:
             if a not in ANNOTATIONS:
                 raise LESError(f"unknown annotation {a!r}")
 
+    def __repr__(self) -> str:
+        return f"LESProblem({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
 
-@dataclass
-class SlotReport:
+    def __eq__(self, other):
+        if type(other) is not LESProblem:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+
+class SlotReport(NamedTuple):
     label: str
     group: PartialGroup
     determined: Optional[str]
@@ -173,8 +201,7 @@ class SlotReport:
     notes: Tuple[str, ...] = ()
 
 
-@dataclass
-class LESSolution:
+class LESSolution(NamedTuple):
     problem: LESProblem
     slots: List[SlotReport]
     contradiction: Optional[str] = None

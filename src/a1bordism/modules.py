@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import gf2, steenrod
 from .gf2 import ColumnSolver, combine
@@ -35,8 +34,7 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed: the result is undecided, not the input wrong."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     degree: int
     relation: str
     detail: str = ""
@@ -465,8 +463,7 @@ class GradedA1Module:
 # -- free splitting ------------------------------------------------------
 
 
-@dataclass
-class ModuleDecomposition:
+class ModuleDecomposition(NamedTuple):
     """M as free summands plus a remainder, and the remainder's catalog match.
 
     Both maps are kept as degree → tuple of columns, where column j is the
@@ -481,7 +478,7 @@ class ModuleDecomposition:
     remainder: GradedA1Module
     witness: Dict[int, Tuple[int, ...]]
     valid_through: int
-    notes: List[str] = field(default_factory=list)
+    notes: Sequence[str] = ()
     witness_iso: Optional[Dict[int, Tuple[int, ...]]] = None
 
 
@@ -583,8 +580,7 @@ def split_free(M: GradedA1Module, max_gen_degree: Optional[int] = None) -> Modul
 # -- isomorphism search ----------------------------------------------------
 
 
-@dataclass
-class IsoResult:
+class IsoResult(NamedTuple):
     """The verdict of ``iso_up_to_degree``, with the isomorphism when there is one.
 
     ``maps`` is degree → tuple of columns, where column j is the image of

@@ -10,8 +10,7 @@ cohomology rings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .gf2 import ColumnSolver
 from . import spaces as sp
@@ -30,8 +29,7 @@ def _thom_model(n: int) -> sp.ThomSpace:
     return sp.ThomSpace(sp.space(f"BO{n}", 4), n)
 
 
-@dataclass
-class PullbackMap:
+class PullbackMap(NamedTuple):
     """The pullback H^d(K(Z/2,n)) -> H^d(MO_n) for n <= d <= n + 3.
 
     ``columns`` is degree → tuple of columns, where column j is the image
@@ -92,8 +90,7 @@ def _mod_sq1_image(model: SpacePresentation, d: int,
     return len(span.table), tuple(v in span for v in vectors)
 
 
-@dataclass
-class OneFormObstruction:
+class OneFormObstruction(NamedTuple):
     expression: str                  # the conventional representative, mod Im Sq1
     class_vector: int                # in the degree-5 basis of the K(Z/2,2) model
     degree: int
@@ -141,8 +138,7 @@ def primary_obstruction_oneform() -> OneFormObstruction:
 # -- evaluation on cataloged spaces ---------------------------------------------
 
 
-@dataclass
-class EvaluationVerdict:
+class EvaluationVerdict(NamedTuple):
     space: str
     expression: str
     value: str
@@ -188,8 +184,7 @@ def evaluate_obstruction_on(space_name: str, word: str = "21",
 # -- two-form symmetry -----------------------------------------------------------
 
 
-@dataclass
-class TwoFormVerdict:
+class TwoFormVerdict(NamedTuple):
     """Whether the degree-6 pullback K(Z/2,3) -> MO_3 is injective.
 
     ``columns`` is the map as a tuple of columns: column j is the image of

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import ext as ext_mod
 from . import modules as md
@@ -29,8 +28,7 @@ class PipelineError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PieceReport:
+class PieceReport(NamedTuple):
     """What run_pipeline computed for one wedge piece.
 
     ``free_summands`` are the (degree, label) pairs split_free split off,
@@ -45,8 +43,7 @@ class PieceReport:
     rows: Tuple[ext_mod.DegreeReport, ...]
 
 
-@dataclass
-class PipelineReport:
+class PipelineReport(NamedTuple):
     name: str
     through_degree: int
     rows: List[ext_mod.DegreeReport]
@@ -194,9 +191,8 @@ def decompose_structure(name: str, n: int) -> ModuleDecomposition:
     module = sp.named_structure(name, cutoff)
     dec = split_free(module, max_gen_degree=n)
     remainder = dec.remainder.quotient_above(n)
-    dec.valid_through = n
+    dec = dec._replace(remainder=remainder, valid_through=n)
     if not remainder.dims:
-        dec.remainder = remainder
         return dec
     lo = remainder.lo
 
@@ -266,13 +262,9 @@ def decompose_structure(name: str, n: int) -> ModuleDecomposition:
         if iso.status == "undecided":
             iso_undecided.append((cand, iso.reason))
         if iso.status == "iso":
-            dec.catalog_summands = [(pname, susp) for pname, susp in cand]
-            dec.remainder = remainder
-            dec.notes.append(
-                "catalog match certified by an explicit degree-preserving isomorphism")
-            dec.witness_iso = iso.maps
-            return dec
-    dec.remainder = remainder
+            return dec._replace(
+                catalog_summands=cand, witness_iso=iso.maps,
+                notes=["catalog match certified by an explicit degree-preserving isomorphism"])
     undecided = []
     if budget_spent:
         undecided.append(f"cover search stopped at its budget of {COVER_BUDGET} candidates")
@@ -282,9 +274,7 @@ def decompose_structure(name: str, n: int) -> ModuleDecomposition:
             f"{len(iso_undecided)} candidate(s) not settled by the isomorphism search, "
             f"first {' + '.join(f'{p}@{k}' for p, k in cand)}: {reason}")
     if undecided:
-        dec.notes.append(f"undecided: {'; '.join(undecided)}; "
-                         "remainder returned unidentified")
+        note = f"undecided: {'; '.join(undecided)}; remainder returned unidentified"
     else:
-        dec.notes.append("no catalog match found through degree "
-                         f"{n}; remainder returned unidentified")
-    return dec
+        note = f"no catalog match found through degree {n}; remainder returned unidentified"
+    return dec._replace(notes=[note])

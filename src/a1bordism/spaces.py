@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gf2 import combine
 from .modules import GradedA1Module, binom2
@@ -70,8 +69,7 @@ def _check_homogeneous(text: str, degrees: Sequence[int], degree: int) -> None:
             raise ValueError(f"class {text!r} has a term of degree {d}, expected {degree}")
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     label: str
     degree: int
     nilpotence: Optional[int] = None  # g^e = 0 for e >= nilpotence
@@ -225,8 +223,8 @@ class SpacePresentation:
     def _gen_components(self) -> Tuple[Tuple[Tuple[Monomial, ...], ...], ...]:
         """Sq^0 g, Sq^1 g, ... of each generator g, sorted out of ``total_sq``.
 
-        Read on first use, not at construction: ``parse_space`` builds a
-        presentation without Steenrod data to parse its SQ lines.
+        Read on first use, not at construction: ``parse_space`` builds the
+        presentation first and fills ``total_sq`` as it parses the SQ lines.
         """
         out = []
         for g in self.gens:
@@ -556,8 +554,7 @@ def _u_factors(factor: str) -> List[str]:
     return ["U"] * k
 
 
-@dataclass(frozen=True)
-class ThomClass:
+class ThomClass(NamedTuple):
     degree: int
     unit: bool
     u_part: Poly
@@ -825,27 +822,28 @@ def parse_space(text: str):
             raise ValueError(f"line {ln}: unknown directive {parts[0]!r}")
     if cutoff is None:
         raise ValueError(f"line {max(last, 1)}: missing CUTOFF")
-    ring = SpacePresentation(name, gens, cutoff, {})  # parses the SQ polynomials
-    total = {}
+    # the SQ polynomials are parsed in the ring they define: its total_sq is
+    # filled in before any Sq is computed
+    pres = SpacePresentation(name, gens, cutoff, {})
+    total = pres.total_sq
     for lab, (ln, poly) in sq_lines.items():
         if lab not in gen_lines:
             raise ValueError(f"line {ln}: SQ line for unknown generator {lab!r}")
         try:
-            total[lab] = ring.parse_poly(poly)
+            total[lab] = pres.parse_poly(poly)
         except ValueError as e:
             raise ValueError(f"line {ln}: {e}")
         # unstable: Sq^0 x = x, Sq^|x| x = x^2 and Sq^i x = 0 for i > |x|
-        gen = ring.gen_mono(lab)
-        deg = ring.mono_degree(gen)
-        ends = {m for m in (gen, tuple(2 * e for e in gen)) if ring.reduce_mono(m) is not None}
-        if {m for m in total[lab] if not deg < ring.mono_degree(m) < 2 * deg} != ends:
+        gen = pres.gen_mono(lab)
+        deg = pres.mono_degree(gen)
+        ends = {m for m in (gen, tuple(2 * e for e in gen)) if pres.reduce_mono(m) is not None}
+        if {m for m in total[lab] if not deg < pres.mono_degree(m) < 2 * deg} != ends:
             raise ValueError(f"line {ln}: SQ {lab} violates the relations of an unstable "
                              f"algebra: it must be {lab} + (terms of degree {deg + 1} to "
                              f"{2 * deg - 1}) + {lab}^2")
     for g in gens:
         if g.label not in total:
             raise ValueError(f"line {gen_lines[g.label]}: missing SQ line for generator {g.label!r}")
-    pres = SpacePresentation(name, gens, cutoff, total)
     # the derived Sq1/Sq2 matrices must satisfy the A(1) relations; blame
     # the SQ line of the highest generator at or below the failing degree
     v = pres.cohomology_module().validate()

@@ -141,15 +141,13 @@ def test_twoform_exit_code_does_not_depend_on_format(monkeypatch):
 
 def test_oneform_ascii_reads_the_verdicts(monkeypatch):
     # the "nonzero on"/"zero on" labels come from the evaluations, not fixed text
-    import dataclasses
-
     from a1bordism import obstruction as ob
 
     evaluate = ob.evaluate_obstruction_on
 
     def flipped(*args):
         v = evaluate(*args)
-        return dataclasses.replace(v, nonzero_mod_sq1=not v.nonzero_mod_sq1)
+        return v._replace(nonzero_mod_sq1=not v.nonzero_mod_sq1)
 
     monkeypatch.setattr(ob, "evaluate_obstruction_on", flipped)
     text, code = run(["obstruction", "one-form"])

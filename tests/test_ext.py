@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 
@@ -226,7 +225,7 @@ def test_certificate_is_immutable():
     # reports keep their certificates, and the session cache shares them
     certified, threats = {(0, 5): False, (2, 4): False}, ["d2: (0,5)→(2, 4) not excluded"]
     cert = ex.Certificate(4, 5, certified, threats)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cert.max_n = 8
     with pytest.raises(TypeError):
         cert.certified[(0, 5)] = True
@@ -234,6 +233,11 @@ def test_certificate_is_immutable():
     threats.clear()
     assert cert.certified == {(0, 5): False, (2, 4): False}
     assert cert.threats == ("d2: (0,5)→(2, 4) not excluded",)
+    copy = cert._replace(certified=certified, threats=threats)  # copies as well
+    certified[(2, 4)] = True
+    assert copy.certified == {(0, 5): True, (2, 4): False} and copy.threats == ()
+    with pytest.raises(TypeError):
+        copy.certified[(0, 5)] = False
 
 
 def test_column_ok_past_the_certified_window_raises():
@@ -540,8 +544,8 @@ def test_pipeline_resolutions_are_exact_and_minimal(pipeline_resolutions):
 def with_column(res, s, i, v):
     """A copy of res whose stage-s boundary column of generator i is v."""
     stage = res.stages[s]
-    bad = dataclasses.replace(stage, boundary=stage.boundary[:i] + [v] + stage.boundary[i + 1:])
-    return dataclasses.replace(res, stages=res.stages[:s] + [bad] + res.stages[s + 1:])
+    bad = stage._replace(boundary=stage.boundary[:i] + [v] + stage.boundary[i + 1:])
+    return res._replace(stages=res.stages[:s] + [bad] + res.stages[s + 1:])
 
 
 @pytest.mark.parametrize("name, s, i, gi, old, new, message", [
@@ -592,7 +596,7 @@ def test_verify_resolution_rejects_a_zero_boundary_column():
         verify_resolution(with_column(res, 0, 0, 0))
     st = res.stages[1]
     extra = ex.ResolutionStage(st.gen_degrees + [7], st.boundary + [0])
-    broken = dataclasses.replace(res, stages=res.stages[:1] + [extra] + res.stages[2:])
+    broken = res._replace(stages=res.stages[:1] + [extra] + res.stages[2:])
     with pytest.raises(InvariantError,
                        match=f"boundary of stage 1, generator {len(st.gen_degrees)} is zero"):
         verify_resolution(broken)
@@ -635,7 +639,7 @@ def test_exactness_check_catches_a_missing_generator(pipeline_resolutions):
     res = pipeline_resolutions["GM/0"]
     st = res.stages[3]
     cut = ex.ResolutionStage(st.gen_degrees[:-1], st.boundary[:-1])
-    broken = dataclasses.replace(res, stages=res.stages[:3] + [cut] + res.stages[4:])
+    broken = res._replace(stages=res.stages[:3] + [cut] + res.stages[4:])
     verify_resolution(broken)
     with pytest.raises(AssertionError, match="not exact at s=2, t=23"):
         check_exact(broken)

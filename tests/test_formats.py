@@ -140,6 +140,22 @@ def test_space_format_parse_and_twist():
         assert tw.sq(2, d) == pm.sq(2, d)
 
 
+def test_space_format_builds_one_ring(monkeypatch):
+    # the SQ lines are parsed in the ring parse_space returns, not in a throwaway one
+    built = []
+    init = sp.SpacePresentation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.SpacePresentation, "__init__", counting)
+    pres, *_ = parse_space(SPACE_BO2)
+    assert built == [pres]
+    assert pres.total_sq == {"w1": pres.parse_poly("w1 + w1^2"),
+                             "w2": pres.parse_poly("w2 + w1*w2 + w2^2")}
+
+
 def test_space_format_rejects_bad_sq():
     # Sq t = t + t^3 is not a valid total operation (wrong instability)
     text = """

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import re
 
@@ -123,10 +122,10 @@ def test_reports_keep_the_evidence_that_built_their_rows(pipeline_cache):
         assert said == [(p.name, len(p.free_summands)) for p in rep.pieces if p.free_summands]
     assert frees > 0
     piece = pipeline_cache("FK", 7).pieces[0]
-    for field in dataclasses.fields(piece):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(piece, field.name, None)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    for field in piece._fields:
+        with pytest.raises(AttributeError):
+            setattr(piece, field, None)
+    with pytest.raises(AttributeError):
         piece.rows[0].certified = False
 
 
@@ -177,6 +176,21 @@ def test_decompose_gm_figure_statement_fails_honestly():
     res = iso_up_to_degree(gm, cand, 6)
     assert res.status == "none"
     assert "degree 5" in res.reason
+
+
+def test_decompose_records_refuse_assignment():
+    # decompose_structure returns a new record; neither it nor split_free's,
+    # nor an isomorphism verdict, nor a report row can be changed in place
+    from a1bordism.modules import iso_up_to_degree, split_free
+
+    dec = decompose_structure("SpinO2", 6)
+    iso = iso_up_to_degree(dec.remainder, dec.remainder, 6)
+    row = ex.DegreeReport(0, 1, (), True)
+    for record in (dec, split_free(dec.remainder), iso, row):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+    assert iso.status == "iso"
 
 
 def test_decompose_zero_window():
