@@ -17,21 +17,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .ext import format_group
 
 
-def _iv_meet(a, b):
-    lo = max(a[0], b[0])
-    if a[1] is None:
-        hi = b[1]
-    elif b[1] is None:
-        hi = a[1]
-    else:
-        hi = min(a[1], b[1])
-    return (lo, hi)
-
-
-def _iv_valid(a) -> bool:
-    return a[1] is None or a[0] <= a[1]
-
-
 def _iv_exact(a) -> Optional[int]:
     return a[0] if a[1] is not None and a[0] == a[1] else None
 
@@ -58,32 +43,18 @@ class LESError(ValueError):
 ANNOTATIONS = ("zero", "injective", "surjective", "iso")
 
 
-class PartialGroup:
+class PartialGroup(NamedTuple):
     """Finitely generated abelian group knowledge: rank and 2-torsion intervals.
 
-    Mutable: ``solve_les`` narrows the intervals of its own copies in place.
+    Immutable: ``solve_les`` reports each slot's narrowed intervals in a
+    new record built with ``_replace``.
     """
 
-    __slots__ = ("rank", "torlog", "exp_log", "factors", "known")
-
-    def __init__(self, rank: Tuple[int, Optional[int]] = (0, None),
-                 torlog: Tuple[int, Optional[int]] = (0, None),
-                 exp_log: Optional[int] = None,  # exponent of torsion divides 2^exp_log
-                 factors: Optional[Tuple[int, ...]] = None,  # exact torsion invariant factors
-                 known: bool = False):
-        self.rank = rank
-        self.torlog = torlog
-        self.exp_log = exp_log
-        self.factors = factors
-        self.known = known
-
-    def __repr__(self) -> str:
-        return f"PartialGroup({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
-
-    def __eq__(self, other):
-        if type(other) is not PartialGroup:
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+    rank: Tuple[int, Optional[int]] = (0, None)
+    torlog: Tuple[int, Optional[int]] = (0, None)
+    exp_log: Optional[int] = None  # exponent of torsion divides 2^exp_log
+    factors: Optional[Tuple[int, ...]] = None  # exact torsion invariant factors
+    known: bool = False
 
     @classmethod
     def zero(cls) -> "PartialGroup":
@@ -213,121 +184,85 @@ class LESSolution(NamedTuple):
         raise KeyError(label)
 
 
-def _max_exp_bounded_subgroup_log(g: PartialGroup, exp_log: int) -> Optional[int]:
-    """2-log of the largest subgroup of exponent <= 2^exp_log, if computable."""
-    if g.factors is None or _iv_exact(g.rank) is None or g.rank[0] != 0:
-        return None
-    return sum(min(exp_log, f.bit_length() - 1) for f in g.factors)
-
-
 def solve_les(problem: LESProblem) -> LESSolution:
     n = len(problem.groups)
-    groups = [
-        PartialGroup(g.rank, g.torlog, g.exp_log, g.factors, g.known)
-        for g in problem.groups
-    ]
-    # image variables per map i: groups[i] -> groups[i+1]
-    imrank = [(0, None)] * (n - 1)
-    imtor = [(0, None)] * (n - 1)
+    # [rank, torlog] intervals of each slot ("g", j) and of the image of
+    # each map ("im", i): groups[i] -> groups[i+1]
+    iv = {("g", j): [g.rank, g.torlog] for j, g in enumerate(problem.groups)}
+    iv.update({("im", i): [(0, None), (0, None)] for i in range(n - 1)})
     im_factors: List[Optional[Tuple[int, ...]]] = [None] * (n - 1)
     contradiction: Optional[str] = None
 
-    def fail(i: int) -> str:
-        lo = max(0, i - 1)
-        hi = min(n - 1, i + 1)
-        return ("exactness violated around "
-                + " -> ".join(problem.labels[lo:hi + 1]))
-
-    def tighten(i: int, kind: str, value) -> bool:
-        nonlocal contradiction
-        arr = imrank if kind == "rank" else imtor
-        new = _iv_meet(arr[i], value)
-        if not _iv_valid(new):
+    def meet(key, k: int, bound) -> None:
+        """Narrow interval k (0 rank, 1 torsion) of ``key`` to its meet with
+        ``bound``; an empty meet keeps the interval and records the first
+        contradiction, around the slot or map that ``key`` names."""
+        nonlocal contradiction, changed
+        cur = iv[key][k]
+        his = [h for h in (cur[1], bound[1]) if h is not None]
+        new = (max(cur[0], bound[0]), min(his, default=None))
+        if new[1] is not None and new[0] > new[1]:
             if contradiction is None:
-                contradiction = fail(i)
-            return False
-        if new != arr[i]:
-            arr[i] = new
-            return True
-        return False
-
-    def tighten_group(j: int, kind: str, value) -> bool:
-        nonlocal contradiction
-        g = groups[j]
-        cur = g.rank if kind == "rank" else g.torlog
-        new = _iv_meet(cur, value)
-        if not _iv_valid(new):
-            if contradiction is None:
-                contradiction = fail(j)
-            return False
-        if new != cur:
-            if kind == "rank":
-                g.rank = new
-            else:
-                g.torlog = new
-            return True
-        return False
+                j = key[1]
+                contradiction = ("exactness violated around "
+                                 + " -> ".join(problem.labels[max(0, j - 1):j + 2]))
+        elif new != cur:
+            iv[key][k] = new
+            changed = True
 
     for _round in range(6 * n + 20):
         changed = False
         for i in range(n - 1):
-            src, tgt = groups[i], groups[i + 1]
+            src, tgt = iv[("g", i)], iv[("g", i + 1)]
+            im = ("im", i)
             ann = problem.annotations.get(i)
-            # image is a subgroup of the target and a quotient of the source
-            changed |= tighten(i, "rank", (0, src.rank[1]))
-            changed |= tighten(i, "rank", (0, tgt.rank[1]))
-            changed |= tighten(i, "tor", (0, tgt.torlog[1]))
-            if src.rank == (0, 0) and src.torlog[1] is not None:
-                changed |= tighten(i, "tor", (0, src.torlog[1]))
-            if src.exp_log is not None and src.rank == (0, 0):
-                cap = _max_exp_bounded_subgroup_log(tgt, src.exp_log)
-                if cap is not None:
-                    changed |= tighten(i, "tor", (0, cap))
+            # the image is a subgroup of the target and a quotient of the
+            # source; a quotient's torsion is bounded only by a finite source
+            for k in (0, 1):
+                if k == 0 or src[0] == (0, 0):
+                    meet(im, k, (0, src[k][1]))
+                meet(im, k, (0, tgt[k][1]))
+            # an exponent-2^e source has an image inside the target's largest
+            # exponent-2^e subgroup, read off the target's narrowed rank
+            exp_log, factors = problem.groups[i].exp_log, problem.groups[i + 1].factors
+            if exp_log is not None and factors is not None and src[0] == tgt[0] == (0, 0):
+                meet(im, 1, (0, sum(min(exp_log, f.bit_length() - 1) for f in factors)))
             if ann == "zero":
-                changed |= tighten(i, "rank", (0, 0))
-                changed |= tighten(i, "tor", (0, 0))
-            elif ann in ("injective", "iso"):
-                changed |= tighten(i, "rank", src.rank)
-                changed |= tighten(i, "tor", src.torlog)
-                changed |= tighten_group(i, "rank", imrank[i])
-                changed |= tighten_group(i, "tor", imtor[i])
-                if src.factors is not None:
-                    im_factors[i] = src.factors
-                # exactness: a zero kernel means the previous map has zero image
-                if i >= 1:
-                    changed |= tighten(i - 1, "rank", (0, 0))
-                    changed |= tighten(i - 1, "tor", (0, 0))
-            if ann in ("surjective", "iso"):
-                changed |= tighten(i, "rank", tgt.rank)
-                changed |= tighten(i, "tor", tgt.torlog)
-                changed |= tighten_group(i + 1, "rank", imrank[i])
-                changed |= tighten_group(i + 1, "tor", imtor[i])
-                if tgt.factors is not None and im_factors[i] is None:
-                    im_factors[i] = tgt.factors
-                # exactness: a full image means the next map is zero
-                if i + 1 < n - 1:
-                    changed |= tighten(i + 1, "rank", (0, 0))
-                    changed |= tighten(i + 1, "tor", (0, 0))
-            if imtor[i] == (0, 0) and imrank[i] == (0, 0):
-                im_factors[i] = ()
-            if imtor[i] == (1, 1) and imrank[i] == (0, 0):
-                im_factors[i] = (2,)
-        # exactness at interior slots
+                for k in (0, 1):
+                    meet(im, k, (0, 0))
+            # an injective (surjective) map has the image of its source
+            # (target), and exactness makes the map before (after) it zero
+            for end, j, other in (("injective", i, i - 1), ("surjective", i + 1, i + 1)):
+                if ann not in (end, "iso"):
+                    continue
+                for k in (0, 1):
+                    meet(im, k, iv[("g", j)][k])
+                for k in (0, 1):
+                    meet(("g", j), k, iv[im][k])
+                factors = problem.groups[j].factors
+                if factors is not None and (j == i or im_factors[i] is None):
+                    im_factors[i] = factors
+                if 0 <= other < n - 1:
+                    for k in (0, 1):
+                        meet(("im", other), k, (0, 0))
+            rank, tor = iv[im]
+            if rank == (0, 0) and tor in ((0, 0), (1, 1)):
+                im_factors[i] = (2,) * tor[0]
+        # exactness at interior slots; the torsion rules need a finite slot
         for j in range(1, n - 1):
-            g = groups[j]
-            left, right = j - 1, j
-            changed |= tighten_group(j, "rank", _iv_add(imrank[left], imrank[right]))
-            changed |= tighten(left, "rank", _iv_sub(g.rank, imrank[right]))
-            changed |= tighten(right, "rank", _iv_sub(g.rank, imrank[left]))
-            if g.rank == (0, 0):
-                changed |= tighten_group(j, "tor", _iv_add(imtor[left], imtor[right]))
-                changed |= tighten(left, "tor", _iv_sub(g.torlog, imtor[right]))
-                changed |= tighten(right, "tor", _iv_sub(g.torlog, imtor[left]))
+            g, left, right = iv[("g", j)], iv[("im", j - 1)], iv[("im", j)]
+            for k in (0, 1):
+                if k == 1 and g[0] != (0, 0):
+                    break
+                meet(("g", j), k, _iv_add(left[k], right[k]))
+                meet(("im", j - 1), k, _iv_sub(g[k], right[k]))
+                meet(("im", j), k, _iv_sub(g[k], left[k]))
         if contradiction or not changed:
             break
 
     slots: List[SlotReport] = []
-    for j, g in enumerate(groups):
+    for j, g in enumerate(problem.groups):
+        g = g._replace(rank=iv[("g", j)][0], torlog=iv[("g", j)][1])
         notes: List[str] = []
         determined: Optional[str] = None
         candidates: Tuple[str, ...] = ()
@@ -340,10 +275,10 @@ def solve_les(problem: LESProblem) -> LESSolution:
             # quotient, im(map j), free (the last slot has no map j)
             if j >= 1 and r is not None:
                 ker_factors = im_factors[j - 1]
-                quot_free = j < n - 1 and imtor[j] == (0, 0) and \
-                    _iv_exact(imrank[j]) is not None
+                quot_free = j < n - 1 and iv[("im", j)][1] == (0, 0) and \
+                    _iv_exact(iv[("im", j)][0]) is not None
                 if ker_factors is not None and quot_free:
-                    g.factors = ker_factors
+                    g = g._replace(factors=ker_factors)
                     determined = PartialGroup.exact(r, ker_factors).group_str()
                     notes.append("extension splits: quotient by the kernel is free")
             if determined is None and r == 0 and t is not None:

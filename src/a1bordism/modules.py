@@ -905,8 +905,9 @@ def parse_a1mod(text: str) -> GradedA1Module:
             actions.append((ln, parts[0], src, targets))
         elif parts[0] == "TRUNCATE":
             try:
-                hi = int(parts[1])
-            except (ValueError, IndexError):
+                _, value = parts
+                hi = int(value)
+            except ValueError:
                 raise ModuleError(f"line {ln}: TRUNCATE <degree>")
             claim("TRUNCATE", ln)
         else:

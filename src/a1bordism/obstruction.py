@@ -155,10 +155,13 @@ def evaluate_obstruction_on(space_name: str, word: str = "21",
 
     The spin placeholder is handled by the documented rule that a vanishing
     second Wu class forces Sq2 to vanish on degree-(dim-2) classes of a
-    closed spin 5-manifold, so Sq2Sq1 B = (w2 + w1^2) Sq1 B = 0.
+    closed spin 5-manifold, so Sq2Sq1 B = (w2 + w1^2) Sq1 B = 0; it answers
+    only that call, word 21 on z2, and refuses any other.
     """
     expr = "Sq" + " Sq".join(word) + f" {generator}" if word else generator
     if space_name == "SpinPlaceholder":
+        if (word, generator) != ("21", "z2"):
+            raise ObstructionError(f"the spin placeholder rule covers only Sq2 Sq1 z2, not {expr}")
         return EvaluationVerdict(
             space_name, expr, "0", False,
             "spin placeholder: v2 = w2 + w1^2 = 0, so Sq2 kills degree-3 classes "

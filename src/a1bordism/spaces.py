@@ -318,7 +318,7 @@ class SpacePresentation:
 # -- Wu formula --------------------------------------------------------------
 
 
-def wu_total_sq(j: int, n: int, gens: Sequence[Generator]) -> List[Tuple[int, ...]]:
+def wu_total_sq(j: int, n: int) -> List[Tuple[int, ...]]:
     """Monomials of the total Steenrod operation on w_j in H^*(BO_n).
 
     Sq^i(w_j) = sum_t C(j+t-i-1, t) w_{i-t} w_{j+t} for i < j, and w_j^2
@@ -358,7 +358,7 @@ def bo_presentation(n: int, cutoff: int, labels: Optional[Sequence[str]] = None,
     total: Dict[str, Poly] = {}
     for j in range(1, n + 1):
         # the i = 0 term of the Wu sum is already Sq^0 w_j = w_j
-        total[labels[j - 1]] = _poly([tuple(m) for m in wu_total_sq(j, n, gens)])
+        total[labels[j - 1]] = _poly([tuple(m) for m in wu_total_sq(j, n)])
     return SpacePresentation(name or f"BO{n}", gens, cutoff, total)
 
 
@@ -777,12 +777,13 @@ def parse_space(text: str):
             name = " ".join(parts[1:])
         elif parts[0] == "GEN":
             usage = f"line {ln}: GEN <label> DEG <d> [NILPOTENT <e>]"
-            if len(parts) < 4 or parts[2] != "DEG":
+            if (len(parts) not in (4, 6) or parts[2] != "DEG"
+                    or parts[4:5] not in ([], ["NILPOTENT"])):
                 raise ValueError(usage)
             try:
                 deg = int(parts[3])
-                nil = int(parts[parts.index("NILPOTENT") + 1]) if "NILPOTENT" in parts else None
-            except (ValueError, IndexError):
+                nil = int(parts[5]) if len(parts) == 6 else None
+            except ValueError:
                 raise ValueError(usage)
             if not parts[1].isidentifier():
                 raise ValueError(f"line {ln}: generator label {parts[1]!r} is not a name")
@@ -801,8 +802,9 @@ def parse_space(text: str):
             sq_lines[lab.strip()] = (ln, poly.strip())
         elif parts[0] == "CUTOFF":
             try:
-                cutoff = int(parts[1])
-            except (ValueError, IndexError):
+                _, value = parts
+                cutoff = int(value)
+            except ValueError:
                 raise ValueError(f"line {ln}: CUTOFF <degree>")
             if cutoff < 0:
                 raise ValueError(f"line {ln}: cutoff must be nonnegative")
@@ -814,8 +816,9 @@ def parse_space(text: str):
             twists[parts[1]] = (ln, line.split("=", 1)[1].strip())
         elif parts[0] == "SHIFT":
             try:
-                shift = int(parts[1])
-            except (ValueError, IndexError):
+                _, value = parts
+                shift = int(value)
+            except ValueError:
                 raise ValueError(f"line {ln}: SHIFT <degree>")
             claim("SHIFT", ln)
         else:

@@ -193,6 +193,9 @@ def test_les_refuses_a_second_les_line():
     (".space", "SPACE s\nGEN t DEG x\nSQ t = t + t^2\nCUTOFF 8\n", 2),
     (".space", "SPACE s\nGEN t DEG 1 NILPOTENT x\nSQ t = t + t^2\nCUTOFF 8\n", 2),
     (".space", "SPACE s\nGEN t DEG 1 NILPOTENT\nSQ t = t + t^2\nCUTOFF 8\n", 2),
+    # each directive has its exact token count: a trailing token is refused
+    (".space", "SPACE s\nGEN t DEG 1 NILPOTENT 2 7\nSQ t = t + t^2\nCUTOFF 8\n", 2),
+    (".space", "SPACE s\nGEN t DEG 1 DEG 2\nSQ t = t + t^2\nCUTOFF 8\n", 2),
     (".space", "SPACE s\nGEN t DEG 1\nSQ t = t + t^2\nCUTOFF\n", 4),
     (".space", "SPACE s\nGEN t DEG 1\nSQ t = t + t^2\nCUTOFF x\n", 4),
     (".space", SPACE_OK + "SHIFT x\n", 5),
@@ -258,6 +261,23 @@ def readme_example(keyword: str) -> str:
         if block.strip().startswith(keyword):
             return block.strip() + "\n"
     raise AssertionError(f"README has no {keyword} example")
+
+
+@pytest.mark.parametrize("suffix, keyword, directive", [
+    (".a1mod", "MODULE", "TRUNCATE"),
+    (".space", "SPACE", "GEN"),
+    (".space", "SPACE", "CUTOFF"),
+    (".space", "SPACE", "SHIFT"),
+])
+def test_readme_example_line_with_a_trailing_token_is_refused(tmp_path, suffix, keyword, directive):
+    lines = readme_example(keyword).splitlines()
+    (ln,) = [i for i, line in enumerate(lines, start=1) if line.split()[0] == directive]
+    lines[ln - 1] += " 7"
+    path = tmp_path / f"junk{suffix}"
+    path.write_text("\n".join(lines) + "\n")
+    out, code = cli.run([VERB[suffix], str(path)])
+    assert code == 1
+    assert out.startswith(f"error: line {ln}: {directive} <"), out
 
 
 JUNK = ["", "x", "0", "1", "-1", "2", "7", "30", "#", ":", "->", "+", "=", "^", "*",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -146,40 +147,107 @@ def test_figures_solve_with_the_engine_rows(pipeline_cache, figure):
 # -- soundness fuzz: the solver never narrows beyond the truth -----------------
 
 
-def _random_finite_group(rng: random.Random) -> PartialGroup:
-    factors = tuple(2 ** rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
-    return PartialGroup.exact(0, factors)
+def _random_group(rng: random.Random) -> PartialGroup:
+    """An exact group, or an unknown as ``?``, ``?fin`` or ``?exp`` write it."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return PartialGroup.unknown()
+    if kind == 1:
+        return PartialGroup.unknown(finite=True)
+    if kind == 2:
+        return PartialGroup.unknown(exp_log=rng.randint(0, 2), finite=True)
+    factors = [2 ** rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+    return PartialGroup.exact(rng.choice((0, 0, 1, 2)), factors)
+
+
+def _arbitrary_problem(rng: random.Random) -> LESProblem:
+    """Random slots and annotations: most of these are not exact."""
+    n = rng.randint(3, 7)
+    anns = {i: rng.choice(les.ANNOTATIONS) for i in range(n - 1) if rng.random() < 0.3}
+    return LESProblem("arbitrary", [f"A{j}" for j in range(n)],
+                      [_random_group(rng) for _ in range(n)], anns)
+
+
+def _split_exact_problem(rng: random.Random, free: bool):
+    """A split exact sequence with hidden slots and true annotations.
+
+    Slot p is K_p + K_{p+1} and map p projects onto K_{p+1} and includes
+    it, so its image is K_{p+1}: it is zero iff K_{p+1} = 0, injective iff
+    K_p = 0 and surjective iff K_{p+2} = 0.  The first and last two K are 0,
+    so the end slots are 0.  Returns the problem, the true groups and the
+    hidden slots.
+    """
+    length = rng.randint(4, 7)
+    zero = PartialGroup.zero()
+    K = [zero, zero] + [
+        PartialGroup.exact(rng.randint(0, 1) if free else 0,
+                           [2 ** rng.randint(1, 3) for _ in range(rng.randint(0, 2))])
+        for _ in range(length - 1)
+    ] + [zero, zero]
+    truth = [PartialGroup.exact(K[p].rank[0] + K[p + 1].rank[0], K[p].factors + K[p + 1].factors)
+             for p in range(length + 2)]
+    hidden = set(rng.sample(range(1, length + 1), k=rng.randint(1, 3)))
+    groups = []
+    for p, g in enumerate(truth):
+        if p not in hidden:
+            groups.append(g)
+        elif g.rank != (0, 0) or rng.random() < 0.4:
+            groups.append(PartialGroup.unknown())
+        elif rng.random() < 0.5:
+            groups.append(PartialGroup.unknown(finite=True))
+        else:
+            groups.append(PartialGroup.unknown(exp_log=g.exp_log + rng.randint(0, 1), finite=True))
+    anns = {}
+    for p in range(length + 1):
+        holds = [a for a, ok in (("zero", K[p + 1] == zero), ("injective", K[p] == zero),
+                                 ("surjective", K[p + 2] == zero)) if ok]
+        if "injective" in holds and "surjective" in holds:
+            holds.append("iso")
+        if holds and rng.random() < 0.5:
+            anns[p] = rng.choice(holds)
+    labels = [f"A{p}" for p in range(length + 2)]
+    return LESProblem("split", labels, groups, anns), truth, hidden
+
+
+def test_solver_outputs_are_pinned():
+    # every slot report and the contradiction, for arbitrary problems,
+    # annotated split exact sequences and the four figures
+    rng = random.Random(31)
+    problems = [_arbitrary_problem(rng) for _ in range(1000)]
+    problems += [_split_exact_problem(rng, rng.random() < 0.5)[0] for _ in range(1000)]
+    problems += [les.FIGURES[key]() for key in sorted(les.FIGURES)]
+    digest = hashlib.sha256()
+    for problem in problems:
+        sol = solve_les(problem)
+        for s in sol.slots:
+            digest.update(repr((s.label, s.group, s.determined, s.order,
+                                s.candidates, s.notes)).encode())
+        digest.update(repr(sol.contradiction).encode())
+    assert digest.hexdigest() == "ef12ffc3a885c5c53499fe10cf4e109c550bc9a7c22069cb7408069418e2a6e6"
+
+
+def _assert_sound(rng: random.Random, free: bool) -> None:
+    # hide random slots of split exact sequences, annotate maps truly, and
+    # check the solver's intervals always contain the truth
+    for _ in range(200):
+        problem, truth, hidden = _split_exact_problem(rng, free)
+        before = list(problem.groups)
+        sol = solve_les(problem)
+        assert sol.contradiction is None
+        assert problem.groups == before
+        with pytest.raises(AttributeError):
+            sol.slots[0].group.rank = (0, 0)
+        for p in hidden:
+            got, want = sol.slots[p], truth[p]
+            for k in (0, 1):
+                lo, hi = got.group[k]
+                assert lo <= want[k][0] and (hi is None or hi >= want[k][0]), (p, got, want)
+            assert got.determined in (None, want.group_str()), (p, got, want)
 
 
 def test_fuzz_soundness_on_split_exact_sequences():
-    # Build exact sequences by construction: A_i = K_i ⊕ K_{i+1} with
-    # f_i the projection-then-inclusion; hide random slots and check the
-    # solver's intervals always contain the truth.
-    rng = random.Random(20240)
-    for _ in range(200):
-        length = rng.randint(4, 7)
-        K = [PartialGroup.exact(0, ())] + [
-            _random_finite_group(rng) for _ in range(length - 1)
-        ] + [PartialGroup.exact(0, ())]
-        true_groups = []
-        for i in range(length):
-            tl = K[i].torlog[0] + K[i + 1].torlog[0]
-            facts = tuple(sorted(K[i].factors + K[i + 1].factors, reverse=True))
-            true_groups.append(PartialGroup.exact(0, facts))
-        groups = []
-        hidden = set(rng.sample(range(1, length - 1), k=min(2, length - 2)))
-        for i, g in enumerate(true_groups):
-            groups.append(PartialGroup.unknown(finite=rng.random() < 0.5)
-                          if i in hidden else g)
-        # pad with zeros so boundary exactness holds by construction
-        labels = [f"A{i}" for i in range(length)]
-        problem = LESProblem("fuzz", ["Z0"] + labels + ["Z1"],
-                             [PartialGroup.zero()] + groups + [PartialGroup.zero()])
-        sol = solve_les(problem)
-        assert sol.contradiction is None
-        for i in hidden:
-            got = sol.slot(f"A{i}").group
-            truth = true_groups[i].torlog[0]
-            assert got.torlog[0] <= truth
-            assert got.torlog[1] is None or got.torlog[1] >= truth
-            assert got.rank[0] == 0
+    _assert_sound(random.Random(20240), free=False)
+
+
+def test_fuzz_soundness_with_free_parts():
+    _assert_sound(random.Random(20241), free=True)

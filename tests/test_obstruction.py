@@ -103,6 +103,18 @@ def test_spin_placeholder_vanishes():
     assert not v.nonzero_mod_sq1
 
 
+@pytest.mark.parametrize("word, generator", [("", "z2"), ("1", "q"), ("2", "z2"), ("21", "z3")])
+def test_spin_placeholder_refuses_what_its_rule_does_not_cover(word, generator):
+    # the rule speaks of Sq2 Sq1 z2 only: the class z2 itself, a generator
+    # that does not exist and any other word or generator are refused
+    with pytest.raises(ob.ObstructionError, match="covers only Sq2 Sq1 z2"):
+        ob.evaluate_obstruction_on("SpinPlaceholder", word, generator)
+    argv = ["obstruction", "evaluate", "--space", "SpinPlaceholder",
+            "--word", word, "--generator", generator]
+    out, code = cli.run(argv)
+    assert code == 1 and out.startswith("error: the spin placeholder rule covers only"), out
+
+
 def test_unknown_space_refused():
     with pytest.raises(ob.ObstructionError):
         ob.evaluate_obstruction_on("BO2")
