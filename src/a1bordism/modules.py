@@ -810,6 +810,8 @@ CATALOG_NAMES = ("F2", "A1free", "M0", "M1", "J", "Q", "R2", "R3")
 @functools.lru_cache(maxsize=None)
 def catalog(name: str, cutoff: Optional[int] = None) -> GradedA1Module:
     """A named small A(1)-module, truncated at ``cutoff`` if given (built once per argument)."""
+    if cutoff is not None and cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
     builders = {
         "F2": f2_module,
         "A1free": free_module,

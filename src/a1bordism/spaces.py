@@ -10,12 +10,16 @@ realizes the spin-twist action
 
     Sq1(Q x) = Q(a x + Sq1 x),   Sq2(Q x) = Q(b x + a Sq1 x + Sq2 x)
 
-as pure matrix algebra over any ring model.  A ring model is a space
-presentation or a Thom-space model; both offer the same interface:
-``dim(d)``, ``element_labels(d)``, ``sq_matrix(k, d)``,
-``mult_matrix(cls, degree, d)`` and ``parse_class(text, degree)``; the
-two maps come as their columns, the layout the modules keep.
-Twist classes are given as text and parsed by the model.
+as pure matrix algebra over a presentation X, from its ``sq_matrix(k, d)``
+and ``mult_matrix(p, degree, d)`` columns, the layout the modules keep.
+Twist classes are given as text and parsed by the presentation.
+
+A Thom space's reduced cohomology is U·H*(X), with Sq(pU) = Sq(p)·w·U for
+the total Stiefel-Whitney class w (the Thom isomorphism).  ``ThomSpace``
+computes with a U-multiple pU through its coefficient p; the obstructions
+use it.  GM = V(MO2, 0, U) is built by the same isomorphism: the twist by
+U adds U·pU = w2·pU, which cancels the w2 term of Sq²(pU), so the
+U-multiples of GM are Σ²V(BO2, w1, 0), under one class Q with Sq²Q = Q·U.
 
 A Thom space of a sum of bundles is the smash of the Thom spaces,
 Th(V⊕W) = Th(V) ∧ Th(W); in cohomology that is the Cartan formula, so
@@ -24,11 +28,12 @@ Th(V⊕W) = Th(V) ∧ Th(W); in cohomology that is the Cartan formula, so
 
 The catalog of spaces is the ``SPACES`` table (name -> presentation at a
 cutoff).  Two more tables hold every structure's recipe.  ``TWISTS``
-gives each single twist V(X, a, b) (GM, Pin±, FK, SpinO2, SigmaBO2,
-MV_a_ab, and two BO2 factors) as a ring model, a, b and a generator
-label; ``PRODUCTS`` gives FKO, KT±, PinMinusO2 and Tau± as the tensor
-product of two of them.  Every twist is built once per (name, cutoff) by
-``_twist`` and shared; the products are built afresh on every call.
+gives each single twist V(X, a, b) (GM's U-multiples, Pin±, FK, SpinO2,
+SigmaBO2, MV_a_ab, and two BO2 factors) as a presentation, a, b and a
+generator label; ``PRODUCTS`` gives FKO, KT±, PinMinusO2 and Tau± as the
+tensor product of two of them.  Every twist is built once per (name,
+cutoff) by ``_twist`` and shared; the products are built afresh on every
+call.
 
 Basis labels are for display only: no code here reads them.  A twist's
 basis in degree d is its ring's ``basis(d)``, so ``split_by_variable``
@@ -61,12 +66,6 @@ def _poly(monos: Sequence[Monomial]) -> Poly:
         else:
             out.add(m)
     return frozenset(out)
-
-
-def _check_homogeneous(text: str, degrees: Sequence[int], degree: int) -> None:
-    for d in degrees:
-        if d != degree:
-            raise ValueError(f"class {text!r} has a term of degree {d}, expected {degree}")
 
 
 class Generator(NamedTuple):
@@ -193,8 +192,12 @@ class SpacePresentation:
                 if factor == "1":
                     continue
                 if "^" in factor:
-                    lab, e = factor.split("^")
-                    e = int(e)
+                    lab, _, exponent = factor.partition("^")
+                    # ASCII digits only: int() would also read "1_0" and non-ASCII digits
+                    digits = exponent.strip().removeprefix("-")
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise ValueError(f"invalid exponent in {factor!r}")
+                    e = int(exponent)
                     if e < 0:
                         raise ValueError(f"negative exponent in {factor!r}")
                 else:
@@ -209,7 +212,10 @@ class SpacePresentation:
 
     def parse_class(self, text: str, degree: int) -> Poly:
         """A homogeneous class of the given degree; any other term is an error."""
-        _check_homogeneous(text, [self.mono_degree(m) for m in self.terms(text)], degree)
+        for m in self.terms(text):
+            if self.mono_degree(m) != degree:
+                raise ValueError(f"class {text!r} has a term of degree "
+                                 f"{self.mono_degree(m)}, expected {degree}")
         return self.parse_poly(text)
 
     def format_poly(self, p: Poly) -> str:
@@ -421,20 +427,17 @@ def space(name: str, cutoff: int) -> SpacePresentation:
 
 
 class ThomSpace:
-    """Unreduced cohomology of the Thom space of the rank-n tautological bundle.
+    """Reduced cohomology of the Thom space of the rank-n tautological bundle.
 
-    Elements are c·1 + p·U with p a polynomial over the base; U has degree
-    n, Sq^i U = w_i U (Wu) and U·U = w_n·U.  A U-multiple p·U is handled
+    Its elements are the U-multiples p·U with p a polynomial over the base;
+    U has degree n, Sq^i U = w_i U (Wu) and U·U = w_n·U.  Each is handled
     through its coefficient p (``sq``, ``apply_word``, ``multiply``,
-    ``vector``, ``format``); the columns of the ring-model interface are
-    written through those operations.
+    ``vector``, ``format``).
     """
 
-    def __init__(self, base: SpacePresentation, rank: int, name: str = ""):
+    def __init__(self, base: SpacePresentation, rank: int):
         self.base = base
         self.rank = rank
-        self.cutoff = base.cutoff + rank
-        self.name = name or f"M{base.name}"
         wlabels = [g.label for g in base.gens]
         if len(wlabels) < rank:
             raise ValueError("Thom model needs the base to have w_1..w_n")
@@ -485,91 +488,18 @@ class ThomSpace:
             return "0"
         return "(" + self.base.format_poly(p) + ")*U"
 
-    # -- the ring-model interface ----------------------------------------------
-
-    # basis: degree 0 is the unit; degree d >= rank is U * base-basis(d - rank)
-    def dim(self, d: int) -> int:
-        if d == 0:
-            return 1
-        if d < self.rank or d > self.cutoff:
-            return 0
-        return self.base.dim(d - self.rank)
-
-    def element_labels(self, d: int) -> Tuple[str, ...]:
-        if d == 0:
-            return ("1",)
-        return tuple(self.base.mono_label(m) + "*U" if any(m) else "U"
-                     for m in self.base.basis(d - self.rank))
-
-    def sq_matrix(self, k: int, d: int) -> List[int]:
-        """Columns of Sq^k from degree d."""
-        if d == 0:
-            # Sq^k(1) = 0 for k > 0
-            return [0]
-        return [self.vector(self.sq(k, frozenset([m])), d + k)
-                for m in self.base.basis(d - self.rank)]
-
-    def mult_matrix(self, cls: "ThomClass", degree: int, d: int) -> List[int]:
-        """Columns of multiplication by the class (of the given degree) from degree d."""
-        if d == 0:
-            # image of the unit is the class itself
-            return [int(cls.unit) ^ self.vector(cls.u_part, degree)]
-        return [(self.vector(frozenset([m]), d + degree) if cls.unit else 0)
-                ^ self.vector(self.multiply(cls.u_part, frozenset([m])), d + degree)
-                for m in self.base.basis(d - self.rank)]
-
-    def parse_class(self, text: str, degree: int) -> "ThomClass":
-        """A class of the given degree: the unit and U-multiples only."""
-        unit = False
-        u_terms: List[str] = []
-        degrees: List[int] = []
-        if text.strip() != "0":
-            for term in text.split("+"):
-                factors = [g for f in term.split("*") for g in _u_factors(f.strip())]
-                if factors == ["1"]:
-                    unit = not unit
-                    degrees.append(0)
-                elif "U" in factors:
-                    # U·U = w_n·U: each further U is one more Euler class
-                    euler = [self.base.gens[self.rank - 1].label] * (factors.count("U") - 1)
-                    rest = "*".join([f for f in factors if f != "U"] + euler) or "1"
-                    u_terms.append(rest)
-                    degrees += [self.base.mono_degree(m) + self.rank
-                                for m in self.base.terms(rest)]
-                else:
-                    raise ValueError(f"{term.strip()!r} is not a Thom-space class "
-                                     f"(only 1 and U-multiples exist)")
-        _check_homogeneous(text, degrees, degree)
-        return ThomClass(degree, unit, self.base.parse_poly("+".join(u_terms)))
-
-
-def _u_factors(factor: str) -> List[str]:
-    """A factor ``U^k`` (k >= 1) as k factors ``U``; any other factor as it is."""
-    lab, caret, e = factor.partition("^")
-    if not caret or lab.strip() != "U":
-        return [factor]
-    k = int(e)
-    if k < 1:
-        raise ValueError(f"exponent of U must be positive in {factor!r}")
-    return ["U"] * k
-
-
-class ThomClass(NamedTuple):
-    degree: int
-    unit: bool
-    u_part: Poly
-
 
 # -- the twisted-module constructor -------------------------------------------
 
 
-def twist(model, a: str, b: str, shift: int = 0, generator_label: str = "Q") -> GradedA1Module:
-    """Module of an (X, a, b)-twisted spin structure over the given ring model.
+def twist(model: SpacePresentation, a: str, b: str, shift: int = 0,
+          generator_label: str = "Q") -> GradedA1Module:
+    """Module of an (X, a, b)-twisted spin structure over the presentation X.
 
     The generator sits in degree ``shift`` (the virtual-rank normalization
     is already folded in: every named structure below has its bottom class
     in degree 0).  ``a`` and ``b`` are class strings of degrees 1 and 2,
-    parsed by the model; a term of another degree is a ``ValueError``.
+    parsed by X; a term of another degree is a ``ValueError``.
     """
     a_cls = model.parse_class(a, 1)
     b_cls = model.parse_class(b, 2)
@@ -603,15 +533,17 @@ STRUCTURE_NAMES = (
     "TauMinus", "TauPlus", "PinMinusO2", "PinMinus", "PinPlus", "MV_a_ab",
 )
 
-# name -> (ring model at a cutoff, a, b, generator label) of V(X, a, b).  GM's
-# Thom class sits in degree 2, so below cutoff 2 its model is the smallest
-# Thom model, truncated by ``_twist``: truncating commutes with twisting.  The
-# last two are factors of PRODUCTS only; Tau±'s BO2 is <b, c>.
-TWISTS: Dict[str, Tuple[Callable[[int], object], str, str, str]] = {
+# name -> (presentation at a cutoff, a, b, generator label) of V(X, a, b).
+# GM's entry is V(BO2, w1, 0), its U-multiples, which ``_twist`` puts under
+# GM's bottom class (``_thom_gm``); its Thom class sits in degree 2, so below
+# cutoff 2 its ring is BO2 at cutoff 0, truncated by ``_twist``: truncating
+# commutes with twisting.  The last two are factors of PRODUCTS only; Tau±'s
+# BO2 is <b, c>.
+TWISTS: Dict[str, Tuple[Callable[[int], SpacePresentation], str, str, str]] = {
     "FK": (lambda c: space("BSO2", c), "0", "w2", "Q"),
     "PinMinus": (lambda c: space("BO1", c), "t", "0", "U"),
     "PinPlus": (lambda c: space("BO1", c), "t", "t^2", "U"),
-    "GM": (lambda c: ThomSpace(space("BO2", max(c - 2, 0)), 2, name="MO2"), "0", "U", "Q"),
+    "GM": (lambda c: space("BO2", max(c - 2, 0)), "w1", "0", "Q"),
     "SpinO2": (lambda c: space("BO2", c), "0", "w2", "U"),
     "SigmaBO2": (lambda c: space("BO2", c), "w1", "0", "U"),
     "MV_a_ab": (lambda c: space("BO1xBO1", c), "a", "a*b", "U"),
@@ -638,7 +570,26 @@ PRODUCTS: Dict[str, Tuple[str, str]] = {
 def _twist(name: str, cutoff: int) -> GradedA1Module:
     """The ``TWISTS`` module ``name`` through degree ``cutoff``, built once per (name, cutoff)."""
     model, a, b, label = TWISTS[name]
-    return twist(model(cutoff), a, b, generator_label=label).truncate(cutoff).renamed(name)
+    ring = model(cutoff)
+    m = twist(ring, a, b, generator_label=label)
+    if name == "GM":
+        m = _thom_gm(m, ring)
+    return m.truncate(cutoff).renamed(name)
+
+
+def _thom_gm(u_multiples: GradedA1Module, ring: SpacePresentation) -> GradedA1Module:
+    """GM = V(MO2, 0, U) from ``u_multiples`` = V(BO2, w1, 0) over ``ring`` = BO2.
+
+    H*(MO2) is the unit and U·H*(BO2), with Sq(pU) = Sq(p)(1 + w1 + w2)U;
+    the twist by U adds U·pU = w2·pU, which cancels the w2.  So the
+    U-multiples of GM are Σ²V(BO2, w1, 0), and its bottom class Q has
+    Sq²Q = Q·U, the first class of degree 2, and Sq¹Q = 0.
+    """
+    s = u_multiples.suspend(2)
+    labels = {0: ("Q*1",)}
+    labels.update({d + 2: tuple(f"Q*{ring.mono_label(x)}*U" if any(x) else "Q*U"
+                                for x in ring.basis(d)) for d in u_multiples.dims})
+    return GradedA1Module({0: 1, **s.dims}, s.sq1, {0: (1,), **s.sq2}, s.hi, labels)
 
 
 def named_structure(name: str, cutoff: int) -> GradedA1Module:

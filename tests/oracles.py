@@ -700,6 +700,43 @@ def graded_part(pres, p, degree: int) -> FrozenSet[Tuple[int, ...]]:
     return frozenset(x for x in p if pres.mono_degree(x) == degree)
 
 
+# -- GM on the Thom space ---------------------------------------------------------
+
+
+def gm_thom_mismatch(gm, thom, cutoff: int) -> Optional[str]:
+    """Where ``gm`` differs from V(MO2, 0, U) through ``cutoff``, or None when it does not.
+
+    ``thom`` is the Thom space of the rank-2 bundle over BO2 at cutoff
+    max(cutoff - 2, 0).  GM has one class Q in degree 0 with Sq2 Q = Q·U,
+    the first class of degree 2, and in degree d + 2 the classes Q·mU for
+    the BO2 monomials m of degree d, in their order.  Their squares come
+    from the Cartan formula on the total square (1 + w1 + w2)U
+    (``thom.sq``): Sq1(Q·mU) = Q·Sq1(mU) and Sq2(Q·mU) = Q·(Sq2(mU) + U·mU).
+    The module's twist construction is not read.
+    """
+    unit = frozenset([thom.base.unit()])
+    if gm.hi != cutoff or not set(gm.dims) <= set(range(cutoff + 1)):
+        return f"hi {gm.hi} or degrees {sorted(gm.dims)} past cutoff {cutoff}"
+    if gm.dim(0) != 1 or gm.dim(1) != 0 or (cutoff >= 2 and gm.sq2.get(0) != (1,)):
+        return "bottom class"
+    for d in range(cutoff - 1):
+        basis = thom.base.basis(d)
+        if gm.dim(d + 2) != len(basis):
+            return f"dimension in degree {d + 2}"
+        for k in (1, 2):
+            if d + 2 + k > cutoff:
+                continue
+            want = []
+            for m in basis:
+                p = thom.sq(k, frozenset([m]))
+                if k == 2:
+                    p = p ^ thom.multiply(unit, frozenset([m]))
+                want.append(thom.vector(p, d + 2 + k))
+            if gm.sq(k, d + 2) != tuple(want):
+                return f"Sq{k} from degree {d + 2}"
+    return None
+
+
 # -- Serre-basis dimensions for K(Z/2, n) ----------------------------------------
 
 

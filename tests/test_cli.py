@@ -268,6 +268,13 @@ def test_negative_window_argument_is_a_usage_error(argv, arg, value):
     assert text == f"error: {arg} must be nonnegative, got {value}\n"
 
 
+@pytest.mark.parametrize("name", md.CATALOG_NAMES + ("GM",))
+@pytest.mark.parametrize("cutoff", ["-1", "-3"])
+def test_module_verb_refuses_a_negative_cutoff(name, cutoff):
+    # a catalog module is refused like a named structure, not printed truncated below 0
+    assert run(["module", name, "--cutoff", cutoff]) == ("error: cutoff must be nonnegative\n", 1)
+
+
 # recorded with every module built to cutoff max_n + max_s + 6; "name@n/s"
 # is the SHA-256 of the exit code and stdout of
 # `ext name --max-n n --max-s s --format tsv`

@@ -210,6 +210,9 @@ def test_les_refuses_a_second_les_line():
     (".space", SPACE_OK + "TWIST A = q\n", 5),
     (".space", SPACE_OK + "TWIST B = t\n", 5),
     (".space", SPACE_OK + "TWIST A = t + t^2\n", 5),
+    (".space", SPACE_OK + "TWIST A = t^x\n", 5),
+    (".space", SPACE_OK + "TWIST A = t^\n", 5),
+    (".space", SPACE_OK + "TWIST A = t^2^3\n", 5),
     # a missing SQ line is blamed on the GEN line, a missing CUTOFF on the last line
     (".space", "SPACE s\nGEN t DEG 1\nCUTOFF 8\n", 2),
     (".space", "SPACE s\nGEN t DEG 1\nSQ t = t + t^2\n", 3),
@@ -249,6 +252,17 @@ def test_malformed_file_gets_line_numbered_error(tmp_path, suffix, text, line):
     out, code = cli.run([VERB[suffix], str(path)])
     assert code == 1
     assert out.startswith(f"error: line {line}: "), out
+
+
+@pytest.mark.parametrize("factor", ["t^x", "t^", "t^2^3", "t^1_0", "t^-"])
+def test_malformed_exponent_is_refused_by_its_factor(tmp_path, factor):
+    # the refusal names the factor; an exponent is ASCII digits, so "t^1_0" is not t^10
+    path = tmp_path / "bad.space"
+    for text, line, where in ((SPACE_OK + f"TWIST A = {factor}\n", 5, "TWIST A: "),
+                              (SPACE_OK.replace("t + t^2", f"t + {factor}"), 3, "")):
+        path.write_text(text)
+        assert cli.run(["module", str(path)]) == (
+            f"error: line {line}: {where}invalid exponent in {factor!r}\n", 1)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

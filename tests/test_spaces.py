@@ -10,7 +10,8 @@ from a1bordism import modules as md
 from a1bordism import obstruction as ob
 from a1bordism import spaces as sp
 from a1bordism.modules import catalog, iso_up_to_degree, split_free
-from oracles import brute_basis, graded_part, kzn_dims, letter_matrix, total_sq_reference
+from oracles import (brute_basis, graded_part, gm_thom_mismatch, kzn_dims, letter_matrix,
+                     total_sq_reference)
 
 
 # -- space catalog --------------------------------------------------------------
@@ -146,7 +147,7 @@ def test_total_square_term_below_the_generator_is_refused():
         pres.sq_k_mono((1,), 1)
 
 @pytest.mark.parametrize("thom", [ob._thom_model(1), ob._thom_model(2), ob._thom_model(3),
-                                  sp.ThomSpace(sp.space("BO2", 11), 2, name="MO2")],
+                                  sp.ThomSpace(sp.space("BO2", 11), 2)],
                          ids=["MO1", "MO2", "MO3", "GM"])
 def test_thom_squares_match_whole_total_squares(thom):
     # Sq^k(mU) = (Sq(m) · Sq(U)/U)_{|m| + k} U, from the whole total square of m
@@ -236,10 +237,23 @@ def test_twist_degree_mismatch():
     # a class with a term of another degree is refused, not truncated to
     # its right-degree part, whatever the cutoff
     for Y, a, b in ((sp.space("BO1", 8), "t + t^2", "0"), (sp.space("BO1", 1), "t + t^2", "0"),
-                    (X, "w1 + w2", "0"), (X, "0", "w1 + w2"),
-                    (sp.ThomSpace(sp.space("BO2", 4), 2), "0", "U + w1*U")):
+                    (X, "w1 + w2", "0"), (X, "0", "w1 + w2")):
         with pytest.raises(ValueError, match="has a term of degree"):
             sp.twist(Y, a, b)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 5, 13, 26])
+def test_gm_matches_the_thom_space_cartan_formula(cutoff):
+    thom = sp.ThomSpace(sp.space("BO2", max(cutoff - 2, 0)), 2)
+    assert gm_thom_mismatch(sp.named_structure("GM", cutoff), thom, cutoff) is None
+
+
+@pytest.mark.parametrize("cutoff", [5, 13, 26])
+def test_gm_oracle_rejects_the_uncancelled_w2(cutoff):
+    # over V(BO2, w1, w2) the U-multiples keep the w2 that U·pU = w2·pU cancels
+    ring = sp.space("BO2", cutoff - 2)
+    wrong = sp._thom_gm(sp.twist(ring, "w1", "w2"), ring).truncate(cutoff)
+    assert gm_thom_mismatch(wrong, sp.ThomSpace(ring, 2), cutoff) == "Sq2 from degree 2"
 
 
 def test_pin_minus_twist_vs_thom_construction():
@@ -271,29 +285,6 @@ def test_gm_twist_matches_figure_actions():
     assert gm.sq2[0] == (1,)
     assert gm.sq1[2] == (1,)
     assert not any(gm.sq(2, 2))
-
-
-def test_thom_space_class_parsing():
-    th = sp.ThomSpace(sp.space("BO2", 6), 2, name="MO2")
-    u = th.parse_class("U", 2)
-    assert u.degree == 2 and not u.unit
-    with pytest.raises(ValueError):
-        th.parse_class("w1", 1)  # base-only classes do not live in the Thom space
-    with pytest.raises(ValueError):
-        th.parse_class("1 + U", 2)  # inhomogeneous
-    assert th.parse_class("U*U", 4).u_part == th.base.parse_poly("w2")  # U·U = w2·U
-    with pytest.raises(ValueError):
-        th.parse_class("U*U", 2)
-
-
-def test_thom_parse_class_reads_powers_of_u():
-    th = sp.ThomSpace(sp.space("BO2", 6), 2, name="MO2")
-    assert th.parse_class("U^2", 4) == th.parse_class("U*U", 4) == th.parse_class("w2*U", 4)
-    assert th.parse_class("w1*U^1", 3) == th.parse_class("w1*U", 3)
-    assert th.parse_class("U^3", 6) == th.parse_class("w2^2*U", 6)
-    for bad, degree in (("U^2", 2), ("U^0", 0), ("U^-1", 0)):
-        with pytest.raises(ValueError):
-            th.parse_class(bad, degree)
 
 
 # -- named structures --------------------------------------------------------------
@@ -558,12 +549,12 @@ def test_truncating_at_the_top_keeps_the_module_itself():
     # a class above hi is still cut off
     odd = md.GradedA1Module({0: 1, 3: 1}, {}, {}, 2)
     assert dict(odd.truncate(2).dims) == {0: 1}
-    # GM's Thom model reaches degree 2, past cutoffs 0 and 1
+    # GM's U-multiples start in degree 2, from BO2 at cutoff 0: past cutoffs 0 and 1
     for cutoff in (0, 1):
         gm = sp.named_structure("GM", cutoff)
         assert gm.hi == cutoff and max(gm.dims) <= cutoff
         assert all(d + 1 <= cutoff for d in gm.sq1) and all(d + 2 <= cutoff for d in gm.sq2)
-        assert sp.TWISTS["GM"][0](cutoff).cutoff == 2
+        assert sp.TWISTS["GM"][0](cutoff).cutoff == 0
 
 
 @pytest.mark.parametrize("name", sp.STRUCTURE_NAMES)
@@ -611,7 +602,7 @@ def test_heavy_structures_share_their_twisted_factors(monkeypatch):
     for _ in range(2):
         for name in ("KTminus", "KTplus", "TauMinus", "TauPlus", "PinMinusO2"):
             sp.named_structure(name, 8)
-    assert sorted(calls) == ["BO1", "BO1", "BO2", "BO2", "MO2"]
+    assert sorted(calls) == ["BO1", "BO1", "BO2", "BO2", "BO2"]
 
 
 # -- pinned construction bytes ----------------------------------------------------
