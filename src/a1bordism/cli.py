@@ -69,8 +69,16 @@ def cmd_list(args) -> Tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_OK
 
 
+MODULE_CUTOFF = 12  # `module`'s cutoff for a catalog module or named structure
+
+
 def cmd_module(args) -> Tuple[str, int]:
-    m = _structure_module(args.name, args.cutoff)
+    m = _structure_module(args.name, MODULE_CUTOFF if args.cutoff is None else args.cutoff)
+    if args.cutoff is not None and args.name.endswith((".a1mod", ".space")):
+        # a file is read whole; a given cutoff cuts it, and cannot extend it
+        if args.cutoff < 0:
+            raise ValueError("cutoff must be nonnegative")
+        m = m.truncate(args.cutoff)
     return md.format_a1mod(m), EXIT_OK
 
 
@@ -216,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("module", help="print a module (catalog name, structure "
                                       "name, or .a1mod/.space file) in .a1mod format")
     q.add_argument("name")
-    q.add_argument("--cutoff", type=int, default=12)
+    q.add_argument("--cutoff", type=int, default=None,
+                   help=f"top degree to print (default {MODULE_CUTOFF} for a catalog "
+                        "module or structure; a file is printed whole)")
 
     q = sub.add_parser("ext", help="Ext chart of a module, named structure, "
                                    "or .a1mod/.space file")

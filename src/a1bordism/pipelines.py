@@ -177,23 +177,14 @@ def _cover_piece(name: str, susp: int, n: int) -> GradedA1Module:
     return _match_piece(name, n).suspend(susp).quotient_above(n)
 
 
-def decompose_structure(name: str, n: int) -> ModuleDecomposition:
-    """split_free then catalog matching through degree n, with witnesses.
+def _cover_search(remainder: GradedA1Module, n: int, budget: int
+                  ) -> Tuple[List[List[Tuple[str, int]]], int, bool]:
+    """Covers of a nonempty remainder by suspended match pieces through degree n.
 
-    The matcher tries direct sums of suspended catalog modules (plus the
-    two-class Sq1-pair "A0") whose graded dimensions cover the remainder;
-    an unmatched remainder is returned explicitly, never forced.  When
-    the cover search stops at COVER_BUDGET or an isomorphism search is
-    undecided, the note says "undecided" with the reason, not "no match".
+    Returns the candidates in search order (the covers whose summed Q0/Q1
+    homology is the remainder's), the number of complete covers counted
+    against the budget, and whether the budget stopped the search.
     """
-    _require_nonnegative(through_degree=n)
-    cutoff = n + 6
-    module = sp.named_structure(name, cutoff)
-    dec = split_free(module, max_gen_degree=n)
-    remainder = dec.remainder.quotient_above(n)
-    dec = dec._replace(remainder=remainder, valid_through=n)
-    if not remainder.dims:
-        return dec
     lo = remainder.lo
 
     def graded(dims: Dict[int, int]) -> Tuple[int, ...]:
@@ -203,9 +194,20 @@ def decompose_structure(name: str, n: int) -> ModuleDecomposition:
     # over direct sums, so a cover whose summed Q0/Q1 homology differs
     # from the remainder's is one iso_up_to_degree would reject at its
     # own Margolis check: it is counted against the budget but never
-    # built.  Dims and both sums are carried down the search as integer
-    # vectors over degrees lo..n; no partial cover is pruned.
-    target = tuple(graded(remainder.margolis_homology(i)[0]) for i in (0, 1))
+    # built.  Dims and the homology still needed are carried down the
+    # search as integer vectors over degrees lo..n.
+    #
+    # Prune rule: a piece's homology in a degree lies between 0 and its
+    # dimension there, so a partial cover whose need, for Q0 or Q1, is
+    # negative or above its remaining dims in some degree has no
+    # candidate below it.  Its complete covers are counted, not walked:
+    # their number depends on the remaining dims alone, because the
+    # pieces tried at each bottom degree are fixed.  The count is added
+    # to `tried` only when it leaves the budget unspent, and otherwise
+    # the subtree is walked.  So the budget still counts every complete
+    # cover, and the search stops at the same cover, with the same
+    # candidates, as a walk of all of them.
+    need = tuple(graded(remainder.margolis_homology(i)[0]) for i in (0, 1))
     tried = 0
     candidates: List[List[Tuple[str, int]]] = []
     budget_spent = False
@@ -230,27 +232,77 @@ def decompose_structure(name: str, n: int) -> ModuleDecomposition:
                 if pm.dims and pm.lo == d0]
         return order_cache[d0]
 
-    def cover(remaining: Tuple[int, ...], acc: List[Tuple[str, int]],
-              h0: Tuple[int, ...], h1: Tuple[int, ...]):
-        nonlocal budget_spent, tried
-        if tried >= COVER_BUDGET:
-            budget_spent = True
-            return
-        if not any(remaining):
-            tried += 1
-            if (h0, h1) == target:
-                candidates.append(list(acc))
-            return
+    def children(remaining: Tuple[int, ...]):
         d0 = lo + next(i for i, v in enumerate(remaining) if v)
         for pname, pdims, p0, p1 in ordered_pieces(d0):
             nxt = tuple(map(operator.sub, remaining, pdims))
-            if min(nxt) < 0:
-                continue
-            cover(nxt, acc + [(pname, d0)],
-                  tuple(map(operator.add, h0, p0)), tuple(map(operator.add, h1, p1)))
+            if min(nxt) >= 0:
+                yield (pname, d0), nxt, p0, p1
 
-    zero = (0,) * (n + 1 - lo)
-    cover(graded(remainder.dims), [], zero, zero)
+    # remaining dims -> (count, exact): the exact number of complete covers
+    # below, or, when not exact, a lower bound at least the cap it was
+    # counted under
+    memo: Dict[Tuple[int, ...], Tuple[int, bool]] = {}
+
+    def completions(remaining: Tuple[int, ...], cap: int) -> int:
+        # the exact count when it is below cap, else some count >= cap;
+        # the cap is the budget left, so counting stops where the walk would
+        if not any(remaining):
+            return 1
+        hit = memo.get(remaining)
+        if hit is not None and (hit[1] or cap <= hit[0]):
+            return hit[0]
+        count = 0
+        for _, nxt, _, _ in children(remaining):
+            count += completions(nxt, cap - count)
+            if count >= cap:
+                break
+        memo[remaining] = (count, count < cap)
+        return count
+
+    def cover(remaining: Tuple[int, ...], acc: List[Tuple[str, int]],
+              need0: Tuple[int, ...], need1: Tuple[int, ...]):
+        nonlocal budget_spent, tried
+        if tried >= budget:
+            budget_spent = True
+            return
+        alive = all(0 <= h <= r for need in (need0, need1) for h, r in zip(need, remaining))
+        if not any(remaining):
+            tried += 1
+            if alive:
+                candidates.append(list(acc))
+            return
+        if not alive:
+            count = completions(remaining, budget - tried)
+            if tried + count < budget:
+                tried += count
+                return
+        for piece, nxt, p0, p1 in children(remaining):
+            cover(nxt, acc + [piece],
+                  tuple(map(operator.sub, need0, p0)), tuple(map(operator.sub, need1, p1)))
+
+    cover(graded(remainder.dims), [], *need)
+    return candidates, tried, budget_spent
+
+
+def decompose_structure(name: str, n: int) -> ModuleDecomposition:
+    """split_free then catalog matching through degree n, with witnesses.
+
+    The matcher tries direct sums of suspended catalog modules (plus the
+    two-class Sq1-pair "A0") whose graded dimensions cover the remainder;
+    an unmatched remainder is returned explicitly, never forced.  When
+    the cover search stops at COVER_BUDGET or an isomorphism search is
+    undecided, the note says "undecided" with the reason, not "no match".
+    """
+    _require_nonnegative(through_degree=n)
+    cutoff = n + 6
+    module = sp.named_structure(name, cutoff)
+    dec = split_free(module, max_gen_degree=n)
+    remainder = dec.remainder.quotient_above(n)
+    dec = dec._replace(remainder=remainder, valid_through=n)
+    if not remainder.dims:
+        return dec
+    candidates, _, budget_spent = _cover_search(remainder, n, COVER_BUDGET)
 
     iso_undecided = []
     for cand in candidates:

@@ -9,6 +9,7 @@ brute-force GF(2) helpers enumerate vectors directly.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -783,3 +784,65 @@ def kzn_dims(n: int, max_degree: int) -> Dict[int, int]:
                 k += 1
         dims = new
     return {d: c for d, c in dims.items() if d <= max_degree}
+
+
+# -- the cover search, walked in full --------------------------------------------
+
+
+def plain_cover_search(remainder, n: int, budget: int):
+    """decompose_structure's cover search with nothing pruned.
+
+    Every complete cover is walked and counted, so this is the reference
+    for the pruned search's triple (candidates, covers tried, budget
+    spent).  It reads the library's match pieces and their order only.
+    """
+    from a1bordism.pipelines import MATCH_PIECES, _cover_piece, _match_piece
+
+    lo = remainder.lo
+
+    def graded(dims: Dict[int, int]) -> Tuple[int, ...]:
+        return tuple(dims.get(d, 0) for d in range(lo, n + 1))
+
+    target = tuple(graded(remainder.margolis_homology(i)[0]) for i in (0, 1))
+    tried = 0
+    candidates: List[List[Tuple[str, int]]] = []
+    budget_spent = False
+
+    order_cache: Dict[int, list] = {}
+
+    def ordered_pieces(d0: int) -> list:
+        if d0 not in order_cache:
+            scored = []
+            for pname in MATCH_PIECES:
+                overhang = max(0, d0 + _match_piece(pname, n).hi - n)
+                pm = _cover_piece(pname, d0, n)
+                scored.append((overhang, pm.total_dim(), pname, pm))
+            order_cache[d0] = [
+                (pname, graded(pm.dims),
+                 *(graded(pm.margolis_homology(i)[0]) for i in (0, 1)))
+                for _, _, pname, pm in sorted(scored, key=lambda x: x[:3])
+                if pm.dims and pm.lo == d0]
+        return order_cache[d0]
+
+    def cover(remaining: Tuple[int, ...], acc: List[Tuple[str, int]],
+              h0: Tuple[int, ...], h1: Tuple[int, ...]):
+        nonlocal budget_spent, tried
+        if tried >= budget:
+            budget_spent = True
+            return
+        if not any(remaining):
+            tried += 1
+            if (h0, h1) == target:
+                candidates.append(list(acc))
+            return
+        d0 = lo + next(i for i, v in enumerate(remaining) if v)
+        for pname, pdims, p0, p1 in ordered_pieces(d0):
+            nxt = tuple(map(operator.sub, remaining, pdims))
+            if min(nxt) < 0:
+                continue
+            cover(nxt, acc + [(pname, d0)],
+                  tuple(map(operator.add, h0, p0)), tuple(map(operator.add, h1, p1)))
+
+    zero = (0,) * (n + 1 - lo)
+    cover(graded(remainder.dims), [], zero, zero)
+    return candidates, tried, budget_spent

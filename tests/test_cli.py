@@ -108,6 +108,41 @@ def test_module_and_ext_from_files(tmp_path):
     assert code == 0 and text.startswith("MODULE")
 
 
+HALFPLANE_SPACE = ("SPACE halfplane\nGEN t DEG 1\nSQ t = t + t^2\nCUTOFF 8\n"
+                   "TWIST A = t\nTWIST B = 0\nSHIFT 0\n")
+
+
+def test_module_cutoff_cuts_a_space_file(tmp_path):
+    # README's .space example: printed whole without --cutoff, cut with it
+    g = tmp_path / "halfplane.space"
+    g.write_text(HALFPLANE_SPACE)
+    pres, a, b, shift = sp.parse_space(HALFPLANE_SPACE)
+    whole = sp.twist(pres, a, b, shift)
+    assert run(["module", str(g)]) == (md.format_a1mod(whole), 0)
+    assert run(["module", str(g), "--cutoff", "8"]) == (md.format_a1mod(whole), 0)
+    text, code = run(["module", str(g), "--cutoff", "2"])
+    assert (text, code) == (md.format_a1mod(whole.truncate(2)), 0)
+    assert "DEG 3:" not in text and text.endswith("TRUNCATE 2\n")
+    assert run(["module", str(g), "--cutoff", "-3"]) == ("error: cutoff must be nonnegative\n", 1)
+    assert run(["module", str(g), "--cutoff", "9"]) == ("error: cannot extend truncation 8 to 9\n", 1)
+
+
+def test_module_cutoff_cuts_an_a1mod_round_trip(tmp_path):
+    # `module GM --cutoff 6` read back: whole without --cutoff; cut at 4 it
+    # prints what `module GM --cutoff 4` prints; it cannot be extended to 7
+    f = tmp_path / "gm.a1mod"
+    text, code = run(["module", "GM", "--cutoff", "6"])
+    assert code == 0
+    f.write_text(text)
+    assert run(["module", str(f)]) == (text, 0)
+    assert run(["module", str(f), "--cutoff", "4"]) == run(["module", "GM", "--cutoff", "4"])
+    assert run(["module", str(f), "--cutoff", "-1"]) == ("error: cutoff must be nonnegative\n", 1)
+    assert run(["module", str(f), "--cutoff", "7"]) == ("error: cannot extend truncation 6 to 7\n", 1)
+    # a catalog module or structure without --cutoff is still built to 12
+    assert run(["module", "GM"]) == run(["module", "GM", "--cutoff", "12"])
+    assert run(["module", "J"]) == run(["module", "J", "--cutoff", "12"])
+
+
 def test_obstruction_verbs():
     text, code = run(["obstruction", "one-form"])
     assert code == 0

@@ -10,7 +10,7 @@ from a1bordism import pipelines as pl
 from a1bordism import spaces as sp
 from a1bordism.gf2 import _transpose
 from a1bordism.pipelines import PipelineError, decompose_structure, run_pipeline
-from oracles import check_free_summand_count, required_cutoff
+from oracles import check_free_summand_count, plain_cover_search, required_cutoff
 
 
 def groups(report):
@@ -305,10 +305,80 @@ DECOMPOSE_DIGESTS = {
 }
 
 
-def test_decompose_outputs_are_pinned():
-    got = {f"{name}@{n}": decompose_digest(decompose_structure(name, n))
-           for name in sp.STRUCTURE_NAMES for n in range(4, 8)}
+@pytest.fixture(scope="module")
+def pinned_decompositions():
+    """decompose_structure(name, n) of every pinned case, keyed "name@n"."""
+    return {f"{name}@{n}": decompose_structure(name, n)
+            for name in sp.STRUCTURE_NAMES for n in range(4, 8)}
+
+
+def test_decompose_outputs_are_pinned(pinned_decompositions):
+    got = {key: decompose_digest(dec) for key, dec in pinned_decompositions.items()}
     assert got == DECOMPOSE_DIGESTS
+
+
+# -- the cover search against a full walk ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def full_cover_walks(pinned_decompositions):
+    """(remainder, n, plain_cover_search at COVER_BUDGET) of each pinned case
+    whose remainder is not empty, keyed "name@n"."""
+    out = {}
+    for key, dec in pinned_decompositions.items():
+        if dec.remainder.dims:
+            n = int(key.split("@")[1])
+            out[key] = (dec.remainder, n, plain_cover_search(dec.remainder, n, pl.COVER_BUDGET))
+    return out
+
+
+def test_pruned_cover_search_equals_the_full_walk_at_the_budget(full_cover_walks):
+    # the same candidates in the same order, the same count of complete
+    # covers and the same verdict on the budget, on every pinned remainder
+    assert pl.COVER_BUDGET == 4000
+    assert sorted(set(DECOMPOSE_DIGESTS) - set(full_cover_walks)) == ["KTminus@4", "KTminus@5"]
+    for key, (rem, n, walk) in full_cover_walks.items():
+        assert pl._cover_search(rem, n, pl.COVER_BUDGET) == walk, key
+    spent = sorted(key for key, (_, _, walk) in full_cover_walks.items() if walk[2])
+    assert len(spent) == 18 and all(full_cover_walks[k][2][1] == 4000 for k in spent)
+    assert full_cover_walks["SpinO2@6"][2][1] == 1600
+    assert full_cover_walks["GM@6"][2][1] == 3291
+
+
+def test_cover_search_counts_skipped_covers_at_every_budget(full_cover_walks):
+    # KTplus@6 has 58 complete covers: every budget up to one past them
+    rem, n, walk = full_cover_walks["KTplus@6"]
+    assert walk[1] == 58 and not walk[2]
+    for budget in range(60):
+        assert pl._cover_search(rem, n, budget) == plain_cover_search(rem, n, budget), budget
+
+
+def test_cover_search_stops_where_the_full_walk_does_at_its_total(full_cover_walks):
+    # one short of a case's total the budget is spent; at the total and one
+    # past it the whole search is counted and the budget is not spent
+    edges = 0
+    for key, (rem, n, walk) in full_cover_walks.items():
+        total = walk[1]
+        if walk[2]:
+            continue
+        for budget in (total - 1, total, total + 1):
+            got = pl._cover_search(rem, n, budget)
+            assert got == plain_cover_search(rem, n, budget), (key, budget)
+            assert got[1:] == ((total - 1, True) if budget < total else (total, False))
+        edges += 1
+    assert edges == 32
+
+
+def test_cover_search_counts_a_skipped_subtree_that_ends_the_search():
+    # SpinO2@9 has 11,762 complete covers, and the last of them lie in a
+    # subtree with no candidate.  At budget 11,758 that subtree's count is
+    # capped at the covers left, so a skip when the capped count merely
+    # equals the budget left would end the search with the budget unspent
+    rem = decompose_structure("SpinO2", 9).remainder
+    for budget, counted in ((11758, (11758, True)), (11762, (11762, False))):
+        got = pl._cover_search(rem, 9, budget)
+        assert got == plain_cover_search(rem, 9, budget)
+        assert got[1:] == counted
 
 
 # -- pinned pipeline windows ----------------------------------------------------
