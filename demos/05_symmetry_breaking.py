@@ -19,8 +19,7 @@ print("  derivation note:", one.note)
 
 # Pulled back along the Thom class, the representative hits the value
 # dictated by the Wu formula:
-pb = ob.pullback_along_thom_class(2)
-print("  pullback of Sq2Sq1 B:", pb.thom.format(pb.images["S21B"]))
+print("  pullback of Sq2Sq1 B:", one.pullback)
 
 # Evaluation on the cataloged five-manifold with cohomology
 # F2[z2, z3]/(z2^2, z3^2): nonzero, so the symmetry cannot break there.

@@ -33,7 +33,6 @@ from .modules import (
 )
 from .spaces import (
     SpacePresentation,
-    ThomSpace,
     named_structure,
     parse_space,
     space,
@@ -73,7 +72,6 @@ __all__ = [
     "PipelineReport",
     "Resolution",
     "SpacePresentation",
-    "ThomSpace",
     "assemble_groups",
     "catalog",
     "collapse_certificate",

@@ -115,6 +115,8 @@ class GradedA1Module:
 
     def sq(self, k: int, d: int) -> Tuple[int, ...]:
         """Columns of Sq^k (k = 1 or 2) from degree d; zeros where the map is absent."""
+        if k not in (1, 2):
+            raise ValueError(f"an A(1)-module has Sq1 and Sq2 only, not Sq{k}")
         cols = (self.sq1 if k == 1 else self.sq2).get(d)
         return (0,) * self.dim(d) if cols is None else cols
 

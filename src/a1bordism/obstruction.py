@@ -13,8 +13,10 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .gf2 import ColumnSolver
+from .modules import GradedA1Module
 from . import spaces as sp
 from .spaces import Poly, SpacePresentation
+from .steenrod import word_degree
 
 
 class ObstructionError(ValueError):
@@ -23,10 +25,35 @@ class ObstructionError(ValueError):
 
 # -- the MO_n side ------------------------------------------------------------
 
+# The BO_n ring and the U-multiples of H^*(MO_n) over it.
+ThomModel = Tuple[SpacePresentation, GradedA1Module]
 
-def _thom_model(n: int) -> sp.ThomSpace:
-    """H^*(MO_n) = U·H^*(BO_n) through degree n + 4, past the n + 3 window."""
-    return sp.ThomSpace(sp.space(f"BO{n}", 4), n)
+
+def _thom_model(n: int, a: str = "w1") -> ThomModel:
+    """H^*(MO_n) = U·H^*(BO_n) through degree n + 4, past the n + 3 window.
+
+    By the Thom isomorphism Sq(pU) = Sq(p)(1 + w1 + ... + wn)U, which on
+    Sq1 and Sq2 is the twist V(BO_n, w1, w2) with U in degree n.  Passing
+    ``a = "0"`` drops the w1 of Sq1 U, for the negative control.
+    """
+    ring = sp.space(f"BO{n}", 4)
+    return ring, sp.twist(ring, a, "w2", shift=n, generator_label="U")
+
+
+def _sq_of_thom_class(thom: ThomModel, word: str) -> Poly:
+    """The coefficient p of Sq^word U = pU for a normal-form word, by the module's action."""
+    ring, module = thom
+    (v,) = module.apply_word(word, module.lo, [1])
+    return frozenset(m for i, m in enumerate(ring.basis(word_degree(word))) if v >> i & 1)
+
+
+def _times(ring: SpacePresentation, p: Poly, q: Poly) -> Poly:
+    """(pU)(qU) = (p q w_n)U, with w_n, the ring's last generator, the mod-2 Euler class."""
+    return ring.poly_mul(ring.poly_mul(p, q), frozenset([ring.gen_mono(ring.gens[-1].label)]))
+
+
+def _format_u(ring: SpacePresentation, p: Poly) -> str:
+    return "(" + ring.format_poly(p) + ")*U" if p else "0"
 
 
 class PullbackMap(NamedTuple):
@@ -34,19 +61,14 @@ class PullbackMap(NamedTuple):
 
     ``columns`` is degree → tuple of columns, where column j is the image
     of the model's j-th degree-d basis monomial, a bit vector in the basis
-    of H^{d-n}(BO_n)·U.  ``images`` holds the image of each generator.
+    of H^{d-n}(BO_n)·U.  ``images`` holds each generator's image pU by its
+    coefficient p over ``thom``'s ring.
     """
     n: int
     kmodel: SpacePresentation
-    thom: sp.ThomSpace
+    thom: ThomModel
     columns: Dict[int, Tuple[int, ...]]
     images: Dict[str, Poly]
-
-    def columns_at(self, d: int) -> Tuple[int, ...]:
-        if d not in self.columns:
-            raise ObstructionError(
-                f"pullback degree {d} exceeds the modeled window (d <= {self.n + 3})")
-        return self.columns[d]
 
 
 def pullback_along_thom_class(n: int) -> PullbackMap:
@@ -59,11 +81,8 @@ def pullback_along_thom_class(n: int) -> PullbackMap:
         raise ObstructionError("the K(Z/2,n) model covers n in {2, 3}")
     kmodel = sp.space(f"KZ2_{n}", n + 3)
     thom = _thom_model(n)
-    unit_u: Poly = frozenset([thom.base.unit()])
-    images: Dict[str, Poly] = {}
-    for g in kmodel.gens:
-        word = kmodel.sq_words[g.label]
-        images[g.label] = thom.apply_word(word, unit_u)
+    ring = thom[0]
+    images = {g.label: _sq_of_thom_class(thom, kmodel.sq_words[g.label]) for g in kmodel.gens}
     columns: Dict[int, Tuple[int, ...]] = {}
     for d in range(n, n + 4):
         cols = []
@@ -71,11 +90,8 @@ def pullback_along_thom_class(n: int) -> PullbackMap:
             img: Optional[Poly] = None
             for e, g in zip(mono, kmodel.gens):
                 for _ in range(e):
-                    img = images[g.label] if img is None else thom.multiply(img, images[g.label])
-            if img is None:
-                cols.append(0)
-            else:
-                cols.append(thom.vector(img, d))
+                    img = images[g.label] if img is None else _times(ring, img, images[g.label])
+            cols.append(0 if img is None else ring.poly_vector(img, d - n))
         columns[d] = tuple(cols)
     return PullbackMap(n, kmodel, thom, columns, images)
 
@@ -131,7 +147,7 @@ def primary_obstruction_oneform() -> OneFormObstruction:
         quotient_dim=len(K.basis(5)) - im_dim,
         kernel_matches_representative=any(in_image),
         note=note,
-        pullback=mo2.format(mo2.apply_word("21", frozenset([mo2.base.unit()]))),
+        pullback=_format_u(mo2[0], _sq_of_thom_class(mo2, "21")),
     )
 
 
@@ -158,6 +174,8 @@ def evaluate_obstruction_on(space_name: str, word: str = "21",
     closed spin 5-manifold, so Sq2Sq1 B = (w2 + w1^2) Sq1 B = 0; it answers
     only that call, word 21 on z2, and refuses any other.
     """
+    if word.strip("0123456789"):  # some letter is not a digit
+        raise ObstructionError(f"word {word!r} must be digits, one Sq degree a letter (e.g. 21)")
     expr = "Sq" + " Sq".join(word) + f" {generator}" if word else generator
     if space_name == "SpinPlaceholder":
         if (word, generator) != ("21", "z2"):
@@ -209,19 +227,16 @@ def twoform_degree6_injectivity(corrupt_sq1_u: bool = False) -> TwoFormVerdict:
     ``corrupt_sq1_u`` switch deliberately zeroes Sq1 U to demonstrate that
     the verdict is sensitive to the Wu formula (for negative controls).
     """
-    thom = _thom_model(3)
-    unit_u: Poly = frozenset([thom.base.unit()])
-    if corrupt_sq1_u:
-        # drop the w1 term of Sq(U)/U, so Sq1(pU) = Sq1(p)·U
-        thom._sq_u = thom._sq_u - {thom.base.gen_mono("w1")}
-    img_sq2sq1 = thom.apply_word("21", unit_u)
-    img_csq = thom.apply_word("3", unit_u)  # C^2 = Sq3 C pulls back to Sq3 U = w3 U
-    cols = (thom.vector(img_sq2sq1, 6), thom.vector(img_csq, 6))
+    thom = _thom_model(3, a="0" if corrupt_sq1_u else "w1")
+    ring = thom[0]
+    img_sq2sq1 = _sq_of_thom_class(thom, "21")
+    img_csq = _sq_of_thom_class(thom, "12")  # C^2 = Sq3 C = Sq1Sq2 C pulls back to w3 U
+    cols = (ring.poly_vector(img_sq2sq1, 3), ring.poly_vector(img_csq, 3))
     inj = not ColumnSolver(cols).kernel
     conclusion = (
         "injective: no degree-6 primary obstruction for 2-form Z/2 symmetries"
         if inj else "not injective: a degree-6 obstruction class would be invisible")
     return TwoFormVerdict(inj, cols,
-                          (thom.format(img_sq2sq1), thom.format(img_csq)),
+                          (_format_u(ring, img_sq2sq1), _format_u(ring, img_csq)),
                           ("Sq2Sq1C", "C^2"), conclusion)
 

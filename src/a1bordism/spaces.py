@@ -15,11 +15,12 @@ and ``mult_matrix(p, degree, d)`` columns, the layout the modules keep.
 Twist classes are given as text and parsed by the presentation.
 
 A Thom space's reduced cohomology is U·H*(X), with Sq(pU) = Sq(p)·w·U for
-the total Stiefel-Whitney class w (the Thom isomorphism).  ``ThomSpace``
-computes with a U-multiple pU through its coefficient p; the obstructions
-use it.  GM = V(MO2, 0, U) is built by the same isomorphism: the twist by
-U adds U·pU = w2·pU, which cancels the w2 term of Sq²(pU), so the
-U-multiples of GM are Σ²V(BO2, w1, 0), under one class Q with Sq²Q = Q·U.
+the total Stiefel-Whitney class w (the Thom isomorphism).  On Sq¹ and Sq²
+that is the twist by a = w1 and b = w2, so H*(MO_n) is V(BO_n, w1, w2)
+with U in degree n; the obstructions use it.  GM = V(MO2, 0, U) is built
+by the same isomorphism: the twist by U adds U·pU = w2·pU, which cancels
+the w2 term of Sq²(pU), so the U-multiples of GM are Σ²V(BO2, w1, 0),
+under one class Q with Sq²Q = Q·U.
 
 A Thom space of a sum of bundles is the smash of the Thom spaces,
 Th(V⊕W) = Th(V) ∧ Th(W); in cohomology that is the Cartan formula, so
@@ -421,72 +422,6 @@ def space(name: str, cutoff: int) -> SpacePresentation:
     if cutoff > cap:
         raise ValueError(f"{name} is modeled only through degree {cap}; requested cutoff {cutoff}")
     return SPACES[name](cutoff)
-
-
-# -- Thom-space model ---------------------------------------------------------
-
-
-class ThomSpace:
-    """Reduced cohomology of the Thom space of the rank-n tautological bundle.
-
-    Its elements are the U-multiples p·U with p a polynomial over the base;
-    U has degree n, Sq^i U = w_i U (Wu) and U·U = w_n·U.  Each is handled
-    through its coefficient p (``sq``, ``apply_word``, ``multiply``,
-    ``vector``, ``format``).
-    """
-
-    def __init__(self, base: SpacePresentation, rank: int):
-        self.base = base
-        self.rank = rank
-        wlabels = [g.label for g in base.gens]
-        if len(wlabels) < rank:
-            raise ValueError("Thom model needs the base to have w_1..w_n")
-        self._euler = frozenset([base.gen_mono(wlabels[rank - 1])])
-        # total Sq(U)/U = 1 + w_1 + ... + w_n
-        self._sq_u = _poly([base.unit()] + [base.gen_mono(w) for w in wlabels[:rank]])
-
-    # -- coefficients of U-multiples -----------------------------------------
-
-    def sq(self, k: int, p: Poly) -> Poly:
-        """Coefficient of Sq^k(pU) = sum_w Sq^(k-|w|)(p) · w · U by the Cartan formula.
-
-        w runs over the terms of Sq(U)/U = 1 + w_1 + ... + w_n (Wu) of degree
-        at most k, and Sq^(k-|w|) p comes from the base's graded Cartan
-        recursion (``sq_k_mono``).
-        """
-        base = self.base
-        acc: set = set()
-        for m in p:
-            if base.mono_degree(m) + k > base.cutoff:
-                continue
-            for w in self._sq_u:
-                j = k - base.mono_degree(w)
-                if j >= 0:
-                    base._mul_into(acc, base.sq_k_mono(m, j), (w,))
-        return frozenset(acc)
-
-    def apply_word(self, word: str, p: Poly) -> Poly:
-        """Apply a word in Sq1/Sq2/Sq3 letters (left letter outermost)."""
-        for letter in reversed(word):
-            k = int(letter)
-            if k == 3:
-                p = self.sq(1, self.sq(2, p))
-            else:
-                p = self.sq(k, p)
-        return p
-
-    def multiply(self, p: Poly, q: Poly) -> Poly:
-        """(pU)(qU) = (p q e)U with e the mod-2 Euler class w_n."""
-        return self.base.poly_mul(self.base.poly_mul(p, q), self._euler)
-
-    def vector(self, p: Poly, d: int) -> int:
-        """Vector of pU in the degree-d basis."""
-        return self.base.poly_vector(p, d - self.rank)
-
-    def format(self, p: Poly) -> str:
-        if not p:
-            return "0"
-        return "(" + self.base.format_poly(p) + ")*U"
 
 
 # -- the twisted-module constructor -------------------------------------------

@@ -30,6 +30,8 @@ _RULES: Tuple[Tuple[str, Optional[str]], ...] = (
 
 def reduce_word(word: str) -> Optional[str]:
     """Normal form of a word in the letters {1,2}; None means the word is 0."""
+    if word.strip("12"):  # some letter is neither 1 nor 2
+        raise ValueError(f"A(1) word {word!r} has a letter other than 1 and 2")
     while True:
         if word_degree(word) > TOP_DEGREE:
             return None

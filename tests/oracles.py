@@ -9,6 +9,7 @@ brute-force GF(2) helpers enumerate vectors directly.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import Counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -701,27 +702,39 @@ def graded_part(pres, p, degree: int) -> FrozenSet[Tuple[int, ...]]:
     return frozenset(x for x in p if pres.mono_degree(x) == degree)
 
 
-# -- GM on the Thom space ---------------------------------------------------------
+# -- Thom spaces -------------------------------------------------------------------
 
 
-def gm_thom_mismatch(gm, thom, cutoff: int) -> Optional[str]:
+def thom_total_sq_reference(ring) -> Dict[Tuple[int, ...], FrozenSet[Tuple[int, ...]]]:
+    """Sq(mU)/U = Sq(m)(1 + w1 + ... + wn) for every basis monomial m of BO_n.
+
+    The Thom isomorphism, with Sq(m) from ``total_sq_reference`` and w1 ..
+    wn the ring's generators; Sq^k(mU) is the part of degree |m| + k.
+    Neither ``sq_k_mono`` nor ``twist`` is read.
+    """
+    whole_u = frozenset([ring.unit()] + [ring.gen_mono(g.label) for g in ring.gens])
+    return {m: ring.poly_mul(sq, whole_u) for m, sq in total_sq_reference(ring).items()}
+
+
+def gm_thom_mismatch(gm, ring, cutoff: int) -> Optional[str]:
     """Where ``gm`` differs from V(MO2, 0, U) through ``cutoff``, or None when it does not.
 
-    ``thom`` is the Thom space of the rank-2 bundle over BO2 at cutoff
-    max(cutoff - 2, 0).  GM has one class Q in degree 0 with Sq2 Q = Q·U,
-    the first class of degree 2, and in degree d + 2 the classes Q·mU for
-    the BO2 monomials m of degree d, in their order.  Their squares come
-    from the Cartan formula on the total square (1 + w1 + w2)U
-    (``thom.sq``): Sq1(Q·mU) = Q·Sq1(mU) and Sq2(Q·mU) = Q·(Sq2(mU) + U·mU).
-    The module's twist construction is not read.
+    ``ring`` is BO2 at cutoff max(cutoff - 2, 0).  GM has one class Q in
+    degree 0 with Sq2 Q = Q·U, the first class of degree 2, and in degree
+    d + 2 the classes Q·mU for the BO2 monomials m of degree d, in their
+    order.  Their squares come from the Thom isomorphism
+    (``thom_total_sq_reference``): Sq1(Q·mU) = Q·Sq1(mU) and
+    Sq2(Q·mU) = Q·(Sq2(mU) + U·mU), with U·mU = m·w2·U.  The module's twist
+    construction is not read.
     """
-    unit = frozenset([thom.base.unit()])
     if gm.hi != cutoff or not set(gm.dims) <= set(range(cutoff + 1)):
         return f"hi {gm.hi} or degrees {sorted(gm.dims)} past cutoff {cutoff}"
     if gm.dim(0) != 1 or gm.dim(1) != 0 or (cutoff >= 2 and gm.sq2.get(0) != (1,)):
         return "bottom class"
+    whole = thom_total_sq_reference(ring)
+    w2 = frozenset([ring.gen_mono("w2")])
     for d in range(cutoff - 1):
-        basis = thom.base.basis(d)
+        basis = ring.basis(d)
         if gm.dim(d + 2) != len(basis):
             return f"dimension in degree {d + 2}"
         for k in (1, 2):
@@ -729,10 +742,10 @@ def gm_thom_mismatch(gm, thom, cutoff: int) -> Optional[str]:
                 continue
             want = []
             for m in basis:
-                p = thom.sq(k, frozenset([m]))
+                p = graded_part(ring, whole[m], d + k)
                 if k == 2:
-                    p = p ^ thom.multiply(unit, frozenset([m]))
-                want.append(thom.vector(p, d + 2 + k))
+                    p = p ^ ring.poly_mul(frozenset([m]), w2)
+                want.append(ring.poly_vector(p, d + k))
             if gm.sq(k, d + 2) != tuple(want):
                 return f"Sq{k} from degree {d + 2}"
     return None
@@ -784,6 +797,76 @@ def kzn_dims(n: int, max_degree: int) -> Dict[int, int]:
                 k += 1
         dims = new
     return {d: c for d, c in dims.items() if d <= max_degree}
+
+
+# -- K(Z/2, n) from Serre's theorem and the Adem relations -------------------------
+
+
+def adem_reduce(seq: Tuple[int, ...]) -> FrozenSet[Tuple[int, ...]]:
+    """Sq^seq as a mod-2 sum of admissible sequences, by the Adem relations.
+
+    For a < 2b, Sq^a Sq^b = sum_c C(b - c - 1, a - 2c) Sq^(a+b-c) Sq^c over
+    0 <= c <= a // 2, with Sq^0 = 1 dropped.  The first inadmissible pair is
+    rewritten until none is left (Mosher & Tangora, ch. 3).
+    """
+    seq = tuple(x for x in seq if x)
+    for i in range(len(seq) - 1):
+        a, b = seq[i], seq[i + 1]
+        if a < 2 * b:
+            out: Set[Tuple[int, ...]] = set()
+            for c in range(a // 2 + 1):
+                if math.comb(b - c - 1, a - 2 * c) % 2:
+                    out ^= adem_reduce(seq[:i] + (a + b - c, c) + seq[i + 2:])
+            return frozenset(out)
+    return frozenset([seq])
+
+
+def derived_kzn(n: int, cutoff: int, sq_words: Dict[str, str]):
+    """H^*(K(Z/2, n)) through ``cutoff``, derived from Serre's theorem.
+
+    The ring is polynomial on Sq^I ι for I admissible of excess
+    2 a1 - sum(I) < n (Serre, 1953).  An admissible Sq^I ι with I = (a, J)
+    and larger excess is Sq^a applied to y = Sq^J ι with a >= |y|: the
+    square y² when a = |y|, else 0.  Sq^k of a generator Sq^I ι is Sq^k Sq^I
+    reduced to admissible form by ``adem_reduce``, each term evaluated so.
+    ``sq_words`` names the generators as a catalog table does (label ->
+    I written as digits, "" for ι); the generators come in degree order.
+    """
+    from a1bordism.spaces import Generator, SpacePresentation
+
+    gens = sorted((s for s in admissible_sequences(cutoff - n)
+                   if not s or 2 * s[0] - sum(s) < n), key=lambda s: (sum(s), s))
+    label_of = {tuple(map(int, w)): g for g, w in sq_words.items()}
+    assert sorted(label_of) == sorted(gens), f"derived generators {gens} differ from the table's"
+    index = {s: i for i, s in enumerate(gens)}
+
+    def value(seq: Tuple[int, ...]) -> FrozenSet[Tuple[int, ...]]:
+        if seq in index:
+            return frozenset([tuple(int(i == index[seq]) for i in range(len(gens)))])
+        inner = n + sum(seq[1:])
+        assert seq[0] >= inner, f"Sq^{seq} of ι is past the cutoff"
+        if seq[0] > inner:
+            return frozenset()
+        return frozenset(tuple(2 * e for e in m) for m in value(seq[1:]))
+
+    total = {}
+    for s in gens:
+        acc: Set[Tuple[int, ...]] = set()
+        for k in range(cutoff - n - sum(s) + 1):
+            for t in adem_reduce((k,) + s):
+                acc ^= value(t)
+        total[label_of[s]] = frozenset(acc)
+    return SpacePresentation(f"K(Z/2,{n})", [Generator(label_of[s], n + sum(s)) for s in gens],
+                             cutoff, total, sq_words=sq_words)
+
+
+def first_sq_mismatch(pres, other) -> Optional[Tuple[int, int]]:
+    """The first (k, d), d before k, with d + k <= cutoff where Sq^k from degree d differs."""
+    for d in range(pres.cutoff + 1):
+        for k in range(1, pres.cutoff - d + 1):
+            if pres.sq_matrix(k, d) != other.sq_matrix(k, d):
+                return k, d
+    return None
 
 
 # -- the cover search, walked in full --------------------------------------------

@@ -192,6 +192,19 @@ def test_oneform_ascii_reads_the_verdicts(monkeypatch):
     text, _ = run(["obstruction", "one-form", "--format", "tsv"])
     assert text.endswith("\tnonzero on WuManifold: False; zero on spin: False\n")
 
+def test_obstruction_evaluate_refuses_a_word_with_a_non_digit_letter():
+    for word in ("x", "1a"):
+        text, code = run(["obstruction", "evaluate", "--word", word])
+        assert code == 1
+        assert text == f"error: word '{word}' must be digits, one Sq degree a letter (e.g. 21)\n"
+    # any digits stay an evaluation on the Wu manifold: Sq3 z2 = 0, Sq0 z2 = z2
+    assert run(["obstruction", "evaluate", "--word", "3"]) == (
+        "Sq3 z2 on WuManifold: 0 (zero mod Im Sq1)\n"
+        "  value 0 in H^5; Im(Sq1) there has dimension 0\n", 0)
+    assert run(["obstruction", "evaluate", "--word", "0"])[0].startswith(
+        "Sq0 z2 on WuManifold: z2 (nonzero mod Im Sq1)\n")
+
+
 def test_obstruction_evaluate_tsv():
     text, code = run(["obstruction", "evaluate", "--format", "tsv"])
     assert code == 0

@@ -20,6 +20,17 @@ def dims_of(m, top):
 # -- validate -------------------------------------------------------------
 
 
+def test_sq_takes_k_1_or_2_only():
+    # Sq0 and Sq3 used to return Sq2's columns, so a word "3" silently applied Sq2
+    m = free_module()
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=f"Sq1 and Sq2 only, not Sq{k}$"):
+            m.sq(k, 0)
+    with pytest.raises(ValueError, match="not Sq3$"):
+        m.apply_word("3", 0, [1])
+    assert m.apply_word("12", 0, [1]) == [1]  # Sq1Sq2, the first degree-3 word
+
+
 def test_validate_free_module_ok():
     assert free_module().validate() is None
 

@@ -9,45 +9,49 @@ from a1bordism import spaces as sp
 
 def test_pullback_sends_fundamental_class_to_thom_class():
     pb = ob.pullback_along_thom_class(2)
-    assert pb.thom.format(pb.images["B"]) == "(1)*U"
+    assert ob._format_u(pb.thom[0], pb.images["B"]) == "(1)*U"
     pb3 = ob.pullback_along_thom_class(3)
-    assert pb3.thom.format(pb3.images["C"]) == "(1)*U"
+    assert ob._format_u(pb3.thom[0], pb3.images["C"]) == "(1)*U"
 
 
 def test_pullback_of_sq2sq1_matches_wu_formula_value():
     pb = ob.pullback_along_thom_class(2)
-    assert pb.thom.format(pb.images["S21B"]) == "(w1*w2 + w1^3)*U"
+    assert ob._format_u(pb.thom[0], pb.images["S21B"]) == "(w1*w2 + w1^3)*U"
     pb3 = ob.pullback_along_thom_class(3)
-    assert pb3.thom.format(pb3.images["S21C"]) == "(w1*w2 + w1^3)*U"
+    assert ob._format_u(pb3.thom[0], pb3.images["S21C"]) == "(w1*w2 + w1^3)*U"
 
 
 def test_pullback_is_multiplicative_where_defined():
     # the only in-window products are the squares x^2 = Sq^n x of the
-    # fundamental classes; both sides pull back to w_n U (U·U = w_n U)
-    for n, word in ((2, "2"), (3, "3")):
+    # fundamental classes; both sides pull back to w_n U (U·U = w_n U);
+    # Sq3 is written Sq1Sq2 (Adem)
+    for n, word in ((2, "2"), (3, "12")):
         pb = ob.pullback_along_thom_class(n)
-        km, th = pb.kmodel, pb.thom
+        km, ring = pb.kmodel, pb.thom[0]
         x = km.gens[0].label
-        square = th.multiply(pb.images[x], pb.images[x])
-        assert square == th.apply_word(word, pb.images[x]) == th.base.parse_poly(f"w{n}")
+        square = ob._times(ring, pb.images[x], pb.images[x])
+        assert square == ob._sq_of_thom_class(pb.thom, word) == ring.parse_poly(f"w{n}")
         col = km.basis(2 * n).index(km.reduce_mono(tuple(2 * e for e in km.gen_mono(x))))
-        assert pb.columns_at(2 * n)[col] == th.vector(square, 2 * n)
+        assert pb.columns[2 * n][col] == ring.poly_vector(square, n)
 
 
 def test_pullback_commutes_with_sq_on_generators():
+    # Sq1(B) = SB and Sq2(SB) = S21B upstairs; downstairs the module's
+    # letters act on the images, Sq1 U = w1 U first
     pb = ob.pullback_along_thom_class(2)
-    km, th = pb.kmodel, pb.thom
-    # Sq1(B) = SB upstairs; downstairs Sq1(U) = w1 U
-    img_sq1_b = th.apply_word("1", pb.images["B"])
-    assert img_sq1_b == pb.images["SB"]
-    img_sq2_sb = th.apply_word("2", pb.images["SB"])
-    assert img_sq2_sb == pb.images["S21B"]
+    ring, module = pb.thom
+
+    def vec(label: str, d: int) -> int:
+        return ring.poly_vector(pb.images[label], d - 2)
+
+    assert module.apply_word("1", 2, [vec("B", 2)]) == [vec("SB", 3)]
+    assert vec("SB", 3) == ring.poly_vector(ring.parse_poly("w1"), 1)
+    assert module.apply_word("2", 3, [vec("SB", 3)]) == [vec("S21B", 5)]
 
 
 def test_pullback_window_refusal():
-    pb = ob.pullback_along_thom_class(2)
-    with pytest.raises(ob.ObstructionError):
-        pb.columns_at(6)
+    for n in (2, 3):
+        assert sorted(ob.pullback_along_thom_class(n).columns) == list(range(n, n + 4))
     with pytest.raises(ob.ObstructionError):
         ob.pullback_along_thom_class(4)
 

@@ -9,9 +9,10 @@ import pytest
 from a1bordism import modules as md
 from a1bordism import obstruction as ob
 from a1bordism import spaces as sp
+from a1bordism.gf2 import ColumnSolver
 from a1bordism.modules import catalog, iso_up_to_degree, split_free
-from oracles import (brute_basis, graded_part, gm_thom_mismatch, kzn_dims, letter_matrix,
-                     total_sq_reference)
+from oracles import (brute_basis, derived_kzn, first_sq_mismatch, graded_part, gm_thom_mismatch,
+                     kzn_dims, letter_matrix, thom_total_sq_reference, total_sq_reference)
 
 
 # -- space catalog --------------------------------------------------------------
@@ -146,18 +147,23 @@ def test_total_square_term_below_the_generator_is_refused():
     with pytest.raises(ValueError, match="below degree 2"):
         pres.sq_k_mono((1,), 1)
 
-@pytest.mark.parametrize("thom", [ob._thom_model(1), ob._thom_model(2), ob._thom_model(3),
-                                  sp.ThomSpace(sp.space("BO2", 11), 2)],
+def u_multiples(n: int, cutoff: int, a: str, b: str):
+    ring = sp.space(f"BO{n}", cutoff)
+    return ring, sp.twist(ring, a, b, shift=n, generator_label="U")
+
+
+@pytest.mark.parametrize("thom", [u_multiples(1, 4, "t", "0"), ob._thom_model(2),
+                                  ob._thom_model(3), u_multiples(2, 11, "w1", "w2")],
                          ids=["MO1", "MO2", "MO3", "GM"])
 def test_thom_squares_match_whole_total_squares(thom):
-    # Sq^k(mU) = (Sq(m) · Sq(U)/U)_{|m| + k} U, from the whole total square of m
-    base = thom.base
-    reference = total_sq_reference(base)
-    for d in range(base.cutoff + 1):
-        for m in base.basis(d):
-            whole = base.poly_mul(reference[m], thom._sq_u)
-            for k in (1, 2):
-                assert thom.sq(k, frozenset([m])) == graded_part(base, whole, d + k), (m, k)
+    # Sq^k(mU) = (Sq(m) · (1 + w1 + ... + wn))_{|m| + k} U, from the whole total square of m
+    ring, module = thom
+    whole = thom_total_sq_reference(ring)
+    for d in range(ring.cutoff + 1):
+        for k in (1, 2):
+            want = tuple(ring.poly_vector(graded_part(ring, whole[m], d + k), d + k)
+                         for m in ring.basis(d))
+            assert module.sq(k, d + module.lo) == want, (d, k)
 
 
 def test_space_catalog_refusals_and_clamps():
@@ -194,6 +200,35 @@ def test_kz2_dimensions_against_serre_oracle():
         got = {d: len(pres.basis(d)) for d in range(cap + 1) if pres.basis(d)}
         assert got == {d: v for d, v in expect.items() if v}
         assert pres.cohomology_module().validate() is None
+
+
+@pytest.mark.parametrize("name, n, cap", [("KZ2_2", 2, 8), ("KZ2_3", 3, 6)])
+def test_kz2_tables_match_the_serre_adem_derivation(name, n, cap):
+    table = sp.space(name, cap)
+    derived = derived_kzn(n, cap, table.sq_words)
+    assert [(g.label, g.degree) for g in derived.gens] == [(g.label, g.degree) for g in table.gens]
+    assert first_sq_mismatch(derived, table) is None
+
+
+def test_serre_adem_derivation_catches_a_missing_square():
+    # drop C^2 = Sq1 Sq2 C from Sq(S2C): the derivation sees it at Sq1 on degree 5
+    table = sp.space("KZ2_3", 6)
+    mutant = sp.SpacePresentation(
+        "KZ2_3", table.gens, 6, {**table.total_sq, "S2C": frozenset([table.gen_mono("S2C")])},
+        sq_words=table.sq_words)
+    assert first_sq_mismatch(derived_kzn(3, 6, table.sq_words), mutant) == (1, 5)
+
+
+def test_obstruction_verdicts_read_the_derived_rings():
+    # one form: ker(Sq1: H^5 -> H^6) of K(Z/2,2) is the line of Sq2Sq1B + B*Sq1B
+    k2 = derived_kzn(2, 6, sp.space("KZ2_2", 6).sq_words)
+    line = (k2.poly_vector(k2.parse_poly("S21B + B*SB"), 5),)
+    assert tuple(ColumnSolver(k2.sq_matrix(1, 5)).kernel) == line
+    assert ob.primary_obstruction_oneform().kernel_vectors == line
+    # two form: H^6(K(Z/2,3)) is spanned by Sq2Sq1C and C^2
+    k3 = derived_kzn(3, 6, sp.space("KZ2_3", 6).sq_words)
+    assert set(k3.element_labels(6)) == {"S21C", "C^2"}
+    assert ob.twoform_degree6_injectivity().basis == ("Sq2Sq1C", "C^2")
 
 
 def test_kz2_2_h5_basis():
@@ -244,8 +279,8 @@ def test_twist_degree_mismatch():
 
 @pytest.mark.parametrize("cutoff", [0, 1, 2, 5, 13, 26])
 def test_gm_matches_the_thom_space_cartan_formula(cutoff):
-    thom = sp.ThomSpace(sp.space("BO2", max(cutoff - 2, 0)), 2)
-    assert gm_thom_mismatch(sp.named_structure("GM", cutoff), thom, cutoff) is None
+    ring = sp.space("BO2", max(cutoff - 2, 0))
+    assert gm_thom_mismatch(sp.named_structure("GM", cutoff), ring, cutoff) is None
 
 
 @pytest.mark.parametrize("cutoff", [5, 13, 26])
@@ -253,7 +288,7 @@ def test_gm_oracle_rejects_the_uncancelled_w2(cutoff):
     # over V(BO2, w1, w2) the U-multiples keep the w2 that U·pU = w2·pU cancels
     ring = sp.space("BO2", cutoff - 2)
     wrong = sp._thom_gm(sp.twist(ring, "w1", "w2"), ring).truncate(cutoff)
-    assert gm_thom_mismatch(wrong, sp.ThomSpace(ring, 2), cutoff) == "Sq2 from degree 2"
+    assert gm_thom_mismatch(wrong, ring, cutoff) == "Sq2 from degree 2"
 
 
 def test_pin_minus_twist_vs_thom_construction():

@@ -11,6 +11,16 @@ def test_rewriting_confluent_all_orders_up_to_length_six():
     assert rewriting_is_confluent(6)
 
 
+def test_words_take_the_letters_1_and_2_only():
+    for word in ("3", "0", "21x", "131"):
+        with pytest.raises(ValueError, match=f"A\\(1\\) word '{word}' has a letter other than 1 and 2"):
+            st.reduce_word(word)
+        with pytest.raises(ValueError, match=f"'{word}'"):
+            A1Element.from_word(word)
+    # Sq3 is written Sq1Sq2 (Adem), a normal form
+    assert st.reduce_word("12") == "12"
+
+
 def test_defining_relations():
     assert st.SQ1 * st.SQ1 == A1Element(0)
     assert st.SQ2 * st.SQ2 == A1Element.from_word("121")
