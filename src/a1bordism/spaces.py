@@ -32,9 +32,9 @@ cutoff).  Two more tables hold every structure's recipe.  ``TWISTS``
 gives each single twist V(X, a, b) (GM's U-multiples, Pin±, FK, SpinO2,
 SigmaBO2, MV_a_ab, and two BO2 factors) as a presentation, a, b and a
 generator label; ``PRODUCTS`` gives FKO, KT±, PinMinusO2 and Tau± as the
-tensor product of two of them.  Every twist is built once per (name,
-cutoff) by ``_twist`` and shared; the products are built afresh on every
-call.
+tensor product of two of them.  Every ring is built once per (name,
+cutoff) by ``space`` and shared, with its Sq¹/Sq² columns; so is every
+twist, by ``_twist``.  The products are built afresh on every call.
 
 Basis labels are for display only: no code here reads them.  A twist's
 basis in degree d is its ring's ``basis(d)``, so ``split_by_variable``
@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .gf2 import combine
 from .modules import GradedA1Module, binom2
@@ -79,25 +80,23 @@ class SpacePresentation:
     """Truncated graded-commutative GF(2) polynomial ring with total Sq data.
 
     Its reduced monomials through the cutoff are enumerated once, at construction.
+    Immutable once built: ``total_sq`` and ``sq_words`` are read-only
+    mappings, and assigning an attribute raises AttributeError.  A ring can
+    therefore be shared (``space`` builds each one once); the Sq^k memos of
+    monomials and of matrices live on the instance.  A ``total_sq`` given
+    as a ``MappingProxyType`` is kept, not copied: ``parse_space`` fills the
+    dict behind it before any Sq is computed.
     """
 
     def __init__(self, name: str, gens: Sequence[Generator], cutoff: int,
-                 total_sq: Dict[str, Poly], sq_words: Optional[Dict[str, str]] = None):
+                 total_sq: Mapping[str, Poly], sq_words: Optional[Mapping[str, str]] = None):
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
-        self.name = name
-        self.gens = tuple(gens)
-        self.cutoff = cutoff
-        self.total_sq = dict(total_sq)
-        self.sq_words = dict(sq_words or {})
-        self._degrees = tuple(g.degree for g in self.gens)
-        self._nilpotent = tuple((i, g.nilpotence) for i, g in enumerate(self.gens)
-                                if g.nilpotence is not None)
-        self._sq_cache: Dict[Tuple[Monomial, int], Poly] = {}
+        gens = tuple(gens)
         # every reduced monomial with its degree, one generator's exponent at
         # a time; a generator of degree 0 takes exponent 0 only
         monos: List[Tuple[Monomial, int]] = [((), 0)]
-        for g in self.gens:
+        for g in gens:
             grown = []
             for m, d in monos:
                 emax = (cutoff - d) // g.degree if g.degree else 0
@@ -108,8 +107,22 @@ class SpacePresentation:
         by_degree: Dict[int, List[Monomial]] = {d: [] for d in range(cutoff + 1)}
         for m, d in monos:
             by_degree[d].append(m)
-        self._basis = {d: tuple(sorted(ms)) for d, ms in by_degree.items()}
-        self._index = {d: {m: i for i, m in enumerate(b)} for d, b in self._basis.items()}
+        basis = {d: tuple(sorted(ms)) for d, ms in by_degree.items()}
+        vars(self).update(
+            name=name, gens=gens, cutoff=cutoff,
+            total_sq=(total_sq if isinstance(total_sq, MappingProxyType)
+                      else MappingProxyType(dict(total_sq))),
+            sq_words=MappingProxyType(dict(sq_words or {})),
+            _degrees=tuple(g.degree for g in gens),
+            _nilpotent=tuple((i, g.nilpotence) for i, g in enumerate(gens)
+                             if g.nilpotence is not None),
+            _sq_cache={}, _sq_matrices={}, _basis=basis,
+            _index={d: {m: i for i, m in enumerate(b)} for d, b in basis.items()})
+
+    def __setattr__(self, *a):
+        raise AttributeError("SpacePresentation is immutable")
+
+    __delattr__ = __setattr__
 
     # -- monomials -------------------------------------------------------
 
@@ -256,9 +269,11 @@ class SpacePresentation:
         hit = self._sq_cache.get(key)
         if hit is not None:
             return hit
-        last = max((i for i, e in enumerate(m) if e), default=None)
+        last = len(m) - 1
+        while last >= 0 and not m[last]:
+            last -= 1
         acc: set = set()
-        if last is None:
+        if last < 0:
             if k == 0:
                 acc.add(m)
         elif self.mono_degree(m) + k <= self.cutoff:
@@ -274,9 +289,13 @@ class SpacePresentation:
     def dim(self, d: int) -> int:
         return len(self.basis(d))
 
-    def sq_matrix(self, k: int, d: int) -> List[int]:
-        """Columns of Sq^k from degree d."""
-        return [self.poly_vector(self.sq_k_mono(m, k), d + k) for m in self.basis(d)]
+    def sq_matrix(self, k: int, d: int) -> Tuple[int, ...]:
+        """Columns of Sq^k from degree d, built once per (k, d) and shared."""
+        cols = self._sq_matrices.get((k, d))
+        if cols is None:
+            cols = tuple(self.poly_vector(self.sq_k_mono(m, k), d + k) for m in self.basis(d))
+            self._sq_matrices[k, d] = cols
+        return cols
 
     def mult_matrix(self, p: Poly, pdeg: int, d: int) -> List[int]:
         """Columns of multiplication by p (of degree pdeg) from degree d."""
@@ -411,9 +430,16 @@ SPACES: Dict[str, Callable[[int], SpacePresentation]] = {
 SPACE_NAMES = tuple(SPACES)
 
 
+@functools.lru_cache(maxsize=None)
 def space(name: str, cutoff: int) -> SpacePresentation:
-    """Catalog of the classifying-space presentations used by the pipelines."""
-    name = name.replace("×", "x")
+    """Catalog of the classifying-space presentations used by the pipelines.
+
+    Each (name, cutoff) ring is built once per process and every call gets
+    the same one: rings are immutable, and twists over one ring share its
+    Sq^k memos.  ``×`` spells ``x``: both spellings get the same ring.
+    """
+    if "×" in name:
+        return space(name.replace("×", "x"), cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     if name not in SPACES:
@@ -422,6 +448,12 @@ def space(name: str, cutoff: int) -> SpacePresentation:
     if cutoff > cap:
         raise ValueError(f"{name} is modeled only through degree {cap}; requested cutoff {cutoff}")
     return SPACES[name](cutoff)
+
+
+@functools.lru_cache(maxsize=None)
+def _tau_bo2(cutoff: int) -> SpacePresentation:
+    """Tau±'s BO2 factor <b, c>, built once per cutoff as ``space`` builds its rings."""
+    return bo_presentation(2, cutoff, labels=["b", "c"], name="BO2")
 
 
 # -- the twisted-module constructor -------------------------------------------
@@ -438,9 +470,8 @@ def twist(model: SpacePresentation, a: str, b: str, shift: int = 0,
     """
     a_cls = model.parse_class(a, 1)
     b_cls = model.parse_class(b, 2)
-    # built once per degree: Sq1 on degree d enters sq1[d] and the a·Sq1 term
-    # of sq2[d]; multiplication by a on degree d enters sq1[d] and sq2[d - 1]
-    sq1_of = {d: model.sq_matrix(1, d) for d in range(model.cutoff)}
+    # built once per degree: multiplication by a on degree d enters sq1[d]
+    # and sq2[d - 1]; the ring keeps its Sq^k columns itself
     a_times = {d: model.mult_matrix(a_cls, 1, d) for d in range(model.cutoff)}
     dims, labs, sq1, sq2 = {}, {}, {}, {}
     for d in range(model.cutoff + 1):
@@ -450,9 +481,9 @@ def twist(model: SpacePresentation, a: str, b: str, shift: int = 0,
         labs[d + shift] = tuple(f"{generator_label}*{s}" for s in model.element_labels(d))
         # dim is 0 above the cutoff; a sum of maps XORs their columns
         if model.dim(d + 1):
-            sq1[d + shift] = [x ^ y for x, y in zip(a_times[d], sq1_of[d])]
+            sq1[d + shift] = [x ^ y for x, y in zip(a_times[d], model.sq_matrix(1, d))]
         if model.dim(d + 2):
-            a_sq1 = combine(a_times[d + 1], sq1_of[d])
+            a_sq1 = combine(a_times[d + 1], model.sq_matrix(1, d))
             sq2[d + shift] = [x ^ y ^ z for x, y, z in zip(
                 model.mult_matrix(b_cls, 2, d), model.sq_matrix(2, d), a_sq1)]
     out = GradedA1Module(dims, sq1, sq2, model.cutoff + shift, labs, complete=False,
@@ -470,21 +501,20 @@ STRUCTURE_NAMES = (
 
 # name -> (presentation at a cutoff, a, b, generator label) of V(X, a, b).
 # GM's entry is V(BO2, w1, 0), its U-multiples, which ``_twist`` puts under
-# GM's bottom class (``_thom_gm``); its Thom class sits in degree 2, so below
-# cutoff 2 its ring is BO2 at cutoff 0, truncated by ``_twist``: truncating
-# commutes with twisting.  The last two are factors of PRODUCTS only; Tau±'s
-# BO2 is <b, c>.
+# GM's bottom class (``_thom_gm``); its Thom class sits in degree 2, so the
+# shared BO2 at GM's own cutoff reaches 2 degrees past it, and ``_twist``
+# truncates: truncating commutes with twisting.  The last two are factors
+# of PRODUCTS only; Tau±'s BO2 is <b, c>.
 TWISTS: Dict[str, Tuple[Callable[[int], SpacePresentation], str, str, str]] = {
     "FK": (lambda c: space("BSO2", c), "0", "w2", "Q"),
     "PinMinus": (lambda c: space("BO1", c), "t", "0", "U"),
     "PinPlus": (lambda c: space("BO1", c), "t", "t^2", "U"),
-    "GM": (lambda c: space("BO2", max(c - 2, 0)), "w1", "0", "Q"),
+    "GM": (lambda c: space("BO2", c), "w1", "0", "Q"),
     "SpinO2": (lambda c: space("BO2", c), "0", "w2", "U"),
     "SigmaBO2": (lambda c: space("BO2", c), "w1", "0", "U"),
     "MV_a_ab": (lambda c: space("BO1xBO1", c), "a", "a*b", "U"),
     "V(BO2, w1, w2)": (lambda c: space("BO2", c), "w1", "w2", "U"),
-    "V(BO2, b, b^2)": (lambda c: bo_presentation(2, c, labels=["b", "c"], name="BO2"),
-                       "b", "b^2", "U"),
+    "V(BO2, b, b^2)": (_tau_bo2, "b", "b^2", "U"),
 }
 
 # name -> (left, right) factor in TWISTS, by the Cartan formula.  Tau± are
@@ -712,9 +742,9 @@ def parse_space(text: str):
     if cutoff is None:
         raise ValueError(f"line {max(last, 1)}: missing CUTOFF")
     # the SQ polynomials are parsed in the ring they define: its total_sq is
-    # filled in before any Sq is computed
-    pres = SpacePresentation(name, gens, cutoff, {})
-    total = pres.total_sq
+    # a view of this dict, filled in before any Sq is computed
+    total: Dict[str, Poly] = {}
+    pres = SpacePresentation(name, gens, cutoff, MappingProxyType(total))
     for lab, (ln, poly) in sq_lines.items():
         if lab not in gen_lines:
             raise ValueError(f"line {ln}: SQ line for unknown generator {lab!r}")

@@ -14,6 +14,7 @@ import operator
 from collections import Counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from a1bordism import spaces as sp
 from a1bordism.ext import DegreeReport
 from a1bordism.gf2 import BitMatrix
 from a1bordism.pipelines import DEFAULT_MAX_S, window_parameters
@@ -832,8 +833,6 @@ def derived_kzn(n: int, cutoff: int, sq_words: Dict[str, str]):
     ``sq_words`` names the generators as a catalog table does (label ->
     I written as digits, "" for ι); the generators come in degree order.
     """
-    from a1bordism.spaces import Generator, SpacePresentation
-
     gens = sorted((s for s in admissible_sequences(cutoff - n)
                    if not s or 2 * s[0] - sum(s) < n), key=lambda s: (sum(s), s))
     label_of = {tuple(map(int, w)): g for g, w in sq_words.items()}
@@ -856,8 +855,8 @@ def derived_kzn(n: int, cutoff: int, sq_words: Dict[str, str]):
             for t in adem_reduce((k,) + s):
                 acc ^= value(t)
         total[label_of[s]] = frozenset(acc)
-    return SpacePresentation(f"K(Z/2,{n})", [Generator(label_of[s], n + sum(s)) for s in gens],
-                             cutoff, total, sq_words=sq_words)
+    gen_list = [sp.Generator(label_of[s], n + sum(s)) for s in gens]
+    return sp.SpacePresentation(f"K(Z/2,{n})", gen_list, cutoff, total, sq_words=sq_words)
 
 
 def first_sq_mismatch(pres, other) -> Optional[Tuple[int, int]]:
@@ -865,6 +864,69 @@ def first_sq_mismatch(pres, other) -> Optional[Tuple[int, int]]:
     for d in range(pres.cutoff + 1):
         for k in range(1, pres.cutoff - d + 1):
             if pres.sq_matrix(k, d) != other.sq_matrix(k, d):
+                return k, d
+    return None
+
+
+# -- shared rings against fresh ones ----------------------------------------------
+
+# TWISTS name -> its ring at a cutoff, built afresh from the SPACES table or
+# bo_presentation, outside every memo, so its Sq memos start empty.  GM's is
+# BO2 at cutoff c - 2, just the degrees its U-multiples reach: the shared
+# ring's truncation is checked against a ring that needs none above cutoff 1.
+FRESH_RINGS = {
+    "FK": lambda c: sp.SPACES["BSO2"](c),
+    "PinMinus": lambda c: sp.SPACES["BO1"](c),
+    "PinPlus": lambda c: sp.SPACES["BO1"](c),
+    "GM": lambda c: sp.SPACES["BO2"](max(c - 2, 0)),
+    "SpinO2": lambda c: sp.SPACES["BO2"](c),
+    "SigmaBO2": lambda c: sp.SPACES["BO2"](c),
+    "MV_a_ab": lambda c: sp.SPACES["BO1xBO1"](c),
+    "V(BO2, w1, w2)": lambda c: sp.SPACES["BO2"](c),
+    "V(BO2, b, b^2)": lambda c: sp.bo_presentation(2, c, labels=["b", "c"], name="BO2"),
+}
+
+
+def fresh_twist(name: str, cutoff: int):
+    """The ``TWISTS`` module ``name`` through ``cutoff``, over a fresh ring."""
+    ring = FRESH_RINGS[name](cutoff)
+    _, a, b, label = sp.TWISTS[name]
+    m = sp.twist(ring, a, b, generator_label=label)
+    if name == "GM":
+        m = sp._thom_gm(m, ring)
+    return m.truncate(cutoff).renamed(name)
+
+
+def fresh_structure(name: str, cutoff: int):
+    """``named_structure(name, cutoff)`` from fresh rings: no ring or module is shared."""
+    if name in sp.TWISTS:
+        return fresh_twist(name, cutoff)
+    left, right = sp.PRODUCTS[name]
+    m = fresh_twist(left, cutoff).tensor(fresh_twist(right, cutoff))
+    if right == "V(BO2, b, b^2)":
+        return sp._tau_labels(m, name, sp.SPACES["BO1xBO2"](cutoff))
+    return m.renamed(name)
+
+
+def module_mismatch(m, want) -> Optional[str]:
+    """The first of name, dims, labels, sq1, sq2, hi and complete where two modules differ."""
+    for field in ("name", "dims", "labels", "sq1", "sq2", "hi", "complete"):
+        if getattr(m, field) != getattr(want, field):
+            return field
+    return None
+
+
+def memo_mismatch(ring) -> Optional[Tuple[int, int]]:
+    """The first (k, d), d before k in (1, 2), where ``ring.sq_matrix`` is not Sq^k.
+
+    Sq^k from degree d is computed on an equal ring built afresh, monomial
+    by monomial, without ``sq_matrix`` or its memo.
+    """
+    fresh = sp.SpacePresentation(ring.name, ring.gens, ring.cutoff, ring.total_sq, ring.sq_words)
+    for d in range(ring.cutoff + 1):
+        for k in (1, 2):
+            want = tuple(fresh.poly_vector(fresh.sq_k_mono(m, k), d + k) for m in fresh.basis(d))
+            if ring.sq_matrix(k, d) != want:
                 return k, d
     return None
 

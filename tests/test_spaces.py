@@ -11,8 +11,9 @@ from a1bordism import obstruction as ob
 from a1bordism import spaces as sp
 from a1bordism.gf2 import ColumnSolver
 from a1bordism.modules import catalog, iso_up_to_degree, split_free
-from oracles import (brute_basis, derived_kzn, first_sq_mismatch, graded_part, gm_thom_mismatch,
-                     kzn_dims, letter_matrix, thom_total_sq_reference, total_sq_reference)
+from oracles import (brute_basis, derived_kzn, first_sq_mismatch, fresh_structure, fresh_twist,
+                     graded_part, gm_thom_mismatch, kzn_dims, letter_matrix, memo_mismatch,
+                     module_mismatch, thom_total_sq_reference, total_sq_reference)
 
 
 # -- space catalog --------------------------------------------------------------
@@ -584,12 +585,12 @@ def test_truncating_at_the_top_keeps_the_module_itself():
     # a class above hi is still cut off
     odd = md.GradedA1Module({0: 1, 3: 1}, {}, {}, 2)
     assert dict(odd.truncate(2).dims) == {0: 1}
-    # GM's U-multiples start in degree 2, from BO2 at cutoff 0: past cutoffs 0 and 1
+    # GM's U-multiples start in degree 2, past cutoffs 0 and 1: the shared BO2 is cut
     for cutoff in (0, 1):
         gm = sp.named_structure("GM", cutoff)
         assert gm.hi == cutoff and max(gm.dims) <= cutoff
         assert all(d + 1 <= cutoff for d in gm.sq1) and all(d + 2 <= cutoff for d in gm.sq2)
-        assert sp.TWISTS["GM"][0](cutoff).cutoff == 0
+        assert sp.TWISTS["GM"][0](cutoff) is sp.space("BO2", cutoff)
 
 
 @pytest.mark.parametrize("name", sp.STRUCTURE_NAMES)
@@ -603,6 +604,52 @@ def test_every_structure_builds_at_the_smallest_cutoffs(name):
 @pytest.mark.parametrize("name", [n for n in sp.STRUCTURE_NAMES if n in sp.TWISTS])
 def test_a_single_twist_structure_is_built_once(name):
     assert sp.named_structure(name, 9) is sp.named_structure(name, 9)
+
+
+# -- shared rings -------------------------------------------------------------------
+
+
+def test_a_ring_is_built_once_and_cannot_change():
+    ring = sp.space("BO2", 7)
+    assert sp.space("BO2", 7) is ring
+    assert sp.space("BO1×BO2", 7) is sp.space("BO1xBO2", 7)
+    parsed, *_ = sp.parse_space("GEN t DEG 1\nSQ t = t + t^2\nCUTOFF 4")
+    for pres in (ring, parsed):
+        for attr in [a for a in dir(pres) if not a.startswith("_")] + ["extra"]:
+            with pytest.raises(AttributeError):
+                setattr(pres, attr, None)
+        label = pres.gens[0].label
+        with pytest.raises(TypeError):
+            pres.total_sq[label] = frozenset()
+        with pytest.raises(TypeError):
+            pres.sq_words[label] = "1"
+
+
+def test_tau_builds_no_ring_after_its_first_call(monkeypatch):
+    built = []
+    init = sp.SpacePresentation.__init__
+
+    def counting(self, name, *args, **kwargs):
+        built.append(name)
+        init(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(sp.SpacePresentation, "__init__", counting)
+    sp.structure_pieces("TauMinus", 11)
+    built.clear()
+    sp.structure_pieces("TauPlus", 11)
+    sp.structure_pieces("TauMinus", 11)
+    sp.named_structure("TauPlus", 11)
+    assert built == []
+
+
+@pytest.mark.parametrize("cutoff", range(30))
+def test_shared_rings_build_what_fresh_rings_build(cutoff):
+    for name in sp.TWISTS:
+        assert module_mismatch(sp._twist(name, cutoff), fresh_twist(name, cutoff)) is None, name
+        assert memo_mismatch(sp.TWISTS[name][0](cutoff)) is None, name
+    for name in sp.STRUCTURE_NAMES:
+        assert module_mismatch(sp.named_structure(name, cutoff),
+                               fresh_structure(name, cutoff)) is None, name
 
 
 @pytest.mark.parametrize("name", ["FKO", "KTminus", "KTplus", "PinMinusO2", "TauMinus", "TauPlus"])

@@ -3,6 +3,8 @@
 ``import dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and
 ``tokenize``, and decorating a class execs its generated methods; the
 library's records are ``typing.NamedTuple``s or plain classes instead.
+No ring is built at import either: ``spaces.space`` builds each one on
+first use.
 """
 
 from __future__ import annotations
@@ -27,3 +29,11 @@ def test_library_source_does_not_mention_dataclass():
     files = sorted((SRC / "a1bordism").glob("*.py"))
     assert files
     assert [f.name for f in files if "dataclass" in f.read_text(encoding="utf-8")] == []
+
+
+def test_import_builds_no_ring():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import a1bordism; "
+            "print(a1bordism.spaces.space.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "0"
