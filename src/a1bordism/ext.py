@@ -47,22 +47,42 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
 
     Computed in the free modules' own bases (Bruner, "Calculation of
     large Ext modules", 1993).  The kernel K_s of F_s -> F_{s-1} (of
-    F_0 -> M) is kept as vectors of F_s, and the next boundary's columns
-    w·v are read off the A(1) multiplication table; no module is built
-    for K_s.  Its generators are the kernel vectors whose coordinates are
-    not pivots of ``ColumnSolver`` on Sq1 K_s + Sq2 K_s, the complement
-    ``GradedA1Module.generator_coords`` would take on K_s.  Degrees go in
-    increasing order in a single thread, so the result depends only on
-    the module and the window.
+    F_0 -> M) is kept as vectors of F_s, and no module is built for it.
+    Each stage is one pass:
+
+    - the boundary's columns, in every degree of F_s at once: one sweep
+      over the generators, each word's image (``steenrod.free_word_times``
+      on F_{s-1}'s position maps, built once per stage) appended to its
+      degree's list generator by generator and word by word in ``WORDS``
+      order, which is ``steenrod.free_bases`` order; stage 0 reads
+      ``M.word_images``;
+    - K_s in each degree, the kernel of those columns;
+    - the generators in each degree d, by one ``ColumnSolver`` over the
+      decomposables Sq1 K_{d-1} + Sq2 K_{d-2}, in F_s coordinates,
+      followed by the kernel vectors in reverse order.  Kernel vector j is
+      a generator exactly when it is independent of the columns before
+      it, that is, when no vector of the decomposables' span has lowest
+      kernel coordinate j.  The pivots of a span (the lowest set bits of
+      its reduced basis) do not depend on the vectors that span it, so
+      these are the coordinates ``GradedA1Module.generator_coords`` would
+      take on K_s.  In every degree of F_s the decomposables lie in K_d
+      exactly when the rank is dim K_d; otherwise ``InvariantError``:
+      the kernel is not closed under the action.
+
+    Degrees go in increasing order in a single thread, so the result
+    depends only on the module and the window.
     """
     if not M.complete and M.hi < max_t:
         raise ResolutionError(
             f"module {M.name or '<anon>'} is truncated at {M.hi}; "
             f"resolving to internal degree {max_t} needs cutoff >= {max_t}")
-    # the current stage's generators as (t, v), and word images, in the
-    # coordinates of the boundary's target: M at stage 0, F_{s-1} after
+    # the current stage's generators as (t, v), in the coordinates of the
+    # boundary's target: M at stage 0, F_{s-1} after, whose bases and
+    # position maps are ``basis`` and ``pos``
     gens = M.minimal_generators(max_t)
-    images = M.word_images
+    basis: Dict[int, List[Tuple[int, int]]] = {}
+    pos: Dict[int, Dict[Tuple[int, int], int]] = {}
+    times = steenrod.free_word_times
     stages: List[ResolutionStage] = []
 
     for s in range(max_s + 1):
@@ -71,36 +91,36 @@ def minimal_resolution(M: GradedA1Module, max_s: int, max_t: int) -> Resolution:
         if s == max_s:
             break
 
-        # the kernel of F_s -> target: the inclusion of K_{s-1} into
-        # F_{s-1} is injective, so this is the kernel of F_s onto K_{s-1};
-        # the generators come in degree order, so those with words in
-        # degree d (t in d - 6 .. d) are one slice
         fbasis = steenrod.free_bases(gen_degrees, max_t)
-        ker_vecs: Dict[int, List[int]] = {}
-        for d in sorted(fbasis):
-            near = gens[bisect.bisect_left(gen_degrees, d - steenrod.TOP_DEGREE):
-                        bisect.bisect_right(gen_degrees, d)]
-            kernel = ColumnSolver(images(near, d)).kernel
-            if kernel:
-                ker_vecs[d] = kernel
+        if s == 0:
+            # the generators in degree order, so those with words in
+            # degree d (t in d - 6 .. d) are one slice
+            cols = {d: M.word_images(gens[bisect.bisect_left(gen_degrees, d - steenrod.TOP_DEGREE):
+                                          bisect.bisect_right(gen_degrees, d)], d)
+                    for d in fbasis}
+        else:
+            # a word may send v to 0 in a degree where F_{s-1} has no basis
+            cols = {d: [] for d in fbasis}
+            for t, v in gens:
+                for widx, dw in enumerate(steenrod.DEGREES):
+                    if t + dw > max_t:
+                        break
+                    cols[t + dw].append(times(widx, v, basis[t], pos.get(t + dw, {})))
+        # the kernel of F_s -> target: the inclusion of K_{s-1} into F_{s-1}
+        # is injective, so this is the kernel of F_s onto K_{s-1}
+        ker_vecs = {d: ColumnSolver(cols[d]).kernel for d in sorted(fbasis)}
 
-        # Sq1 and Sq2 of the kernel in kernel coordinates span the
-        # decomposables of K_s
-        images = functools.partial(steenrod.free_word_images, fbasis)
-        decomposables: Dict[int, List[int]] = {d: [] for d in ker_vecs}
-        solvers = {d: ColumnSolver(v) for d, v in ker_vecs.items()}
-        for shift in (1, 2):
-            for d, vecs in ker_vecs.items():
-                solver = solvers.get(d + shift)
-                if solver is None:
-                    continue
-                for img in images([(d, v) for v in vecs], d + shift):
-                    x = solver.solve(img)
-                    if x is None:
-                        raise InvariantError("kernel not closed under the action")
-                    decomposables[d + shift].append(x)
-        gens = [(d, vecs[j]) for d, vecs in sorted(ker_vecs.items())
-                for j in ColumnSolver(decomposables[d]).complement(len(vecs))]
+        basis, pos = fbasis, {d: steenrod.free_positions(b) for d, b in fbasis.items()}
+        gens = []
+        for d, vecs in ker_vecs.items():
+            dec = [times(k, v, basis[d - k], pos[d]) for k in (1, 2) for v in ker_vecs.get(d - k, ())]
+            solver = ColumnSolver(dec + vecs[::-1])
+            if len(solver.table) != len(vecs):
+                raise InvariantError("kernel not closed under the action")
+            # a table mask's highest bit is its column's index; vecs[j] is column top - j
+            top = len(dec) + len(vecs) - 1
+            independent = {m.bit_length() - 1 for _, m in solver.table.values()}
+            gens += [(d, v) for j, v in enumerate(vecs) if top - j in independent]
 
     return Resolution(M, max_s, max_t, stages)
 

@@ -389,11 +389,13 @@ def bo_presentation(n: int, cutoff: int, labels: Optional[Sequence[str]] = None,
 
 
 _KZ_MAX_CUTOFF = {"KZ2_2": 8, "KZ2_3": 6}
+# the Wu manifold's ring is zero above degree 5
+_TOP_DEGREE = {"WuManifold": 5}
 
 
-# name -> the presentation at a cutoff.  The Wu manifold's ring is zero
-# above degree 5, so a larger cutoff is clamped to 5; K(Z/2, n) is modeled
-# only through _KZ_MAX_CUTOFF, and ``space`` refuses a larger cutoff.
+# name -> the presentation at a cutoff.  ``space`` clamps a cutoff above
+# _TOP_DEGREE to it, and refuses one above _KZ_MAX_CUTOFF: K(Z/2, n) is
+# modeled only that far.
 SPACES: Dict[str, Callable[[int], SpacePresentation]] = {
     "BO1": lambda c: bo_presentation(1, c, labels=["t"], name="BO1"),
     "BO2": lambda c: bo_presentation(2, c, name="BO2"),
@@ -407,7 +409,7 @@ SPACES: Dict[str, Callable[[int], SpacePresentation]] = {
         bo_presentation(2, c, labels=["b", "c"], name="BO2"), name="BO1xBO2"),
     "WuManifold": lambda c: SpacePresentation(
         "WuManifold", [Generator("z2", 2, nilpotence=2), Generator("z3", 3, nilpotence=2)],
-        min(c, 5), {
+        c, {
             "z2": _poly([(1, 0), (0, 1)]),          # Sq(z2) = z2 + z3
             "z3": _poly([(0, 1), (1, 1)]),          # Sq(z3) = z3 + z2 z3
         }),
@@ -436,10 +438,13 @@ def space(name: str, cutoff: int) -> SpacePresentation:
 
     Each (name, cutoff) ring is built once per process and every call gets
     the same one: rings are immutable, and twists over one ring share its
-    Sq^k memos.  ``×`` spells ``x``: both spellings get the same ring.
+    Sq^k memos.  ``×`` spells ``x``, and a cutoff above a ring's top degree
+    is that degree: each spelling and cutoff gets the same ring.
     """
     if "×" in name:
         return space(name.replace("×", "x"), cutoff)
+    if cutoff > _TOP_DEGREE.get(name, cutoff):
+        return space(name, _TOP_DEGREE[name])
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     if name not in SPACES:

@@ -6,7 +6,7 @@ after Sq2).  The defining relations are Sq1Sq1 = 0 and Sq2Sq2 = Sq1Sq2Sq1;
 these force the two degree-6 words to coincide, and we use "1212" as the
 normal form of the top class.  Multiplication goes through a once-built
 8x8 table produced by string rewriting; the same table gives the action
-on free modules (``free_bases``, ``free_word_images``), which builds A(1)
+on free modules (``free_bases``, ``free_word_times``), which builds A(1)
 itself and every stage of a resolution.
 """
 
@@ -186,23 +186,33 @@ def free_bases(gen_degrees: Sequence[int], top: int) -> Dict[int, List[Tuple[int
     return out
 
 
+def free_positions(basis: Sequence[Tuple[int, int]]) -> Dict[Tuple[int, int], int]:
+    """The position map of one free degree: each basis pair to its bit, ``1 << position``."""
+    return {bw: 1 << p for p, bw in enumerate(basis)}
+
+
+def free_word_times(widx: int, v: int, basis: Sequence[Tuple[int, int]],
+                    target: Mapping[Tuple[int, int], int]) -> int:
+    """The word ``WORDS[widx]`` times v, a vector of the free degree with this basis.
+
+    ``target`` is the position map of the degree it lands in.  A product of
+    two basis words of A(1) is one basis word or 0, so the word sends each
+    set bit (gi, u) of v to (gi, MUL_TABLE[widx][u]) or to 0.
+    """
+    row, acc = MUL_TABLE[widx], 0
+    while v:
+        low = v & -v
+        gi, u = basis[low.bit_length() - 1]
+        k = row[u]
+        if k is not None:
+            acc ^= target[(gi, k)]
+        v ^= low
+    return acc
+
+
 def free_word_images(fbasis: Mapping[int, Sequence[Tuple[int, int]]],
                      gens: Sequence[Tuple[int, int]], d: int) -> List[int]:
-    """``GradedA1Module.word_images`` into the free module with bases ``fbasis``.
-
-    A product of two basis words of A(1) is one basis word or 0, so the
-    word w sends each set bit (gi, u) of v to (gi, MUL_TABLE[w][u]) or to 0.
-    """
-    target = {bw: 1 << p for p, bw in enumerate(fbasis.get(d, ()))}
-    out = []
-    for t, v in gens:
-        for widx in words_of_degree(d - t):
-            row, basis, acc, rest = MUL_TABLE[widx], fbasis[t], 0, v
-            while rest:
-                low = rest & -rest
-                gi, u = basis[low.bit_length() - 1]
-                if row[u] is not None:
-                    acc ^= target[(gi, row[u])]
-                rest ^= low
-            out.append(acc)
-    return out
+    """``GradedA1Module.word_images`` into the free module with bases ``fbasis``."""
+    target = free_positions(fbasis.get(d, ()))
+    return [free_word_times(widx, v, fbasis[t], target)
+            for t, v in gens for widx in words_of_degree(d - t)]

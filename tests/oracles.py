@@ -991,3 +991,59 @@ def plain_cover_search(remainder, n: int, budget: int):
     zero = (0,) * (n + 1 - lo)
     cover(graded(remainder.dims), [], zero, zero)
     return candidates, tried, budget_spent
+
+
+# -- the resolution's reference generator rule ------------------------------------
+
+
+def reference_resolution(M, max_s: int, max_t: int) -> List[Tuple[List[int], List[int]]]:
+    """The stages (generator degrees, boundary columns) of ``minimal_resolution``'s window.
+
+    The kernel of each boundary is found degree by degree from the word
+    images (``M.word_images``, then ``steenrod.free_word_images``).  Each
+    Sq1 and Sq2 image of a kernel vector is solved in kernel coordinates
+    by its own ``ColumnSolver``; it must lie in the kernel, or
+    ``InvariantError("kernel not closed under the action")``.  The
+    generators are the kernel vectors whose coordinates are not pivots of
+    those solutions: the complement ``GradedA1Module.generator_coords``
+    takes on a module.
+    """
+    import bisect
+    import functools
+
+    from a1bordism import steenrod
+    from a1bordism.gf2 import ColumnSolver
+    from a1bordism.modules import InvariantError
+
+    gens = M.minimal_generators(max_t)
+    images = M.word_images
+    stages: List[Tuple[List[int], List[int]]] = []
+    for s in range(max_s + 1):
+        gen_degrees = [t for t, _ in gens]
+        stages.append((gen_degrees, [v for _, v in gens]))
+        if s == max_s:
+            break
+        fbasis = steenrod.free_bases(gen_degrees, max_t)
+        ker_vecs: Dict[int, List[int]] = {}
+        for d in sorted(fbasis):
+            near = gens[bisect.bisect_left(gen_degrees, d - TOP_DEGREE):
+                        bisect.bisect_right(gen_degrees, d)]
+            kernel = ColumnSolver(images(near, d)).kernel
+            if kernel:
+                ker_vecs[d] = kernel
+        images = functools.partial(steenrod.free_word_images, fbasis)
+        decomposables: Dict[int, List[int]] = {d: [] for d in ker_vecs}
+        solvers = {d: ColumnSolver(v) for d, v in ker_vecs.items()}
+        for shift in (1, 2):
+            for d, vecs in ker_vecs.items():
+                solver = solvers.get(d + shift)
+                if solver is None:
+                    continue
+                for img in images([(d, v) for v in vecs], d + shift):
+                    x = solver.solve(img)
+                    if x is None:
+                        raise InvariantError("kernel not closed under the action")
+                    decomposables[d + shift].append(x)
+        gens = [(d, vecs[j]) for d, vecs in sorted(ker_vecs.items())
+                for j in ColumnSolver(decomposables[d]).complement(len(vecs))]
+    return stages

@@ -277,13 +277,17 @@ def test_readme_command_lines_parse():
 
 def test_failed_internal_invariant_is_undecided_not_usage(monkeypatch):
     # a broken invariant is exit 2 ("undecided"), never exit 1 ("argument error")
-    from a1bordism import ext as ext_mod
+    from a1bordism import steenrod
 
-    class NeverSolves(ext_mod.ColumnSolver):
-        def solve(self, w):
-            return None
+    free_word_times = steenrod.free_word_times
 
-    monkeypatch.setattr(ext_mod, "ColumnSolver", NeverSolves)
+    def stray_sq1(widx, v, basis, target):
+        # Sq1 of a vector gains a bit past its target degree, so Sq1 of
+        # the kernel leaves it and the resolution's rank check fails
+        img = free_word_times(widx, v, basis, target)
+        return img | 1 << len(target) if steenrod.WORDS[widx] == "1" else img
+
+    monkeypatch.setattr(steenrod, "free_word_times", stray_sq1)
     text, code = run(["ext", "F2", "--max-n", "2", "--max-s", "2"])
     assert code == 2
     assert text == "error: undecided: internal invariant failed: kernel not closed under the action\n"

@@ -7,14 +7,17 @@ import pytest
 
 from a1bordism import ext as ex
 from a1bordism import modules as md
+from a1bordism import pipelines as pl
 from a1bordism import spaces as sp
 from a1bordism.ext import (assemble_groups, chart_ascii, chart_tsv,
                            collapse_certificate, ext_chart, minimal_resolution,
                            verify_resolution)
+from a1bordism.gf2 import ColumnSolver
 from a1bordism.modules import InvariantError, catalog, free_module
 from a1bordism.steenrod import TOP_DEGREE, WORD_INDEX, free_bases
 from oracles import (BarExt, boundary_entries, brute_certificate, check_exact, decoded_h0,
-                     free_degree_basis, h0_matrix, h0_power_ranks, rank_power_rows)
+                     free_degree_basis, h0_matrix, h0_power_ranks, rank_power_rows,
+                     reference_resolution)
 
 
 # the hand-built minimal-resolution fixture for F2 over A(1): Ext is
@@ -539,6 +542,83 @@ def test_pipeline_resolutions_are_exact_and_minimal(pipeline_resolutions):
     for key, res in pipeline_resolutions.items():
         verify_resolution(res)
         check_exact(res)
+
+
+def test_resolution_equals_the_reference_generator_rule(monkeypatch):
+    # every resolution run_pipeline builds, on every structure at through
+    # 0-7 and max_s 6 and 12, against the rule that solves the
+    # decomposables in kernel coordinates and takes their complement
+    built = []
+
+    def spy(M, max_s, max_t):
+        built.append((M, max_s, max_t, resolve(M, max_s, max_t)))
+        return built[-1][-1]
+
+    resolve = ex.minimal_resolution
+    monkeypatch.setattr(ex, "minimal_resolution", spy)
+    for name in sp.STRUCTURE_NAMES:
+        for through in range(8):
+            for max_s in (6, 12):
+                pl.run_pipeline(name, through, max_s)
+    assert len(built) == 256
+    for M, max_s, max_t, res in built:
+        assert [(st.gen_degrees, st.boundary) for st in res.stages] == \
+            reference_resolution(M, max_s, max_t), (M.name, max_s, max_t)
+
+
+def generated_submodule(M, gens):
+    """The submodule of M generated by the (degree, vector) pairs gens."""
+    span = {}
+    todo = list(gens)
+    while todo:
+        d, v = todo.pop()
+        if v and v not in ColumnSolver(span.get(d, [])):
+            span.setdefault(d, []).append(v)
+            todo += [(d + k, M.apply_word(str(k), d, [v])[0]) for k in (1, 2) if M.dim(d + k)]
+    return M.submodule(span)[0]
+
+
+def test_resolution_equals_the_reference_on_submodules_of_free_modules():
+    # A kernel vector is a generator when no decomposable has it as its
+    # lowest kernel coordinate.  On the pipelines' modules the highest
+    # coordinate picks the same vectors; on some of these it does not.
+    rng = random.Random(36)
+    for _ in range(100):
+        M = free_module()
+        for _ in range(rng.randint(1, 2)):
+            M = M.direct_sum(free_module().suspend(rng.randint(0, 3)))
+        gens = [(d, rng.getrandbits(M.dim(d)))
+                for d in rng.choices(M.degrees(), k=rng.randint(1, 4))]
+        S = generated_submodule(M, gens)
+        res = minimal_resolution(S, max_s=6, max_t=14)
+        assert [(st.gen_degrees, st.boundary) for st in res.stages] == \
+            reference_resolution(S, max_s=6, max_t=14), gens
+
+
+def not_an_a1_module(second_generator: bool) -> md.GradedA1Module:
+    """x0 with Sq2 x0 = 0 but Sq1 Sq2 Sq1 x0 = u4 ≠ 0, so Sq2 Sq2 ≠ Sq1 Sq2 Sq1.
+
+    Sq2 of the kernel vector Sq2 on x0's generator is Sq1 Sq2 Sq1 there,
+    which is not in the kernel.  With a second generator h2 (Sq1 h2 =
+    Sq2 h2 = 0) the kernel in degree 4 is Sq2 on h2's generator; without
+    it, the kernel in degree 4 is 0.
+    """
+    dims = {0: 1, 1: 1, 2: 1 if second_generator else 0, 3: 1, 4: 1}
+    sq1 = {0: [1], 3: [1]} | ({2: [0]} if second_generator else {})
+    sq2 = {1: [1]} | ({2: [0]} if second_generator else {})
+    return md.GradedA1Module(dims, sq1, sq2, hi=4, complete=True, name="bad")
+
+
+@pytest.mark.parametrize("second_generator", [True, False])
+def test_sq_images_outside_the_kernel_are_an_invariant_error(second_generator):
+    bad = not_an_a1_module(second_generator)
+    assert bad.validate() is not None
+    with pytest.raises(InvariantError, match="kernel not closed under the action"):
+        minimal_resolution(bad, max_s=2, max_t=8)
+    if second_generator:
+        # the reference rule sees it only where the kernel is not 0
+        with pytest.raises(InvariantError, match="kernel not closed under the action"):
+            reference_resolution(bad, max_s=2, max_t=8)
 
 
 def with_column(res, s, i, v):

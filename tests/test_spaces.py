@@ -183,6 +183,13 @@ def test_space_catalog_refusals_and_clamps():
             sp.space(name, cap + 1)
 
 
+def test_wu_manifold_cutoff_is_clamped_before_the_memo():
+    # the ring is zero above degree 5: every cutoff from 5 up gets one ring
+    wu = sp.space("WuManifold", 5)
+    assert all(sp.space("WuManifold", c) is wu for c in (6, 9, 30))
+    assert sp.space("WuManifold", 4) is not wu and sp.space("WuManifold", 4).cutoff == 4
+
+
 def test_wu_manifold_actions():
     wu = sp.space("WuManifold", 5)
     z2 = wu.gen_mono("z2")
